@@ -8,10 +8,7 @@ shape) in the three event-loop flavours:
 * ``wave`` cold — the wave-batched loop without a persistent memo,
 * ``wave`` warm — the wave-batched loop with ``REPRO_LOCAL_MEMO`` primed
   on disk, so every fresh manager starts with the whole phase library
-  one read away (the repeated-campaign / warm-CI scenario),
-* ``native`` — the one-call compiled run engine (PR 7): the C loop owns
-  the SoA state and replays provably-identity decisions natively,
-  calling back into Python only for the rest.
+  one read away (the repeated-campaign / warm-CI scenario).
 
 ``BENCH_simloop.json`` at the repo root keeps the committed baseline
 (regenerate with ``python -m repro bench --emit simloop`` — the emitter
@@ -22,8 +19,6 @@ at least 3x the scalar oracle with a >= 90% memo hit rate.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -49,7 +44,7 @@ def _workload(n_cores):
     return db, [names[i % len(names)] for i in range(n_cores)]
 
 
-@pytest.mark.parametrize("wave", ["scalar", "step", "native"])
+@pytest.mark.parametrize("wave", ["scalar", "step"])
 @pytest.mark.parametrize("n_cores", CORE_COUNTS)
 def test_bench_sim_loop(benchmark, n_cores, wave, monkeypatch):
     """One end-to-end run per round, fresh manager, no persistent tier."""

@@ -511,30 +511,22 @@ SIMLOOP_CORE_COUNTS = (4, 16, 64)
 SIMLOOP_HORIZON = 20
 
 
-#: Same-shape runs advanced together by the batched-throughput probe.
-SIMLOOP_BATCH_WIDTH = 4
-
-
 def measure_simloop(
     n_cores: int, horizon: int = SIMLOOP_HORIZON, rounds: int = 5
 ) -> Dict:
-    """End-to-end RM3/Model3 run wall-clock in every loop flavour.
+    """End-to-end RM3/Model3 run wall-clock in both loop modes.
 
     Measures ``scalar`` (the PR-4 oracle), ``wave`` cold (no persistent
-    memo), ``wave`` warm (persistent memo primed on disk, fresh manager
-    per run — the repeated-campaign shape), ``native`` warm (the
-    one-call compiled run engine on the same warm memo) and a batched
-    multi-run pass (``SIMLOOP_BATCH_WIDTH`` same-shape native runs
-    through one shared native loop, reported as ``runs_per_sec``) with
-    the rounds *interleaved* and summarised by median, so CPU-frequency
-    drift hits every flavour equally instead of whichever ran last.
-    Each round builds fresh managers; only OS/db-level state stays
-    warm, exactly as it would for a campaign worker.
+    memo) and ``wave`` warm (persistent memo primed on disk, fresh
+    manager per run — the repeated-campaign shape) with the rounds
+    *interleaved* and summarised by median, so CPU-frequency drift hits
+    every flavour equally instead of whichever ran last.  Each round
+    builds fresh managers; only OS/db-level state stays warm, exactly as
+    it would for a campaign worker.
     """
     from repro.campaign.executor import make_model
     from repro.core.managers import make_rm
     from repro.experiments.common import get_database
-    from repro.simulator.batch import run_many
     from repro.simulator.rmsim import MulticoreRMSimulator
 
     db = get_database(n_cores, BENCH_SEED)
@@ -546,16 +538,6 @@ def measure_simloop(
         sim = MulticoreRMSimulator(db, rm, wave=wave)
         return sim.run(apps, horizon_intervals=horizon), rm
 
-    def batch():
-        runs = []
-        for _ in range(SIMLOOP_BATCH_WIDTH):
-            rm = make_rm("rm3", db.system, make_model("Model3"))
-            sim = MulticoreRMSimulator(db, rm, wave="native")
-            runs.append((sim, list(apps), horizon))
-        t0 = time.perf_counter()
-        run_many(runs)
-        return time.perf_counter() - t0
-
     def med(xs):
         xs = sorted(xs)
         return xs[len(xs) // 2]
@@ -564,8 +546,6 @@ def measure_simloop(
         "scalar": [],
         "wave_cold": [],
         "wave_warm": [],
-        "native": [],
-        "batch": [],
     }
     saved_env = os.environ.get("REPRO_LOCAL_MEMO")
     with tempfile.TemporaryDirectory() as memo_dir:
@@ -588,11 +568,6 @@ def measure_simloop(
                 times["wave_warm"].append(time.perf_counter() - t0)
                 memo = rm.local_memo
                 hit_rate = memo.hit_rate if memo is not None else 0.0
-                t0 = time.perf_counter()
-                native_result, _ = run("native")
-                times["native"].append(time.perf_counter() - t0)
-                times["batch"].append(batch())
-            native_stats = native_result.native_stats
         finally:
             if saved_env is None:
                 os.environ.pop("REPRO_LOCAL_MEMO", None)
@@ -602,20 +577,8 @@ def measure_simloop(
         "scalar_s": med(times["scalar"]),
         "wave_cold_s": med(times["wave_cold"]),
         "wave_warm_s": med(times["wave_warm"]),
-        "native_s": med(times["native"]),
-        "batch_width": SIMLOOP_BATCH_WIDTH,
-        "runs_per_sec": SIMLOOP_BATCH_WIDTH / med(times["batch"]),
         "events": result.rm_invocations,
         "memo_hit_rate": hit_rate,
-        # Replay observability from the native run (null without a
-        # compiler — the mode degrades to the wave loop and reports no
-        # native counters).
-        "native_replay_fraction": (
-            native_stats["native_replay_fraction"] if native_stats else None
-        ),
-        "native_callbacks": (
-            dict(native_stats["callbacks"]) if native_stats else None
-        ),
         "rounds": rounds,
     }
 
@@ -634,34 +597,23 @@ def emit_simloop() -> int:
         row = measure_simloop(n)
         row["wave_warm_speedup_vs_scalar"] = row["scalar_s"] / row["wave_warm_s"]
         row["wave_cold_speedup_vs_scalar"] = row["scalar_s"] / row["wave_cold_s"]
-        row["native_speedup_vs_scalar"] = row["scalar_s"] / row["native_s"]
-        row["native_speedup_vs_wave_warm"] = (
-            row["wave_warm_s"] / row["native_s"]
-        )
         per_cores[str(n)] = row
-        frac = row["native_replay_fraction"]
-        frac_text = "n/a" if frac is None else f"{frac:.3f}"
         print(
             f"{n:>3} cores: scalar {row['scalar_s']*1e3:7.1f} ms, "
+            f"wave cold {row['wave_cold_s']*1e3:7.1f} ms "
+            f"({row['wave_cold_speedup_vs_scalar']:.2f}x), "
             f"wave warm {row['wave_warm_s']*1e3:7.1f} ms "
             f"({row['wave_warm_speedup_vs_scalar']:.2f}x, "
-            f"hit rate {row['memo_hit_rate']:.2f}), "
-            f"native {row['native_s']*1e3:7.1f} ms "
-            f"({row['native_speedup_vs_scalar']:.2f}x, "
-            f"replay {frac_text}), "
-            f"batched {row['runs_per_sec']:.1f} runs/s"
+            f"hit rate {row['memo_hit_rate']:.2f})"
         )
 
     top = per_cores[str(max(SIMLOOP_CORE_COUNTS))]
     payload = {
         "description": "Simulator event-loop baseline (wave-batched loop + "
-        "persistent local memo and the one-call native run engine vs the "
-        "scalar PR-4 oracle; end-to-end RM3/Model3 runs, fresh manager "
-        "per run, interleaved medians; runs_per_sec batches "
-        f"{SIMLOOP_BATCH_WIDTH} same-shape native runs through one "
-        "shared native loop)",
+        "persistent local memo vs the scalar PR-4 oracle; end-to-end "
+        "RM3/Model3 runs, fresh manager per run, interleaved medians)",
         "environment": environment_block(
-            wave_modes=["scalar", "step", "epsilon", "native"],
+            wave_modes=["scalar", "step"],
             reduction="incremental",
             local_mode="memoized",
             native_combine_available=_native_opt.available(),
@@ -676,18 +628,6 @@ def emit_simloop() -> int:
                 top["wave_cold_speedup_vs_scalar"], 2
             ),
             "warm_64c_memo_hit_rate": round(top["memo_hit_rate"], 3),
-            "native_64c_speedup_vs_scalar": round(
-                top["native_speedup_vs_scalar"], 2
-            ),
-            "native_64c_speedup_vs_wave_warm": round(
-                top["native_speedup_vs_wave_warm"], 2
-            ),
-            "batched_64c_runs_per_sec": round(top["runs_per_sec"], 1),
-            "native_64c_replay_fraction": (
-                None
-                if top["native_replay_fraction"] is None
-                else round(top["native_replay_fraction"], 3)
-            ),
         },
     }
     _write(REPO_ROOT / "BENCH_simloop.json", payload)
@@ -720,35 +660,6 @@ def check_simloop() -> int:
         failures.append(f"wave speedup collapse: {line}")
     if row["memo_hit_rate"] < hit_floor:
         failures.append(f"memo hit-rate collapse: {line}")
-    native_base = base.get("native_speedup_vs_scalar")
-    if native_base is not None:
-        # On a compiler-less runner the native mode degrades to the wave
-        # loop, so the collapse floor must stay satisfiable by wave-warm
-        # performance alone — same /4 rule, no tighter.
-        native_speedup = row["scalar_s"] / row["native_s"]
-        native_floor = max(1.2, native_base / 4.0)
-        native_line = (
-            f"16 cores: native speedup {native_speedup:.2f}x (committed "
-            f"{native_base:.2f}x, floor {native_floor:.2f}x), "
-            f"batched {row['runs_per_sec']:.1f} runs/s"
-        )
-        print(native_line)
-        if native_speedup < native_floor:
-            failures.append(f"native speedup collapse: {native_line}")
-    committed_frac = base.get("native_replay_fraction")
-    measured_frac = row.get("native_replay_fraction")
-    if committed_frac is not None and measured_frac is not None:
-        # The replay fraction is a count ratio, not a timing: it is
-        # noise-free on shared runners, so a modest tolerance (the odd
-        # gate fire landing differently across toolchains) suffices.
-        frac_floor = committed_frac - 0.10
-        frac_line = (
-            f"16 cores: native replay fraction {measured_frac:.3f} "
-            f"(committed {committed_frac:.3f}, floor {frac_floor:.3f})"
-        )
-        print(frac_line)
-        if measured_frac < frac_floor:
-            failures.append(f"native replay-fraction collapse: {frac_line}")
     if failures:
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)

@@ -23,7 +23,7 @@ This module is what turns that assumption into a checked contract:
   (``REPRO_VERIFY_READS=0`` opts out, e.g. for A/B benchmarking).
 * :func:`verify_store` is the audit engine behind ``repro verify``: a
   full digest sweep of the store plus deterministic-sample re-execution
-  (optionally cross-mode: native vs wave vs scalar) diffed byte-for-byte
+  (optionally cross-mode: wave vs scalar) diffed byte-for-byte
   against the stored entries.
 
 The distributed fabric builds on the same digests: done markers carry
@@ -365,15 +365,15 @@ def _sample_order(fingerprints: Sequence[str], seed: int) -> List[str]:
 def _reexecution_modes(cross_mode: bool, spec: RunSpec) -> List[Optional[str]]:
     """Event-loop modes to re-execute a sampled spec under.
 
-    All modes are differentially tested bit-identical, which is exactly
+    Both modes are differentially tested bit-identical, which is exactly
     what makes them useful as *independent witnesses*: a cross-mode
-    audit re-runs the spec through the native, wave and scalar loops and
-    any disagreement with the stored bytes is a real divergence, not a
-    mode artefact.
+    audit re-runs the spec through the wave loop and the scalar oracle,
+    and any disagreement with the stored bytes is a real divergence, not
+    a mode artefact.
     """
     if not cross_mode:
         return [spec.wave]
-    return ["native", "step", "scalar"]
+    return ["step", "scalar"]
 
 
 def verify_store(

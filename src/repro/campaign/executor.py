@@ -82,14 +82,9 @@ __all__ = [
     "CampaignStats",
     "ResultSet",
     "SpecTimeout",
-    "aggregate_native_stats",
-    "batch_runs_enabled",
     "execute_spec",
-    "format_native_stats_table",
     "make_model",
-    "native_stats_enabled",
     "resolve_campaign_workers",
-    "run_batch",
     "run_campaign",
 ]
 
@@ -117,22 +112,6 @@ POOL_FAILURES_ENV = "REPRO_POOL_FAILURES"
 #: median completed runtime is speculatively re-dispatched (default 8;
 #: 0 disables).  Duplicates are correctness-free: first finish wins.
 STRAGGLER_FACTOR_ENV = "REPRO_STRAGGLER_FACTOR"
-
-#: Opt-in same-shape multi-run batching for serial native-mode
-#: campaigns: truthy values group pending specs that share a shape
-#: (cores/model/horizon/RM/overheads) and advance each group through
-#: one shared native event loop (:func:`repro.simulator.batch.run_many`).
-#: Results are bit-identical to serial execution; only scheduling
-#: changes.  Ignored when a worker pool is engaged.
-BATCH_RUNS_ENV = "REPRO_BATCH_RUNS"
-
-#: Opt-in replay observability: truthy values aggregate the native
-#: loop's per-run replay counters (``SimResult.native_stats``) across
-#: the campaign and print a per-RM replay-fraction table when it
-#: finishes.  Observability only, never an input: the counters are
-#: excluded from result equality, result fingerprints and the on-disk
-#: store alike, so toggling the knob can never split the cache.
-NATIVE_STATS_ENV = "REPRO_NATIVE_STATS"
 
 #: Auto mode engages the pool only for at least this many pending runs.
 _AUTO_POOL_MIN_RUNS = 16
@@ -219,8 +198,8 @@ def make_model(name: str):
     return models[name]()
 
 
-def _make_sim(spec: RunSpec) -> MulticoreRMSimulator:
-    """Build one spec's fully-configured simulator (fresh manager)."""
+def _simulate(spec: RunSpec) -> SimResult:
+    """Run one spec's simulation (no caching — see :func:`execute_spec`)."""
     db = get_database(spec.n_cores, spec.seed)
     system = db.system
     if spec.rm_kind == "idle":
@@ -235,14 +214,9 @@ def _make_sim(spec: RunSpec) -> MulticoreRMSimulator:
             spec.rm_kind, relaxed, make_model(spec.model),
             qos=QoSPolicy(spec.alpha),
         )
-    return MulticoreRMSimulator(
+    sim = MulticoreRMSimulator(
         db, rm, charge_overheads=spec.charge_overheads, wave=spec.wave
     )
-
-
-def _simulate(spec: RunSpec) -> SimResult:
-    """Run one spec's simulation (no caching — see :func:`execute_spec`)."""
-    sim = _make_sim(spec)
     return sim.run(list(spec.apps), horizon_intervals=spec.horizon_intervals)
 
 
@@ -444,145 +418,6 @@ def _run_serial(specs: Sequence[RunSpec], state: _ExecState) -> None:
             state.record_done(fp, time.monotonic() - t0)
             faults.on_completion(len(state.results))
             break
-
-
-def batch_runs_enabled() -> bool:
-    """Whether :data:`BATCH_RUNS_ENV` opts serial runs into batching."""
-    raw = os.environ.get(BATCH_RUNS_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "no")
-
-
-def native_stats_enabled() -> bool:
-    """Whether :data:`NATIVE_STATS_ENV` turns on replay aggregation."""
-    raw = os.environ.get(NATIVE_STATS_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "no")
-
-
-def aggregate_native_stats(
-    results: Iterable[SimResult],
-) -> Dict[str, Dict[str, float]]:
-    """Sum each RM's native replay counters across ``results``.
-
-    Runs without counters (non-native modes, the no-compiler fallback,
-    disk-cache hits — the store never persists observability fields)
-    are tallied separately so a low fraction is never an artefact of
-    missing data.
-    """
-    agg: Dict[str, Dict[str, float]] = {}
-    for result in results:
-        row = agg.setdefault(
-            result.rm_name,
-            {
-                "runs": 0,
-                "runs_without_stats": 0,
-                "rm_invocations": 0,
-                "replayed": 0,
-                "cb_cold": 0,
-                "cb_phase": 0,
-                "cb_miss": 0,
-                "cb_gate": 0,
-                "cb_other": 0,
-            },
-        )
-        row["runs"] += 1
-        stats = result.native_stats
-        if not stats:
-            row["runs_without_stats"] += 1
-            continue
-        row["rm_invocations"] += stats["rm_invocations"]
-        row["replayed"] += stats["replayed"]
-        for cause, count in stats["callbacks"].items():
-            row[f"cb_{cause}"] += count
-    for row in agg.values():
-        inv = row["rm_invocations"]
-        row["native_replay_fraction"] = (
-            row["replayed"] / inv if inv else None
-        )
-    return agg
-
-
-def format_native_stats_table(
-    agg: Dict[str, Dict[str, float]]
-) -> str:
-    """Render the per-RM replay-fraction table (one line per RM)."""
-    lines = ["[native replay stats]"]
-    for rm_name in sorted(agg):
-        row = agg[rm_name]
-        frac = row["native_replay_fraction"]
-        frac_text = "n/a" if frac is None else f"{frac:.3f}"
-        lines.append(
-            f"  {rm_name}: fraction={frac_text} "
-            f"replayed={row['replayed']}/{row['rm_invocations']} "
-            f"callbacks(cold={row['cb_cold']} phase={row['cb_phase']} "
-            f"miss={row['cb_miss']} gate={row['cb_gate']} "
-            f"other={row['cb_other']}) "
-            f"runs={row['runs']} "
-            f"(no stats: {row['runs_without_stats']})"
-        )
-    return "\n".join(lines)
-
-
-def _run_batched(specs: Sequence[RunSpec], state: _ExecState) -> None:
-    """Serial driver variant: same-shape native groups advance together.
-
-    Specs that resolve to ``wave="native"`` and share a shape
-    (cores/model/horizon/RM kind/overheads) are prepared together and
-    driven through one shared native event loop; everything else — odd
-    shapes, non-native modes, singleton groups — takes the plain serial
-    path.  Any failure inside a group (fault injection included) demotes
-    that whole group to the serial driver, whose per-spec timeout and
-    retry machinery then applies, so batching can only change
-    scheduling, never outcomes.  Journaled per-spec durations inside a
-    successful group are the group's wall-clock split evenly (the runs
-    genuinely advance together).
-    """
-    from repro.simulator.batch import run_many
-    from repro.simulator.rmsim import WAVE_ENV
-
-    default_wave = os.environ.get(WAVE_ENV) or "step"
-    groups: Dict[tuple, List[RunSpec]] = {}
-    rest: List[RunSpec] = []
-    for spec in specs:
-        if (spec.wave or default_wave) != "native":
-            rest.append(spec)
-            continue
-        key = (
-            spec.n_cores,
-            spec.model,
-            spec.horizon_intervals,
-            spec.rm_kind,
-            spec.charge_overheads,
-        )
-        groups.setdefault(key, []).append(spec)
-
-    for group in groups.values():
-        if len(group) < 2:
-            rest.extend(group)
-            continue
-        t0 = time.monotonic()
-        try:
-            for spec in group:
-                faults.on_spec(spec.fingerprint)
-            results = run_many(
-                [
-                    (_make_sim(spec), list(spec.apps), spec.horizon_intervals)
-                    for spec in group
-                ]
-            )
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            _run_serial(group, state)
-            continue
-        share = (time.monotonic() - t0) / len(group)
-        for spec, result in zip(group, results):
-            fp = spec.fingerprint
-            store_result(fp, result, spec=spec)
-            state.results[fp] = result
-            state.record_done(fp, share)
-            faults.on_completion(len(state.results))
-    if rest:
-        _run_serial(rest, state)
 
 
 def _run_pool(
@@ -889,8 +724,6 @@ class Campaign:
                 ):
                     get_database(n_cores, seed)
                 _run_pool(ordered, workers, state)
-            elif batch_runs_enabled():
-                _run_batched(ordered, state)
             else:
                 _run_serial(ordered, state)
         except KeyboardInterrupt:
@@ -947,13 +780,6 @@ class Campaign:
             lease_expiries=getattr(state, "lease_expiries", 0),
             divergences=state.divergences,
         )
-        if native_stats_enabled() and results:
-            print(
-                format_native_stats_table(
-                    aggregate_native_stats(results.values())
-                ),
-                file=sys.stderr,
-            )
         return ResultSet(results, stats)
 
 
@@ -963,21 +789,3 @@ def run_campaign(
     """One-shot convenience: plan, dedupe and execute ``specs``."""
     return Campaign(specs).run(n_workers=n_workers)
 
-
-def run_batch(specs: Sequence[RunSpec]) -> ResultSet:
-    """Execute ``specs`` serially with same-shape batching forced on.
-
-    Equivalent to ``run_campaign(specs, n_workers=1)`` under
-    ``REPRO_BATCH_RUNS=1`` — same caching, journaling and bit-identical
-    results; same-shape native-mode groups just advance through one
-    shared native event loop.
-    """
-    saved = os.environ.get(BATCH_RUNS_ENV)
-    os.environ[BATCH_RUNS_ENV] = "1"
-    try:
-        return Campaign(specs).run(n_workers=1)
-    finally:
-        if saved is None:
-            os.environ.pop(BATCH_RUNS_ENV, None)
-        else:
-            os.environ[BATCH_RUNS_ENV] = saved

@@ -38,7 +38,7 @@ lease state for distributed runs.  ``verify`` audits the result store's
 integrity layer (:mod:`repro.campaign.attest`): attestation coverage, a
 digest sweep of every entry, and — with ``--sample N`` — deterministic
 re-execution of N stored fingerprints whose bytes must match the store
-(``--cross-mode`` re-executes each sampled spec in every event-loop mode).
+(``--cross-mode`` re-executes each sampled spec in both event-loop modes).
 ``--remote`` dispatches a campaign
 through the lease-based distributed fabric (:mod:`repro.campaign.remote`)
 and ``campaign --work`` turns this process into a fabric worker against a
@@ -100,37 +100,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "core counts swept by ext-scaling "
-            "(default: 4 8 16 32, shrunk to 4 16 with --quick)"
+            "(default: 4 8 16 32 64, shrunk to 4 16 with --quick)"
         ),
     )
     parser.add_argument(
         "--wave",
         default=None,
-        choices=["step", "epsilon", "scalar", "native"],
+        choices=["step", "scalar"],
         help=(
             "simulator event-loop mode (default: REPRO_SIM_WAVE or "
-            "'step'; all modes are bit-identical — 'scalar' is the "
-            "slow differential oracle, 'native' the one-call compiled "
-            "run engine)"
-        ),
-    )
-    parser.add_argument(
-        "--batch-runs",
-        action="store_true",
-        help=(
-            "serial campaigns: advance same-shape native-mode runs "
-            "together through one shared native event loop "
-            "(REPRO_BATCH_RUNS; bit-identical, scheduling only)"
-        ),
-    )
-    parser.add_argument(
-        "--native-stats",
-        action="store_true",
-        help=(
-            "aggregate the native loop's replay counters across the "
-            "campaign and print a per-RM replay-fraction table "
-            "(REPRO_NATIVE_STATS; observability only, excluded from "
-            "result fingerprints)"
+            "'step'; both modes are bit-identical — 'scalar' is the "
+            "slow differential oracle)"
         ),
     )
     parser.add_argument(
@@ -232,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "with 'verify --sample': re-execute each sampled spec in "
-            "every event-loop mode (native/step/scalar) — all must "
+            "both event-loop modes (step and scalar) — each must "
             "reproduce the stored bytes"
         ),
     )
@@ -548,14 +528,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         import os
 
         os.environ["REPRO_SIM_WAVE"] = args.wave
-    if args.batch_runs:
-        import os
-
-        os.environ["REPRO_BATCH_RUNS"] = "1"
-    if args.native_stats:
-        import os
-
-        os.environ["REPRO_NATIVE_STATS"] = "1"
 
     cfg = ExperimentConfig(
         seed=args.seed,

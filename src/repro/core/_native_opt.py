@@ -1,4 +1,4 @@
-"""Optional compiled kernels: (min,+) combine, core advance, run engine.
+"""Optional compiled kernels: (min,+) combine and core advance.
 
 The pairwise curve combine is the decision kernel's floor: every
 leaf-to-root recombine pays one ``la * lb`` (min,+) convolution, and at
@@ -18,18 +18,12 @@ differential tests assert equality against the NumPy kernel, which
 itself is pinned to the scalar reference.
 
 Alongside the combine/path kernels this module carries the wave loop's
-fused per-event advance (``advance_fast``) and — since the native-run
-PR — the whole steady-state event loop (``run_native``): boundary pick,
-advance, QoS, rollover, the manager decision and its overhead charge
-execute natively, replaying decisions from per-core multi-entry tables
-keyed on (applied-setting id, phase) with the hysteresis gate
-re-evaluated live in C; Python is re-entered only for events the
-tables cannot prove (see :mod:`repro.simulator.native_loop`).
+fused per-event advance (``advance_fast``).
 
 Everything degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NO_NATIVE=1`` make :func:`available` return ``False`` and the
-tree fall back to the NumPy combine (and ``wave="native"`` to the
-pure-NumPy wave loop).
+tree fall back to the NumPy combine (and the wave loop to its NumPy
+advance).
 """
 
 from __future__ import annotations
@@ -203,487 +197,6 @@ int64_t advance_fast(double dt, double horizon, int64_t n,
     }
     return 0;
 }
-
-/* ------------------------------------------------------------------ */
-/* The native run engine: the whole wave-loop event body — boundary
- * pick, zero-alloc advance, QoS check, interval rollover, the RM
- * decision and its overhead charge — executed natively for every
- * *steady-state* event.  The boundary core's decision is replayed from
- * its per-core multi-entry table keyed on (applied-setting id, phase);
- * the optimising managers' hysteresis gate is re-evaluated LIVE per
- * fire (a windowed root evaluation over the reduction tree's own
- * output buffers), so entries stay sound as other cores' curves move
- * underneath them.  Python is re-entered only for events the table
- * cannot prove (cold core, phase crossing, missing premise, a failing
- * gate — i.e. a real re-partition — or a finish event).
- *
- * Per-run state is described by three caller-owned blocks:
- *
- *   pptrs  (uint64[64]) — array addresses, all owned by Python/NumPy:
- *     0 stall_s        1 tpi_s          2 instr_done    3 total_instr
- *     4 interval_elapsed 5 n_instr      6 epi_j         7 work_j
- *     8 static_w       9 core_dyn     10 core_static   11 mem_j
- *    12 overhead_j    13 ipc          14 set_f         15 alphas
- *    16 base_time     17 vio_buf      18 active(u8)    19 finished(u8)
- *    20 iv(i64)       21 pat_off(i64) 22 pat_len(i64)  23 pat_flat(i64)
- *    24 bt_phase(f64 [core*P + phase]: QoS base time per phase record)
- *    25..27 (spare)   28 dscr(f64 scratch, n)
- *   -- replay tables (flat [core*K + entry] unless noted) --
- *    29 cur_sid(i64,n)  30 tab_count(i64,n)
- *    31 t_sid(i64)      32 t_phase(i64)  33 t_post(i64)  34 t_le(f64)
- *    35 t_kc(f64)       36 t_caddr(u64)  37 t_rates(f64, one stride-8
- *       record per ENTERING phase at [(entry*P + phase)*8]:
- *       tpi,n_instr,epi,work,static,ipc,f_post,spare)
- *    38 t_trans(f64 stride 2: stall_s,energy_j)
- *    39 dp_bill(f64,n)  40 kc(f64,n; NaN=unknown)  41 leaf_addr(u64,n)
- *    42 leaf_n(i64,n)   43 leaf_wmin(i64,n; driver bookkeeping)
- *   -- staged path descriptors (flat levels at d_off[core]) --
- *    44 d_off(i64,n)  45 d_len(i64,n)  46 d_sib_core(i64; >=0 leaf via
- *       leaf_addr, -1 internal via d_sib_addr)  47 d_sib_addr(u64)
- *    48 d_sib_n(i64)  49 d_sib_left(i64)  50 d_w0(i64)  51 d_w1(i64)
- *    52 d_out_addr(u64)
- *   -- staged root operands --
- *    53 r_other_core(i64,n)  54 r_other_addr(u64,n)  55 r_other_n(i64,n)
- *    56 r_other_wmin(i64,n)  57 r_path_left(i64,n)   58 r_top_wmin(i64,n)
- *    59 r_top_n(i64,n)
- *   -- observability / sync --
- *    60 stats(i64[7]: ident,rebind,cb_cold,cb_phase,cb_miss,cb_gate,
- *       cb_other)
- *    61 hist(f64 stride 3: t,core,sid)  62 fired(i64,n; last rebound
- *       entry, -1 none)  63 pscratch(f64, >= widest operand)
- *
- *   fctl (double[12]) — shared float accumulators/constants:
- *     0 horizon   1 t        2 rm_instructions  3 cost_base
- *     4 per_eval  5 per_dp   6 min_instructions 7 violation_eps
- *     8 switch_threshold     9 total_cur (root total; NaN=unknown)
- *    10..11 (spare)
- *
- *   ictl (int64[20]) — shared integer counters/constants:
- *     0 n          1 charge     2 events_remaining  3 intervals_completed
- *     4 qos_checks 5 rm_invocations 6 rate_refreshes 7 vio_count
- *     8 vio_capacity 9 (spare)  10 cb_core (out)    11 unfinished
- *    12 check_gate 13 K (entries/core) 14 budget (total ways)
- *    15 hist_cap (0=off) 16 hist_count 17 fire_seq (rebind commits)
- *    18 phase_sensitive (decisions read the entering phase's record:
- *       crossings always take the callback path) 19 P (phase stride)
- *
- * Python adds to the SAME t/rm_instructions slots when it handles a
- * callback event, so float accumulation order is exactly the wave
- * loop's.  A CALLBACK/VIOBUF/HISTFULL return mutates NOTHING of the
- * pending event (a failed rebind gate reverts its trial recombine
- * first — each path level is a pure function of its operands, so
- * re-running it with the old leaf restores the buffers bit-exactly):
- * Python re-derives the boundary (same arithmetic, same pick) and
- * processes it — or drains a full buffer — then re-enters.
- *
- * Fast-path eligibility for boundary core b: the table holds an entry
- * for (current applied-setting id, COMPLETED phase) — the completed
- * interval's record supplies the decision's inputs, so its phase keys
- * the entry.  Phase crossings replay too (the post-rollover rates and
- * QoS base time are staged per entering phase) UNLESS the manager's
- * model reads the entering record itself (phase_sensitive: the memo
- * key shifts at a crossing, so crossings take the callback path).  An
- * entry whose curve
- * address equals the installed leaf's is an IDENTITY fire — the
- * manager's unchanged path: no tree work, gate against the maintained
- * root total, settings replayed by identity.  Any other entry is a
- * REBIND fire: its curve is recombined leaf-to-root in place through
- * the tree's own staged output buffers, the root re-evaluated at the
- * fixed budget, and the keep-gate checked with the entry's
- * current-allocation energy substituted; a pass commits the tree, the
- * per-core keep energies, the root total and — when the decided
- * setting differs — the DVFS+repartition transition charge, the
- * history ring and the applied-setting id, exactly as the Python diff
- * loop would. */
-
-#define NL_DONE      1
-#define NL_CALLBACK  2
-#define NL_VIOBUF    3
-#define NL_MAXEVENTS 4
-#define NL_HISTFULL  5
-
-/* One windowed (min,+) level of a replayed path recombine, committed
- * straight into the staged output buffer: combine()'s reversal trick
- * and first-min-free pure value reduction (choices are never
- * materialised on this path), bit-identical to path_update's level. */
-static void replay_combine(const double* restrict a, int64_t la,
-                           const double* restrict b, int64_t lb,
-                           int64_t w0, int64_t w1,
-                           double* restrict out, double* restrict scratch)
-{
-    for (int64_t j = 0; j < lb; j++) scratch[j] = b[lb - 1 - j];
-    for (int64_t w = w0; w <= w1; w++) {
-        int64_t lo = w - (lb - 1); if (lo < 0) lo = 0;
-        int64_t hi = w < la - 1 ? w : la - 1;
-        int64_t off = lb - 1 - w;
-        double bst = INFINITY;
-        #pragma omp simd reduction(min:bst)
-        for (int64_t ia = lo; ia <= hi; ia++) {
-            double v = a[ia] + scratch[ia + off];
-            bst = v < bst ? v : bst;
-        }
-        out[w - w0] = bst;
-    }
-}
-
-/* Leaf-to-root path recombine for one core from its staged descriptor,
- * with `leaf0` as the level-0 path-side operand.  Writes the tree's
- * own output buffers (the very buffers Python's native update stages),
- * so a call IS an in-place tree mutation — and a second call with the
- * old leaf operand is its exact revert.  Leaf siblings are indirected
- * through the live per-core address table (leaf objects are rebound on
- * install); internal siblings sit at staged stable addresses. */
-static void replay_path(const double* leaf0, int64_t leaf0_n,
-                        int64_t off, int64_t len,
-                        const int64_t* d_sib_core, const uint64_t* d_sib_addr,
-                        const int64_t* d_sib_n, const int64_t* d_sib_left,
-                        const int64_t* d_w0, const int64_t* d_w1,
-                        const uint64_t* d_out_addr,
-                        const uint64_t* leaf_addr, double* scratch)
-{
-    const double* cur = leaf0;
-    int64_t cur_n = leaf0_n;
-    for (int64_t l = 0; l < len; l++) {
-        int64_t k = off + l;
-        int64_t sc = d_sib_core[k];
-        const double* sib = sc >= 0 ? (const double*)leaf_addr[sc]
-                                    : (const double*)d_sib_addr[k];
-        int64_t sn = d_sib_n[k];
-        double* out = (double*)d_out_addr[k];
-        if (d_sib_left[k])
-            replay_combine(sib, sn, cur, cur_n, d_w0[k], d_w1[k], out, scratch);
-        else
-            replay_combine(cur, cur_n, sib, sn, d_w0[k], d_w1[k], out, scratch);
-        cur = out;
-        cur_n = d_w1[k] - d_w0[k] + 1;
-    }
-}
-
-/* Root evaluation at the fixed budget: the minimum of
- * L[i-Lw] + R[W-i-Rw] over the feasible left allocations — exactly
- * evaluate()'s left_seg + reversed right_seg minimum (only the value
- * is needed on the keep branch; ways are never extracted).  An empty
- * or all-infeasible window yields +inf, which fails the caller's
- * gate — the path on which Python raises and re-partitions. */
-static double root_eval(const double* L, int64_t Lw, int64_t Ln,
-                        const double* R, int64_t Rw, int64_t Rn, int64_t W)
-{
-    int64_t lo = Lw;
-    int64_t lo2 = W - (Rw + Rn - 1); if (lo2 > lo) lo = lo2;
-    int64_t hi = Lw + Ln - 1;
-    int64_t hi2 = W - Rw; if (hi2 < hi) hi = hi2;
-    double bst = INFINITY;
-    for (int64_t i = lo; i <= hi; i++) {
-        double v = L[i - Lw] + R[W - i - Rw];
-        if (v < bst) bst = v;
-    }
-    return bst;
-}
-
-static int64_t run_one(const uint64_t* pp, double* fctl, int64_t* ictl)
-{
-    double* stall      = (double*)pp[0];
-    double* tpi        = (double*)pp[1];
-    double* instr_done = (double*)pp[2];
-    double* total      = (double*)pp[3];
-    double* elapsed    = (double*)pp[4];
-    double* n_instr    = (double*)pp[5];
-    double* epi        = (double*)pp[6];
-    double* work       = (double*)pp[7];
-    double* stat       = (double*)pp[8];
-    double* core_dyn   = (double*)pp[9];
-    double* core_static = (double*)pp[10];
-    double* mem_j      = (double*)pp[11];
-    double* over_j     = (double*)pp[12];
-    double* ipc        = (double*)pp[13];
-    double* set_f      = (double*)pp[14];
-    const double* alphas = (const double*)pp[15];
-    double* base_time  = (double*)pp[16];
-    const double* bt_phase = (const double*)pp[24];
-    double* vio        = (double*)pp[17];
-    const uint8_t* active   = (const uint8_t*)pp[18];
-    const uint8_t* finished = (const uint8_t*)pp[19];
-    int64_t* iv        = (int64_t*)pp[20];
-    const int64_t* pat_off = (const int64_t*)pp[21];
-    const int64_t* pat_len = (const int64_t*)pp[22];
-    const int64_t* pat_flat = (const int64_t*)pp[23];
-    double* dscr       = (double*)pp[28];
-
-    int64_t* cur_sid   = (int64_t*)pp[29];
-    const int64_t* tab_count = (const int64_t*)pp[30];
-    const int64_t* t_sid   = (const int64_t*)pp[31];
-    const int64_t* t_phase = (const int64_t*)pp[32];
-    const int64_t* t_post  = (const int64_t*)pp[33];
-    const double* t_le     = (const double*)pp[34];
-    const double* t_kc     = (const double*)pp[35];
-    const uint64_t* t_caddr = (const uint64_t*)pp[36];
-    const double* t_rates  = (const double*)pp[37];
-    const double* t_trans  = (const double*)pp[38];
-    const double* dp_bill  = (const double*)pp[39];
-    double* kc         = (double*)pp[40];
-    uint64_t* leaf_addr = (uint64_t*)pp[41];
-    const int64_t* leaf_n = (const int64_t*)pp[42];
-    const int64_t* d_off = (const int64_t*)pp[44];
-    const int64_t* d_len = (const int64_t*)pp[45];
-    const int64_t* d_sib_core = (const int64_t*)pp[46];
-    const uint64_t* d_sib_addr = (const uint64_t*)pp[47];
-    const int64_t* d_sib_n = (const int64_t*)pp[48];
-    const int64_t* d_sib_left = (const int64_t*)pp[49];
-    const int64_t* d_w0 = (const int64_t*)pp[50];
-    const int64_t* d_w1 = (const int64_t*)pp[51];
-    const uint64_t* d_out_addr = (const uint64_t*)pp[52];
-    const int64_t* r_other_core = (const int64_t*)pp[53];
-    const uint64_t* r_other_addr = (const uint64_t*)pp[54];
-    const int64_t* r_other_n = (const int64_t*)pp[55];
-    const int64_t* r_other_wmin = (const int64_t*)pp[56];
-    const int64_t* r_path_left = (const int64_t*)pp[57];
-    const int64_t* r_top_wmin = (const int64_t*)pp[58];
-    const int64_t* r_top_n = (const int64_t*)pp[59];
-    int64_t* stats     = (int64_t*)pp[60];
-    double* hist       = (double*)pp[61];
-    int64_t* fired     = (int64_t*)pp[62];
-    double* pscratch   = (double*)pp[63];
-
-    int64_t n = ictl[0];
-    int64_t K = ictl[13];
-    int64_t P = ictl[19] > 0 ? ictl[19] : 1;
-    double horizon = fctl[0];
-
-    for (;;) {
-        /* max_events is a per-*iteration* budget in the Python loops
-         * (the for-else raises when every iteration processed an event,
-         * even if the last one finished the run) — check it first. */
-        if (ictl[2] <= 0) return NL_MAXEVENTS;
-        if (ictl[11] <= 0) return NL_DONE;
-        /* Each event appends at most one violation (and at most one
-         * history record): drain full buffers pre-event. */
-        if (ictl[7] >= ictl[8]) return NL_VIOBUF;
-        if (ictl[15] > 0 && ictl[16] >= ictl[15]) return NL_HISTFULL;
-
-        /* Boundary pick: first-minimum scan — numpy.argmin's tie-break
-         * over the identical per-element rem*tpi+stall arithmetic. */
-        double dt = INFINITY;
-        int64_t b = 0;
-        for (int64_t i = 0; i < n; i++) {
-            double rem = n_instr[i] - instr_done[i];
-            if (rem < 0.0) rem = 0.0;
-            double v = rem * tpi[i] + stall[i];
-            if (v < dt) { dt = v; b = i; }
-        }
-
-        int64_t L = pat_len[b];
-        const int64_t* pb = pat_flat + pat_off[b];
-        int64_t ivb = iv[b];
-        int64_t p_cur = pb[ivb % L];
-        int64_t p_next = pb[(ivb + 1) % L];
-        if (p_next != p_cur && ictl[18]) {
-            /* The entering record feeds the decision itself (oracle
-             * model): its memo key moves at a crossing. */
-            stats[3] += 1; ictl[10] = b; return NL_CALLBACK;
-        }
-        int64_t tn = tab_count[b];
-        if (tn <= 0) {
-            stats[2] += 1; ictl[10] = b; return NL_CALLBACK;
-        }
-        int64_t e = -1;
-        {
-            const int64_t* ts = t_sid + b * K;
-            const int64_t* tp = t_phase + b * K;
-            int64_t sid = cur_sid[b];
-            for (int64_t j = 0; j < tn; j++) {
-                if (ts[j] == sid && tp[j] == p_cur) { e = j; break; }
-            }
-        }
-        if (e < 0) {
-            stats[4] += 1; ictl[10] = b; return NL_CALLBACK;
-        }
-        int64_t idx = b * K + e;
-
-        /* Advance pass 1 (non-mutating): instruction deltas + the
-         * active-masked horizon check — advance_fast's exact
-         * arithmetic.  Runs BEFORE any gate work so a finish event
-         * aborts with the tree untouched. */
-        double mx = -INFINITY;
-        for (int64_t i = 0; i < n; i++) {
-            double served = stall[i] < dt ? stall[i] : dt;
-            double run = dt - served;
-            double d = run / tpi[i];
-            double rem = n_instr[i] - instr_done[i];
-            if (rem < 0.0) rem = 0.0;
-            double lim = rem + 1e-6;
-            if (lim < d) d = lim;
-            dscr[i] = d;
-            if (active[i]) {
-                double tm = total[i] + d;
-                if (tm > mx) mx = tm;
-            }
-        }
-        if (mx >= horizon) {
-            stats[6] += 1; ictl[10] = b; return NL_CALLBACK;
-        }
-
-        /* The decision gate.  An entry whose curve is the installed
-         * leaf replays the manager's unchanged path (no tree work, the
-         * maintained root total); any other recombines its curve in
-         * place and re-evaluates the root.  The keep sum is a fresh
-         * left-to-right re-sum with the entry's contribution
-         * substituted at b — bit-equal to kc[b] on identity fires, the
-         * post-rebind _energy_at_current on rebinds.  NaN (unknown)
-         * keep or total fails every comparison, hence the gate — the
-         * branch on which Python re-partitions. */
-        int64_t is_ident = ((uint64_t)t_caddr[idx] == leaf_addr[b]);
-        int64_t post = t_post[idx];
-        if (ictl[12]) {
-            double keep = 0.0;
-            for (int64_t i = 0; i < n; i++)
-                keep += (i == b) ? t_kc[idx] : kc[i];
-            double tot;
-            if (is_ident) {
-                tot = fctl[9];
-            } else {
-                replay_path((const double*)t_caddr[idx], leaf_n[b],
-                            d_off[b], d_len[b], d_sib_core, d_sib_addr,
-                            d_sib_n, d_sib_left, d_w0, d_w1, d_out_addr,
-                            leaf_addr, pscratch);
-                const double* top = d_len[b] > 0
-                    ? (const double*)d_out_addr[d_off[b] + d_len[b] - 1]
-                    : (const double*)t_caddr[idx];
-                int64_t oc = r_other_core[b];
-                const double* oth = oc >= 0
-                    ? (const double*)leaf_addr[oc]
-                    : (const double*)r_other_addr[b];
-                if (r_path_left[b])
-                    tot = root_eval(top, r_top_wmin[b], r_top_n[b],
-                                    oth, r_other_wmin[b], r_other_n[b],
-                                    ictl[14]);
-                else
-                    tot = root_eval(oth, r_other_wmin[b], r_other_n[b],
-                                    top, r_top_wmin[b], r_top_n[b],
-                                    ictl[14]);
-            }
-            if (!(keep - tot < fctl[8] * fabs(keep)) || !isfinite(tot)) {
-                if (!is_ident)
-                    replay_path((const double*)leaf_addr[b], leaf_n[b],
-                                d_off[b], d_len[b], d_sib_core, d_sib_addr,
-                                d_sib_n, d_sib_left, d_w0, d_w1, d_out_addr,
-                                leaf_addr, pscratch);
-                stats[5] += 1; ictl[10] = b; return NL_CALLBACK;
-            }
-            if (is_ident) {
-                stats[0] += 1;
-            } else {
-                leaf_addr[b] = t_caddr[idx];
-                kc[b] = t_kc[idx];
-                fctl[9] = tot;
-                fired[b] = e;
-                ictl[17] += 1;
-                stats[1] += 1;
-            }
-        } else {
-            /* Gate-free manager (the Idle baseline): every fire is an
-             * identity replay of the constant settings map. */
-            stats[0] += 1;
-        }
-
-        /* Advance pass 2: the unmasked elementwise updates. */
-        for (int64_t i = 0; i < n; i++) {
-            double served = stall[i] < dt ? stall[i] : dt;
-            stall[i] -= served;
-            double d = dscr[i];
-            core_dyn[i] += epi[i] * d;
-            mem_j[i] += (work[i] - epi[i]) * d;
-            core_static[i] += stat[i] * dt;
-            instr_done[i] += d;
-            total[i] += d;
-            elapsed[i] += dt;
-        }
-        fctl[1] += dt;
-
-        /* QoS check on the boundary core's completed interval. */
-        if (!finished[b]) {
-            ictl[4] += 1;
-            double bt = base_time[b];
-            double rel = (elapsed[b] - bt * alphas[b]) / bt;
-            if (rel > fctl[7]) vio[ictl[7]++] = rel;
-        }
-        ictl[3] += 1;
-
-        /* Interval rollover.  On a phase crossing the entering record
-         * changes: its QoS base time is staged per phase, its rates per
-         * (entry, entering phase) — installed below. */
-        iv[b] = ivb + 1;
-        instr_done[b] = 0.0;
-        elapsed[b] = 0.0;
-        if (p_next != p_cur)
-            base_time[b] = bt_phase[b * P + p_next];
-
-        /* Replayed observe: the entry's recorded decision bill, charged
-         * at the PRE-decision rates — the Python charge block runs
-         * before the settings diff. */
-        ictl[5] += 1;
-        double le = t_le[idx], dp = dp_bill[b];
-        if (ictl[1] && (le != 0.0 || dp != 0.0)) {
-            double raw = (fctl[3] + fctl[4] * le) + fctl[5] * dp;
-            double instr = raw >= fctl[6] ? raw : fctl[6];
-            fctl[2] += instr;
-            stall[b] += instr / (ipc[b] * set_f[b] * 1e9);
-            if (!finished[b]) over_j[b] += instr * epi[b];
-        }
-
-        /* Settings application.  Identity fires replay the previous
-         * map verbatim (the manager's unchanged branch returns `last`
-         * without consulting the per-way choice), so only rebind fires
-         * can move the boundary core's setting. */
-        if (!is_ident && post != cur_sid[b]) {
-            if (ictl[1]) {
-                stall[b] += t_trans[2 * idx];
-                if (!finished[b]) over_j[b] += t_trans[2 * idx + 1];
-            }
-            set_f[b] = t_rates[8 * (idx * P + p_next) + 6];
-            if (ictl[15] > 0) {
-                double* h = hist + 3 * ictl[16];
-                h[0] = fctl[1];
-                h[1] = (double)b;
-                h[2] = (double)post;
-                ictl[16] += 1;
-            }
-            cur_sid[b] = post;
-        }
-
-        /* Rate refresh for the boundary core: same-phase identity fires
-         * skip the provable no-op (same record, same setting) but count
-         * it; rebind and crossing fires install the entering phase's
-         * staged rates_at tuple with the finished-core energy-rate
-         * zeroing applied live. */
-        if (!is_ident || p_next != p_cur) {
-            const double* rt = t_rates + 8 * (idx * P + p_next);
-            tpi[b] = rt[0];
-            n_instr[b] = rt[1];
-            ipc[b] = rt[5];
-            if (finished[b]) {
-                epi[b] = 0.0; work[b] = 0.0; stat[b] = 0.0;
-            } else {
-                epi[b] = rt[2]; work[b] = rt[3]; stat[b] = rt[4];
-            }
-        }
-        ictl[6] += 1;
-        ictl[2] -= 1;
-    }
-}
-
-/* Advance every pending run (status 0) until it blocks: DONE(1),
- * CALLBACK(2), VIOBUF(3), MAXEVENTS(4) or HISTFULL(5).  One call per
- * driver sweep — a whole batch of runs crosses the FFI boundary
- * together. */
-void run_native(int64_t nruns, const uint64_t* blocks, int64_t* statuses)
-{
-    for (int64_t r = 0; r < nruns; r++) {
-        if (statuses[r] != 0) continue;
-        statuses[r] = run_one((const uint64_t*)blocks[3 * r],
-                              (double*)blocks[3 * r + 1],
-                              (int64_t*)blocks[3 * r + 2]);
-    }
-}
 """
 
 _lib: Optional[ctypes.CDLL] = None
@@ -756,12 +269,6 @@ def _load() -> Optional[ctypes.CDLL]:
             ctypes.c_double,  # horizon
             ctypes.c_int64,  # n
         ] + [ctypes.c_void_p] * 14  # per-core state arrays
-        lib.run_native.restype = None
-        lib.run_native.argtypes = [
-            ctypes.c_int64,  # nruns
-            ctypes.c_void_p,  # blocks (uint64*, 3 entries per run)
-            ctypes.c_void_p,  # statuses (int64*)
-        ]
     except OSError:
         _lib_failed = True
         return None

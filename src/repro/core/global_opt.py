@@ -75,9 +75,6 @@ class _Node:
         "nom_size",
         "win_lo",
         "win_hi",
-        "pos_lo",
-        "pos_hi",
-        "ops_cost",
         "out_buf",
         "out_addr",
     )
@@ -390,16 +387,12 @@ class ReductionTree:
         self._leaf_of = {orig: pos for pos, orig in enumerate(perm)}
         self._root = _pair_up(list(self._leaves))
         self._internal = _internal_bottom_up(self._root)
-        for pos, leaf in enumerate(self._leaves):
+        for leaf in self._leaves:
             if self.acceleration is not None:
                 leaf.curve = self._contiguous_leaf(leaf.curve)
             leaf.nom_size = leaf.curve.energy.size
-            leaf.pos_lo = pos
-            leaf.pos_hi = pos + 1
         for node in self._internal:
             node.n_leaves = node.left.n_leaves + node.right.n_leaves
-            node.pos_lo = node.left.pos_lo
-            node.pos_hi = node.right.pos_hi
         if self.acceleration is not None:
             self._derive_windows()
         combine = (
@@ -411,22 +404,6 @@ class ReductionTree:
                 ops += combine(node)
         #: Cells touched building every non-root combine once.
         self.build_operations = ops
-        #: Per-leaf-position sum of ancestor combine bills (root excluded)
-        #: — the :meth:`path_operations` answer for every leaf at once,
-        #: maintained incrementally as updates move nominal widths.
-        path_vec = np.zeros(len(self._leaves), dtype=np.int64)
-        for node in self._internal:
-            if node is self._root:
-                node.ops_cost = 0
-                continue
-            cost = node.left.nom_size * node.right.nom_size
-            node.ops_cost = cost
-            path_vec[node.pos_lo : node.pos_hi] += cost
-        self._path_vec_pos = path_vec
-        #: caller index -> leaf position, as a gather array.
-        self._pos_of_caller = np.array(
-            [self._leaf_of[i] for i in range(len(self._leaves))], dtype=np.intp
-        )
         self._w_min_total = sum(c.w_min for c in curves)
         self._w_max_total = sum(c.w_max for c in curves)
         #: Accelerated-path evaluation memo: (budget, total, ops, extract)
@@ -438,12 +415,6 @@ class ReductionTree:
         #: Reusable ctypes argument buffers of the native path update.
         self._c_bufs = None
         self._c_scratch = None
-        #: Bumped whenever an address or window a staged
-        #: :meth:`native_path_descriptor` captured may have moved —
-        #: output-buffer reallocation, a node window shift, a leaf
-        #: domain change, any non-native recombine.  Consumers drop and
-        #: restage their descriptors when it moves.
-        self.stage_epoch = 0
 
     @property
     def n_leaves(self) -> int:
@@ -519,7 +490,6 @@ class ReductionTree:
         self._validate_acceleration(acceleration)
         self.acceleration = acceleration
         self._eval_cache = None
-        self.stage_epoch += 1
         for leaf in self._leaves:
             leaf.curve = self._contiguous_leaf(leaf.curve)
         self._derive_windows()
@@ -535,49 +505,19 @@ class ReductionTree:
         self._w_min_total += curve.w_min - old.w_min
         self._w_max_total += curve.w_max - old.w_max
         self._eval_cache = None
-        if curve.w_min != old.w_min or curve.energy.size != old.energy.size:
-            # A moved leaf domain shifts every staged window/offset on
-            # (and around) this path, even when buffer sizes coincide.
-            self.stage_epoch += 1
         if self.acceleration is not None:
             lib = _native_opt.raw_lib()
             if lib is not None:
-                ops = self._update_path_native(lib, leaf)
-                self._refresh_path_vec(leaf)
-                return ops
+                return self._update_path_native(lib, leaf)
             combine = _combine_node_accel
         else:
             combine = _combine_node
-        # Non-native recombines rebind node curves to fresh buffers, so
-        # any staged address is void.
-        self.stage_epoch += 1
         ops = 0
         node = leaf.parent
         while node is not None and node is not self._root:
             ops += combine(node)
             node = node.parent
-        self._refresh_path_vec(leaf)
         return ops
-
-    def _refresh_path_vec(self, leaf: _Node) -> None:
-        """Fold one path's moved nominal widths into the per-leaf vector.
-
-        Only nodes on the updated leaf's path can change their combine
-        bill; each changed node's delta applies to exactly the leaves
-        under it (its contiguous position span).  Steady-state updates
-        that swap same-width curves touch nothing.
-        """
-        vec = self._path_vec_pos
-        node = leaf.parent
-        root = self._root
-        while node is not None and node is not root:
-            cost = node.left.nom_size * node.right.nom_size
-            old = node.ops_cost
-            if cost != old:
-                node.ops_cost = cost
-                vec[node.pos_lo : node.pos_hi] += cost - old
-            node = node.parent
-        return None
 
     def _update_path_native(self, lib, leaf: _Node) -> int:
         """One FFI call recombines the whole leaf-to-root path.
@@ -612,7 +552,6 @@ class ReductionTree:
         ops = 0
         outs = []
         n_levels = 0
-        dirty = False
         while node is not None and node is not root:
             path_is_left = node.left is child
             sib = node.right if path_is_left else node.left
@@ -635,7 +574,6 @@ class ReductionTree:
             if best is None or best.size != n_out:
                 best = node.out_buf = np.empty(n_out)
                 node.out_addr = best.ctypes.data
-                dirty = True
             addr = getattr(sc, "_caddr", None)
             if addr is None:
                 addr = sc.energy.ctypes.data
@@ -679,14 +617,10 @@ class ReductionTree:
         for node, win_lo, best, nom in outs:
             cur = node.curve
             if cur is None or cur.energy is not best or cur.w_min != win_lo:
-                if cur is None or cur.w_min != win_lo:
-                    dirty = True  # window moved (or first native commit)
                 node.curve = EnergyCurve.from_reduction(win_lo, best)
             node.choice = None  # back-tracks recover columns on demand
             node.w_lo = win_lo
             node.nom_size = nom
-        if dirty:
-            self.stage_epoch += 1
         return ops
 
     def path_operations(self, index: int) -> int:
@@ -707,114 +641,6 @@ class ReductionTree:
             ops += node.left.nom_size * node.right.nom_size
             node = node.parent
         return ops
-
-    def path_operations_all(self) -> np.ndarray:
-        """:meth:`path_operations` for every caller index, as one vector.
-
-        Read off the incrementally maintained per-position sums (updates
-        fold their width deltas in as they happen), gathered back to
-        caller order.  Always equal, element for element, to calling
-        :meth:`path_operations` per index — batch consumers (the native
-        loop's flag repair re-bills every standing entry after a tree
-        change) index this instead of walking per core.
-        """
-        return self._path_vec_pos[self._pos_of_caller]
-
-    def native_path_descriptor(self, index: int):
-        """Stable staging of one leaf's path for the C replay engine.
-
-        Describes the leaf-to-root ``path_update`` operands plus the
-        root-evaluation operands by *address* — internal-node output
-        buffers are overwritten in place by native updates, so their
-        addresses survive arbitrary interleaved updates — except leaf
-        operands, which are returned by caller index: leaf curve objects
-        are rebound (:meth:`install_leaf`/:meth:`update`), so the driver
-        must indirect them through its own per-core address table.  The
-        staging is valid exactly while :attr:`stage_epoch` does not
-        move.  Returns None when the native library is unavailable, the
-        tree has a single leaf, or this path's output buffers are not
-        allocated yet (any Python-side native update through the leaf
-        allocates them).
-        """
-        if self.acceleration is None or _native_opt.raw_lib() is None:
-            return None
-        root = self._root
-        if root.left is None:
-            return None
-        leaf = self._leaves[self._leaf_of[index]]
-        levels = []
-        child = leaf
-        cur_lo = leaf.curve.w_min
-        cur_n = leaf.curve.energy.size
-        node = leaf.parent
-        while node is not None and node is not root:
-            path_is_left = node.left is child
-            sib = node.right if path_is_left else node.left
-            sc = sib.curve
-            nat_lo = cur_lo + sc.w_min
-            nat_hi = cur_lo + cur_n - 1 + sc.w_max
-            win_lo = max(nat_lo, node.win_lo)
-            win_hi = min(nat_hi, node.win_hi)
-            n_out = win_hi - win_lo + 1
-            if node.out_buf is None or node.out_buf.size != n_out:
-                return None
-            if sib.left is None:
-                sib_core, sib_addr = self._perm[sib.pos_lo], 0
-            else:
-                sib_core, sib_addr = -1, sc.energy.ctypes.data
-            levels.append(
-                (
-                    sib_core,
-                    sib_addr,
-                    sc.energy.size,
-                    0 if path_is_left else 1,
-                    win_lo - nat_lo,
-                    win_hi - nat_lo,
-                    node.out_addr,
-                )
-            )
-            cur_lo, cur_n = win_lo, n_out
-            child = node
-            node = node.parent
-        path_is_left = root.left is child
-        other = root.right if path_is_left else root.left
-        oc = other.curve
-        if other.left is None:
-            other_core, other_addr = self._perm[other.pos_lo], 0
-        else:
-            other_core, other_addr = -1, oc.energy.ctypes.data
-        return {
-            "levels": levels,
-            "path_is_left": 1 if path_is_left else 0,
-            "other_core": other_core,
-            "other_addr": other_addr,
-            "other_n": oc.energy.size,
-            "other_wmin": oc.w_min,
-            "top_wmin": cur_lo,
-            "top_n": cur_n,
-        }
-
-    def install_leaf(self, index: int, curve: EnergyCurve) -> None:
-        """Rebind one leaf's curve object without recombining its path.
-
-        The native replay engine commits combined path values in place
-        (its replay writes through the same output buffers
-        :meth:`_update_path_native` stages), so when Python catches up
-        only the leaf *object* — the identity the managers' unchanged-
-        curve checks and the next descriptor staging read — must be
-        rebound.  The new curve must span the exact domain of the old
-        one (armed replay entries guarantee it); anything else would
-        silently invalidate the staged windows, hence the hard error.
-        """
-        leaf = self._leaves[self._leaf_of[index]]
-        old = leaf.curve
-        if self.acceleration is not None:
-            curve = self._contiguous_leaf(curve)
-        if curve.w_min != old.w_min or curve.energy.size != old.energy.size:
-            raise ValueError("install_leaf requires an identical leaf domain")
-        leaf.curve = curve
-        leaf.nom_size = curve.energy.size
-        self._eval_cache = None
 
     def evaluate(self, total_ways: int):
         """Root evaluation with deferred way extraction.

@@ -308,17 +308,6 @@ class LocalOptMemo:
         """
         return self._lookup(key)
 
-    def probe(self, key: Hashable) -> Optional[LocalOptResult]:
-        """Strictly side-effect-free in-memory probe (replay arming).
-
-        Unlike :meth:`peek` this never consults the disk tier (a
-        promotion would insert — and possibly evict — entries), never
-        counts and never reorders: the native replay-table arming walk
-        must be able to ask "would this observe hit?" without perturbing
-        the memo state the bit-identity contract is defined over.
-        """
-        return self._entries.get(key)
-
     def _insert(self, key: Hashable, result: LocalOptResult) -> None:
         entries = self._entries
         entries[key] = result

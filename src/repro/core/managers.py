@@ -48,7 +48,7 @@ differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -229,13 +229,6 @@ class ResourceManager:
             min(min(candidates), self._baseline.ways),
             max(max(candidates), self._baseline.ways),
         )
-        #: Monotonic counter bumped whenever any state the native run
-        #: engine replays decisions from may have moved: a curve/partition
-        #: change, any rebind of ``_last_settings``, or a reset.  The
-        #: native driver snapshots it around each Python-handled boundary
-        #: and re-bills (or drops) its standing replay tables when it moved
-        #: (see :meth:`native_table_rebill`).
-        self.state_epoch = 0
 
     def _pinned_curves(self) -> List[EnergyCurve]:
         pinned = EnergyCurve.pinned(self.system.baseline_setting().ways)
@@ -365,7 +358,6 @@ class ResourceManager:
         )
         state.result = result
         if not unchanged:
-            self.state_epoch += 1
             if not result.curve.has_feasible_point():
                 self._curves[changed_core] = EnergyCurve.pinned(baseline.ways)
             else:
@@ -423,7 +415,6 @@ class ResourceManager:
                 settings = dict(last)
                 settings[changed_core] = setting_b
                 self._last_settings = settings
-                self.state_epoch += 1
                 return RMDecision(
                     settings=settings,
                     local_evaluations=result.evaluations,
@@ -464,7 +455,6 @@ class ResourceManager:
                 elif i == changed_core:
                     settings[i] = self._setting_for(i, w, baseline)
         self._last_settings = settings
-        self.state_epoch += 1
         return RMDecision(
             settings=settings,
             local_evaluations=result.evaluations,
@@ -545,227 +535,6 @@ class ResourceManager:
         self._keep_energy = total
         return total
 
-    @property
-    def native_gate_checked(self) -> bool:
-        """Whether native replays of this manager must evaluate the
-        hysteresis gate live (Σ keep-energies vs the root total) before
-        firing a table entry.  True for the optimising managers; the
-        Idle baseline never optimises, so its replays are gate-free."""
-        return True
-
-    def native_replay_table(
-        self,
-        core_id: int,
-        applied: Optional[Dict[int, Setting]],
-        inputs_for,
-        max_entries: int = 8,
-        phases: Sequence[int] = (0,),
-    ) -> Optional[tuple]:
-        """Arm the multi-entry replay table of one core's decision cycle.
-
-        Walks the core's upcoming decision chain: starting from the
-        applied setting ``s0 = applied[core_id]``, step ``k`` probes the
-        local memo (side-effect-free) for the result the observe at
-        premise ``s_k`` would replay, proves the links
-        :meth:`_reoptimize` would follow — feasible curve, exact
-        leaf-domain match (the staged native windows depend on it), a
-        keep-branch gate that holds today — and derives the decided
-        setting ``post`` exactly as :meth:`_setting_for` would, which
-        becomes ``s_{k+1}``.  The chain continues until it revisits a
-        ``(setting, phase position)`` state (the orbit closed), a
-        premise breaks, or ``max_entries``.
-
-        ``inputs_for(setting, k)`` must build the :class:`ModelInputs`
-        the simulator would hand :meth:`observe` for this core's k-th
-        upcoming boundary at that applied setting; ``phases`` is the
-        caller's periodic phase schedule (step ``k`` completes an
-        interval of phase ``phases[k % len(phases)]``, and two steps
-        with the same setting and the same phase see identical inputs),
-        so a period-p setting oscillation riding an L-phase pattern
-        closes after at most ``lcm(p, L)`` steps.  Revisited
-        ``(setting, phase)`` pairs along the orbit replay a decision
-        already proved: they are followed for free — no memo probe, no
-        tree work, no entry — so the probe cost scales with the number
-        of *distinct* table rows, not the orbit length.
-
-        Returns ``(entries, dp_bill)`` — ``entries`` being
-        ``(premise, post, result, curve, energy_at_ways, evaluations,
-        phase)`` tuples and ``dp_bill`` the per-fire DP charge
-        (``path_operations(core_id) + eval_ops``, identical for every
-        entry because all armed curves span the same leaf domain) — or
-        None when nothing armed.  The arm-time gate check is a
-        plausibility filter only: the native engine re-evaluates the
-        gate live at every fire, so entries stay sound as other cores'
-        curves move underneath them.
-
-        The probe walk is pollution-free: memo probes never count or
-        reorder, the tree is restored to the original leaf curve (the
-        recombine is a pure function of the operands, so the restore is
-        bit-exact), and no decision state (``_cores``, ``_curves``,
-        ``_energy_at_current``, memos) is touched.
-        """
-        if applied is None or applied is not self._last_settings:
-            return None
-        if self.local_memo is None or not self._accelerate:
-            return None
-        if self.reduction != "incremental":
-            return None
-        tree = self._tree
-        if tree is None:
-            return None
-        orig_curve = tree.leaf_curve(core_id)
-        if self._curves[core_id] is not orig_curve:
-            return None
-        qos = self.qos_for(core_id)
-        memo = self.local_memo
-        baseline = self._baseline
-        w = self._current_ways[core_id]
-        budget = self.system.total_ways
-        thr = self.switch_threshold
-        energies = self._energy_at_current
-        entries = []
-        seen = set()
-        decided: Dict[tuple, Setting] = {}
-        n_phases = len(phases)
-        s = applied[core_id]
-        eval_ops = 0
-        k = 0
-        try:
-            while len(entries) < max_entries:
-                state = (s, k % n_phases)
-                if state in seen:
-                    break
-                seen.add(state)
-                phase = phases[k % n_phases]
-                known = decided.get((s, phase))
-                if known is not None:
-                    # Same (setting, phase) as an already-proved step:
-                    # identical memo key, identical decision — follow
-                    # the orbit without re-paying the proof.
-                    s = known
-                    k += 1
-                    continue
-                result = memo.probe(
-                    local_memo_key(inputs_for(s, k), self.perf_model, qos)
-                )
-                if result is None:
-                    break
-                curve = result.curve
-                if not curve.has_feasible_point():
-                    break
-                if (
-                    curve.w_min != orig_curve.w_min
-                    or curve.energy.size != orig_curve.energy.size
-                    or not curve.energy.flags.c_contiguous
-                ):
-                    break
-                tree.update(core_id, curve)
-                try:
-                    total, eval_ops, _ = tree.evaluate(budget)
-                except ValueError:
-                    break
-                kc_b = self._curve_energy_at(curve, w)
-                keep = 0.0
-                for i, e in enumerate(energies):
-                    v = kc_b if i == core_id else e
-                    if v is None:
-                        keep = None
-                        break
-                    keep += v
-                if keep is None:
-                    break
-                if not (keep - total < thr * abs(keep)):
-                    break
-                if result.is_feasible(w):
-                    post = result.setting_for(w)
-                else:
-                    post = baseline.replace(ways=w)
-                entries.append(
-                    (s, post, result, curve, kc_b, result.evaluations, phase)
-                )
-                decided[(s, phase)] = post
-                s = post
-                k += 1
-        finally:
-            if self._curves[core_id] is not tree.leaf_curve(core_id):
-                tree.update(core_id, orig_curve)
-        if not entries:
-            return None
-        return (entries, int(tree.path_operations(core_id)) + int(eval_ops))
-
-    def native_table_rebill(
-        self, applied: Optional[Dict[int, Setting]]
-    ) -> Optional[tuple]:
-        """Re-bill standing replay-table entries after a state change.
-
-        Unlike the billing proof at arm time there is no hysteresis-gate
-        check here — table fires evaluate the gate live in the native
-        engine — only the entry-independent premises (mode invariants,
-        the applied-map binding, a solvable root) are re-proved and the
-        DP charge refreshed (tree widths and the root window can shift
-        with any leaf update).  Returns ``(eval_ops, path_ops)`` or None
-        when every standing table must drop.
-        """
-        if applied is None or applied is not self._last_settings:
-            return None
-        if self.local_memo is None or not self._accelerate:
-            return None
-        if self.reduction != "incremental":
-            return None
-        tree = self._tree
-        if tree is None:
-            return None
-        try:
-            _, eval_ops, _ = tree.evaluate(self.system.total_ways)
-        except ValueError:
-            return None
-        return (eval_ops, tree.path_operations_all())
-
-    def native_current_total(self) -> Optional[float]:
-        """The current root-evaluation total (the native identity-replay
-        gate's standing comparand), or None when unavailable."""
-        tree = self._tree
-        if tree is None:
-            return None
-        try:
-            total, _, _ = tree.evaluate(self.system.total_ways)
-        except ValueError:
-            return None
-        return total
-
-    def native_replay_install(
-        self,
-        bindings: Dict[int, tuple],
-        settings_map: Dict[int, Setting],
-        energies: List[Optional[float]],
-    ) -> None:
-        """Fast-forward the manager past natively replayed rebind fires.
-
-        ``bindings`` maps each core whose last fire rebound its curve to
-        the fired entry's ``(result, curve)``; ``settings_map`` is the
-        applied settings map after the last native settings change and
-        ``energies`` the per-core current-allocation energies (None =
-        infeasible).  Equivalent, link for link, to the state the
-        Python path would have left after the same observes: the tree's
-        combined path values were already committed in place by the
-        native engine, so only the leaf object is rebound; the per-way
-        settings memo is cleared exactly as the rebind branch of
-        :meth:`_reoptimize` clears it (a pure cache — value-identical
-        either way); the keep-energy memo is marked dirty (the fresh
-        re-sum of the same floats is exact).
-        """
-        tree = self._tree
-        for core_id, (result, curve) in bindings.items():
-            self._cores[core_id].result = result
-            self._curves[core_id] = curve
-            if tree is not None:
-                tree.install_leaf(core_id, curve)
-            self._settings_memo[core_id].clear()
-        self._energy_at_current = list(energies)
-        self._keep_energy = False
-        self._last_settings = settings_map
-        self.state_epoch += 1
-
     def reset(self) -> None:
         baseline = self.system.baseline_setting()
         for state in self._cores.values():
@@ -782,7 +551,6 @@ class ResourceManager:
         ]
         self._keep_energy = False
         self._last_settings = None
-        self.state_epoch += 1
         if self.local_memo is not None:
             self.local_memo.clear()
 
@@ -799,8 +567,6 @@ class IdleRM(ResourceManager):
             RMCapabilities(adapt_frequency=False, adapt_core=False),
         )
         self._idle_settings: Optional[Dict[int, Setting]] = None
-        #: Idle bills are identically zero; shared vector for rebills.
-        self._zero_bills = np.zeros(system.n_cores, dtype=np.int64)
 
     def observe(self, core_id: int, inputs: ModelInputs) -> RMDecision:
         self._core_state(core_id)  # validate the id
@@ -812,7 +578,6 @@ class IdleRM(ResourceManager):
             baseline = self.system.baseline_setting()
             settings = {i: baseline for i in range(self.system.n_cores)}
             self._idle_settings = settings
-            self.state_epoch += 1
         return RMDecision(
             settings=settings,
             local_evaluations=0,
@@ -827,35 +592,6 @@ class IdleRM(ResourceManager):
     def precompute_wave(self, wave) -> int:
         """Idle never optimises: there is nothing to batch."""
         return 0
-
-    @property
-    def native_gate_checked(self) -> bool:
-        """Idle never optimises: its replays need no hysteresis gate."""
-        return False
-
-    def native_replay_table(
-        self,
-        core_id: int,
-        applied: Optional[Dict[int, Setting]],
-        inputs_for,
-        max_entries: int = 8,
-        phases: Sequence[int] = (0,),
-    ) -> Optional[tuple]:
-        """One identity entry per distinct phase with zero bills: the
-        Idle fixed point, input-independent at every step of the
-        schedule."""
-        if applied is not None and applied is self._idle_settings:
-            s = applied[core_id]
-            distinct = list(dict.fromkeys(phases))[:max_entries]
-            return ([(s, s, None, None, None, 0, p) for p in distinct], 0)
-        return None
-
-    def native_table_rebill(
-        self, applied: Optional[Dict[int, Setting]]
-    ) -> Optional[tuple]:
-        if applied is not None and applied is self._idle_settings:
-            return (0, self._zero_bills)
-        return None
 
     def reset(self) -> None:
         super().reset()

@@ -4,19 +4,12 @@ The simulator advances in *global events*: the next instant at which any
 core completes its current interval (Fig. 5's ``t1, t2, ...``).  A core's
 time-to-boundary is its pending enforcement stall plus the remaining
 interval instructions at its current time-per-instruction.
-
-The wave-batched event loop additionally asks for the *boundary wave*:
-every core whose boundary lands within an epsilon window of the next one
-(:func:`next_boundary_wave`).  The wave never changes event sequencing —
-boundaries are still drained one at a time in the scalar order — it only
-names the cores whose local-optimisation inputs may be batched
-speculatively ahead of their boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +17,6 @@ __all__ = [
     "Boundary",
     "next_boundary",
     "next_boundary_arrays",
-    "next_boundary_wave",
 ]
 
 
@@ -83,42 +75,3 @@ def next_boundary_arrays(
     i = int(np.argmin(dts))
     return Boundary(core_id=i, dt_s=float(dts[i]))
 
-
-def next_boundary_wave(
-    stall_s: np.ndarray,
-    remaining: np.ndarray,
-    tpi_s: np.ndarray,
-    epsilon_s: float = 0.0,
-    out: Optional[np.ndarray] = None,
-) -> Tuple[Boundary, np.ndarray]:
-    """The next boundary plus the wave of cores landing within ``epsilon_s``.
-
-    Returns ``(boundary, member_ids)`` where ``member_ids`` (ascending,
-    always containing ``boundary.core_id``) are the cores whose
-    time-to-boundary falls inside ``[dt, dt + epsilon_s]``.  The per-core
-    arithmetic is :func:`next_boundary_arrays`'s (``remaining * tpi`` then
-    ``+ stall`` — float addition commutes), so the selected boundary is
-    bit-equal to the scalar path's.  ``out`` is an optional scratch buffer
-    for the per-core times.
-
-    This function is the *specification* of wave membership (and what the
-    wave tests pin down); the simulator's hot loop inlines the same
-    arithmetic over its preallocated scratch — with the progress-state
-    validation hoisted to loop entry plus the rates memo — rather than
-    paying a call, a dataclass and three reductions per event.  Any
-    change to the semantics here must land in
-    ``MulticoreRMSimulator._loop_wave`` too; the full-run differential
-    tests catch a divergence.
-    """
-    if stall_s.size == 0 or not (stall_s.size == remaining.size == tpi_s.size):
-        raise ValueError("per-core arrays must be non-empty and aligned")
-    if epsilon_s < 0:
-        raise ValueError("epsilon_s must be non-negative")
-    if stall_s.min() < 0 or remaining.min() < 0 or tpi_s.min() <= 0:
-        raise ValueError("invalid progress state")
-    dts = np.multiply(remaining, tpi_s, out=out)
-    dts += stall_s
-    i = int(np.argmin(dts))
-    dt = float(dts[i])
-    members = np.nonzero(dts <= dt + epsilon_s)[0]
-    return Boundary(core_id=i, dt_s=dt), members

@@ -41,13 +41,6 @@ class SimResult:
     rm_invocations: int = 0
     rm_instructions: float = 0.0
     history: Optional[List[SettingChange]] = None
-    #: Native-loop replay observability (``wave="native"`` with a
-    #: compiler only, ``None`` otherwise): replayed/callback counts by
-    #: cause, replay fraction, repair counters.  Excluded from equality
-    #: — it describes the execution strategy, never the result.
-    native_stats: Optional[Dict[str, object]] = field(
-        default=None, compare=False
-    )
 
     @property
     def app_energy_j(self) -> float:

@@ -24,7 +24,7 @@ Per-core execution state lives in a struct-of-arrays container
 system pays a handful of array operations per event instead of a Python
 loop over cores.
 
-The event loop itself runs in one of three *wave modes*:
+The event loop itself runs in one of two *wave modes*:
 
 * ``"step"`` (default) — the wave-batched loop: each event also names the
   *boundary wave* (every core whose boundary lands in the same wall-clock
@@ -33,36 +33,24 @@ The event loop itself runs in one of three *wave modes*:
   :func:`~repro.core.local_opt.optimize_local_batch` tensor pass
   (:meth:`~repro.core.managers.ResourceManager.precompute_wave`), advances
   the cores through a zero-allocation scratch-buffered kernel
-  (:func:`advance_cores_wave`), replays progress/energy rates from the
-  per-record memo (:meth:`~repro.database.records.PhaseRecord.rates_at`)
-  and applies decisions via one vectorised settings-diff against the
+  (:func:`advance_cores_wave`: one compiled call, or NumPy without a
+  compiler), replays progress/energy rates from the per-record memo
+  (:meth:`~repro.database.records.PhaseRecord.rates_at`) and applies
+  decisions via one vectorised settings-diff against the
   struct-of-arrays state.  Event *sequencing* is untouched — boundaries
   drain one at a time in the scalar order — so full runs are bit-identical
   to the scalar oracle (differentially tested across RMs × models ×
   overheads × reduction/local modes).
-* ``"epsilon"`` — the same loop with a configurable wave window: cores
-  whose boundaries land within ``wave_epsilon_s`` seconds of the next one
-  are batched speculatively too (a mid-wave settings change simply turns
-  the speculation into an unused memo seed — correctness never depends on
-  the window).
 * ``"scalar"`` — the PR-4-era loop, preserved verbatim as the
   differential-testing oracle and perf baseline (the replay engine's
   ``LRUStack`` pattern): single next boundary, one core's observe, scalar
   per-core settings diff, no memo speculation, no persistent-memo tier,
   no reduction-combine reuse.
-* ``"native"`` — the one-call run engine: the whole steady-state event
-  loop (boundary pick, advance, QoS, rollover, replayed overhead
-  charge) compiled as one C loop behind a single FFI call per run
-  segment, returning to Python only for boundaries whose manager
-  decision is not provably replayable (see
-  :mod:`repro.simulator.native_loop`).  Falls back to the wave loop —
-  bit-identical by construction — when no compiler is available.
 
 The mode resolves from the constructor argument, then ``REPRO_SIM_WAVE``,
-then the default; ``wave_epsilon_s`` likewise from the argument, then
-``REPRO_SIM_WAVE_EPS``.  Wave runs also engage the cross-process
-persistent local memo (``REPRO_LOCAL_MEMO``, see
-:mod:`repro.core.local_cache`) so repeated campaigns start warm.
+then the default.  Wave runs also engage the cross-process persistent
+local memo (``REPRO_LOCAL_MEMO``, see :mod:`repro.core.local_cache`) so
+repeated campaigns start warm.
 """
 
 from __future__ import annotations
@@ -97,20 +85,12 @@ __all__ = [
 #: Violations smaller than this relative slack are float noise, not QoS misses.
 _VIOLATION_EPS = 1e-6
 
-#: The four event-loop modes (see module docstring).
-WAVE_MODES = ("scalar", "step", "epsilon", "native")
+#: The two event-loop modes: the oracle and the fast path (see module
+#: docstring).
+WAVE_MODES = ("scalar", "step")
 
 #: Environment override for the event-loop mode.
 WAVE_ENV = "REPRO_SIM_WAVE"
-
-#: Environment override for the epsilon-mode wave window (seconds).
-WAVE_EPS_ENV = "REPRO_SIM_WAVE_EPS"
-
-#: Default epsilon window: a fraction of a typical interval duration —
-#: wide enough to co-batch cores drifting apart by enforcement stalls,
-#: narrow enough that mid-wave settings changes (which waste the
-#: speculation) stay rare.
-DEFAULT_WAVE_EPS_S = 1e-4
 
 
 class _CoreStates:
@@ -186,10 +166,7 @@ class _CoreStates:
         self.overhead_j = np.zeros(n)
         self.records: List[PhaseRecord] = [None] * n  # type: ignore[list-item]
         self.settings: List[Setting] = [None] * n  # type: ignore[list-item]
-        # int64 array (not a list): the native run engine advances the
-        # boundary core's interval index in C; every Python consumer
-        # (tuple indexing, modulo, comparisons) is np.int64-safe.
-        self.intervals = np.zeros(n, dtype=np.int64)
+        self.intervals: List[int] = [0] * n
         self.apps: List[str] = [""] * n
         # Settings mirror for the vectorised diff (wave loop).
         self.set_c = np.zeros(n, dtype=np.int64)
@@ -382,65 +359,28 @@ def advance_cores_wave(st: _CoreStates, dt: float, horizon: float) -> None:
         raise ValueError("dt must be non-negative")
     lib = st._advlib
     if lib is not None:
-        if lib.advance_fast(dt, horizon, st.n, *_adv_ptrs_of(st)) == 0:
+        ptrs = st._adv_ptrs
+        if ptrs is None:
+            ptrs = st._adv_ptrs = (
+                st.stall_s.ctypes.data,
+                st.tpi_s.ctypes.data,
+                st.instr_done.ctypes.data,
+                st.total_instr.ctypes.data,
+                st.interval_elapsed_s.ctypes.data,
+                st.n_instructions.ctypes.data,
+                st.epi_j.ctypes.data,
+                st.work_j_per_inst.ctypes.data,
+                st.static_w.ctypes.data,
+                st._active.ctypes.data,
+                st.core_dynamic_j.ctypes.data,
+                st.core_static_j.ctypes.data,
+                st.memory_j.ctypes.data,
+                st._dinstr.ctypes.data,
+            )
+        if lib.advance_fast(dt, horizon, st.n, *ptrs) == 0:
             return
         # Finish-adjacent event: nothing was mutated — fall through to
         # the reference arithmetic below.
-    advance_wave_fallback(st, dt, horizon)
-
-
-def _adv_ptrs_of(st: _CoreStates) -> tuple:
-    ptrs = st._adv_ptrs
-    if ptrs is None:
-        ptrs = st._adv_ptrs = (
-            st.stall_s.ctypes.data,
-            st.tpi_s.ctypes.data,
-            st.instr_done.ctypes.data,
-            st.total_instr.ctypes.data,
-            st.interval_elapsed_s.ctypes.data,
-            st.n_instructions.ctypes.data,
-            st.epi_j.ctypes.data,
-            st.work_j_per_inst.ctypes.data,
-            st.static_w.ctypes.data,
-            st._active.ctypes.data,
-            st.core_dynamic_j.ctypes.data,
-            st.core_static_j.ctypes.data,
-            st.memory_j.ctypes.data,
-            st._dinstr.ctypes.data,
-        )
-    return ptrs
-
-
-def advance_cores_wave_unscratched(
-    st: _CoreStates, dt: float, horizon: float
-) -> None:
-    """:func:`advance_cores_wave` without the ``st._remaining`` precondition.
-
-    The compiled fast path never reads the scratch, so callers that
-    learned the boundary from the run engine (rather than a NumPy argmin
-    that filled ``st._remaining`` as a side effect) skip the fill and
-    derive it here only for the rare deferred finish-adjacent event.
-    """
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    lib = st._advlib
-    if lib is not None and lib.advance_fast(
-        dt, horizon, st.n, *_adv_ptrs_of(st)
-    ) == 0:
-        return
-    np.subtract(st.n_instructions, st.instr_done, out=st._remaining)
-    np.maximum(st._remaining, 0.0, out=st._remaining)
-    advance_wave_fallback(st, dt, horizon)
-
-
-def advance_wave_fallback(st: _CoreStates, dt: float, horizon: float) -> None:
-    """The NumPy half of :func:`advance_cores_wave`.
-
-    Requires ``st._remaining`` to hold this event's pre-advance remaining
-    instructions.  Split out so callers that learned the boundary from
-    the compiled run engine (which needs no scratch) can fill the scratch
-    only when the compiled advance defers a finish-adjacent event here.
-    """
     served = np.minimum(st.stall_s, dt, out=st._served)
     d_instr = np.subtract(dt, served, out=st._dinstr)
     np.divide(d_instr, st.tpi_s, out=d_instr)
@@ -557,11 +497,8 @@ class MulticoreRMSimulator:
         (Fig. 2 uses perfect models *and* no overheads).
     wave:
         Event-loop mode (:data:`WAVE_MODES`); None resolves from
-        ``REPRO_SIM_WAVE`` then the ``"step"`` default.  All modes
+        ``REPRO_SIM_WAVE`` then the ``"step"`` default.  Both modes
         produce bit-identical results; only wall-clock differs.
-    wave_epsilon_s:
-        Wave window for ``"epsilon"`` mode (seconds); None resolves from
-        ``REPRO_SIM_WAVE_EPS`` then :data:`DEFAULT_WAVE_EPS_S`.
     """
 
     def __init__(
@@ -574,7 +511,6 @@ class MulticoreRMSimulator:
         charge_overheads: bool = True,
         collect_history: bool = False,
         wave: str | None = None,
-        wave_epsilon_s: float | None = None,
     ):
         self.db = db
         self.system: SystemConfig = db.system
@@ -594,12 +530,6 @@ class MulticoreRMSimulator:
                 f"unknown wave mode {wave!r}; options: {WAVE_MODES}"
             )
         self.wave = wave
-        if wave_epsilon_s is None:
-            raw = os.environ.get(WAVE_EPS_ENV)
-            wave_epsilon_s = float(raw) if raw else DEFAULT_WAVE_EPS_S
-        if wave_epsilon_s < 0:
-            raise ValueError("wave_epsilon_s must be non-negative")
-        self.wave_epsilon_s = float(wave_epsilon_s)
 
     # ------------------------------------------------------------------
     def run(
@@ -617,30 +547,6 @@ class MulticoreRMSimulator:
         horizon_intervals:
             Override the horizon (defaults to the longest application's
             pass length, the paper's "longest application" rule).
-        """
-        st, horizon, baseline, history = self._prepare_run(apps, horizon_intervals)
-        self._last_native_stats = None
-        if self.wave == "scalar":
-            totals = self._loop_scalar(st, horizon, baseline, max_events, history)
-        elif self.wave == "native":
-            totals = self._loop_native(st, horizon, baseline, max_events, history)
-        else:
-            totals = self._loop_wave(st, horizon, baseline, max_events, history)
-        return self._finish_run(
-            apps, st, horizon, totals, history,
-            native_stats=self._last_native_stats,
-        )
-
-    # ------------------------------------------------------------------
-    def _prepare_run(
-        self, apps: Sequence[str], horizon_intervals: Optional[int] = None
-    ) -> Tuple[_CoreStates, float, Setting, Optional[List[SettingChange]]]:
-        """Validate the workload and build the run's initial state.
-
-        Split out of :meth:`run` so the multi-run batcher
-        (:mod:`repro.simulator.batch`) can prepare many runs, drive them
-        through one shared native loop, and assemble each result with
-        :meth:`_finish_run`.
         """
         system = self.system
         n_cores = system.n_cores
@@ -669,18 +575,10 @@ class MulticoreRMSimulator:
 
         history: Optional[List[SettingChange]] = [] if self.collect_history else None
         self._configure_rm_for_mode()
-        return st, horizon, baseline, history
-
-    def _finish_run(
-        self,
-        apps: Sequence[str],
-        st: _CoreStates,
-        horizon: float,
-        totals: Tuple[float, int, int, List[float], int, float],
-        history: Optional[List[SettingChange]],
-        native_stats: Optional[dict] = None,
-    ) -> SimResult:
-        """Assemble the :class:`SimResult` from a completed loop's totals."""
+        if self.wave == "scalar":
+            totals = self._loop_scalar(st, horizon, baseline, max_events, history)
+        else:
+            totals = self._loop_wave(st, horizon, baseline, max_events, history)
         (
             t,
             intervals_completed,
@@ -690,7 +588,7 @@ class MulticoreRMSimulator:
             rm_instructions,
         ) = totals
 
-        uncore_power = self.rm.energy_model.power.uncore_power_w(st.n)
+        uncore_power = self.rm.energy_model.power.uncore_power_w(n_cores)
         return SimResult(
             rm_name=self.rm.name,
             apps=tuple(apps),
@@ -704,7 +602,6 @@ class MulticoreRMSimulator:
             rm_invocations=rm_invocations,
             rm_instructions=rm_instructions,
             history=history,
-            native_stats=native_stats,
         )
 
     # ------------------------------------------------------------------
@@ -872,7 +769,6 @@ class MulticoreRMSimulator:
         rm = self.rm
         db = self.db
         n_cores = st.n
-        eps = self.wave_epsilon_s if self.wave == "epsilon" else 0.0
         charge = self.charge_overheads
         cost_model = self.cost_model
         mem_latency_s = self.system.memory.base_latency_s
@@ -885,10 +781,11 @@ class MulticoreRMSimulator:
         #: Last interval index speculated per core — each boundary is
         #: batched at most once no matter how many events the wave spans.
         spec_mark = [-1] * n_cores
-        # Hot-loop locals: the boundary pick is the inlined body of
-        # :func:`next_boundary_wave` over preallocated scratch (progress-
-        # state validation moves to the loop entry + the rates memo,
-        # which revalidates every new (record, setting) pair).
+        # Hot-loop locals: the boundary pick is the arithmetic of
+        # :func:`next_boundary_arrays` over preallocated scratch (float
+        # addition commutes, so the pick is bit-equal; progress-state
+        # validation moves to the loop entry + the rates memo, which
+        # revalidates every new (record, setting) pair).
         stall_s = st.stall_s
         tpi_s = st.tpi_s
         instr_done = st.instr_done
@@ -925,7 +822,9 @@ class MulticoreRMSimulator:
             dt = float(dts[b])
 
             if speculate:
-                wave_mask = dts <= dt + eps
+                # The boundary wave: every core tied with the next
+                # boundary in wall-clock time.
+                wave_mask = dts <= dt
                 if int(wave_mask.sum()) > 1:
                     members = np.nonzero(wave_mask)[0]
                     wave_inputs = []
@@ -1035,30 +934,6 @@ class MulticoreRMSimulator:
             rm_invocations,
             rm_instructions,
         )
-
-    # ------------------------------------------------------------------
-    def _loop_native(
-        self,
-        st: _CoreStates,
-        horizon: float,
-        baseline: Setting,
-        max_events: int,
-        history: Optional[List[SettingChange]],
-    ) -> Tuple[float, int, int, List[float], int, float]:
-        """The one-call native run engine (see :mod:`repro.simulator.native_loop`).
-
-        Without a compiler the mode degrades to the wave loop outright —
-        bit-identical by the standing mode-invariance contract, so
-        ``wave="native"`` is always safe to request.
-        """
-        if _native_opt.raw_lib() is None:
-            return self._loop_wave(st, horizon, baseline, max_events, history)
-        from repro.simulator.native_loop import NativeRunDriver, drive
-
-        driver = NativeRunDriver(self, st, horizon, baseline, max_events, history)
-        drive([driver])
-        self._last_native_stats = driver.native_stats()
-        return driver.totals()
 
     # ------------------------------------------------------------------
     def _alpha_for(self, core_id: int) -> float:

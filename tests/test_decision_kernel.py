@@ -290,6 +290,38 @@ class TestSimulatorModeIdentity:
             texts.append(result_to_json(res))
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize(
+        "kind,model",
+        [("rm3", "Model3"), ("rm3", "Model1"), ("rm2", "Model1")],
+    )
+    @pytest.mark.parametrize("charge", [True, False])
+    def test_paper_scale_step_matches_scalar(
+        self, full_db, monkeypatch, kind, model, charge
+    ):
+        """The wave loop's decision-kernel accelerations (windowed tree,
+        compiled path updates, identity replays) against the scalar
+        oracle on the full 27-app database, not just the mini suites."""
+        from dataclasses import replace
+
+        from repro.campaign.executor import _simulate
+        from repro.campaign.results import result_to_json
+        from repro.campaign.spec import RunSpec
+
+        monkeypatch.delenv("REPRO_LOCAL_MEMO", raising=False)
+        spec = RunSpec(
+            seed=2020,
+            n_cores=4,
+            rm_kind=kind,
+            model=model,
+            apps=("h264ref", "cactusADM", "bzip2", "hmmer"),
+            horizon_intervals=4,
+            charge_overheads=charge,
+        )
+        scalar = _simulate(replace(spec, wave="scalar"))
+        step = _simulate(replace(spec, wave="step"))
+        assert step == scalar
+        assert result_to_json(step) == result_to_json(scalar)
+
     def test_idle_runs_price_uncore_energy(self, mini_db, system2):
         """Every manager (incl. Idle via the base ctor) has an energy
         model, so uncore power is charged unconditionally."""

@@ -373,7 +373,7 @@ class TestVerifyAudit:
             tmp_path, sample=1, cross_mode=True, out=lambda _: None
         )
         assert report["divergences"] == 0
-        assert set(report["modes"]) == {"native", "step", "scalar"}
+        assert set(report["modes"]) == {"step", "scalar"}
 
     def test_cli_verify_exit_codes(self, full_db, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))

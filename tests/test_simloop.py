@@ -2,9 +2,9 @@
 
 The contract under test:
 
-* every wave mode (``step``, ``epsilon``) is bit-identical to the
-  ``scalar`` oracle on full runs — settings history, energies,
-  violations, operation accounting — across RMs x models x overheads x
+* the wave-batched ``step`` loop is bit-identical to the ``scalar``
+  oracle on full runs — settings history, energies, violations,
+  operation accounting — across RMs x models x overheads x
   reduction/local modes (the replay engine's differential pattern);
 * the accelerated reduction path (budget windows, native kernel, lazy
   back-track choices) is bit-identical to the plain tree;
@@ -39,7 +39,6 @@ from repro.core.managers import IdleRM, make_rm
 from repro.core.energy_model import OnlineEnergyModel
 from repro.core.perf_models import Model1, Model3, ModelInputs, PerfectModel
 from repro.power.model import PowerModel
-from repro.simulator.events import next_boundary_arrays, next_boundary_wave
 from repro.simulator.rmsim import WAVE_MODES, MulticoreRMSimulator
 
 MODELS = {"Model1": Model1, "Model3": Model3, "Perfect": PerfectModel}
@@ -71,50 +70,11 @@ def _apps(system):
     return base[: system.n_cores]
 
 
-# ---------------------------------------------------------------------------
-# events: the wave boundary
-# ---------------------------------------------------------------------------
-class TestBoundaryWave:
-    def test_matches_scalar_boundary(self):
-        stall = np.array([0.0, 0.1, 0.0])
-        rem = np.array([10.0, 5.0, 10.0])
-        tpi = np.array([1.0, 1.0, 1.0])
-        b, members = next_boundary_wave(stall, rem, tpi)
-        ref = next_boundary_arrays(stall, rem, tpi)
-        assert (b.core_id, b.dt_s) == (ref.core_id, ref.dt_s)
-        assert members.tolist() == [1]
-
-    def test_exact_ties_form_a_wave(self):
-        stall = np.zeros(4)
-        rem = np.array([5.0, 7.0, 5.0, 5.0])
-        tpi = np.ones(4)
-        b, members = next_boundary_wave(stall, rem, tpi)
-        assert b.core_id == 0  # lowest id among ties
-        assert members.tolist() == [0, 2, 3]
-
-    def test_epsilon_window_widens_membership(self):
-        stall = np.zeros(3)
-        rem = np.array([5.0, 5.4, 6.0])
-        tpi = np.ones(3)
-        _, tight = next_boundary_wave(stall, rem, tpi, epsilon_s=0.0)
-        _, wide = next_boundary_wave(stall, rem, tpi, epsilon_s=0.5)
-        assert tight.tolist() == [0]
-        assert wide.tolist() == [0, 1]
-
-    def test_validation(self):
-        ok = np.ones(2)
-        with pytest.raises(ValueError):
-            next_boundary_wave(np.array([]), np.array([]), np.array([]))
-        with pytest.raises(ValueError):
-            next_boundary_wave(-ok, ok, ok)
-        with pytest.raises(ValueError):
-            next_boundary_wave(ok, ok, ok, epsilon_s=-1.0)
-
-    def test_out_buffer_is_used(self):
-        stall, rem, tpi = np.zeros(2), np.ones(2), np.ones(2)
-        out = np.empty(2)
-        b, _ = next_boundary_wave(stall, rem, tpi, out=out)
-        assert out[b.core_id] == b.dt_s
+def _assert_all_modes_equal(texts):
+    """Every :data:`WAVE_MODES` entry ran and produced the same JSON."""
+    assert set(texts) == set(WAVE_MODES)
+    for wave, text in texts.items():
+        assert text == texts["scalar"], f"{wave} != scalar"
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +88,7 @@ class TestWaveDifferential:
             wave: _run_json(mini_db4, system4, kind, model, wave)[0]
             for wave in WAVE_MODES
         }
-        assert texts["scalar"] == texts["step"] == texts["epsilon"]
+        _assert_all_modes_equal(texts)
 
     @pytest.mark.parametrize("reduction", ["incremental", "full_rebuild"])
     @pytest.mark.parametrize("local_mode", ["memoized", "always_recompute"])
@@ -150,7 +110,7 @@ class TestWaveDifferential:
             texts[wave] = result_to_json(
                 sim.run(["mini_csps", "mini_cips"], horizon_intervals=10)
             )
-        assert texts["scalar"] == texts["step"] == texts["epsilon"]
+        _assert_all_modes_equal(texts)
 
     def test_tied_boundaries_bit_identical(self, mini_db4, system4):
         """Same app on every core: every boundary is a full wave."""
@@ -168,7 +128,7 @@ class TestWaveDifferential:
                 texts[wave] = result_to_json(
                     sim.run(["mini_csps"] * 4, horizon_intervals=10)
                 )
-            assert texts["scalar"] == texts["step"] == texts["epsilon"]
+            _assert_all_modes_equal(texts)
 
     def test_no_overheads_bit_identical(self, mini_db4, system4):
         texts = {}
@@ -184,24 +144,17 @@ class TestWaveDifferential:
             texts[wave] = result_to_json(
                 sim.run(_apps(system4), horizon_intervals=10)
             )
-        assert texts["scalar"] == texts["step"] == texts["epsilon"]
+        _assert_all_modes_equal(texts)
 
     def test_wave_mode_resolution_and_validation(self, mini_db, system2, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_WAVE", raising=False)
         sim = MulticoreRMSimulator(mini_db, IdleRM(system2))
         assert sim.wave == "step"
-        monkeypatch.setenv("REPRO_SIM_WAVE", "epsilon")
-        assert MulticoreRMSimulator(mini_db, IdleRM(system2)).wave == "epsilon"
-        monkeypatch.setenv("REPRO_SIM_WAVE_EPS", "0.25")
-        assert (
-            MulticoreRMSimulator(mini_db, IdleRM(system2)).wave_epsilon_s == 0.25
-        )
-        with pytest.raises(ValueError):
-            MulticoreRMSimulator(mini_db, IdleRM(system2), wave="batched")
-        with pytest.raises(ValueError):
-            MulticoreRMSimulator(
-                mini_db, IdleRM(system2), wave_epsilon_s=-1.0
-            )
+        monkeypatch.setenv("REPRO_SIM_WAVE", "scalar")
+        assert MulticoreRMSimulator(mini_db, IdleRM(system2)).wave == "scalar"
+        for removed in ("batched", "epsilon", "native"):
+            with pytest.raises(ValueError):
+                MulticoreRMSimulator(mini_db, IdleRM(system2), wave=removed)
 
     def test_precompute_wave_seeds_memo(self, mini_db, system2):
         rm = make_rm("rm3", system2, Model3())

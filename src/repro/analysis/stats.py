@@ -79,11 +79,14 @@ def _prediction_matrix(
     record: PhaseRecord,
     system: SystemConfig,
     model_name: str,
+    targets: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(predictions[cur, tgt], predicted_base[cur]) for one phase record.
 
-    Vectorised Eq. 1 over all (current, target) pairs; the three models
-    differ only in the memory term:
+    Vectorised Eq. 1 over all (current, target) pairs, or only over the flat
+    target settings ``targets``: entries are elementwise, so a restricted
+    matrix is the full one's columns bit for bit.  The three models differ
+    only in the memory term:
 
     * Model1: ``misses_ATD(w_tgt) * L_nominal``
     * Model2: ``misses_ATD(w_tgt) * L_eff(current) / MLP(current)``
@@ -98,6 +101,7 @@ def _prediction_matrix(
     cc, ff, ww = _flatten_settings(system)
     n_settings = cc.size
     wi = ww - 1
+    tgt = slice(None) if targets is None else targets
 
     # --- current-side statistics (vector over settings) -----------------
     f_hz = freqs[ff] * 1e9
@@ -119,19 +123,19 @@ def _prediction_matrix(
 
     # --- target-side memory term ----------------------------------------
     if model_name == "Model1":
-        mem_tgt = record.atd_miss_curve[wi] * lat  # (n_settings,)
-        mem_matrix = np.broadcast_to(mem_tgt, (n_settings, n_settings))
+        mem_tgt = record.atd_miss_curve[wi[tgt]] * lat  # (n_targets,)
+        mem_matrix = np.broadcast_to(mem_tgt, (n_settings, mem_tgt.size))
     elif model_name == "Model2":
-        base = record.atd_miss_curve[wi]
+        base = record.atd_miss_curve[wi[tgt]]
         mem_matrix = base[None, :] * (lat_eff / mlp_cur)[:, None]
     elif model_name == "Model3":
-        mem_tgt = record.lm_heur[cc, wi]
+        mem_tgt = record.lm_heur[cc[tgt], wi[tgt]]
         mem_matrix = mem_tgt[None, :] * lat_eff[:, None]
     else:
         raise ValueError(f"unknown model {model_name!r}")
 
-    compute_cycles = t0[:, None] * (d_cur[:, None] / widths[cc][None, :]) + t1[:, None]
-    pred = compute_cycles / (freqs[ff] * 1e9)[None, :] + mem_matrix
+    compute_cycles = t0[:, None] * (d_cur[:, None] / widths[cc[tgt]]) + t1[:, None]
+    pred = compute_cycles / (freqs[ff[tgt]] * 1e9)[None, :] + mem_matrix
 
     # --- predicted baseline (per current) --------------------------------
     base_setting = system.baseline_setting()
@@ -197,18 +201,17 @@ def qos_violation_study(
             weight = app_w * phase_w
             t_act = rec.time_grid[cc, ff, wi]  # per target (same flat grid)
             t_act_base = float(rec.time_grid[cb, fb, wb])
-            pred, pred_base = _prediction_matrix(rec, system, model_name)
+            # Only targets that really are slower can hold a violation.
+            slower = np.flatnonzero(t_act > t_act_base * (1.0 + 1e-9))
+            pred, pred_base = _prediction_matrix(rec, system, model_name, slower)
+            viol = pred <= pred_base[:, None] * (1.0 + _RTOL)
 
-            predicted_ok = pred <= pred_base[:, None] * (1.0 + _RTOL)
-            actually_bad = t_act[None, :] > t_act_base * (1.0 + 1e-9)
-            viol = predicted_ok & actually_bad
-
-            n_pairs = viol.size
-            pair_w = weight / n_pairs
+            pair_w = weight / cc.size**2  # every (current, target) pair
             weighted_cases += weight
             n_viol = int(np.count_nonzero(viol))
             if n_viol:
-                mags = (t_act[None, :] - t_act_base) / t_act_base
+                # Row-major, as over the full matrix: same order, same sums.
+                mags = (t_act[slower] - t_act_base) / t_act_base
                 mags = np.broadcast_to(mags, viol.shape)[viol]
                 weighted_violations += pair_w * n_viol
                 sum_mag += pair_w * float(mags.sum())

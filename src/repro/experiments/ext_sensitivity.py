@@ -29,7 +29,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.atd.mlp import MLPCounterArray
+from repro.atd.mlp import DEFAULT_INDEX_WINDOW, MLPCounterArray
 from repro.campaign import ResultSet, RunSpec
 from repro.config import CORE_PARAMS, CoreSize
 from repro.experiments.common import (
@@ -56,11 +56,7 @@ PROBE_APPS = ("mcf", "xalancbmk", "libquantum", "astar")
 
 def _probe_traces(seed: int):
     gen = PhaseTraceGenerator()
-    traces = {}
-    for name in PROBE_APPS:
-        spec = app_by_name(name).phases[0]
-        traces[name] = gen.generate(spec, seed)
-    return gen, traces
+    return {n: gen.generate(app_by_name(n).phases[0], seed) for n in PROBE_APPS}
 
 
 def _heuristic_lm(stream, index_window: int, counter_bits: int = 27) -> np.ndarray:
@@ -68,21 +64,33 @@ def _heuristic_lm(stream, index_window: int, counter_bits: int = 27) -> np.ndarr
     counters = MLPCounterArray(
         index_window=index_window, counter_bits=counter_bits
     )
-    inst = stream.inst_index
-    recency = stream.recency
-    for k in stream.in_arrival_order():
-        r = int(recency[k])
-        miss_ways = 16 if r == FRESH else r - 1
-        if miss_ways > 0:
-            counters.observe(int(inst[k]), miss_ways)
+    arrival = stream.in_arrival_order()
+    recency = stream.recency[arrival].astype(np.int64)
+    miss_ways = np.where(recency == FRESH, counters.max_ways, recency - 1)
+    counters.observe_many(stream.inst_index[arrival], miss_ways)
     return counters.snapshot().leading_misses
+
+
+def _lm_error(oracle: np.ndarray, est: np.ndarray) -> float:
+    """Mean relative error of an LM estimate at the baseline allocation."""
+    oracle = oracle[:, 7].astype(float)
+    return float(np.mean(np.abs(est[:, 7] - oracle) / np.maximum(oracle, 1.0)))
 
 
 def lm_error_for_window(stream, index_window: int) -> float:
     """Mean relative LM error vs the oracle at the baseline allocation."""
-    oracle = leading_miss_matrix(stream)[:, 7].astype(float)
-    est = _heuristic_lm(stream, index_window)[:, 7]
-    return float(np.mean(np.abs(est - oracle) / np.maximum(oracle, 1.0)))
+    return _lm_error(leading_miss_matrix(stream), _heuristic_lm(stream, index_window))
+
+
+def _undercount(est: np.ndarray, bits: int, scale: float) -> float:
+    """Share of the nominal-scale LM count lost to ``bits``-wide counters."""
+    nominal = est * scale
+    cap = float((1 << bits) - 1)
+    saturated = np.minimum(nominal, cap)
+    total = float(nominal.sum())
+    if total == 0:
+        return 0.0
+    return float((total - saturated.sum()) / total)
 
 
 def lm_undercount_for_counter_bits(stream, bits: int, scale: float) -> float:
@@ -91,14 +99,7 @@ def lm_undercount_for_counter_bits(stream, bits: int, scale: float) -> float:
     The hardware counts nominal-interval events; the sampled trace is
     rescaled, so saturation is checked against ``count * scale``.
     """
-    est = _heuristic_lm(stream, 4 * CORE_PARAMS[CoreSize.L].rob)
-    nominal = est * scale
-    cap = float((1 << bits) - 1)
-    saturated = np.minimum(nominal, cap)
-    total = float(nominal.sum())
-    if total == 0:
-        return 0.0
-    return float((total - saturated.sum()) / total)
+    return _undercount(_heuristic_lm(stream, DEFAULT_INDEX_WINDOW), bits, scale)
 
 
 def specs(cfg: ExperimentConfig) -> List[RunSpec]:
@@ -109,30 +110,30 @@ def specs(cfg: ExperimentConfig) -> List[RunSpec]:
 def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
     del results
     cfg = cfg.effective()
-    _gen, traces = _probe_traces(cfg.seed)
+    traces = _probe_traces(cfg.seed)
     max_rob = CORE_PARAMS[CoreSize.L].rob
+    oracles = {name: leading_miss_matrix(t.stream) for name, t in traces.items()}
 
     rows: List[List] = []
     data: Dict = {"index": {}, "counter": {}}
+    passes: Dict = {}  # factor -> app -> heuristic LM matrix, one pass each
 
     for factor in (4, 2, 1):
         window = factor * max_rob
         bits = (window - 1).bit_length()
-        errors = {
-            name: lm_error_for_window(trace.stream, window)
-            for name, trace in traces.items()
+        est = passes[factor] = {
+            name: _heuristic_lm(t.stream, window) for name, t in traces.items()
         }
+        errors = {name: _lm_error(oracles[name], est[name]) for name in traces}
         data["index"][factor] = errors
         rows.append(
             [f"index window {factor}x ROB ({bits} bits)"]
             + [f"{100 * errors[n]:.1f}%" for n in PROBE_APPS]
         )
 
-    for bits in (27, 20, 16, 14, 12):
+    for bits in (27, 20, 16, 14, 12):  # all saturate the one 4x-ROB pass
         unders = {
-            name: lm_undercount_for_counter_bits(
-                trace.stream, bits, trace.sample_scale
-            )
+            name: _undercount(passes[4][name], bits, trace.sample_scale)
             for name, trace in traces.items()
         }
         data["counter"][bits] = unders

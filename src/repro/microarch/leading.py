@@ -33,7 +33,7 @@ def count_leading_misses(stream: AccessStream, rob: int, ways: int) -> int:
     """Oracle LM count for one (ROB size, allocation) pair.
 
     Reference implementation — clear rather than fast; the production path
-    is :func:`leading_miss_matrix`, which shares the scan across all pairs.
+    is :func:`leading_miss_matrix`, which evaluates every pair lane by lane.
     """
     if rob < 1 or ways < 1:
         raise ValueError("rob and ways must be >= 1")
@@ -63,7 +63,10 @@ def leading_miss_matrix(
 
     Exploits the nested-miss property of recency semantics: an access of
     recency ``r`` misses exactly at allocations ``w < r`` (every allocation
-    for FRESH accesses), so each access updates a *prefix* of the way range.
+    for FRESH accesses), so allocation ``w`` sees a subset of the accesses
+    allocation ``w - 1`` sees.  Each (core size, allocation) lane is an
+    independent scan of its own NumPy-filtered subsequence, which walks
+    from one leading miss straight to the next.
 
     Returns
     -------
@@ -76,42 +79,34 @@ def leading_miss_matrix(
     if n_sizes == 0 or any(r < 1 for r in rob_sizes):
         raise ValueError("rob_sizes must be positive")
 
-    inst = stream.inst_index
-    recency = stream.recency
+    recency = stream.recency.astype(np.int64)
+    # Miss prefix: the access misses at allocations 1..prefix.
+    prefix = np.where(recency == FRESH, max_ways, np.minimum(recency - 1, max_ways))
     dep = stream.dep_prev
+    # A miss is serialised at allocation w only if its producer missed there.
+    prod_prefix = np.where(dep >= 0, prefix[np.maximum(dep, 0)], 0)
 
-    counts = [[0] * max_ways for _ in range(n_sizes)]
-    last_lm_pos = [[-1] * max_ways for _ in range(n_sizes)]
-    last_lm_inst = [[-(10**18)] * max_ways for _ in range(n_sizes)]
-
-    neg_inf = -(10**18)
-    for k in range(stream.n_accesses):
-        r = int(recency[k])
-        miss_prefix = max_ways if r == FRESH else min(r - 1, max_ways)
-        if miss_prefix <= 0:
-            continue
-        ik = int(inst[k])
-        dk = int(dep[k])
-        # Producer miss prefix: the producer misses at allocations < its
-        # recency (all of them when FRESH); -1 when independent.
-        if dk >= 0:
-            rp = int(recency[dk])
-            prod_prefix = max_ways if rp == FRESH else min(rp - 1, max_ways)
-        else:
-            prod_prefix = 0
-        for c in range(n_sizes):
-            rob = rob_sizes[c]
-            cnt = counts[c]
-            pos_row = last_lm_pos[c]
-            inst_row = last_lm_inst[c]
-            for w in range(miss_prefix):
-                serialized = (
-                    dk >= 0
-                    and w < prod_prefix  # producer missed at this allocation
-                    and dk >= pos_row[w]  # at-or-after the current LM
-                )
-                if ik - inst_row[w] >= rob or serialized or inst_row[w] == neg_inf:
-                    cnt[w] += 1
-                    pos_row[w] = k
-                    inst_row[w] = ik
-    return np.asarray(counts, dtype=np.int64)
+    counts = np.zeros((n_sizes, max_ways), dtype=np.int64)
+    for w in range(max_ways):
+        lane = np.flatnonzero(prefix > w)  # stream positions missing at w
+        n = lane.size
+        if n == 0:
+            break  # lanes are nested: larger w see subsets of this one
+        # Overlapping misses change no state, so the LM after lane access a
+        # is the first later access outside a's ROB window or serialised
+        # behind a producer at-or-after a (which missed at w: it is in the
+        # lane).  ``after[v]`` is the first access whose producer is lane
+        # access v; its suffix minimum, the first at-or-after v.
+        serial = np.flatnonzero(prod_prefix[lane] > w)
+        after = np.full(n, n)
+        np.minimum.at(after, np.searchsorted(lane, dep[lane[serial]]), serial)
+        dep_next = np.minimum.accumulate(after[::-1])[::-1]
+        inst = stream.inst_index[lane]  # strictly increasing
+        for c, rob in enumerate(rob_sizes):
+            nxt = np.minimum(np.searchsorted(inst, inst + rob), dep_next).tolist()
+            a = lm = 0  # the first miss is always an LM
+            while a < n:
+                lm += 1
+                a = nxt[a]
+            counts[c, w] = lm
+    return counts

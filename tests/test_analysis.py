@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.analysis.stats import qos_violation_study
+from repro.analysis.stats import (
+    _flatten_settings,
+    _prediction_matrix,
+    qos_violation_study,
+)
 from repro.analysis.tradeoffs import tradeoff_matrix
 from repro.workloads.categories import Category
 
@@ -91,6 +95,39 @@ class TestQoSStudy:
     def test_app_subset(self, mini_db):
         r = qos_violation_study(mini_db, "Model2", apps=["mini_cips"])
         assert r.weighted_cases == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("model_name", ["Model1", "Model2", "Model3"])
+    def test_matches_full_matrix_sweep(self, mini_db, studies, model_name):
+        """Sweeping only the slower targets changes no bit of the result."""
+        system = mini_db.system
+        cc, ff, ww = _flatten_settings(system)
+        base = system.baseline_setting()
+        cb, fb = int(base.core), system.dvfs.index_of(base.f_ghz)
+        names = mini_db.app_names()
+        edges = np.arange(0.0, 0.525, 0.025)
+        viol_w = sum_mag = sum_mag2 = 0.0
+        hist = np.zeros(edges.size - 1)
+        for name in names:
+            weights = mini_db.apps[name].phase_weights()
+            for rec, phase_w in zip(mini_db.records[name], weights):
+                t_act = rec.time_grid[cc, ff, ww - 1]
+                t_base = float(rec.time_grid[cb, fb, base.ways - 1])
+                pred, pred_base = _prediction_matrix(rec, system, model_name)
+                viol = (pred <= pred_base[:, None] * (1.0 + 1e-9)) & (
+                    t_act[None, :] > t_base * (1.0 + 1e-9)
+                )
+                pair_w = 1.0 / len(names) * phase_w / viol.size
+                mags = np.broadcast_to((t_act - t_base) / t_base, viol.shape)[viol]
+                viol_w += pair_w * int(np.count_nonzero(viol))
+                sum_mag += pair_w * float(mags.sum())
+                sum_mag2 += pair_w * float((mags**2).sum())
+                hist += np.histogram(mags, bins=edges)[0] * pair_w
+        r = studies[model_name]
+        ev = sum_mag / viol_w
+        assert r.weighted_violations == viol_w
+        assert r.expected_value == ev
+        assert r.std == float(np.sqrt(max(sum_mag2 / viol_w - ev * ev, 0.0)))
+        assert r.histogram.counts.tobytes() == hist.tobytes()
 
     def test_unknown_model_rejected(self, mini_db):
         with pytest.raises(ValueError):

@@ -32,6 +32,14 @@ def make_stream(inst, recency, dep=None, arrival=None, n_sets=4):
     )
 
 
+def every_cell(stream, rob_sizes, max_ways):
+    """The reference oracle on every (ROB, allocation) cell."""
+    return [
+        [count_leading_misses(stream, rob, w) for w in range(1, max_ways + 1)]
+        for rob in rob_sizes
+    ]
+
+
 class TestLeadingMisses:
     def test_single_group_overlaps(self):
         """Independent misses inside one window form one group."""
@@ -57,21 +65,40 @@ class TestLeadingMisses:
         assert count_leading_misses(s, rob=64, ways=8) == 0
 
     def test_matrix_matches_reference(self, cs_trace):
-        matrix = leading_miss_matrix(cs_trace.stream)
-        robs = [64, 128, 256]
-        for c, rob in enumerate(robs):
-            for w in (2, 8, 16):
-                assert matrix[c, w - 1] == count_leading_misses(
-                    cs_trace.stream, rob, w
-                )
+        assert leading_miss_matrix(cs_trace.stream).tolist() == every_cell(
+            cs_trace.stream, (64, 128, 256), 16
+        )
 
     def test_matrix_matches_reference_chain(self, chain_trace):
-        matrix = leading_miss_matrix(chain_trace.stream)
-        for c, rob in enumerate([64, 128, 256]):
-            for w in (3, 10):
-                assert matrix[c, w - 1] == count_leading_misses(
-                    chain_trace.stream, rob, w
-                )
+        assert leading_miss_matrix(chain_trace.stream).tolist() == every_cell(
+            chain_trace.stream, (64, 128, 256), 16
+        )
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                # instruction gap: inside, at and past each ROB size
+                st.integers(1, 40)
+                | st.sampled_from([63, 64, 65, 127, 128, 129, 255, 256, 257]),
+                st.integers(0, 18),  # recency: 0 is FRESH, >= 17 misses at 16
+                st.integers(0, 6),  # dependence distance back; 0: none
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        rob_sizes=st.lists(
+            st.sampled_from([1, 32, 64, 128, 256]), min_size=1, max_size=4
+        ),
+        max_ways=st.integers(1, 16),
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matrix_matches_reference_generated(self, steps, rob_sizes, max_ways):
+        gaps, recency, back = zip(*steps)
+        dep = [k - b if 0 < b <= k else -1 for k, b in enumerate(back)]
+        s = make_stream(np.cumsum(gaps), recency, dep)
+        assert leading_miss_matrix(s, rob_sizes, max_ways).tolist() == every_cell(
+            s, rob_sizes, max_ways
+        )
 
     def test_lm_decreases_with_window(self, cs_trace):
         matrix = leading_miss_matrix(cs_trace.stream)

@@ -145,3 +145,25 @@ class TestStatsMirror:
             assert pred_base[k] == pytest.approx(
                 model.predict_baseline_time(inp, system2), rel=1e-9
             )
+
+    @pytest.mark.parametrize("model_name", ["Model1", "Model2", "Model3"])
+    def test_restricted_targets_are_full_matrix_columns(
+        self, mini_db, system2, model_name
+    ):
+        from repro.analysis.stats import _flatten_settings, _prediction_matrix
+
+        n = _flatten_settings(system2)[0].size
+        rng = np.random.default_rng(5)
+        for app in mini_db.app_names():
+            rec = mini_db.record(app, 0)
+            full, full_base = _prediction_matrix(rec, system2, model_name)
+            assert full.shape == (n, n)
+            for targets in (
+                np.sort(rng.choice(n, size=n // 3, replace=False)),
+                np.array([n - 1, 0]),
+                np.array([], dtype=np.int64),
+            ):
+                pred, base = _prediction_matrix(rec, system2, model_name, targets)
+                assert pred.shape == (n, targets.size)
+                assert pred.tobytes() == full[:, targets].tobytes()  # bit for bit
+                assert base.tobytes() == full_base.tobytes()

@@ -301,6 +301,31 @@ class TestObserveMany:
             assert np.array_equal(a.leading_misses, b.leading_misses)
             assert np.array_equal(a.total_misses, b.total_misses)
 
+    @pytest.mark.parametrize("window", [256, 512, 1024])  # 1x, 2x, 4x ROB
+    @pytest.mark.parametrize("counter_bits", [27, 10, 8])
+    @pytest.mark.parametrize("trace_name", ["cs_trace", "chain_trace"])
+    def test_arrival_order_windows_and_widths(
+        self, request, trace_name, window, counter_bits
+    ):
+        """The ext-sensitivity inputs: arrival-order indices, every index
+        window it sweeps, and counters narrow enough to saturate."""
+        stream = request.getfixturevalue(trace_name).stream
+        arrival = stream.in_arrival_order()
+        inst = stream.inst_index[arrival]
+        assert np.any(np.diff(inst) < 0)  # out-of-order arrival
+        rec = stream.recency[arrival].astype(np.int64)
+        miss_ways = np.where(rec == FRESH, 16, rec - 1)
+        bulk = MLPCounterArray(index_window=window, counter_bits=counter_bits)
+        seq = MLPCounterArray(index_window=window, counter_bits=counter_bits)
+        bulk.observe_many(inst, miss_ways)
+        for i, k in zip(inst.tolist(), miss_ways.tolist()):
+            seq.observe(i, k)
+        a, b = bulk.snapshot(), seq.snapshot()
+        assert np.array_equal(a.leading_misses, b.leading_misses)
+        assert np.array_equal(a.total_misses, b.total_misses)
+        if counter_bits == 8:  # both traces overflow an 8-bit counter
+            assert np.any(a.leading_misses == (1 << counter_bits) - 1)
+
     def test_saturation_matches(self):
         bulk = MLPCounterArray(rob_sizes=[64], max_ways=1, counter_bits=2)
         seq = MLPCounterArray(rob_sizes=[64], max_ways=1, counter_bits=2)

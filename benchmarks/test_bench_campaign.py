@@ -4,8 +4,7 @@ Times the merged, deduped campaign behind ``run_all`` — serially, across
 a 2-worker pool and with a warm result store — and records the plan
 shape (planned vs unique runs) as ``extra_info``.  ``BENCH_campaign.json``
 at the repo root keeps the current baseline so future PRs have a perf
-trajectory (regenerate with
-``python benchmarks/emit_campaign_baseline.py``).
+trajectory (regenerate with ``python -m repro bench --emit campaign``).
 
 The pool only beats serial when the host has more than one CPU; the
 assertions therefore bound the pool overhead instead of demanding a

@@ -9,7 +9,7 @@ global curve reduction — at 4/8/16/32 cores in both reduction modes:
   leaf-to-root path combines plus the root window evaluation.
 
 ``BENCH_decision.json`` at the repo root keeps the current baseline
-(regenerate with ``python benchmarks/emit_decision_baseline.py``); the
+(regenerate with ``python -m repro bench --emit decision``); the
 deterministic counterpart of these wall-clock numbers — DP cells touched
 per invocation — is recorded as ``extra_info`` and asserted to scale in
 ``tests/test_decision_kernel.py``.

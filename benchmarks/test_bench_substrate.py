@@ -7,8 +7,7 @@ the experiment-level benchmarks.
 The replay benchmarks record accesses/sec for the per-access oracle and
 the batched engines in ``extra_info``; ``BENCH_substrate.json`` at the
 repo root keeps the current baseline so future PRs have a perf
-trajectory (regenerate with
-``python benchmarks/emit_substrate_baseline.py``).
+trajectory (regenerate with ``python -m repro bench --emit substrate``).
 """
 
 import numpy as np

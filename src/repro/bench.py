@@ -14,15 +14,15 @@ this module is the single implementation behind
     python -m repro bench --emit all             # regenerate every one
     python -m repro bench --check localopt       # CI smoke: no regression
 
-(the ``benchmarks/emit_*_baseline.py`` scripts are thin wrappers kept
-for muscle memory).  Every emitted JSON carries an ``environment`` block
-— python/machine/cpu plus the *git commit* and the decision-kernel knobs
-(``reduction``, ``local_mode``) in effect — so a BENCH trajectory across
-PRs is attributable to the code that produced it.
+Every emitted JSON carries an ``environment`` block — python/machine/cpu
+plus the *git commit* and the decision-kernel knobs (``reduction``,
+``local_mode``) in effect — so a BENCH trajectory across PRs is
+attributable to the code that produced it.
 
-``--check`` is deliberately in-process and generous: it re-measures the
-memoized local-decision speedup at small scale and only fails on a
-collapse (hit rate far below the committed baseline, or the speedup a
+``--check`` is deliberately in-process and generous: each check
+re-measures one committed headline (local-decision speedup, wave-loop
+speedup, verified-read overhead) at small scale and only fails on a
+collapse (a hit rate far below the committed baseline, a speedup a
 quarter of it), so CI timing noise cannot flake it.
 """
 
@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 __all__ = [
+    "CHECKS",
     "EMITTERS",
     "check_localopt",
     "check_simloop",
@@ -504,7 +505,7 @@ def check_localopt() -> int:
 
 
 # ---------------------------------------------------------------------------
-# simulator event loop (wave batching + persistent local memo)
+# simulator event loop (wave batching)
 # ---------------------------------------------------------------------------
 #: Core counts measured by the simulator event-loop baseline.
 SIMLOOP_CORE_COUNTS = (4, 16, 64)
@@ -517,13 +518,12 @@ def measure_simloop(
 ) -> Dict:
     """End-to-end RM3/Model3 run wall-clock in both loop modes.
 
-    Measures ``scalar`` (the PR-4 oracle), ``wave`` cold (no persistent
-    memo) and ``wave`` warm (persistent memo primed on disk, fresh
-    manager per run — the repeated-campaign shape) with the rounds
-    *interleaved* and summarised by median, so CPU-frequency drift hits
-    every flavour equally instead of whichever ran last.  Each round
-    builds fresh managers; only OS/db-level state stays warm, exactly as
-    it would for a campaign worker.
+    Measures ``scalar`` (the PR-4 oracle) against ``step`` (the
+    wave-batched loop) with the rounds *interleaved* and summarised by
+    median, so CPU-frequency drift hits both modes equally instead of
+    whichever ran last.  Each round builds fresh managers, so the memo
+    hit rate is a fresh in-memory memo's; only OS/db-level state stays
+    warm, exactly as it would for a campaign worker.
     """
     from repro.campaign.executor import make_model
     from repro.core.managers import make_rm
@@ -543,41 +543,22 @@ def measure_simloop(
         xs = sorted(xs)
         return xs[len(xs) // 2]
 
-    times: Dict[str, List[float]] = {
-        "scalar": [],
-        "wave_cold": [],
-        "wave_warm": [],
-    }
-    saved_env = os.environ.get("REPRO_LOCAL_MEMO")
-    with tempfile.TemporaryDirectory() as memo_dir:
-        try:
-            os.environ["REPRO_LOCAL_MEMO"] = memo_dir
-            run("step")  # prime the persistent memo (and JIT/db caches)
-            result = None
-            hit_rate = 0.0
-            for _ in range(rounds):
-                os.environ.pop("REPRO_LOCAL_MEMO", None)
-                t0 = time.perf_counter()
-                result, _ = run("scalar")
-                times["scalar"].append(time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                run("step")
-                times["wave_cold"].append(time.perf_counter() - t0)
-                os.environ["REPRO_LOCAL_MEMO"] = memo_dir
-                t0 = time.perf_counter()
-                _, rm = run("step")
-                times["wave_warm"].append(time.perf_counter() - t0)
-                memo = rm.local_memo
-                hit_rate = memo.hit_rate if memo is not None else 0.0
-        finally:
-            if saved_env is None:
-                os.environ.pop("REPRO_LOCAL_MEMO", None)
-            else:
-                os.environ["REPRO_LOCAL_MEMO"] = saved_env
+    times: Dict[str, List[float]] = {"scalar": [], "wave": []}
+    run("step")  # warm JIT/db-level caches
+    result = None
+    hit_rate = 0.0
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        result, _ = run("scalar")
+        times["scalar"].append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        _, rm = run("step")
+        times["wave"].append(time.perf_counter() - t0)
+        memo = rm.local_memo
+        hit_rate = memo.hit_rate if memo is not None else 0.0
     return {
         "scalar_s": med(times["scalar"]),
-        "wave_cold_s": med(times["wave_cold"]),
-        "wave_warm_s": med(times["wave_warm"]),
+        "wave_s": med(times["wave"]),
         "events": result.rm_invocations,
         "memo_hit_rate": hit_rate,
         "rounds": rounds,
@@ -596,23 +577,20 @@ def emit_simloop() -> int:
     per_cores: Dict[str, Dict] = {}
     for n in SIMLOOP_CORE_COUNTS:
         row = measure_simloop(n)
-        row["wave_warm_speedup_vs_scalar"] = row["scalar_s"] / row["wave_warm_s"]
-        row["wave_cold_speedup_vs_scalar"] = row["scalar_s"] / row["wave_cold_s"]
+        row["wave_speedup_vs_scalar"] = row["scalar_s"] / row["wave_s"]
         per_cores[str(n)] = row
         print(
             f"{n:>3} cores: scalar {row['scalar_s']*1e3:7.1f} ms, "
-            f"wave cold {row['wave_cold_s']*1e3:7.1f} ms "
-            f"({row['wave_cold_speedup_vs_scalar']:.2f}x), "
-            f"wave warm {row['wave_warm_s']*1e3:7.1f} ms "
-            f"({row['wave_warm_speedup_vs_scalar']:.2f}x, "
+            f"wave {row['wave_s']*1e3:7.1f} ms "
+            f"({row['wave_speedup_vs_scalar']:.2f}x, "
             f"hit rate {row['memo_hit_rate']:.2f})"
         )
 
     top = per_cores[str(max(SIMLOOP_CORE_COUNTS))]
     payload = {
-        "description": "Simulator event-loop baseline (wave-batched loop + "
-        "persistent local memo vs the scalar PR-4 oracle; end-to-end "
-        "RM3/Model3 runs, fresh manager per run, interleaved medians)",
+        "description": "Simulator event-loop baseline (wave-batched loop "
+        "vs the scalar PR-4 oracle; end-to-end RM3/Model3 runs, fresh "
+        "manager per run, interleaved medians)",
         "environment": environment_block(
             wave_modes=["scalar", "step"],
             reduction="incremental",
@@ -622,13 +600,10 @@ def emit_simloop() -> int:
         ),
         "cores": per_cores,
         "simloop_summary": {
-            "warm_64c_speedup_vs_scalar": round(
-                top["wave_warm_speedup_vs_scalar"], 2
+            "wave_64c_speedup_vs_scalar": round(
+                top["wave_speedup_vs_scalar"], 2
             ),
-            "cold_64c_speedup_vs_scalar": round(
-                top["wave_cold_speedup_vs_scalar"], 2
-            ),
-            "warm_64c_memo_hit_rate": round(top["memo_hit_rate"], 3),
+            "wave_64c_memo_hit_rate": round(top["memo_hit_rate"], 3),
         },
     }
     _write(REPO_ROOT / "BENCH_simloop.json", payload)
@@ -647,12 +622,12 @@ def check_simloop() -> int:
     committed = json.loads(path.read_text())
     base = committed["cores"]["16"]
     row = measure_simloop(16, rounds=3)
-    speedup = row["scalar_s"] / row["wave_warm_s"]
-    floor = max(1.2, base["wave_warm_speedup_vs_scalar"] / 4.0)
+    speedup = row["scalar_s"] / row["wave_s"]
+    floor = max(1.2, base["wave_speedup_vs_scalar"] / 4.0)
     hit_floor = (base.get("memo_hit_rate") or 0.0) - 0.10
     line = (
-        f"16 cores: wave-warm speedup {speedup:.2f}x (committed "
-        f"{base['wave_warm_speedup_vs_scalar']:.2f}x, floor {floor:.2f}x), "
+        f"16 cores: wave speedup {speedup:.2f}x (committed "
+        f"{base['wave_speedup_vs_scalar']:.2f}x, floor {floor:.2f}x), "
         f"hit rate {row['memo_hit_rate']:.2f} (floor {hit_floor:.2f})"
     )
     print(line)

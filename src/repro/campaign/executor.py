@@ -69,7 +69,6 @@ from repro.campaign.results import (
     store_result,
 )
 from repro.campaign.spec import MODEL_NAMES, RunSpec
-from repro.core.local_cache import local_memo_max_mb, prune_local_memo
 from repro.core.managers import ResourceManager, make_rm
 from repro.core.qos import QoSPolicy
 from repro.simulator.metrics import SimResult
@@ -649,7 +648,6 @@ class Campaign:
         from repro.campaign import remote
 
         cache_cap_mb = result_cache_max_mb()
-        memo_cap_mb = local_memo_max_mb()
         for knob in (
             spec_timeout,
             spec_retries,
@@ -765,10 +763,6 @@ class Campaign:
             # results just produced carry the freshest mtimes, so they
             # are the last to go).
             prune_result_cache(cache_cap_mb)
-        if pending and memo_cap_mb is not None:
-            # Same policy for the persistent local-decision memo the
-            # simulations fed (REPRO_LOCAL_MEMO).
-            prune_local_memo(memo_cap_mb)
 
         stats = CampaignStats(
             planned=self._planned,

@@ -67,7 +67,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence
 
 from repro.campaign.attest import (
     _retire_entry,
@@ -77,6 +77,14 @@ from repro.campaign.attest import (
     digest_text,
     read_attestation,
     record_divergence,
+)
+from repro.campaign.executor import (
+    _env_float,
+    _env_int,
+    _ExecState,
+    _execute_attempt,
+    retry_backoff,
+    spec_retries,
 )
 from repro.campaign.results import (
     CACHE_ENV,
@@ -89,9 +97,6 @@ from repro.campaign.spec import RunSpec
 from repro.campaign.transport import FileTransport, Transport, transport_for
 from repro.util import faults
 from repro.util.diskcache import read_text_guarded
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.campaign.executor import _ExecState
 
 __all__ = [
     "COORDINATOR_ID",
@@ -150,26 +155,6 @@ SUSPECT_STRIKES_ENV = "REPRO_SUSPECT_STRIKES"
 #: Worker id the coordinator claims under when degrading to local
 #: execution.
 COORDINATOR_ID = "coordinator"
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def remote_enabled() -> bool:
@@ -520,8 +505,6 @@ def _worker_execute(
     publishes a ``permanent`` failure marker.  Either way the lease is
     released so the coordinator's view converges.
     """
-    from repro.campaign.executor import _execute_attempt
-
     fp = spec.fingerprint
     attempt = 0
     t0 = time.monotonic()
@@ -570,8 +553,6 @@ def run_worker(
     forever, for long-lived external workers).  Returns the number of
     specs this worker completed.
     """
-    from repro.campaign.executor import retry_backoff, spec_retries
-
     transport = transport_for(store, runner=runner)
     if isinstance(transport, FileTransport):
         # Publish results straight into the shared store: execute_spec's
@@ -707,13 +688,10 @@ def spawn_local_workers(
 
 
 def _coordinator_execute(
-    fabric: Fabric, spec: RunSpec, state: "_ExecState"
+    fabric: Fabric, spec: RunSpec, state: _ExecState
 ) -> None:
     """Graceful-degradation path: the coordinator executes one claimed
     spec inline, with the standard retry discipline and journaling."""
-    from repro.campaign.executor import retry_backoff, spec_retries
-    from repro.campaign.executor import _execute_attempt
-
     fp = spec.fingerprint
     retries = spec_retries()
     base = retry_backoff()
@@ -741,7 +719,7 @@ def _coordinator_execute(
 
 
 def run_remote(
-    ordered: Sequence[RunSpec], state: "_ExecState", n_workers: int
+    ordered: Sequence[RunSpec], state: _ExecState, n_workers: int
 ) -> None:
     """Coordinator loop: publish tasks, harvest markers, expire leases.
 

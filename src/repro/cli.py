@@ -11,7 +11,7 @@ Usage::
     python -m repro fig6 --seed 7 --workloads 3 --cores 4
     python -m repro ext-scaling --scaling-cores 16 64   # kernel sweep
     python -m repro ext-scaling --wave scalar    # event-loop oracle mode
-    python -m repro cache                  # result-store + local-memo stats
+    python -m repro cache                  # result-store stats
     python -m repro cache --prune --max-mb 256   # LRU-evict to 256 MiB
     python -m repro verify                 # attestation coverage + digests
     python -m repro verify --sample 8      # ... plus re-execution audit
@@ -26,11 +26,9 @@ Every experiment plans its simulations through the campaign engine;
 ``all`` merges the plans so shared runs simulate exactly once.  The
 ``--workers`` flag (or ``REPRO_CAMPAIGN_WORKERS``) fans unique runs out
 over a process pool — results are bit-identical for any worker count.
-The ``cache`` subcommand manages both on-disk stores: the result store
-named by ``REPRO_RESULT_CACHE`` (cap: ``REPRO_RESULT_CACHE_MAX_MB``) and
-the persistent local-decision memo named by ``REPRO_LOCAL_MEMO`` (cap:
-``REPRO_LOCAL_MEMO_MAX_MB``); ``bench`` consolidates the
-``benchmarks/emit_*_baseline.py`` entry points; ``campaign --status``
+The ``cache`` subcommand manages the on-disk result store named by
+``REPRO_RESULT_CACHE`` (cap: ``REPRO_RESULT_CACHE_MAX_MB``); ``bench``
+emits and checks the ``BENCH_*.json`` baselines; ``campaign --status``
 reports progress, retries and failure tallies from the crash-safe run
 journals kept under the result store (interrupted campaigns resume by
 re-running the same command), plus per-worker attribution and live/stale
@@ -178,10 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--prune",
         action="store_true",
-        help=(
-            "with 'cache': LRU-evict results and local-memo entries "
-            "down to their size caps"
-        ),
+        help="with 'cache': LRU-evict results down to the size cap",
     )
     parser.add_argument(
         "--max-mb",
@@ -190,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MB",
         help=(
             "with 'cache --prune': result-store size cap override "
-            "(default: REPRO_RESULT_CACHE_MAX_MB); the local memo "
-            "always prunes to its own REPRO_LOCAL_MEMO_MAX_MB"
+            "(default: REPRO_RESULT_CACHE_MAX_MB)"
         ),
     )
     parser.add_argument(
@@ -222,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "with 'bench': regenerate one BENCH_*.json baseline "
-            "(substrate|campaign|decision|localopt) or 'all'"
+            "(substrate|campaign|decision|localopt|simloop) or 'all'"
         ),
     )
     parser.add_argument(
@@ -231,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "with 'bench': verify a baseline has not regressed beyond a "
-            "generous threshold (localopt)"
+            "generous threshold (localopt|campaign|simloop)"
         ),
     )
     parser.add_argument(
@@ -262,7 +256,7 @@ def _emit(result, csv_dir: Path | None) -> None:
 
 
 def _cache_command(prune: bool, max_mb: float | None) -> int:
-    """Report/prune both on-disk stores: results and the local memo."""
+    """Report on, or prune, the on-disk result store."""
     from repro.campaign.results import (
         CACHE_ENV,
         cache_stats,
@@ -270,79 +264,48 @@ def _cache_command(prune: bool, max_mb: float | None) -> int:
         result_cache_dir,
         result_cache_max_mb,
     )
-    from repro.core.local_cache import (
-        LOCAL_MEMO_ENV,
-        local_memo_dir,
-        local_memo_max_mb,
-        local_memo_stats,
-        prune_local_memo,
-    )
 
-    # --max-mb overrides the *result store* cap only (its documented
-    # purpose); the local memo always answers to its own env cap, so a
-    # user shrinking result storage cannot accidentally evict a warm
-    # phase library.
-    stores = (
-        (
-            "results",
-            CACHE_ENV,
-            result_cache_dir(),
-            cache_stats,
-            prune_result_cache,
-            result_cache_max_mb,
-            max_mb,
-        ),
-        (
-            "local memo",
-            LOCAL_MEMO_ENV,
-            local_memo_dir(),
-            local_memo_stats,
-            prune_local_memo,
-            local_memo_max_mb,
-            None,
-        ),
-    )
-    for name, env, root, stats_fn, prune_fn, cap_fn, override_mb in stores:
-        if root is None:
-            print(f"no on-disk {name} store ({env} is unset)")
-            continue
-        if prune:
-            outcome = prune_fn(override_mb)
-            line = (
-                f"{name}: pruned {outcome['removed_files']} entries "
-                f"({outcome['removed_bytes'] / 1048576:.1f} MiB); "
-                f"kept {outcome['kept_files']} "
-                f"({outcome['kept_bytes'] / 1048576:.1f} MiB) in {root}"
-            )
-            if outcome.get("removed_sidecars"):
-                line += (
-                    f"; {outcome['removed_sidecars']} orphaned "
-                    f"attestation sidecars removed"
-                )
-            print(line)
-            continue
-        stats = stats_fn()
-        cap = override_mb if override_mb is not None else cap_fn()
-        cap_text = f"{cap:.0f} MiB" if cap else "unbounded"
+    root = result_cache_dir()
+    if root is None:
+        print(f"no on-disk results store ({CACHE_ENV} is unset)")
+        return 0
+    if prune:
+        outcome = prune_result_cache(max_mb)
         line = (
-            f"{name} @ {root}: {stats['files']:.0f} entries, "
-            f"{stats['mb']:.1f} MiB (cap: {cap_text})"
+            f"results: pruned {outcome['removed_files']} entries "
+            f"({outcome['removed_bytes'] / 1048576:.1f} MiB); "
+            f"kept {outcome['kept_files']} "
+            f"({outcome['kept_bytes'] / 1048576:.1f} MiB) in {root}"
         )
-        if "attested" in stats:
+        if outcome.get("removed_sidecars"):
             line += (
-                f"; attested {stats['attested']:.0f}/{stats['files']:.0f} "
-                f"({stats['attestation_coverage'] * 100.0:.1f}%)"
-            )
-        if stats.get("quarantined"):
-            line += f"; {stats['quarantined']:.0f} quarantined"
-        if stats.get("divergence_events"):
-            # Divergence evidence is counted apart from corrupt-entry
-            # quarantine: contested bytes, not damaged ones.
-            line += (
-                f"; {stats['divergence_events']:.0f} divergence events "
-                f"(never pruned)"
+                f"; {outcome['removed_sidecars']} orphaned "
+                f"attestation sidecars removed"
             )
         print(line)
+        return 0
+    stats = cache_stats()
+    cap = max_mb if max_mb is not None else result_cache_max_mb()
+    cap_text = f"{cap:.0f} MiB" if cap else "unbounded"
+    line = (
+        f"results @ {root}: {stats['files']:.0f} entries, "
+        f"{stats['mb']:.1f} MiB (cap: {cap_text})"
+    )
+    if "attested" in stats:
+        line += (
+            f"; attested {stats['attested']:.0f}/{stats['files']:.0f} "
+            f"({stats['attestation_coverage'] * 100.0:.1f}%)"
+        )
+    if stats.get("quarantined"):
+        line += f"; {stats['quarantined']:.0f} quarantined"
+    if stats.get("divergence_events"):
+        # Divergence evidence is counted apart from corrupt-entry
+        # quarantine: contested bytes, not damaged ones.
+        line += (
+            f"; {stats['divergence_events']:.0f} divergence events "
+            f"(never pruned)"
+        )
+    print(line)
     return 0
 
 

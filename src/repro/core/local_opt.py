@@ -99,44 +99,6 @@ class LocalOptResult:
     def is_feasible(self, ways: int) -> bool:
         return np.isfinite(self.curve.energy[ways - self.curve.w_min])
 
-    def to_payload(self) -> dict:
-        """Plain-python form for the persistent local memo.
-
-        Lists of Python floats/ints only: ``json.dumps`` with its default
-        ``repr``-based float serialisation round-trips every value exactly
-        (infinities included), so a result replayed from disk is
-        bit-identical to the run that produced it.
-        """
-        return {
-            "w_min": self.curve.w_min,
-            "energy": self.curve.energy.tolist(),
-            "c_star": self.c_star.tolist(),
-            "f_star": self.f_star.tolist(),
-            "t_hat": self.t_hat.tolist(),
-            "predicted_baseline_time": self.predicted_baseline_time,
-            "evaluations": self.evaluations,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "LocalOptResult":
-        """Rebuild a result from :meth:`to_payload` output.
-
-        Raises ``KeyError``/``TypeError``/``ValueError`` on malformed
-        payloads — the persistent memo treats any of those as a miss.
-        """
-        energy = np.array(payload["energy"], dtype=float)
-        w_min = int(payload["w_min"])
-        return cls(
-            curve=EnergyCurve(
-                np.arange(w_min, w_min + energy.size), energy
-            ),
-            c_star=np.array(payload["c_star"], dtype=int),
-            f_star=np.array(payload["f_star"], dtype=float),
-            t_hat=np.array(payload["t_hat"], dtype=float),
-            predicted_baseline_time=float(payload["predicted_baseline_time"]),
-            evaluations=int(payload["evaluations"]),
-        )
-
 
 def optimize_local(
     inputs: ModelInputs,

@@ -44,13 +44,11 @@ The event loop itself runs in one of two *wave modes*:
 * ``"scalar"`` — the PR-4-era loop, preserved verbatim as the
   differential-testing oracle and perf baseline (the replay engine's
   ``LRUStack`` pattern): single next boundary, one core's observe, scalar
-  per-core settings diff, no memo speculation, no persistent-memo tier,
-  no reduction-combine reuse.
+  per-core settings diff, no memo speculation, no reduction-combine
+  reuse.
 
 The mode resolves from the constructor argument, then ``REPRO_SIM_WAVE``,
-then the default.  Wave runs also engage the cross-process persistent
-local memo (``REPRO_LOCAL_MEMO``, see :mod:`repro.core.local_cache`) so
-repeated campaigns start warm.
+then the default.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ import numpy as np
 from repro.cache.partition import RepartitionTransient
 from repro.config import Setting, SystemConfig
 from repro.core import _native_opt
-from repro.core.local_cache import persistent_memo_for
 from repro.core.managers import ResourceManager
 from repro.core.overheads import RMCostModel
 from repro.core.perf_models import ModelInputs
@@ -608,28 +605,14 @@ class MulticoreRMSimulator:
     def _configure_rm_for_mode(self) -> None:
         """Engage (or disengage) the wave-only manager accelerations.
 
-        Wave runs turn on reduction-combine reuse and attach the
-        env-configured persistent local-memo tier; scalar runs disengage
-        both, keeping the oracle's cost profile at PR-4 parity.  Every
-        knob is execution-strategy only — decisions, accounting and
-        results are bit-identical across modes.
+        Wave runs turn on reduction-combine reuse; scalar runs turn it
+        off, keeping the oracle's cost profile at PR-4 parity.  The knob
+        is execution-strategy only — decisions, accounting and results
+        are bit-identical across modes.
         """
-        rm = self.rm
-        scalar = self.wave == "scalar"
-        set_accel = getattr(rm, "set_wave_acceleration", None)
+        set_accel = getattr(self.rm, "set_wave_acceleration", None)
         if set_accel is not None:
-            set_accel(not scalar)
-        memo = getattr(rm, "local_memo", None)
-        if memo is None or not hasattr(memo, "attach_store"):
-            return
-        if scalar:
-            memo.attach_store(None)
-        else:
-            memo.attach_store(
-                persistent_memo_for(
-                    self.db, rm.perf_model.name, rm.capabilities.label
-                )
-            )
+            set_accel(self.wave != "scalar")
 
     # ------------------------------------------------------------------
     def _loop_scalar(

@@ -1,12 +1,11 @@
-"""Shared plumbing for on-disk LRU stores.
+"""Shared plumbing for on-disk stores.
 
-Two stores follow the same pattern — the campaign result store
-(:mod:`repro.campaign.results`) and the persistent local-decision memo
-(:mod:`repro.core.local_cache`): one JSON file per content-fingerprinted
-entry, atomic per-process-tmp publication, mtime bumped on every hit so a
-size cap evicts least-recently-*used* files first.  This module holds the
-store-agnostic pieces so the two stay byte-for-byte consistent in their
-eviction and publication behaviour.
+The campaign result store (:mod:`repro.campaign.results`) keeps one JSON
+file per content-fingerprinted entry, publishes atomically through a
+per-process tmp file, and bumps mtime on every hit so a size cap evicts
+least-recently-*used* files first.  This module holds those
+store-agnostic pieces, which the journal, the attestation sidecars and
+the fabric transport reuse for their own crash-safe writes.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ semicolon-separated list of directives::
     fail:fp=ab12,times=2             # raise InjectedFault twice on prefix ab12
     hang:fp=ab12,secs=30             # sleep 30 s (the spec timeout's prey)
     truncate:store=results,fp=       # truncate the next result-store write
-    corrupt:store=memo,fp=           # garbage the next local-memo write
+    corrupt:store=results,fp=        # garbage the next result-store write
     divergent:store=results,fp=      # perturb the published bytes: still
                                      # valid JSON, different values (the
                                      # skewed-worker poison the attestation
@@ -97,7 +97,7 @@ _SPEC_KINDS = ("crash", "fail", "hang")
 _STORE_KINDS = ("truncate", "corrupt", "divergent")
 _TRANSPORT_KINDS = ("partition", "dupdone")
 _KINDS = _SPEC_KINDS + _STORE_KINDS + _TRANSPORT_KINDS + ("interrupt",)
-_STORES = ("results", "memo", "lease", "done")
+_STORES = ("results", "lease", "done")
 
 
 class InjectedFault(RuntimeError):

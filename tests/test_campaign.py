@@ -379,8 +379,6 @@ class TestResultStoreGC:
         assert main(["cache"]) == 0
         out = capsys.readouterr().out
         assert "results" in out and "3 entries" in out
-        # The local-memo store is reported alongside (unset here).
-        assert "local memo" in out
         assert main(["cache", "--prune", "--max-mb", "0.001"]) == 0
         out = capsys.readouterr().out
         assert "results: pruned 2 entries" in out

@@ -296,7 +296,7 @@ class TestSimulatorModeIdentity:
     )
     @pytest.mark.parametrize("charge", [True, False])
     def test_paper_scale_step_matches_scalar(
-        self, full_db, monkeypatch, kind, model, charge
+        self, full_db, kind, model, charge
     ):
         """The wave loop's decision-kernel accelerations (windowed tree,
         compiled path updates, identity replays) against the scalar
@@ -307,7 +307,6 @@ class TestSimulatorModeIdentity:
         from repro.campaign.results import result_to_json
         from repro.campaign.spec import RunSpec
 
-        monkeypatch.delenv("REPRO_LOCAL_MEMO", raising=False)
         spec = RunSpec(
             seed=2020,
             n_cores=4,

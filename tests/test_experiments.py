@@ -188,6 +188,19 @@ class TestCLI:
         )
         assert args.workers == 3 and str(args.csv_dir) == "out"
 
+    def test_bench_help_lists_every_baseline(self):
+        """The ``bench --emit``/``--check`` help names exactly the
+        registered baselines, so a new one cannot go undocumented."""
+        import re
+
+        from repro.bench import CHECKS, EMITTERS
+        from repro.cli import build_parser
+
+        helps = {a.dest: a.help for a in build_parser()._actions}
+        for dest, names in (("emit", EMITTERS), ("check", CHECKS)):
+            listed = re.search(r"\(([a-z|]+)\)", helps[dest]).group(1)
+            assert sorted(listed.split("|")) == sorted(names), dest
+
     def test_csv_dir_written(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -16,7 +16,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -108,7 +107,7 @@ def oracle(full_db):
 class TestPlanParsing:
     def test_grammar_roundtrip(self):
         text = "crash:spec=2;fail:fp=ab,times=3;hang:fp=cd,secs=7;" \
-               "truncate:store=results;corrupt:store=memo,fp=ef;" \
+               "truncate:store=results;corrupt:store=done,fp=ef;" \
                "interrupt:after=2"
         ds = faults.parse_plan(text)
         assert [d.kind for d in ds] == [
@@ -116,7 +115,7 @@ class TestPlanParsing:
         ]
         assert ds[0].ordinal == 2 and ds[1].times == 3 and ds[2].secs == 7
         assert ds[3].fp == ""  # store kinds default to match-any
-        assert ds[4].store == "memo" and ds[5].after == 2
+        assert ds[4].store == "done" and ds[5].after == 2
         # to_text round-trips through the parser (prepare_for_campaign
         # re-exports plans this way)
         again = faults.parse_plan(";".join(d.to_text() for d in ds))
@@ -163,7 +162,7 @@ class TestPlanMechanics:
 
     def test_store_write_hooks_damage_the_entry(self, tmp_path):
         plan = faults.FaultPlan(
-            faults.parse_plan("truncate:store=results;corrupt:store=memo"),
+            faults.parse_plan("truncate:store=results;corrupt:store=done"),
             None,
         )
         entry = tmp_path / "e.json"
@@ -173,7 +172,7 @@ class TestPlanMechanics:
             json.loads(entry.read_text())
         entry2 = tmp_path / "m.json"
         entry2.write_text('{"ok": true}')
-        plan.on_store_write("memo", "m", entry2)
+        plan.on_store_write("done", "m", entry2)
         with pytest.raises(json.JSONDecodeError):
             json.loads(entry2.read_text())
         # each directive was times=1: a second write is left intact
@@ -378,45 +377,6 @@ class TestStoreFaultDifferential:
         from repro.campaign import cache_stats
 
         assert cache_stats()["quarantined"] == 3
-
-    def test_corrupt_memo_write_cannot_change_results(
-        self, full_db, monkeypatch, tmp_path, oracle
-    ):
-        """The persistent local memo is the second disk tier: a corrupted
-        entry must read as a miss (recompute), never as wrong results."""
-        monkeypatch.setenv("REPRO_LOCAL_MEMO", str(tmp_path))
-        os.environ[faults.PLAN_ENV] = "corrupt:store=memo,times=99"
-        first = run_campaign(FSPECS, n_workers=1)
-        assert any(tmp_path.glob("*.json"))  # the memo tier was exercised
-        os.environ.pop(faults.PLAN_ENV)
-        faults.reset()
-        clear_result_memo()
-        # Re-simulate *reading* the corrupted memo entries: every one is
-        # a miss, every result still matches the oracle.
-        second = run_campaign(FSPECS, n_workers=1)
-        for spec in FSPECS:
-            assert first[spec] == oracle[spec.fingerprint]
-            assert second[spec] == oracle[spec.fingerprint]
-
-    def test_memo_tier_damage_reads_as_miss(self, tmp_path):
-        from repro.core.local_cache import PersistentLocalMemo, _key_digest
-
-        counters = SimpleNamespace(
-            setting=SimpleNamespace(core=2, f_ghz=2.0, ways=4),
-            n_instructions=1e6, time_s=0.5, t1_cycles=1e6, mem_time_s=0.1,
-            misses_current=10.0, lm_current=2.0, llc_accesses=100.0,
-            core_dynamic_j=0.5, core_static_j=0.2,
-        )
-        key = (counters, "atd-fp", None, 1.0)
-        digest = _key_digest(key)
-        assert digest is not None
-        memo = PersistentLocalMemo(tmp_path, "scope")
-        path = memo._path(digest)
-        assert memo.get(key) is None  # missing
-        for damage in ("", "{nope", '["truncated"', '{"version": 1'):
-            path.write_text(damage)
-            assert memo.get(key) is None  # damaged reads miss, never raise
-        assert memo.disk_misses == 5
 
 
 class TestConcurrentWriters:

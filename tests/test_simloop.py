@@ -1,4 +1,4 @@
-"""Wave-batched event loop + persistent local memo tests.
+"""Wave-batched event loop + local memo tests.
 
 The contract under test:
 
@@ -8,9 +8,8 @@ The contract under test:
   reduction/local modes (the replay engine's differential pattern);
 * the accelerated reduction path (budget windows, native kernel, lazy
   back-track choices) is bit-identical to the plain tree;
-* the persistent local memo replays results exactly across processes,
-  self-invalidates on database/RESULT_VERSION changes and never crashes
-  on corrupt files;
+* speculative memo probes (``peek``/``seed``) never skew the hit/miss
+  accounting;
 * waves replaying a settings map by identity skip every non-boundary
   rate refresh (the ``rate_refreshes`` accounting).
 """
@@ -22,19 +21,8 @@ from repro.campaign.results import result_to_json
 from repro.core import _native_opt
 from repro.core.energy_curve import EnergyCurve
 from repro.core.global_opt import ReductionTree, partition_ways
-from repro.core.local_cache import (
-    LOCAL_MEMO_ENV,
-    LOCAL_MEMO_MAX_MB_ENV,
-    LocalOptMemo,
-    PersistentLocalMemo,
-    local_memo_dir,
-    local_memo_key,
-    local_memo_scope,
-    local_memo_stats,
-    persistent_memo_for,
-    prune_local_memo,
-)
-from repro.core.local_opt import LocalOptResult, RMCapabilities, optimize_local
+from repro.core.local_cache import LocalOptMemo, local_memo_key
+from repro.core.local_opt import RMCapabilities, optimize_local
 from repro.core.managers import IdleRM, make_rm
 from repro.core.energy_model import OnlineEnergyModel
 from repro.core.perf_models import Model1, Model3, ModelInputs, PerfectModel
@@ -410,14 +398,8 @@ class TestAcceleratedTree:
 
 
 # ---------------------------------------------------------------------------
-# the persistent local memo
+# the local-decision memo
 # ---------------------------------------------------------------------------
-@pytest.fixture()
-def memo_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(LOCAL_MEMO_ENV, str(tmp_path / "memo"))
-    return tmp_path / "memo"
-
-
 def _result_for(db, system, app="mini_csps"):
     inputs = _inputs(db, system, app)
     caps = RMCapabilities(adapt_frequency=True, adapt_core=True)
@@ -436,173 +418,21 @@ def QoSPolicy_1():
 
 
 class TestPersistentMemo:
-    def test_roundtrip_bit_exact(self, mini_db, system2, memo_env):
-        key, result = _result_for(mini_db, system2)
-        store = PersistentLocalMemo(memo_env, "scope0")
-        assert store.get(key) is None
-        store.put(key, result)
-        replay = store.get(key)
-        assert replay is not result
-        assert np.all(
-            (replay.curve.energy == result.curve.energy)
-            | (np.isinf(replay.curve.energy) & np.isinf(result.curve.energy))
-        )
-        assert np.array_equal(replay.curve.ways, result.curve.ways)
-        assert np.array_equal(replay.c_star, result.c_star)
-        assert np.array_equal(replay.f_star, result.f_star)
-        assert np.all(
-            (replay.t_hat == result.t_hat)
-            | (np.isinf(replay.t_hat) & np.isinf(result.t_hat))
-        )
-        assert replay.predicted_baseline_time == result.predicted_baseline_time
-        assert replay.evaluations == result.evaluations
-        assert replay.c_star.dtype == result.c_star.dtype
+    """The per-manager memo that persists local results across RM
+    invocations, for the manager's lifetime."""
 
-    def test_scope_isolates_database_and_version(self, mini_db, system2, memo_env):
-        """A different database fingerprint or RESULT_VERSION yields a
-        different scope: stale entries are simply never addressed."""
-        key, result = _result_for(mini_db, system2)
-        scope_a = local_memo_scope("db-fp-A", "Model3", "w+f+c")
-        scope_b = local_memo_scope("db-fp-B", "Model3", "w+f+c")
-        assert scope_a != scope_b
-        store_a = PersistentLocalMemo(memo_env, scope_a)
-        store_a.put(key, result)
-        assert PersistentLocalMemo(memo_env, scope_b).get(key) is None
-        # RESULT_VERSION folds into the scope.
-        import repro.campaign.spec as spec_mod
-
-        orig = spec_mod.RESULT_VERSION
-        try:
-            spec_mod.RESULT_VERSION = orig + 1
-            bumped = local_memo_scope("db-fp-A", "Model3", "w+f+c")
-        finally:
-            spec_mod.RESULT_VERSION = orig
-        assert bumped != scope_a
-        assert PersistentLocalMemo(memo_env, bumped).get(key) is None
-        # ... and the stale file ages out under the LRU cap.
-        stats = local_memo_stats()
-        assert stats["files"] == 1
-        outcome = prune_local_memo(max_mb=1e-9)
-        assert outcome["removed_files"] == 1
-        assert local_memo_stats()["files"] == 0
-
-    def test_corrupt_and_truncated_files_fall_back_cold(
-        self, mini_db, system2, memo_env
-    ):
-        key, result = _result_for(mini_db, system2)
-        store = PersistentLocalMemo(memo_env, "scopeX")
-        store.put(key, result)
-        (path,) = list(memo_env.glob("*.json"))
-        path.write_text(path.read_text()[: 40])  # truncate mid-JSON
-        assert store.get(key) is None
-        path.write_text('{"w_min": 2, "energy": "nope"}')  # wrong types
-        assert store.get(key) is None
-        path.write_text("not json at all")
-        assert store.get(key) is None
-        # A fresh put repairs the entry.
-        store.put(key, result)
-        assert store.get(key) is not None
-
-    def test_ad_hoc_keys_stay_in_memory_only(self, memo_env):
-        memo = LocalOptMemo(capacity=4)
-        memo.attach_store(PersistentLocalMemo(memo_env, "s"))
-        memo.put("ad-hoc-key", "not-a-result")  # type: ignore[arg-type]
-        assert memo.get("ad-hoc-key") == "not-a-result"
-        # A canonically-shaped key with a non-numeric field must degrade
-        # the same way (struct.pack failure -> in-memory only), not raise.
-        class _Counters:
-            setting = type("S", (), {"core": 1, "f_ghz": None, "ways": 4})()
-            n_instructions = time_s = t1_cycles = mem_time_s = 1.0
-            misses_current = lm_current = llc_accesses = 1.0
-            core_dynamic_j = core_static_j = 1.0
-
-        bad_key = (_Counters(), "atd-fp", None, 1.0)
-        memo.put(bad_key, "also-not-a-result")  # type: ignore[arg-type]
-        assert memo.get(bad_key) == "also-not-a-result"
-        assert local_memo_stats()["files"] == 0
-
-    def test_two_tier_get_promotes_and_counts(self, mini_db, system2, memo_env):
-        key, result = _result_for(mini_db, system2)
-        first = LocalOptMemo()
-        first.attach_store(PersistentLocalMemo(memo_env, "tier"))
-        first.put(key, result)
-        # A fresh memo (new process) starts cold in memory but warm on disk.
-        second = LocalOptMemo()
-        second.attach_store(PersistentLocalMemo(memo_env, "tier"))
-        assert len(second) == 0
-        replay = second.get(key)
-        assert replay is not None
-        assert second.hits == 1 and second.misses == 0
-        assert second.store.disk_hits == 1
-        assert len(second) == 1  # promoted
-        assert second.get(key) is replay  # now purely in-memory
-        assert second.store.disk_hits == 1
-
-    def test_peek_counts_nothing(self, mini_db, system2, memo_env):
+    def test_peek_counts_nothing(self, mini_db, system2):
+        """Speculative ``peek``s leave hit/miss accounting untouched and
+        a wave ``seed`` counts once, so the hit rate stays a property of
+        the observe stream alone."""
         key, result = _result_for(mini_db, system2)
         memo = LocalOptMemo()
-        memo.attach_store(PersistentLocalMemo(memo_env, "tier"))
         assert memo.peek(key) is None
         memo.seed(key, result)
         assert memo.peek(key) is result
         assert (memo.hits, memo.misses, memo.seeds) == (0, 0, 1)
-
-    def test_persistent_memo_for_env_gate(self, mini_db, monkeypatch):
-        monkeypatch.delenv(LOCAL_MEMO_ENV, raising=False)
-        assert persistent_memo_for(mini_db, "Model3", "w+f+c") is None
-        assert local_memo_dir() is None
-
-    def test_cap_env_validation(self, monkeypatch):
-        monkeypatch.setenv(LOCAL_MEMO_MAX_MB_ENV, "not-a-number")
-        with pytest.raises(ValueError):
-            prune_local_memo()
-
-    def test_warm_restart_end_to_end_bit_identical(
-        self, mini_db, system2, memo_env
-    ):
-        """Fresh managers (as a new process would build) replay the
-        persistent tier: identical results, hot hit rate, no recompute
-        of the grid pipeline for known phases."""
-        def one_run():
-            rm = make_rm("rm3", system2, Model3())
-            sim = MulticoreRMSimulator(
-                mini_db, rm, collect_history=True, wave="step"
-            )
-            res = sim.run(["mini_csps", "mini_cips"], horizon_intervals=10)
-            return result_to_json(res), rm
-
-        cold_text, cold_rm = one_run()
-        assert cold_rm.local_memo.store is not None
-        assert cold_rm.local_memo.store.writes > 0
-        files = local_memo_stats()["files"]
-        assert files > 0
-        warm_text, warm_rm = one_run()
-        assert warm_text == cold_text
-        assert warm_rm.local_memo.store.disk_hits > 0
-        assert warm_rm.local_memo.store.writes == 0  # nothing new to store
-        total = warm_rm.local_memo.hits + warm_rm.local_memo.misses
-        assert warm_rm.local_memo.hits / total >= 0.9
-        # The scalar oracle ignores the persistent tier entirely.
-        rm = make_rm("rm3", system2, Model3())
-        sim = MulticoreRMSimulator(
-            mini_db, rm, collect_history=True, wave="scalar"
-        )
-        scalar_text = result_to_json(
-            sim.run(["mini_csps", "mini_cips"], horizon_intervals=10)
-        )
-        assert scalar_text == cold_text
-        assert rm.local_memo.store is None
-
-    def test_campaign_prunes_local_memo(self, mini_db, system2, memo_env, monkeypatch):
-        key, result = _result_for(mini_db, system2)
-        PersistentLocalMemo(memo_env, "old").put(key, result)
-        assert local_memo_stats()["files"] == 1
-        monkeypatch.setenv(LOCAL_MEMO_MAX_MB_ENV, "0.0000001")
-        # (The executor runs this same prune after every campaign with
-        # pending simulations; exercised directly here because campaign
-        # runs need the canonical suite database.)
-        outcome = prune_local_memo()
-        assert outcome["removed_files"] == 1
+        assert memo.get(key) is result
+        assert (memo.hits, memo.misses, memo.seeds) == (1, 0, 1)
 
 
 # ---------------------------------------------------------------------------

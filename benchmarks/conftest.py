@@ -12,7 +12,16 @@ import os
 
 import pytest
 
+from repro import settings
 from repro.experiments.common import ExperimentConfig, get_database
+
+
+@pytest.fixture(autouse=True)
+def _fresh_settings():
+    """Each benchmark resolves the knobs from its own environment."""
+    settings.reset()
+    yield
+    settings.reset()
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro import settings
 from repro.campaign import Fabric, FileTransport, clear_result_memo
 from repro.campaign.remote import spawn_local_workers
 from repro.experiments.common import ExperimentConfig
@@ -96,6 +97,7 @@ def test_bench_campaign_all_quick_remote2(
     monkeypatch.setenv("REPRO_REMOTE", "1")
     monkeypatch.setenv("REPRO_REMOTE_WORKERS", "0")  # external workers only
     monkeypatch.setenv("REPRO_REMOTE_TICK", "0.02")
+    settings.resolve()  # the spawned workers receive these settings
     procs = spawn_local_workers(2, store, idle_exit=120.0)
     fabric = Fabric(FileTransport(store))
     deadline = time.monotonic() + 120

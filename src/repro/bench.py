@@ -656,6 +656,7 @@ def check_campaign() -> int:
     committed ``verified_read_overhead`` so shared runners cannot flake
     it, while an accidental O(entry) verification scheme fails loudly.
     """
+    from repro import settings
     from repro.campaign.results import clear_result_memo
     from repro.experiments.common import ExperimentConfig
     from repro.experiments.runner import run_all
@@ -667,31 +668,23 @@ def check_campaign() -> int:
         .get("verified_read_overhead")
     )
     cfg = ExperimentConfig(quick=True)
-    saved = {
-        k: os.environ.pop(k, None)
-        for k in ("REPRO_RESULT_CACHE", "REPRO_VERIFY_READS")
-    }
     ratios: List[float] = []
     try:
-        with tempfile.TemporaryDirectory(prefix="repro-check-") as store:
-            os.environ["REPRO_RESULT_CACHE"] = store
+        with tempfile.TemporaryDirectory(
+            prefix="repro-check-"
+        ) as store, settings.override(result_cache=store):
             clear_result_memo()
             run_all(cfg, n_workers=1)  # prime the disk store
             for i in range(5):
                 took = {}
-                for mode in ("0", "1") if i % 2 else ("1", "0"):
-                    os.environ["REPRO_VERIFY_READS"] = mode
-                    clear_result_memo()
-                    t0 = time.perf_counter()
-                    run_all(cfg, n_workers=1)
-                    took[mode] = time.perf_counter() - t0
-                ratios.append(took["1"] / took["0"])
+                for verify in (False, True) if i % 2 else (True, False):
+                    with settings.override(verify_reads=verify):
+                        clear_result_memo()
+                        t0 = time.perf_counter()
+                        run_all(cfg, n_workers=1)
+                        took[verify] = time.perf_counter() - t0
+                ratios.append(took[True] / took[False])
     finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
         clear_result_memo()
     overhead = sorted(ratios)[len(ratios) // 2]
     ceiling = max(1.05, (committed or 1.0) + 0.05)

@@ -14,20 +14,21 @@ at most once per source revision: the shared object is cached under
 source, and written atomically so concurrent builder workers cannot race.
 
 Everything degrades gracefully: no compiler, a failed compile, or
-``REPRO_NO_NATIVE=1`` simply make :func:`available` return ``False`` and
-the ``auto`` engine fall back to the NumPy path.  No exception escapes
-from here during normal engine resolution.
+``REPRO_NO_NATIVE`` set true (:mod:`repro.settings`) simply make
+:func:`available` return ``False`` and the ``auto`` engine fall back to
+the NumPy path.  No exception escapes from here during normal engine
+resolution.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import settings
 from repro.util.nativebuild import build_shared
 
 __all__ = ["available", "native_replay"]
@@ -84,7 +85,7 @@ def _load() -> Optional[ctypes.CDLL]:
     global _lib, _lib_failed
     if _lib is not None or _lib_failed:
         return _lib
-    if os.environ.get("REPRO_NO_NATIVE"):
+    if settings.current().no_native:
         _lib_failed = True
         return None
     so_path = _compile()

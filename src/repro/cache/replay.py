@@ -50,12 +50,12 @@ interval) share a single replay instead of recomputing it.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import settings
 from repro.trace.stream import FRESH, AccessStream
 
 __all__ = [
@@ -69,10 +69,6 @@ __all__ = [
 
 #: Per-set stack state: tag lists, most-recently-used first.
 SetState = List[List[int]]
-
-#: Environment override for the default engine ("auto", "native",
-#: "vector" or "oracle" — the last is honoured by SetAssociativeLRU).
-ENGINE_ENV = "REPRO_REPLAY_ENGINE"
 
 
 def prewarm_tags(set_index: int, depth: int) -> List[int]:
@@ -88,20 +84,20 @@ def prewarm_tags(set_index: int, depth: int) -> List[int]:
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Resolve an engine request to a concrete engine name.
 
-    ``None`` falls back to the :data:`ENGINE_ENV` environment variable and
-    then to ``"auto"``; ``"auto"`` picks ``native`` when the compiled
-    kernel is available and ``vector`` otherwise.
+    ``None`` falls back to ``REPRO_REPLAY_ENGINE`` (default ``"auto"``);
+    ``"auto"`` picks ``native`` when the compiled kernel is available and
+    ``vector`` otherwise.
     """
     if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or "auto"
+        engine = settings.current().replay_engine
     if engine == "auto":
         from repro.cache import _native
 
         return "native" if _native.available() else "vector"
-    if engine not in ("native", "vector", "oracle"):
+    if engine not in settings.REPLAY_ENGINES:
         raise ValueError(
             f"unknown replay engine {engine!r}; "
-            "options: auto, native, vector, oracle"
+            f"options: {', '.join(settings.REPLAY_ENGINES)}"
         )
     return engine
 

@@ -11,8 +11,9 @@ It serves two roles:
   same stream in arrival order.
 
 Replays run on one of the interchangeable engines of
-:mod:`repro.cache.replay` (default ``auto``: the compiled kernel when a C
-compiler is available, NumPy otherwise); ``engine="oracle"`` keeps the
+:mod:`repro.cache.replay` (default: ``REPRO_REPLAY_ENGINE``, itself
+``auto`` — the compiled kernel when a C compiler is available, NumPy
+otherwise); ``engine="oracle"`` keeps the
 original per-access :class:`~repro.cache.lru.LRUStack` loop as the
 reference path.  All engines are bit-for-bit equivalent, including the
 directory state left behind after a replay, so engines can be switched
@@ -57,10 +58,9 @@ class SetAssociativeLRU:
         Install the generator's warm-up contents (default True).  Without
         warm-up, early deep-recency accesses degrade to compulsory misses.
     engine:
-        Replay engine: ``"auto"`` (default, also via the
-        ``REPRO_REPLAY_ENGINE`` environment variable), ``"native"``,
-        ``"vector"``, or ``"oracle"`` for the reference per-access
-        :class:`LRUStack` loop.
+        Replay engine: ``"auto"``, ``"native"``, ``"vector"``, or
+        ``"oracle"`` for the reference per-access :class:`LRUStack` loop
+        (None: ``REPRO_REPLAY_ENGINE``, default ``"auto"``).
     """
 
     def __init__(

@@ -24,10 +24,11 @@ that set explicit:
   inspectable.
 
 Execution is fault-tolerant (per-spec timeouts, deterministic retries,
-``BrokenProcessPool`` recovery, straggler re-dispatch, corrupt-entry
+``BrokenProcessPool`` recovery with a wedge watchdog, corrupt-entry
 quarantine) while staying bit-identical to the fault-free serial run for
 any failure pattern — see :mod:`repro.campaign.executor` and
-:mod:`repro.util.faults`.
+:mod:`repro.util.faults`.  Every ``REPRO_*`` knob named here is
+declared, parsed and validated once, in :mod:`repro.settings`.
 
 Campaigns also scale past one machine: ``REPRO_REMOTE`` (or ``--remote``)
 dispatches pending fingerprints through a lease-based distributed fabric
@@ -75,7 +76,6 @@ from repro.campaign.journal import (
 from repro.campaign.remote import (
     Fabric,
     fabric_status,
-    remote_enabled,
     run_remote,
     run_worker,
     spawn_local_workers,
@@ -126,7 +126,6 @@ __all__ = [
     "prune_result_cache",
     "quarantine_stats",
     "read_attestation",
-    "remote_enabled",
     "resolve_campaign_workers",
     "result_cache_dir",
     "result_from_json",

@@ -20,7 +20,7 @@ This module is what turns that assumption into a checked contract:
   keeping either version.
 * reads re-verify the stored bytes against the sidecar digest, so bit
   rot that still parses as valid JSON no longer slips through
-  (``REPRO_VERIFY_READS=0`` opts out, e.g. for A/B benchmarking).
+  (``REPRO_VERIFY_READS=0`` opts out, for A/B overhead measurement).
 * :func:`verify_store` is the audit engine behind ``repro verify``: a
   full digest sweep of the store plus deterministic-sample re-execution
   (optionally cross-mode: wave vs scalar) diffed byte-for-byte
@@ -39,11 +39,11 @@ import os
 import platform
 import socket
 import time
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import settings
 from repro.campaign.spec import RESULT_VERSION, RunSpec
 from repro.util.diskcache import atomic_write_text, read_text_guarded
 
@@ -51,7 +51,6 @@ __all__ = [
     "ATTEST_DIRNAME",
     "DIVERGENCE_DIRNAME",
     "ResultDivergenceError",
-    "VERIFY_READS_ENV",
     "attest_rel",
     "attestation_payload",
     "attestation_stats",
@@ -61,7 +60,6 @@ __all__ = [
     "quarantine_attestation",
     "read_attestation",
     "record_divergence",
-    "verify_reads_enabled",
     "verify_store",
     "write_attestation",
 ]
@@ -72,11 +70,6 @@ ATTEST_DIRNAME = "attest"
 #: Divergence-evidence directory under the result store (one directory
 #: per event, holding every contested byte version plus provenance).
 DIVERGENCE_DIRNAME = "divergence"
-
-#: Set to ``0``/``false`` to skip the read-path digest re-verification
-#: (on by default; the knob exists for A/B overhead measurement and
-#: emergency opt-out, not for production use).
-VERIFY_READS_ENV = "REPRO_VERIFY_READS"
 
 #: Digest length in bytes — matches the spec-fingerprint width so both
 #: identifiers read alike in journals and markers.
@@ -116,12 +109,6 @@ def digest_text(text: str) -> str:
     ).hexdigest()
 
 
-def verify_reads_enabled() -> bool:
-    """Whether :data:`VERIFY_READS_ENV` leaves read verification on."""
-    raw = os.environ.get(VERIFY_READS_ENV, "").strip().lower()
-    return raw not in ("0", "false", "no")
-
-
 @lru_cache(maxsize=1)
 def _host_block() -> Dict:
     """The per-process-constant half of the provenance block."""
@@ -149,12 +136,15 @@ def provenance_block(wave: Optional[str] = None) -> Dict:
     bytes across hosts — interpreter and numpy versions, machine, native
     kernel availability, the event-loop mode — plus the publishing
     process/worker identity and the code's ``RESULT_VERSION``.
+    ``wave`` is the mode a re-execution ran in (None: this process's
+    ``REPRO_SIM_WAVE``).
     """
+    knobs = settings.current()
     return {
         **_host_block(),
         "pid": os.getpid(),
-        "worker": os.environ.get("REPRO_WORKER_ID"),
-        "wave": wave or os.environ.get("REPRO_SIM_WAVE") or "step",
+        "worker": knobs.worker_id,
+        "wave": wave or knobs.wave,
         "result_version": RESULT_VERSION,
         "t": time.time(),
     }
@@ -185,9 +175,7 @@ def attestation_payload(
         "fp": fingerprint,
         "digest": digest_text(text),
         "bytes": len(text.encode()),
-        "provenance": provenance_block(
-            wave=wave or (spec.wave if spec is not None else None)
-        ),
+        "provenance": provenance_block(wave=wave),
     }
     if spec is not None:
         payload["spec"] = json.loads(spec.to_json())
@@ -362,20 +350,6 @@ def _sample_order(fingerprints: Sequence[str], seed: int) -> List[str]:
     )
 
 
-def _reexecution_modes(cross_mode: bool, spec: RunSpec) -> List[Optional[str]]:
-    """Event-loop modes to re-execute a sampled spec under.
-
-    Both modes are differentially tested bit-identical, which is exactly
-    what makes them useful as *independent witnesses*: a cross-mode
-    audit re-runs the spec through the wave loop and the scalar oracle,
-    and any disagreement with the stored bytes is a real divergence, not
-    a mode artefact.
-    """
-    if not cross_mode:
-        return [spec.wave]
-    return ["step", "scalar"]
-
-
 def verify_store(
     root: Path,
     sample: int = 0,
@@ -463,10 +437,14 @@ def verify_store(
             continue
         report["reexecuted"] += 1
         divergent = False
-        for mode in _reexecution_modes(cross_mode, spec):
+        # Both event loops are differentially tested bit-identical, which
+        # makes them independent witnesses: any disagreement with the
+        # stored bytes is a real divergence, not a mode artefact.  None
+        # runs this process's REPRO_SIM_WAVE.
+        for mode in ("step", "scalar") if cross_mode else (None,):
             if mode not in report["modes"]:
                 report["modes"].append(mode)
-            fresh = result_to_json(_simulate(replace(spec, wave=mode)))
+            fresh = result_to_json(_simulate(spec, wave=mode))
             if fresh != stored:
                 record_divergence(
                     root,
@@ -476,7 +454,9 @@ def verify_store(
                         (
                             f"reexecuted-{mode or 'default'}",
                             fresh,
-                            attestation_payload(fp, fresh, spec=spec),
+                            attestation_payload(
+                                fp, fresh, spec=spec, wave=mode
+                            ),
                         ),
                     ],
                     reason="audit: re-execution produced different bytes",

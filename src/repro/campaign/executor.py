@@ -9,10 +9,10 @@ simulator holds no RNG and the database build is content-addressed), so
 the executor is free to partition them across a ``concurrent.futures``
 process pool: results are keyed by fingerprint, making the outcome
 bit-identical for any worker count, including serial.  Worker count
-resolves from the explicit ``n_workers`` argument, then the
-``REPRO_CAMPAIGN_WORKERS`` environment variable, then an automatic rule
-that only engages the pool for campaigns big enough to amortise process
-startup and the per-worker database load.
+resolves from the explicit ``n_workers`` argument, then
+``REPRO_CAMPAIGN_WORKERS`` (:mod:`repro.settings`), then an automatic
+rule that only engages the pool for campaigns big enough to amortise
+process startup and the per-worker database load.
 
 The same content-addressing is what makes the executor *fault-tolerant*
 without ever compromising the bit-identical-results contract: any spec
@@ -22,16 +22,13 @@ On top of that invariant sit
 
 * per-spec timeouts (``REPRO_SPEC_TIMEOUT``, enforced worker-side via a
   SIGALRM deadline so even a hung simulation turns into a retryable
-  failure),
-* bounded retries with a deterministic, jitter-free exponential backoff
-  (``REPRO_SPEC_RETRIES``, ``REPRO_RETRY_BACKOFF``),
+  failure; a pool worker that sails far past it is abandoned by the
+  parent's wedge watchdog),
+* bounded retries (:data:`SPEC_RETRIES`) with a deterministic,
+  jitter-free exponential backoff (:data:`RETRY_BACKOFF`),
 * ``BrokenProcessPool`` recovery: the pool is rebuilt and only the
-  unfinished specs are re-dispatched; after ``REPRO_POOL_FAILURES``
+  unfinished specs are re-dispatched; after :data:`POOL_FAILURES`
   breakages execution degrades gracefully to serial,
-* straggler re-dispatch: a spec running longer than
-  ``REPRO_STRAGGLER_FACTOR`` times the median completed runtime is
-  speculatively resubmitted (duplicates are harmless — results are
-  content-addressed and identical),
 * a crash-safe run journal (:mod:`repro.campaign.journal`) whenever an
   on-disk result store is configured, so an interrupted campaign resumes
   exactly where it died, and
@@ -40,23 +37,24 @@ On top of that invariant sit
 
 Deterministic fault injection for all of these paths lives in
 :mod:`repro.util.faults` (``REPRO_FAULT_PLAN``); with it unset the hooks
-cost one dict probe each.
+cost one attribute read each.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import statistics
 import sys
 import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import settings
 from repro.campaign.attest import ResultDivergenceError
 from repro.campaign.database import get_database
 from repro.campaign.journal import CampaignJournal
@@ -65,7 +63,6 @@ from repro.campaign.results import (
     memoize_result,
     prune_result_cache,
     result_cache_dir,
-    result_cache_max_mb,
     store_result,
 )
 from repro.campaign.spec import MODEL_NAMES, RunSpec
@@ -87,44 +84,33 @@ __all__ = [
     "run_campaign",
 ]
 
-#: Environment override for the campaign worker count.
-WORKERS_ENV = "REPRO_CAMPAIGN_WORKERS"
-
-#: Per-spec wall-clock timeout in seconds (unset/0 = none).  Enforced in
-#: the executing process via SIGALRM, so a hung spec becomes a retryable
-#: :class:`SpecTimeout` instead of stalling the campaign forever.
-SPEC_TIMEOUT_ENV = "REPRO_SPEC_TIMEOUT"
-
-#: Retries per spec after its first failed attempt (default 2).
-SPEC_RETRIES_ENV = "REPRO_SPEC_RETRIES"
+#: Retries per spec after its first failed attempt.
+SPEC_RETRIES = 2
 
 #: Base of the deterministic exponential backoff schedule in seconds
-#: (delay before attempt k+1 = base * 2**(k-1); default 0.05, no jitter —
-#: schedules must replay identically).
-RETRY_BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
+#: (delay before attempt k+1 = base * 2**(k-1); no jitter — schedules
+#: must replay identically).
+RETRY_BACKOFF = 0.05
 
-#: Pool breakages tolerated before degrading to serial execution
-#: (default 3).
-POOL_FAILURES_ENV = "REPRO_POOL_FAILURES"
-
-#: Straggler multiple: a spec in flight longer than this factor times the
-#: median completed runtime is speculatively re-dispatched (default 8;
-#: 0 disables).  Duplicates are correctness-free: first finish wins.
-STRAGGLER_FACTOR_ENV = "REPRO_STRAGGLER_FACTOR"
+#: Pool breakages tolerated before degrading to serial execution.
+POOL_FAILURES = 3
 
 #: Auto mode engages the pool only for at least this many pending runs.
 _AUTO_POOL_MIN_RUNS = 16
 
-#: Parent scheduling tick: how often the wait loop checks retries,
-#: stragglers and wedged pools.
+#: Parent scheduling tick: how often the wait loop checks retries and
+#: wedged pools.
 _TICK_S = 0.05
 
-#: Completed-run samples needed before the straggler median is trusted.
-_STRAGGLER_MIN_SAMPLES = 3
+#: Specs kept in flight per pool worker: one running, one queued behind
+#: it, so a spec's parent-side clock starts at most one spec early.
+_INFLIGHT_PER_WORKER = 2
 
-#: Floor under the straggler threshold so tiny-spec campaigns never
-#: duplicate work on scheduling noise.
-_STRAGGLER_FLOOR_S = 5.0
+#: Wedge watchdog horizon: a pool spec in flight longer than
+#: ``max(_WEDGE_FACTOR * timeout, timeout + _WEDGE_SLACK_S)`` seconds
+#: ignored its own deadline, and the pool is abandoned.
+_WEDGE_FACTOR = 3.0
+_WEDGE_SLACK_S = 10.0
 
 
 class SpecTimeout(RuntimeError):
@@ -144,49 +130,6 @@ class CampaignExecutionError(RuntimeError):
         super().__init__("\n".join(lines))
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def spec_timeout() -> Optional[float]:
-    """The per-spec timeout in seconds, or None when disabled."""
-    value = _env_float(SPEC_TIMEOUT_ENV, 0.0)
-    return value if value > 0 else None
-
-
-def spec_retries() -> int:
-    return max(0, _env_int(SPEC_RETRIES_ENV, 2))
-
-
-def retry_backoff() -> float:
-    return max(0.0, _env_float(RETRY_BACKOFF_ENV, 0.05))
-
-
-def max_pool_failures() -> int:
-    return max(0, _env_int(POOL_FAILURES_ENV, 3))
-
-
-def straggler_factor() -> Optional[float]:
-    value = _env_float(STRAGGLER_FACTOR_ENV, 8.0)
-    return value if value > 0 else None
-
-
 def make_model(name: str):
     """Instantiate a performance model by its paper name."""
     from repro.core.perf_models import Model1, Model2, Model3, PerfectModel
@@ -197,8 +140,12 @@ def make_model(name: str):
     return models[name]()
 
 
-def _simulate(spec: RunSpec) -> SimResult:
-    """Run one spec's simulation (no caching — see :func:`execute_spec`)."""
+def _simulate(spec: RunSpec, wave: Optional[str] = None) -> SimResult:
+    """Run one spec's simulation (no caching — see :func:`execute_spec`).
+
+    ``wave`` picks the event loop (None: ``REPRO_SIM_WAVE``); every mode
+    produces the same bytes.
+    """
     db = get_database(spec.n_cores, spec.seed)
     system = db.system
     if spec.rm_kind == "idle":
@@ -214,7 +161,7 @@ def _simulate(spec: RunSpec) -> SimResult:
             qos=QoSPolicy(spec.alpha),
         )
     sim = MulticoreRMSimulator(
-        db, rm, charge_overheads=spec.charge_overheads, wave=spec.wave
+        db, rm, charge_overheads=spec.charge_overheads, wave=wave
     )
     return sim.run(list(spec.apps), horizon_intervals=spec.horizon_intervals)
 
@@ -231,7 +178,7 @@ def execute_spec(spec: RunSpec) -> SimResult:
 
 def _worker_init() -> None:
     """Pool workers must not spawn nested database-build pools."""
-    os.environ["REPRO_BUILD_WORKERS"] = "1"
+    settings.install(build_workers=1)
 
 
 @contextmanager
@@ -252,7 +199,7 @@ def _deadline(seconds: Optional[float]):
         return
 
     def _timed_out(signum, frame):
-        raise SpecTimeout(f"spec exceeded {seconds:g}s ({SPEC_TIMEOUT_ENV})")
+        raise SpecTimeout(f"spec exceeded {seconds:g}s (REPRO_SPEC_TIMEOUT)")
 
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -265,31 +212,29 @@ def _deadline(seconds: Optional[float]):
 
 def _execute_attempt(spec: RunSpec) -> SimResult:
     """One attempt at a spec: fault hooks + timeout around the store path."""
-    with _deadline(spec_timeout()):
+    with _deadline(settings.current().spec_timeout):
         faults.on_spec(spec.fingerprint)
         return execute_spec(spec)
 
 
-def _execute_task(spec: RunSpec) -> Tuple[str, SimResult]:
-    return spec.fingerprint, _execute_attempt(spec)
+def _execute_task(spec: RunSpec) -> Tuple[SimResult, float]:
+    """Pool task: the result and its execution time, clocked in the
+    worker so time spent queued never counts as run time."""
+    t0 = time.monotonic()
+    result = _execute_attempt(spec)
+    return result, time.monotonic() - t0
 
 
 def resolve_campaign_workers(n_workers: Optional[int], n_pending: int) -> int:
     """Worker count for a campaign with ``n_pending`` uncached runs.
 
-    Priority: explicit argument, then :data:`WORKERS_ENV`, then an
-    automatic rule — parallelise only when enough independent runs are
-    pending for pool startup and per-worker database loads to pay off.
+    Priority: explicit argument, then ``REPRO_CAMPAIGN_WORKERS``, then
+    an automatic rule — parallelise only when enough independent runs
+    are pending for pool startup and per-worker database loads to pay
+    off.
     """
     if n_workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            try:
-                n_workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{WORKERS_ENV} must be an integer, got {env!r}"
-                ) from None
+        n_workers = settings.current().campaign_workers
     if n_workers is None:
         if n_pending >= _AUTO_POOL_MIN_RUNS:
             n_workers = min(os.cpu_count() or 1, 8)
@@ -357,18 +302,16 @@ class _ExecState:
         self.retries = 0
         self.pool_failures = 0
         self.divergences = 0
-        self.durations: List[float] = []
 
     def record_done(
         self, fp: str, seconds: float, worker: Optional[str] = None
     ) -> None:
-        self.durations.append(seconds)
         if self.journal is not None:
             self.journal.done(
                 fp, self.attempts.get(fp, 0) + 1, seconds, worker=worker
             )
 
-    def record_failure(self, fp: str, exc: Exception, retries: int) -> bool:
+    def record_failure(self, fp: str, exc: Exception) -> bool:
         """Count one failed attempt; True when a retry is still allowed."""
         if isinstance(exc, ResultDivergenceError):
             # The bit-identical contract was violated: both byte versions
@@ -383,7 +326,7 @@ class _ExecState:
         self.attempts[fp] = attempt
         if self.journal is not None:
             self.journal.failed(fp, attempt, repr(exc))
-        if attempt > retries:
+        if attempt > SPEC_RETRIES:
             self.failures[fp] = repr(exc)
             return False
         self.retries += 1
@@ -396,8 +339,6 @@ class _ExecState:
 
 def _run_serial(specs: Sequence[RunSpec], state: _ExecState) -> None:
     """Serial driver: per-spec timeout + bounded deterministic retries."""
-    retries = spec_retries()
-    base = retry_backoff()
     for spec in specs:
         fp = spec.fingerprint
         if fp in state.results:
@@ -409,9 +350,9 @@ def _run_serial(specs: Sequence[RunSpec], state: _ExecState) -> None:
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
-                if not state.record_failure(fp, exc, retries):
+                if not state.record_failure(fp, exc):
                     break
-                time.sleep(state.backoff_delay(fp, base))
+                time.sleep(state.backoff_delay(fp, RETRY_BACKOFF))
                 continue
             state.results[fp] = result
             state.record_done(fp, time.monotonic() - t0)
@@ -422,56 +363,54 @@ def _run_serial(specs: Sequence[RunSpec], state: _ExecState) -> None:
 def _run_pool(
     ordered: Sequence[RunSpec], workers: int, state: _ExecState
 ) -> None:
-    """Pool driver: retries, pool rebuilds, stragglers, serial fallback.
+    """Process-pool dispatch: retries, rebuilds, wedge watchdog, fallback.
 
-    Any schedule this loop produces — retries landing on other workers,
-    duplicated stragglers, rebuilt pools — merges to the same result set:
-    specs are deterministic and results content-addressed, so the first
-    successful attempt *is* the answer.
+    At most :data:`_INFLIGHT_PER_WORKER` specs per worker are submitted
+    at a time, topped up as they finish, so the watchdog's parent-side
+    clock never counts a long queue as run time.  Any schedule this loop
+    produces — retries landing on other workers, rebuilt pools — merges
+    to the same result set: specs are deterministic and results
+    content-addressed, so the first successful attempt *is* the answer.
     """
     import heapq
 
-    retries = spec_retries()
-    base = retry_backoff()
-    timeout = spec_timeout()
-    factor = straggler_factor()
-    max_fail = max_pool_failures()
-
+    timeout = settings.current().spec_timeout
+    capacity = _INFLIGHT_PER_WORKER * workers
     remaining: Dict[str, RunSpec] = {
         s.fingerprint: s for s in ordered if s.fingerprint not in state.results
     }
+    queue = deque(remaining)  # ready to dispatch, in dispatch order
     inflight: Dict[Future, str] = {}
     started: Dict[Future, float] = {}
     retry_at: List[Tuple[float, str]] = []
-    duplicated: set = set()
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
 
-    def submit(fp: str) -> bool:
-        """False when the pool refuses (broken between ticks)."""
-        try:
-            fut = pool.submit(_execute_task, remaining[fp])
-        except (BrokenProcessPool, RuntimeError):
-            return False
-        inflight[fut] = fp
-        started[fut] = time.monotonic()
+    def fill() -> bool:
+        """Top the pool up to capacity; False when it refuses (broken)."""
+        while queue and len(inflight) < capacity:
+            try:
+                fut = pool.submit(_execute_task, remaining[queue[0]])
+            except (BrokenProcessPool, RuntimeError):
+                return False
+            inflight[fut] = queue.popleft()
+            started[fut] = time.monotonic()
         return True
+
+    def finish(fp: str, result: SimResult, seconds: float) -> None:
+        remaining.pop(fp)
+        memoize_result(fp, result)
+        state.results[fp] = result
+        state.record_done(fp, seconds)
 
     def harvest_finished() -> None:
         """Flush results that finished before an interrupt (satellite:
         completed-but-unstored futures must not be lost)."""
         for fut, fp in list(inflight.items()):
-            if fp not in remaining or not fut.done() or fut.cancelled():
-                continue
-            if fut.exception() is not None:
-                continue
-            _, result = fut.result()
-            remaining.pop(fp, None)
-            memoize_result(fp, result)
-            state.results[fp] = result
-            state.record_done(fp, time.monotonic() - started[fut])
+            if fut.done() and not fut.cancelled() and fut.exception() is None:
+                finish(fp, *fut.result())
 
     try:
-        broken = not all(submit(fp) for fp in list(remaining))
+        broken = not fill()
         while remaining:
             done_futs: List[Future] = []
             if inflight and not broken:
@@ -484,56 +423,49 @@ def _run_pool(
                 time.sleep(_TICK_S)
             for fut in done_futs:
                 fp = inflight.pop(fut)
-                t0 = started.pop(fut)
-                if fp not in remaining:
-                    continue  # straggler duplicate of a finished spec
+                started.pop(fut)
                 try:
-                    _, result = fut.result()
+                    result, seconds = fut.result()
                 except BrokenProcessPool:
                     broken = True
                     continue
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:
-                    if state.record_failure(fp, exc, retries):
+                    if state.record_failure(fp, exc):
                         heapq.heappush(
                             retry_at,
                             (
                                 time.monotonic()
-                                + state.backoff_delay(fp, base),
+                                + state.backoff_delay(fp, RETRY_BACKOFF),
                                 fp,
                             ),
                         )
                     else:
                         remaining.pop(fp)
                     continue
-                remaining.pop(fp)
-                duplicated.discard(fp)
-                memoize_result(fp, result)
-                state.results[fp] = result
-                state.record_done(fp, time.monotonic() - t0)
+                finish(fp, result, seconds)
                 faults.on_completion(len(state.results))
             now = time.monotonic()
             if not broken and timeout is not None and inflight:
                 # Wedge watchdog: a worker that sailed far past the
                 # deadline cannot be interrupted (no SIGALRM, or stuck in
                 # native code) — the only recourse is abandoning the pool.
-                wedge_after = max(3.0 * timeout, timeout + 10.0)
+                wedge_after = max(
+                    _WEDGE_FACTOR * timeout, timeout + _WEDGE_SLACK_S
+                )
                 broken = any(
-                    now - started[f] > wedge_after
-                    for f, fp in inflight.items()
-                    if fp in remaining
+                    now - t0 > wedge_after for t0 in started.values()
                 )
             if broken:
                 broken = False
                 state.pool_failures += 1
-                degrade = state.pool_failures > max_fail
+                degrade = state.pool_failures > POOL_FAILURES
                 if state.journal is not None:
                     state.journal.pool_failure(state.pool_failures, degrade)
                 pool.shutdown(wait=False, cancel_futures=True)
                 inflight.clear()
                 started.clear()
-                duplicated.clear()
                 if degrade:
                     # Graceful degradation: finish the remainder serially
                     # in this process — slower, but immune to pool decay.
@@ -543,38 +475,10 @@ def _run_pool(
                     max_workers=workers, initializer=_worker_init
                 )
                 scheduled = {fp for _, fp in retry_at}
-                broken = not all(
-                    submit(fp) for fp in list(remaining)
-                    if fp not in scheduled
-                )
-                continue
+                queue = deque(fp for fp in remaining if fp not in scheduled)
             while retry_at and retry_at[0][0] <= now:
-                _, fp = heapq.heappop(retry_at)
-                if fp in remaining and not submit(fp):
-                    broken = True
-                    heapq.heappush(retry_at, (now, fp))
-                    break
-            if (
-                factor is not None
-                and inflight
-                and len(state.durations) >= _STRAGGLER_MIN_SAMPLES
-            ):
-                threshold = max(
-                    factor * statistics.median(state.durations),
-                    _STRAGGLER_FLOOR_S,
-                )
-                for fut, fp in list(inflight.items()):
-                    if (
-                        fp in remaining
-                        and fp not in duplicated
-                        and now - started[fut] > threshold
-                    ):
-                        # Speculative re-dispatch: whichever copy finishes
-                        # first supplies the (identical) result.
-                        duplicated.add(fp)
-                        if not submit(fp):
-                            broken = True
-                            break
+                queue.append(heapq.heappop(retry_at)[1])
+            broken = not fill()
         pool.shutdown(wait=False, cancel_futures=True)
     except KeyboardInterrupt:
         harvest_finished()
@@ -636,41 +540,17 @@ class Campaign:
         """Execute every unique run exactly once; warm results are free.
 
         Bit-identical for any ``n_workers`` *and any failure pattern*
-        (each run is independent and deterministic in its spec; retries,
-        pool rebuilds and straggler duplicates only change scheduling).
-        With an on-disk result store configured the run is journaled and
-        resumable: re-running the same plan after a crash or interrupt
-        picks up exactly where it died.
+        (each run is independent and deterministic in its spec; retries
+        and pool rebuilds only change scheduling).  With an on-disk result
+        store configured the run is journaled and resumable: re-running
+        the same plan after a crash or interrupt picks up exactly where it
+        died.
         """
-        # Resolve every env knob up-front: a malformed
-        # REPRO_RESULT_CACHE_MAX_MB / REPRO_SPEC_TIMEOUT / ... must fail
-        # before hours of simulation, not mid-campaign.
+        # Every knob is parsed here: a malformed value must fail before
+        # hours of simulation, not mid-campaign.
+        knobs = settings.resolve()
         from repro.campaign import remote
 
-        cache_cap_mb = result_cache_max_mb()
-        for knob in (
-            spec_timeout,
-            spec_retries,
-            retry_backoff,
-            max_pool_failures,
-            straggler_factor,
-        ):
-            knob()
-        distributed = remote.remote_enabled()
-        if distributed:
-            if result_cache_dir() is None:
-                raise ValueError(
-                    f"{remote.REMOTE_ENV} requires a shared result store "
-                    "(set REPRO_RESULT_CACHE)"
-                )
-            for knob in (
-                remote.lease_ttl,
-                remote.lease_batch,
-                remote.remote_tick,
-                remote.remote_grace,
-                remote.suspect_strikes,
-            ):
-                knob()
         specs = self.unique_specs
         results: Dict[str, SimResult] = {}
         pending: List[RunSpec] = []
@@ -682,10 +562,10 @@ class Campaign:
                 pending.append(spec)
 
         workers = resolve_campaign_workers(n_workers, len(pending))
-        if distributed:
+        if knobs.remote and knobs.remote_workers is not None:
             # In remote mode "workers" means fabric workers to spawn
             # (0 = external workers registered via `campaign --work`).
-            workers = remote.remote_workers(workers)
+            workers = knobs.remote_workers
         # Sorted (seed, n_cores) order keeps each worker's database
         # loads/rebinds few and makes the dispatch order — and with it
         # any ``spec=N`` fault-plan ordinal — deterministic.
@@ -710,7 +590,7 @@ class Campaign:
             )
         faults.prepare_for_campaign([s.fingerprint for s in ordered])
         try:
-            if distributed and pending:
+            if knobs.remote and pending:
                 remote.run_remote(ordered, state, workers)
             elif workers > 1 and len(pending) > 1:
                 # Warm every needed database in the parent first: each
@@ -757,12 +637,12 @@ class Campaign:
         if journal is not None:
             journal.complete(done=len(state.results), failed=0)
 
-        if pending and cache_cap_mb is not None:
+        if pending and knobs.result_cache_max_mb is not None:
             # Long campaigns must not grow the on-disk store without
             # bound: enforce the LRU size cap once per campaign (the
             # results just produced carry the freshest mtimes, so they
             # are the last to go).
-            prune_result_cache(cache_cap_mb)
+            prune_result_cache(knobs.result_cache_max_mb)
 
         stats = CampaignStats(
             planned=self._planned,

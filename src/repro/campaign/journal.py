@@ -37,8 +37,9 @@ Events (each line also carries a ``t`` wall-clock timestamp):
     bit-identical contract was violated, both versions were quarantined
     under ``<store>/divergence/``.
 ``worker_demoted``
-    One worker accumulated ``REPRO_SUSPECT_STRIKES`` divergence events
-    and was marked suspect; it stops claiming work.
+    One worker accumulated
+    :data:`~repro.campaign.remote.SUSPECT_STRIKES` divergence events and
+    was marked suspect; it stops claiming work.
 ``pool_failure``
     The process pool broke and was rebuilt (or execution degraded to
     serial).

@@ -19,7 +19,7 @@ everything lives as small files in the shared result store, under
 ``fabric/done/<fp>.json`` / ``fabric/failed/<fp>.<attempt>.json``
     Completion / failed-attempt markers the coordinator harvests.
 ``fabric/suspects/<id>.json``
-    Workers the coordinator demoted after ``REPRO_SUSPECT_STRIKES``
+    Workers the coordinator demoted after :data:`SUSPECT_STRIKES`
     divergence events; a demoted worker stops claiming work.
 
 A lease is *live* while its worker's heartbeat is fresher than
@@ -34,11 +34,11 @@ lets the whole transport be this simple — and since PR 10 it is
 worker computed, the coordinator cross-checks it against the stored
 bytes before harvesting, and a mismatch quarantines the evidence,
 expires the lease for re-dispatch, and (after
-:func:`suspect_strikes` divergences from one worker) demotes the
+:data:`SUSPECT_STRIKES` divergences from one worker) demotes the
 worker as suspect.
 
 Results flow through the existing crash-safe store path: file-transport
-workers point ``REPRO_RESULT_CACHE`` at the shared store so
+workers point their result store at the shared store so
 ``execute_spec`` publishes directly; SSH workers simulate locally and
 push the result JSON through the transport's atomic publish.  The
 completion marker is written only *after* the result, so a marker always
@@ -69,6 +69,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro import settings
 from repro.campaign.attest import (
     _retire_entry,
     attest_rel,
@@ -79,15 +80,12 @@ from repro.campaign.attest import (
     record_divergence,
 )
 from repro.campaign.executor import (
-    _env_float,
-    _env_int,
+    RETRY_BACKOFF,
+    SPEC_RETRIES,
     _ExecState,
     _execute_attempt,
-    retry_backoff,
-    spec_retries,
 )
 from repro.campaign.results import (
-    CACHE_ENV,
     cached_result,
     drop_memo_entry,
     result_cache_dir,
@@ -101,90 +99,21 @@ from repro.util.diskcache import read_text_guarded
 __all__ = [
     "COORDINATOR_ID",
     "Fabric",
-    "LEASE_BATCH_ENV",
-    "LEASE_TTL_ENV",
-    "REMOTE_ENV",
-    "REMOTE_GRACE_ENV",
-    "REMOTE_TICK_ENV",
-    "REMOTE_WORKERS_ENV",
-    "SUSPECT_STRIKES_ENV",
-    "WORKER_ID_ENV",
+    "SUSPECT_STRIKES",
     "fabric_status",
-    "lease_batch",
-    "lease_ttl",
-    "remote_enabled",
-    "remote_grace",
-    "remote_tick",
-    "remote_workers",
     "run_remote",
     "run_worker",
     "spawn_local_workers",
-    "suspect_strikes",
 ]
 
-#: Truthy = ``Campaign.run`` dispatches to the distributed fabric.
-REMOTE_ENV = "REPRO_REMOTE"
-
-#: Local worker processes the coordinator spawns (0 = rely on external
-#: workers started via ``repro campaign --work``).
-REMOTE_WORKERS_ENV = "REPRO_REMOTE_WORKERS"
-
-#: Lease liveness horizon in seconds (default 30): a lease whose worker
-#: heartbeat is older than this is broken and its work reassigned.
-LEASE_TTL_ENV = "REPRO_LEASE_TTL"
-
-#: Fingerprints a worker claims per round (default 4).
-LEASE_BATCH_ENV = "REPRO_LEASE_BATCH"
-
-#: Seconds without progress before the coordinator degrades to
-#: executing unclaimed specs itself (default 5).
-REMOTE_GRACE_ENV = "REPRO_REMOTE_GRACE"
-
-#: Coordinator/worker polling tick in seconds (default 0.2).
-REMOTE_TICK_ENV = "REPRO_REMOTE_TICK"
-
-#: Worker id override (default ``w<pid>``); the coordinator sets it for
-#: the workers it spawns.
-WORKER_ID_ENV = "REPRO_WORKER_ID"
-
 #: Divergence events from one worker before the coordinator demotes it
-#: as suspect (default 2 — one divergence could be a disk fault local to
-#: that write; a pattern is a skewed worker).
-SUSPECT_STRIKES_ENV = "REPRO_SUSPECT_STRIKES"
+#: as suspect (one divergence could be a disk fault local to that write;
+#: a pattern is a skewed worker).
+SUSPECT_STRIKES = 2
 
 #: Worker id the coordinator claims under when degrading to local
 #: execution.
 COORDINATOR_ID = "coordinator"
-
-
-def remote_enabled() -> bool:
-    """Whether :data:`REMOTE_ENV` opts this campaign into the fabric."""
-    raw = os.environ.get(REMOTE_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "no")
-
-
-def lease_ttl() -> float:
-    return max(0.1, _env_float(LEASE_TTL_ENV, 30.0))
-
-
-def lease_batch() -> int:
-    return max(1, _env_int(LEASE_BATCH_ENV, 4))
-
-
-def remote_tick() -> float:
-    return max(0.01, _env_float(REMOTE_TICK_ENV, 0.2))
-
-
-def remote_grace() -> float:
-    return max(0.0, _env_float(REMOTE_GRACE_ENV, 5.0))
-
-
-def remote_workers(default: int) -> int:
-    return max(0, _env_int(REMOTE_WORKERS_ENV, default))
-
-
-def suspect_strikes() -> int:
-    return max(1, _env_int(SUSPECT_STRIKES_ENV, 2))
 
 
 class Fabric:
@@ -451,7 +380,7 @@ def fabric_status(store_root: Path) -> Dict:
     claimed).
     """
     fabric = Fabric(FileTransport(Path(store_root)))
-    ttl = lease_ttl()
+    ttl = settings.current().lease_ttl
     workers = {}
     for worker in fabric.workers():
         age = fabric.heartbeat_age(worker)
@@ -496,9 +425,7 @@ def fabric_status(store_root: Path) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-def _worker_execute(
-    fabric: Fabric, spec: RunSpec, worker: str, retries: int, base: float
-) -> bool:
+def _worker_execute(fabric: Fabric, spec: RunSpec, worker: str) -> bool:
     """Execute one leased spec with the standard retry/timeout discipline.
 
     Success publishes result-then-marker; a permanently failed spec
@@ -516,13 +443,12 @@ def _worker_execute(
             fabric.release(fp)
             raise
         except Exception as exc:  # noqa: BLE001 - every failure is retryable
-            fabric.publish_failed(
-                fp, worker, attempt, repr(exc), permanent=attempt > retries
-            )
-            if attempt > retries:
+            permanent = attempt > SPEC_RETRIES
+            fabric.publish_failed(fp, worker, attempt, repr(exc), permanent)
+            if permanent:
                 fabric.release(fp)
                 return False
-            time.sleep(base * (2.0 ** (attempt - 1)))
+            time.sleep(RETRY_BACKOFF * (2.0 ** (attempt - 1)))
             continue
         text = result_to_json(result)
         if fabric.transport.local_path(f"{fp}.json") is None:
@@ -553,18 +479,17 @@ def run_worker(
     forever, for long-lived external workers).  Returns the number of
     specs this worker completed.
     """
+    knobs = settings.resolve()
     transport = transport_for(store, runner=runner)
     if isinstance(transport, FileTransport):
         # Publish results straight into the shared store: execute_spec's
         # store-through write *is* the delivery.
-        os.environ[CACHE_ENV] = str(transport.root)
+        knobs = settings.install(result_cache=transport.root)
     fabric = Fabric(transport)
-    worker_id = worker_id or os.environ.get(WORKER_ID_ENV) or f"w{os.getpid()}"
-    tick = remote_tick()
-    ttl = lease_ttl()
-    batch = lease_batch()
-    retries = spec_retries()
-    base = retry_backoff()
+    worker_id = worker_id or knobs.worker_id or f"w{os.getpid()}"
+    tick = knobs.remote_tick
+    ttl = knobs.lease_ttl
+    batch = knobs.lease_batch
 
     fabric.heartbeat(worker_id)
     stop = threading.Event()
@@ -632,7 +557,7 @@ def run_worker(
                     refused.add(fp)
                     fabric.release(fp)
                     continue
-                if _worker_execute(fabric, spec, worker_id, retries, base):
+                if _worker_execute(fabric, spec, worker_id):
                     completed += 1
                 else:
                     refused.add(fp)
@@ -646,19 +571,20 @@ def spawn_local_workers(
 ) -> List[subprocess.Popen]:
     """Start ``n`` worker subprocesses against a file-transport store.
 
-    Workers inherit the environment — including a resolved
-    ``REPRO_FAULT_PLAN``/``REPRO_FAULT_LEDGER``, so fault directives fire
-    inside real fabric workers — plus an explicit ``PYTHONPATH`` entry
-    for this package (the coordinator may not have exported one).
+    Workers receive this process's settings through one export — CLI
+    flags and the campaign-resolved fault plan and ledger included, so
+    fault directives fire inside real fabric workers — with their own
+    worker id and no nested build pool, plus an explicit ``PYTHONPATH``
+    entry for this package (the coordinator may not have exported one).
     """
     import repro
 
     src = str(Path(repro.__file__).resolve().parent.parent)
     procs = []
     for i in range(n):
-        env = dict(os.environ)
-        env[WORKER_ID_ENV] = f"w{i + 1}-{os.getpid()}"
-        env["REPRO_BUILD_WORKERS"] = "1"
+        env = settings.child_env(
+            worker_id=f"w{i + 1}-{os.getpid()}", build_workers=1
+        )
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
         procs.append(
@@ -693,8 +619,6 @@ def _coordinator_execute(
     """Graceful-degradation path: the coordinator executes one claimed
     spec inline, with the standard retry discipline and journaling."""
     fp = spec.fingerprint
-    retries = spec_retries()
-    base = retry_backoff()
     t0 = time.monotonic()
     while True:
         try:
@@ -702,10 +626,10 @@ def _coordinator_execute(
         except KeyboardInterrupt:
             raise
         except Exception as exc:  # noqa: BLE001
-            if not state.record_failure(fp, exc, retries):
+            if not state.record_failure(fp, exc):
                 fabric.release(fp)
                 return
-            time.sleep(state.backoff_delay(fp, base))
+            time.sleep(state.backoff_delay(fp, RETRY_BACKOFF))
             continue
         seconds = time.monotonic() - t0
         state.results[fp] = result
@@ -730,13 +654,15 @@ def run_remote(
     root = result_cache_dir()
     if root is None:
         raise ValueError(
-            f"{REMOTE_ENV} requires {CACHE_ENV} (the shared result store)"
+            "REPRO_REMOTE requires REPRO_RESULT_CACHE "
+            "(the shared result store)"
         )
     journal = state.journal
     fabric = Fabric(FileTransport(root))
-    ttl = lease_ttl()
-    tick = remote_tick()
-    grace = remote_grace()
+    knobs = settings.current()
+    ttl = knobs.lease_ttl
+    tick = knobs.remote_tick
+    grace = knobs.remote_grace
 
     pending: Dict[str, RunSpec] = {
         s.fingerprint: s for s in ordered if s.fingerprint not in state.results
@@ -761,7 +687,6 @@ def run_remote(
     seen_failures: set = set()
     strikes: Dict[str, int] = {}
     demoted: set = set(fabric.suspects())  # sticky across campaigns
-    k_strikes = suspect_strikes()
     fell_back = False
     last_progress = time.monotonic()
     try:
@@ -823,7 +748,7 @@ def run_remote(
                     if isinstance(worker, str) and worker != COORDINATOR_ID:
                         strikes[worker] = strikes.get(worker, 0) + 1
                         if (
-                            strikes[worker] >= k_strikes
+                            strikes[worker] >= SUSPECT_STRIKES
                             and worker not in demoted
                         ):
                             demoted.add(worker)

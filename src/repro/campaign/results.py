@@ -31,10 +31,10 @@ the digest so valid-JSON bit rot is caught instead of served.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro import settings
 from repro.campaign.attest import (
     ATTEST_DIRNAME,
     ResultDivergenceError,
@@ -45,7 +45,6 @@ from repro.campaign.attest import (
     quarantine_attestation,
     read_attestation,
     record_divergence,
-    verify_reads_enabled,
     write_attestation,
 )
 from repro.campaign.spec import RunSpec
@@ -57,7 +56,6 @@ from repro.util.diskcache import (
     atomic_write_text,
     bump_mtime,
     dir_stats,
-    parse_max_mb,
     prune_lru,
     quarantine_entry,
     read_text_guarded,
@@ -73,18 +71,10 @@ __all__ = [
     "prune_result_cache",
     "quarantine_stats",
     "result_cache_dir",
-    "result_cache_max_mb",
     "result_from_json",
     "result_to_json",
     "store_result",
 ]
-
-#: Environment variable naming the on-disk result-cache directory.
-CACHE_ENV = "REPRO_RESULT_CACHE"
-
-#: Environment variable capping the on-disk store size in MiB (unset or
-#: non-positive = unbounded).
-CACHE_MAX_MB_ENV = "REPRO_RESULT_CACHE_MAX_MB"
 
 _MEMO: Dict[str, SimResult] = {}
 
@@ -164,9 +154,8 @@ def result_from_json(text: str) -> SimResult:
 
 
 def result_cache_dir() -> Optional[Path]:
-    """On-disk cache root, or None when :data:`CACHE_ENV` is unset."""
-    root = os.environ.get(CACHE_ENV)
-    return Path(root) if root else None
+    """On-disk cache root, or None when ``REPRO_RESULT_CACHE`` is unset."""
+    return settings.current().result_cache
 
 
 def cached_result(fingerprint: str) -> Optional[SimResult]:
@@ -186,7 +175,7 @@ def cached_result(fingerprint: str) -> Optional[SimResult]:
     text = read_text_guarded(file)
     if text is None:
         return None
-    if verify_reads_enabled():
+    if settings.current().verify_reads:
         attestation = read_attestation(root, fingerprint)
         if attestation is not None and attestation.get("digest") != digest_text(
             text
@@ -311,11 +300,6 @@ def memo_size() -> int:
     return len(_MEMO)
 
 
-def result_cache_max_mb() -> Optional[float]:
-    """The configured size cap in MiB, or None when unbounded."""
-    return parse_max_mb(CACHE_MAX_MB_ENV)
-
-
 def cache_stats() -> Dict[str, float]:
     """On-disk store shape: entry count/size, quarantine tallies and
     attestation coverage.
@@ -368,9 +352,9 @@ def quarantine_stats() -> Dict[str, float]:
 def prune_result_cache(max_mb: Optional[float] = None) -> Dict[str, float]:
     """Evict least-recently-used results until the store fits ``max_mb``.
 
-    ``max_mb`` defaults to :data:`CACHE_MAX_MB_ENV`; with neither set —
-    or a non-positive cap, which means *unbounded* exactly as the env
-    variable documents — or no cache directory, this is a no-op.
+    ``max_mb`` defaults to ``REPRO_RESULT_CACHE_MAX_MB``; with neither
+    set — or a non-positive cap, which means *unbounded* exactly as the
+    knob documents — or no cache directory, this is a no-op.
     Eviction is by ascending mtime — :func:`cached_result` bumps mtime
     on every hit (memo or disk), making this LRU rather than FIFO.
     Entries an in-flight (resumable, not-yet-complete) campaign journal
@@ -385,7 +369,7 @@ def prune_result_cache(max_mb: Optional[float] = None) -> Dict[str, float]:
     from repro.campaign.journal import protected_fingerprints
 
     if max_mb is None:
-        max_mb = result_cache_max_mb()
+        max_mb = settings.current().result_cache_max_mb
     root = result_cache_dir()
     outcome = prune_lru(
         root, max_mb, protected_stems=protected_fingerprints(root)

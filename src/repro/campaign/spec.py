@@ -9,6 +9,10 @@ planner can dedupe them, and each one carries a stable *fingerprint* —
 a content hash that also folds in the database fingerprint (suite specs,
 system configuration, seed) and a result-format version, so cached
 results can never leak across code or calibration changes.
+
+Every field reaches the fingerprint.  How a run is executed — event-loop
+mode, replay engine, workers, stores — is not an input and lives in
+:mod:`repro.settings`; every execution mode produces the same bytes.
 """
 
 from __future__ import annotations
@@ -78,12 +82,6 @@ class RunSpec:
     alpha: Optional[float] = None
     horizon_intervals: Optional[int] = None
     charge_overheads: bool = True
-    #: Simulator event-loop mode (None = the simulator's own resolution:
-    #: ``REPRO_SIM_WAVE`` then ``"step"``).  Deliberately EXCLUDED from
-    #: the fingerprint: every mode produces bit-identical results
-    #: (differentially tested), so specs differing only in ``wave``
-    #: address the same cached result.
-    wave: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.rm_kind not in _RM_ALL:
@@ -118,13 +116,6 @@ class RunSpec:
             raise ValueError("the idle manager takes no alpha")
         if self.horizon_intervals is not None and self.horizon_intervals < 1:
             raise ValueError("horizon_intervals must be >= 1")
-        if self.wave is not None:
-            from repro.simulator.rmsim import WAVE_MODES
-
-            if self.wave not in WAVE_MODES:
-                raise ValueError(
-                    f"unknown wave mode {self.wave!r}; options: {WAVE_MODES}"
-                )
 
     @property
     def fingerprint(self) -> str:
@@ -152,11 +143,10 @@ class RunSpec:
     def to_json(self) -> str:
         """Wire form for the distributed fabric's task files.
 
-        Everything fingerprint-relevant plus ``wave``; a worker rebuilds
-        the spec with :meth:`from_json` and re-derives the fingerprint
-        from its *own* code and database, so a coordinator/worker version
-        skew surfaces as a fingerprint mismatch instead of a silently
-        mis-filed result.
+        Every field plus the fingerprint; a worker rebuilds the spec with
+        :meth:`from_json` and re-derives the fingerprint from its *own*
+        code and database, so a coordinator/worker version skew surfaces
+        as a fingerprint mismatch instead of a silently mis-filed result.
         """
         return json.dumps(
             {
@@ -168,7 +158,6 @@ class RunSpec:
                 "alpha": self.alpha,
                 "horizon_intervals": self.horizon_intervals,
                 "charge_overheads": self.charge_overheads,
-                "wave": self.wave,
                 "fingerprint": self.fingerprint,
             },
             sort_keys=True,
@@ -185,6 +174,9 @@ class RunSpec:
         """
         data = json.loads(text)
         claimed = data.pop("fingerprint", None)
+        # Older task files and sidecars carry the event-loop mode, which
+        # never changed a result byte: ignore it.
+        data.pop("wave", None)
         data["apps"] = tuple(data["apps"])
         spec = cls(**data)
         if claimed is not None and claimed != spec.fingerprint:
@@ -205,8 +197,6 @@ class RunSpec:
             extras.append(f"h={self.horizon_intervals}")
         if not self.charge_overheads:
             extras.append("no-overheads")
-        if self.wave is not None:
-            extras.append(f"wave={self.wave}")
         suffix = f" [{', '.join(extras)}]" if extras else ""
         return (
             f"{self.n_cores}c {self.rm_kind}{model} "

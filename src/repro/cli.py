@@ -26,6 +26,9 @@ Every experiment plans its simulations through the campaign engine;
 ``all`` merges the plans so shared runs simulate exactly once.  The
 ``--workers`` flag (or ``REPRO_CAMPAIGN_WORKERS``) fans unique runs out
 over a process pool — results are bit-identical for any worker count.
+Every ``REPRO_*`` knob is declared and validated in :mod:`repro.settings`;
+``--wave``, ``--remote`` and ``--remote-workers`` override theirs for
+this process, and a malformed knob fails before anything runs.
 The ``cache`` subcommand manages the on-disk result store named by
 ``REPRO_RESULT_CACHE`` (cap: ``REPRO_RESULT_CACHE_MAX_MB``); ``bench``
 emits and checks the ``BENCH_*.json`` baselines; ``campaign --status``
@@ -51,6 +54,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
+from repro import settings
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.runner import (
     EXPERIMENTS,
@@ -258,16 +262,14 @@ def _emit(result, csv_dir: Path | None) -> None:
 def _cache_command(prune: bool, max_mb: float | None) -> int:
     """Report on, or prune, the on-disk result store."""
     from repro.campaign.results import (
-        CACHE_ENV,
         cache_stats,
         prune_result_cache,
         result_cache_dir,
-        result_cache_max_mb,
     )
 
     root = result_cache_dir()
     if root is None:
-        print(f"no on-disk results store ({CACHE_ENV} is unset)")
+        print("no on-disk results store (REPRO_RESULT_CACHE is unset)")
         return 0
     if prune:
         outcome = prune_result_cache(max_mb)
@@ -285,7 +287,7 @@ def _cache_command(prune: bool, max_mb: float | None) -> int:
         print(line)
         return 0
     stats = cache_stats()
-    cap = max_mb if max_mb is not None else result_cache_max_mb()
+    cap = settings.current().result_cache_max_mb if max_mb is None else max_mb
     cap_text = f"{cap:.0f} MiB" if cap else "unbounded"
     line = (
         f"results @ {root}: {stats['files']:.0f} entries, "
@@ -312,11 +314,13 @@ def _cache_command(prune: bool, max_mb: float | None) -> int:
 def _verify_command(args) -> int:
     """Audit the result store's integrity layer (``repro verify``)."""
     from repro.campaign.attest import verify_store
-    from repro.campaign.results import CACHE_ENV, result_cache_dir
+    from repro.campaign.results import result_cache_dir
 
     root = result_cache_dir()
     if root is None:
-        print(f"nothing to verify ({CACHE_ENV} is unset)", file=sys.stderr)
+        print(
+            "nothing to verify (REPRO_RESULT_CACHE is unset)", file=sys.stderr
+        )
         return 2
     report = verify_store(
         root,
@@ -350,7 +354,7 @@ def _campaign_command(args) -> int:
         worker_attribution,
     )
     from repro.campaign.remote import fabric_status
-    from repro.campaign.results import CACHE_ENV, result_cache_dir
+    from repro.campaign.results import result_cache_dir
 
     if args.work:
         return _worker_command(args)
@@ -362,7 +366,7 @@ def _campaign_command(args) -> int:
         return 2
     root = result_cache_dir()
     if root is None:
-        print(f"no campaign journals ({CACHE_ENV} is unset)")
+        print("no campaign journals (REPRO_RESULT_CACHE is unset)")
         return 0
     summaries = journal_status(root)
     if not summaries:
@@ -449,6 +453,19 @@ def _campaign_command(args) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Execution-strategy flags override their knobs for this process
+    # only: results stay bit-identical, and every knob is validated here,
+    # before anything runs.
+    flags = {"wave": args.wave} if args.wave else {}
+    if args.remote or args.remote_workers is not None:
+        flags["remote"] = True
+    if args.remote_workers is not None:
+        flags["remote_workers"] = args.remote_workers
+    with settings.override(**flags):
+        return _run(args)
+
+
+def _run(args) -> int:
     if args.experiment == "bench":
         from repro.bench import main as bench_main
 
@@ -473,24 +490,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _verify_command(args)
     if args.experiment == "campaign":
         return _campaign_command(args)
-
-    if args.remote or args.remote_workers is not None:
-        # The fabric knobs ride on the environment like every other
-        # execution-strategy toggle: results stay bit-identical, only
-        # the scheduling substrate changes.
-        import os
-
-        os.environ["REPRO_REMOTE"] = "1"
-        if args.remote_workers is not None:
-            os.environ["REPRO_REMOTE_WORKERS"] = str(args.remote_workers)
-    if args.wave is not None:
-        # The event-loop mode is an execution strategy, not an input:
-        # results are bit-identical across modes, so it rides on the
-        # environment (every campaign worker inherits it) instead of
-        # the content-addressed RunSpec fingerprints.
-        import os
-
-        os.environ["REPRO_SIM_WAVE"] = args.wave
 
     cfg = ExperimentConfig(
         seed=args.seed,

@@ -21,20 +21,20 @@ Alongside the combine/path kernels this module carries the wave loop's
 fused per-event advance (``advance_fast``).
 
 Everything degrades gracefully: no compiler, a failed compile, or
-``REPRO_NO_NATIVE=1`` make :func:`available` return ``False`` and the
-tree fall back to the NumPy combine (and the wave loop to its NumPy
-advance).
+``REPRO_NO_NATIVE`` set true (:mod:`repro.settings`) make
+:func:`available` return ``False`` and the tree fall back to the NumPy
+combine (and the wave loop to its NumPy advance).
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro import settings
 from repro.util.nativebuild import build_shared
 
 __all__ = ["available", "native_combine", "native_combine_window"]
@@ -230,7 +230,7 @@ def _load() -> Optional[ctypes.CDLL]:
     global _lib, _lib_failed
     if _lib is not None or _lib_failed:
         return _lib
-    if os.environ.get("REPRO_NO_NATIVE"):
+    if settings.current().no_native:
         _lib_failed = True
         return None
     so_path = _compile()

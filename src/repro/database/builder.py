@@ -17,9 +17,9 @@ Phase records are mutually independent and each carries its own derived
 seed, so :func:`build_database` can fan the per-phase work out over a
 ``concurrent.futures`` process pool: the database is bit-identical for any
 worker count, including serial.  Worker count resolves from the explicit
-``n_workers`` argument, then the ``REPRO_BUILD_WORKERS`` environment
-variable, then an automatic rule that only engages the pool for builds big
-enough to amortise process startup (paper-scale suites, not test minis).
+``n_workers`` argument, then ``REPRO_BUILD_WORKERS``, then an automatic
+rule that only engages the pool for builds big enough to amortise
+process startup (paper-scale suites, not test minis).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import settings
 from repro.atd.atd import AuxiliaryTagDirectory
 from repro.cache.hierarchy import PrivateHierarchyModel
 from repro.config import CORE_PARAMS, CoreSize, SystemConfig
@@ -48,9 +49,6 @@ __all__ = [
     "build_phase_record",
     "resolve_build_workers",
 ]
-
-#: Environment override for the database build worker count.
-WORKERS_ENV = "REPRO_BUILD_WORKERS"
 
 #: Auto mode engages the pool only above this much total replay work
 #: (tasks x sampled accesses); smaller builds run serial, faster.
@@ -231,19 +229,12 @@ def resolve_build_workers(
 ) -> int:
     """Worker count for a build of ``n_tasks`` phase records.
 
-    Priority: explicit argument, then :data:`WORKERS_ENV`, then an
+    Priority: explicit argument, then ``REPRO_BUILD_WORKERS``, then an
     automatic rule — parallelise only when the total replay work is large
     enough for the pool startup to pay for itself.
     """
     if n_workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            try:
-                n_workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{WORKERS_ENV} must be an integer, got {env!r}"
-                ) from None
+        n_workers = settings.current().build_workers
     if n_workers is None:
         work = n_tasks * system.scale.sample_llc_accesses
         if n_tasks >= 4 and work >= _AUTO_POOL_MIN_WORK:

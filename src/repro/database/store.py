@@ -2,7 +2,8 @@
 
 Database builds are deterministic but take tens of seconds for the full
 27-application suite, so records are cached as a single ``.npz`` per
-(suite, system, seed) fingerprint under ``.cache/repro-db``.  The
+(suite, system, seed) fingerprint under ``.cache/repro-db`` (or
+``REPRO_CACHE_DIR``).  The
 fingerprint hashes the *content* of the specs and configuration — any change
 to a phase parameter, a power constant or the seed produces a new key.
 """
@@ -18,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro import settings
 from repro.config import SystemConfig
 from repro.database.records import PhaseRecord
 from repro.trace.spec import AppSpec
@@ -28,9 +30,6 @@ __all__ = [
     "load_cached_database",
     "save_database_cache",
 ]
-
-_ENV_DIR = "REPRO_CACHE_DIR"
-_ENV_DISABLE = "REPRO_NO_CACHE"
 
 #: Bump whenever trace-generation or model semantics change, so stale
 #: cached databases can never leak across code revisions.
@@ -57,9 +56,9 @@ _SCALAR_FIELDS = ("n_instructions", "branch_cycles", "llc_accesses")
 
 def cache_dir() -> Path:
     """Cache root (override with ``REPRO_CACHE_DIR``)."""
-    root = os.environ.get(_ENV_DIR)
-    if root:
-        return Path(root)
+    root = settings.current().cache_dir
+    if root is not None:
+        return root
     return Path(__file__).resolve().parents[3] / ".cache" / "repro-db"
 
 
@@ -106,8 +105,6 @@ def database_fingerprint(
 
 def save_database_cache(db, suite: Sequence[AppSpec], seed: int) -> Optional[Path]:
     """Persist all records of a database; returns the file path or None."""
-    if os.environ.get(_ENV_DISABLE):
-        return None
     path = cache_dir()
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -143,8 +140,6 @@ def load_cached_database(
     suite: Sequence[AppSpec], system: SystemConfig, seed: int
 ):
     """Load a cached database if present; None on any miss or error."""
-    if os.environ.get(_ENV_DISABLE):
-        return None
     from repro.database.builder import SimDatabase
 
     key = database_fingerprint(suite, system, seed)

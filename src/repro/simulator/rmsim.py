@@ -47,17 +47,18 @@ The event loop itself runs in one of two *wave modes*:
   per-core settings diff, no memo speculation, no reduction-combine
   reuse.
 
-The mode resolves from the constructor argument, then ``REPRO_SIM_WAVE``,
-then the default.
+The mode resolves from the constructor argument, then ``REPRO_SIM_WAVE``
+(:mod:`repro.settings`; ``--wave`` on the CLI), then the ``"step"``
+default.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import settings
 from repro.cache.partition import RepartitionTransient
 from repro.config import Setting, SystemConfig
 from repro.core import _native_opt
@@ -68,6 +69,7 @@ from repro.database.builder import SimDatabase
 from repro.database.records import PhaseRecord
 from repro.power.dvfs import DVFSController
 from repro.power.energy import EnergyBreakdown
+from repro.settings import WAVE_MODES
 from repro.simulator.events import next_boundary_arrays
 from repro.simulator.metrics import SettingChange, SimResult
 
@@ -82,12 +84,9 @@ __all__ = [
 #: Violations smaller than this relative slack are float noise, not QoS misses.
 _VIOLATION_EPS = 1e-6
 
-#: The two event-loop modes: the oracle and the fast path (see module
-#: docstring).
-WAVE_MODES = ("scalar", "step")
-
-#: Environment override for the event-loop mode.
-WAVE_ENV = "REPRO_SIM_WAVE"
+#: Name of the event-loop mode's environment variable, for scripts that
+#: report the mode a process resolves.
+WAVE_ENV = settings.ENV["wave"]
 
 
 class _CoreStates:
@@ -494,8 +493,8 @@ class MulticoreRMSimulator:
         (Fig. 2 uses perfect models *and* no overheads).
     wave:
         Event-loop mode (:data:`WAVE_MODES`); None resolves from
-        ``REPRO_SIM_WAVE`` then the ``"step"`` default.  Both modes
-        produce bit-identical results; only wall-clock differs.
+        ``REPRO_SIM_WAVE``, default ``"step"``.  Both modes produce
+        bit-identical results; only wall-clock differs.
     """
 
     def __init__(
@@ -521,7 +520,7 @@ class MulticoreRMSimulator:
         self.charge_overheads = charge_overheads
         self.collect_history = collect_history
         if wave is None:
-            wave = os.environ.get(WAVE_ENV) or "step"
+            wave = settings.current().wave
         if wave not in WAVE_MODES:
             raise ValueError(
                 f"unknown wave mode {wave!r}; options: {WAVE_MODES}"

@@ -21,7 +21,6 @@ __all__ = [
     "dir_stats",
     "exclusive_create_text",
     "fsync_append_line",
-    "parse_max_mb",
     "prune_lru",
     "quarantine_entry",
     "read_text_guarded",
@@ -34,22 +33,6 @@ __all__ = [
 #: must never touch them — divergence evidence in particular is
 #: post-mortem state that no cache policy may evict.
 PROTECTED_DIRS = ("journal", "quarantine", "fabric", "attest", "divergence")
-
-
-def parse_max_mb(env_name: str) -> Optional[float]:
-    """Size cap in MiB from an environment variable.
-
-    Unset/empty or a non-positive value means *unbounded* (None); a
-    non-numeric value fails loudly, naming the variable.
-    """
-    raw = os.environ.get(env_name)
-    if not raw:
-        return None
-    try:
-        cap = float(raw)
-    except ValueError:
-        raise ValueError(f"{env_name} must be a number, got {raw!r}") from None
-    return cap if cap > 0 else None
 
 
 def atomic_write_text(path: Path, text: str, fsync: bool = False) -> bool:
@@ -209,8 +192,9 @@ def prune_lru(
 ) -> Dict[str, float]:
     """Evict oldest-mtime entries until the store fits ``max_mb``.
 
-    ``max_mb`` of None (or non-positive, which the env variables document
-    as *unbounded*) or a missing root makes this a stats-only no-op.
+    ``max_mb`` of None (or non-positive, which the size-cap knob
+    documents as *unbounded*) or a missing root makes this a stats-only
+    no-op.
     ``protected_stems`` names entries (by file stem, i.e. fingerprint)
     that must survive eviction regardless of age — the result store
     passes the fingerprints an in-flight campaign journal still depends

@@ -21,7 +21,7 @@ semicolon-separated list of directives::
 
 ``spec=N`` addresses the N-th spec (1-based) of the campaign's
 deterministic dispatch order; :func:`prepare_for_campaign` resolves it to
-that spec's fingerprint before any worker forks, so every process agrees
+that spec's fingerprint before any worker starts, so every process agrees
 on the target.  ``fp=<prefix>`` matches a spec fingerprint (crash / fail /
 hang / dupdone) or a store entry name (truncate / corrupt; the empty
 prefix matches every entry).  ``times`` bounds how often a directive
@@ -50,11 +50,12 @@ marker file per fire, recorded durably **before** the fault executes —
 that is what keeps a ``crash`` directive from killing every retry and
 every rebuilt pool worker forever.  Without a ledger the counts are
 per-process (fine for serial in-process tests); :func:`prepare_for_campaign`
-creates a shared ledger automatically when a plan is active so forked
-pool workers always agree with the parent.
+creates a shared ledger automatically when a plan is active and installs
+the resolved plan in :mod:`repro.settings`, so forked pool workers and
+spawned fabric workers always agree with the parent.
 
-With ``REPRO_FAULT_PLAN`` unset every hook is a single dict probe — the
-production fast path stays fault-free and overhead-free.
+With ``REPRO_FAULT_PLAN`` unset every hook is a single attribute read —
+the production fast path stays fault-free and overhead-free.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import settings
+
 __all__ = [
     "FaultDirective",
     "FaultPlan",
     "InjectedFault",
-    "PLAN_ENV",
-    "LEDGER_ENV",
     "active_plan",
     "on_completion",
     "on_done_publish",
@@ -83,12 +84,6 @@ __all__ = [
     "prepare_for_campaign",
     "reset",
 ]
-
-#: Environment variable holding the fault plan (unset = no faults).
-PLAN_ENV = "REPRO_FAULT_PLAN"
-
-#: Environment variable naming the cross-process fire ledger directory.
-LEDGER_ENV = "REPRO_FAULT_LEDGER"
 
 #: Exit code of an injected worker crash (recognisable in tests/CI).
 CRASH_EXIT_CODE = 13
@@ -146,9 +141,10 @@ class FaultDirective:
 
 def parse_plan(text: str) -> List[FaultDirective]:
     """Parse a plan string; malformed input fails loudly, naming the var."""
+    knob = settings.ENV["fault_plan"]
 
     def bad(msg: str) -> ValueError:
-        return ValueError(f"{PLAN_ENV}: {msg} (in {text!r})")
+        return ValueError(f"{knob}: {msg} (in {text!r})")
 
     directives: List[FaultDirective] = []
     for index, clause in enumerate(filter(None, (c.strip() for c in text.split(";")))):
@@ -181,7 +177,7 @@ def parse_plan(text: str) -> List[FaultDirective]:
                 else:
                     raise bad(f"unknown key {key!r}")
             except ValueError as exc:
-                if exc.args and str(exc.args[0]).startswith(PLAN_ENV):
+                if exc.args and str(exc.args[0]).startswith(knob):
                     raise
                 raise bad(f"bad value for {key}: {value!r}") from None
         if d.kind in _SPEC_KINDS and d.fp is None and d.ordinal is None:
@@ -256,7 +252,7 @@ class FaultPlan:
                 # Store kinds accept worker= so a multi-worker test can pin
                 # the poison to one fabric worker; coordinator and other
                 # workers (different REPRO_WORKER_ID, or none) skip it.
-                os.environ.get("REPRO_WORKER_ID", "")
+                settings.current().worker_id or ""
             ).startswith(d.worker):
                 continue
             if not d.matches(name) or not self._fire_if_due(d):
@@ -348,39 +344,38 @@ def _perturb_entry(path: Path) -> None:
 
 #: Parse cache keyed on (plan text, ledger) — plans are tiny, but the
 #: in-memory fire counts must survive across hook calls in one process.
-_CACHE: Dict[Tuple[str, Optional[str]], FaultPlan] = {}
+_CACHE: Dict[Tuple[str, Optional[Path]], FaultPlan] = {}
 
 
 def active_plan() -> Optional[FaultPlan]:
-    """The env-configured plan, or None (the production fast path)."""
-    text = os.environ.get(PLAN_ENV)
-    if not text:
+    """The configured plan, or None (the production fast path)."""
+    knobs = settings.current()
+    if not knobs.fault_plan:
         return None
-    ledger = os.environ.get(LEDGER_ENV) or None
-    key = (text, ledger)
+    key = (knobs.fault_plan, knobs.fault_ledger)
     plan = _CACHE.get(key)
     if plan is None:
-        plan = FaultPlan(
-            parse_plan(text), Path(ledger) if ledger else None
-        )
+        plan = FaultPlan(parse_plan(knobs.fault_plan), knobs.fault_ledger)
         _CACHE[key] = plan
     return plan
 
 
 def reset() -> None:
-    """Drop cached plans and their in-memory fire counts (tests)."""
+    """Drop cached plans, their in-memory fire counts and any
+    campaign-resolved plan, so the environment's plan applies (tests)."""
     _CACHE.clear()
+    settings.reset("fault_plan", "fault_ledger")
 
 
 def prepare_for_campaign(fingerprints: Sequence[str]) -> None:
     """Resolve ``spec=N`` ordinals and ensure a shared ledger exists.
 
     Called once per campaign with the deterministic dispatch order,
-    *before* any pool worker forks: ordinal directives are rewritten to
-    the matching fingerprint and re-exported through :data:`PLAN_ENV`, and
-    a ledger directory is minted (and exported) when the plan needs one,
-    so parent, workers and rebuilt pools all count fires against the same
-    state.  A no-op when no plan is active.
+    *before* any worker starts: ordinal directives are rewritten to the
+    matching fingerprint, a ledger is minted when the plan has none, and
+    both are installed as this process's settings, which every worker
+    inherits or receives (:func:`repro.settings.child_env`).  A no-op
+    when no plan is active.
     """
     plan = active_plan()
     if plan is None:
@@ -388,12 +383,8 @@ def prepare_for_campaign(fingerprints: Sequence[str]) -> None:
     if plan.ledger is None:
         # A fresh directory per mint (not a fixed pid-based name): stale
         # markers from an earlier plan in this process must never count
-        # against this campaign's directives.  The instance is updated
-        # too — forked pool workers inherit this parse cache, so parent
-        # and workers must already agree before the env round-trip.
+        # against this campaign's directives.
         plan.ledger = Path(tempfile.mkdtemp(prefix="repro-fault-ledger-"))
-        os.environ[LEDGER_ENV] = str(plan.ledger)
-    changed = False
     for d in plan.directives:
         if d.ordinal is None:
             continue
@@ -405,12 +396,11 @@ def prepare_for_campaign(fingerprints: Sequence[str]) -> None:
             else "~unmatched"
         )
         d.ordinal = None
-        changed = True
-    if changed or os.environ.get(LEDGER_ENV):
-        os.environ[PLAN_ENV] = plan.to_text()
-        # Re-key the cache so this resolved instance (with its counts)
-        # answers the rewritten env text.
-        _CACHE[(os.environ[PLAN_ENV], os.environ.get(LEDGER_ENV) or None)] = plan
+    # Re-key the cache so this resolved instance (with its counts)
+    # answers the installed plan.
+    text = plan.to_text()
+    _CACHE[(text, plan.ledger)] = plan
+    settings.install(fault_plan=text, fault_ledger=plan.ledger)
 
 
 def on_spec(fingerprint: str) -> None:

@@ -10,12 +10,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro import settings
 from repro.config import SystemConfig, default_system
 from repro.database.builder import SimDatabase, build_database
 from repro.testing import make_phase, mini_suite, small_scale
 from repro.trace.generator import PhaseTraceGenerator
 from repro.trace.reuse import cliff_profile, small_ws_profile, streaming_profile
 from repro.trace.spec import PhaseSpec, uniform_ipc
+
+
+@pytest.fixture(autouse=True)
+def _fresh_settings():
+    """Each test resolves the knobs from its own environment: settings
+    resolved (or overridden) by an earlier test must not leak into it."""
+    settings.reset()
+    yield
+    settings.reset()
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ Mirrors the ``test_replay_engine.py`` pattern from the replay substrate.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 
 import pytest
@@ -93,6 +95,37 @@ class TestRunSpec:
         assert _spec(alpha=1.1).fingerprint != base
         assert _spec(seed=7).fingerprint != base
 
+    def test_every_field_reaches_the_fingerprint(self):
+        """RunSpec holds exactly the fingerprinted inputs: changing any
+        one field changes the fingerprint.  How a run executes (event
+        loop, engines, workers) lives in repro.settings instead."""
+        variants = {
+            "seed": _spec(seed=7),
+            # n_cores cannot change without the app count following it
+            "n_cores": _spec(n_cores=2, apps=("mcf", "omnetpp")),
+            "rm_kind": _spec(rm_kind="rm2"),
+            "model": _spec(model="Model2"),
+            "apps": _spec(apps=("gamess", "sjeng", "perlbench", "dealII")),
+            "alpha": _spec(alpha=1.1),
+            "horizon_intervals": _spec(horizon_intervals=5),
+            "charge_overheads": _spec(charge_overheads=False),
+        }
+        assert set(variants) == {f.name for f in dataclasses.fields(RunSpec)}
+        base = _spec()
+        for name, spec in variants.items():
+            assert getattr(spec, name) != getattr(base, name), name
+            assert spec.fingerprint != base.fingerprint, name
+
+    def test_wire_format_with_wave_still_parses(self):
+        """Task files and attestation sidecars written while RunSpec
+        still carried the event-loop mode hold ``"wave": null``."""
+        spec = _spec()
+        legacy = json.loads(spec.to_json())
+        legacy["wave"] = None
+        parsed = RunSpec.from_json(json.dumps(legacy))
+        assert parsed == spec and parsed.fingerprint == spec.fingerprint
+        assert "wave" not in json.loads(parsed.to_json())
+
     def test_alpha_one_is_canonicalised(self):
         assert _spec(alpha=1.0).alpha is None
         assert _spec(alpha=1.0).fingerprint == _spec().fingerprint
@@ -107,20 +140,20 @@ class TestRunSpec:
 
 class TestResolveWorkers:
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(campaign_executor.WORKERS_ENV, "7")
+        monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "7")
         assert resolve_campaign_workers(3, 100) == 3
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(campaign_executor.WORKERS_ENV, "5")
+        monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "5")
         assert resolve_campaign_workers(None, 100) == 5
 
     def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv(campaign_executor.WORKERS_ENV, "many")
+        monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "many")
         with pytest.raises(ValueError):
             resolve_campaign_workers(None, 100)
 
     def test_auto_serial_for_small_campaigns(self, monkeypatch):
-        monkeypatch.delenv(campaign_executor.WORKERS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_CAMPAIGN_WORKERS", raising=False)
         assert resolve_campaign_workers(None, 2) == 1
 
     def test_clamped_to_pending(self):

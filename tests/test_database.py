@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import settings
 from repro.config import CoreSize, Setting
 from repro.database.builder import (
     SimDatabase,
@@ -147,11 +148,13 @@ class TestBuilder:
         # explicit argument wins; clamped to the task count
         assert resolve_build_workers(3, 10, system2) == 3
         assert resolve_build_workers(16, 2, system2) == 2
-        # environment fallback
+        # environment fallback (re-read on resolution)
         monkeypatch.setenv("REPRO_BUILD_WORKERS", "5")
+        settings.resolve()
         assert resolve_build_workers(None, 10, system2) == 5
         # auto: small (test-scale) builds stay serial
         monkeypatch.delenv("REPRO_BUILD_WORKERS")
+        settings.resolve()
         assert resolve_build_workers(None, 5, system2) == 1
 
 
@@ -165,7 +168,6 @@ class TestStore:
 
     def test_roundtrip(self, mini_db, system2, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         path = save_database_cache(mini_db, mini_suite(), 7)
         assert path is not None and path.exists()
         loaded = load_cached_database(mini_suite(), system2, 7)
@@ -180,8 +182,3 @@ class TestStore:
     def test_miss_returns_none(self, system2, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert load_cached_database(mini_suite(), system2, 99) is None
-
-    def test_disable_env(self, mini_db, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert save_database_cache(mini_db, mini_suite(), 7) is None

@@ -301,8 +301,6 @@ class TestSimulatorModeIdentity:
         """The wave loop's decision-kernel accelerations (windowed tree,
         compiled path updates, identity replays) against the scalar
         oracle on the full 27-app database, not just the mini suites."""
-        from dataclasses import replace
-
         from repro.campaign.executor import _simulate
         from repro.campaign.results import result_to_json
         from repro.campaign.spec import RunSpec
@@ -316,8 +314,8 @@ class TestSimulatorModeIdentity:
             horizon_intervals=4,
             charge_overheads=charge,
         )
-        scalar = _simulate(replace(spec, wave="scalar"))
-        step = _simulate(replace(spec, wave="step"))
+        scalar = _simulate(spec, wave="scalar")
+        step = _simulate(spec, wave="step")
         assert step == scalar
         assert result_to_json(step) == result_to_json(scalar)
 

@@ -10,6 +10,8 @@ store-free reference results.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import settings
 from repro.campaign import (
     CampaignExecutionError,
     RunSpec,
@@ -74,19 +77,38 @@ def _ordered(specs):
     return sorted(specs, key=lambda s: (s.seed, s.n_cores, s.fingerprint))
 
 
+#: One malformed value per knob that is parsed (typed, enum or boolean).
+MALFORMED = [
+    ("REPRO_RESULT_CACHE_MAX_MB", "256MB"),
+    ("REPRO_CAMPAIGN_WORKERS", "two"),
+    ("REPRO_BUILD_WORKERS", "two"),
+    ("REPRO_SPEC_TIMEOUT", "forever"),
+    ("REPRO_REMOTE", "maybe"),
+    ("REPRO_REMOTE_WORKERS", "2.5"),
+    ("REPRO_LEASE_TTL", "long"),
+    ("REPRO_LEASE_BATCH", "four"),
+    ("REPRO_REMOTE_GRACE", "soon"),
+    ("REPRO_REMOTE_TICK", "fast"),
+    ("REPRO_SIM_WAVE", "stepp"),
+    ("REPRO_REPLAY_ENGINE", "warp"),
+    ("REPRO_NO_NATIVE", "nope"),
+    ("REPRO_VERIFY_READS", "sometimes"),
+    ("REPRO_FAULT_PLAN", "explode:fp=ab"),
+]
+
+
 @pytest.fixture(autouse=True)
 def _fault_env():
     """Isolate every test from fault-plan state and the result memo.
 
-    ``prepare_for_campaign`` writes PLAN/LEDGER env vars directly (that
-    is its job — workers must inherit them), so restore them by hand
-    rather than relying on monkeypatch having seen the mutation.
+    Tests write the PLAN/LEDGER env vars directly, so restore them by
+    hand rather than relying on monkeypatch having seen the mutation.
     """
     clear_result_memo()
     faults.reset()
     saved = {
         k: os.environ.pop(k, None)
-        for k in (faults.PLAN_ENV, faults.LEDGER_ENV)
+        for k in ("REPRO_FAULT_PLAN", "REPRO_FAULT_LEDGER")
     }
     yield
     for k, v in saved.items():
@@ -133,7 +155,7 @@ class TestPlanParsing:
         "hang:fp=ab,secs=long",   # bad float
     ])
     def test_malformed_plans_fail_loudly(self, bad):
-        with pytest.raises(ValueError, match=faults.PLAN_ENV):
+        with pytest.raises(ValueError, match="REPRO_FAULT_PLAN"):
             faults.parse_plan(bad)
 
     def test_empty_clauses_ignored(self):
@@ -194,16 +216,21 @@ class TestPlanMechanics:
         faults.on_completion(10)
 
     def test_prepare_resolves_ordinals_and_mints_ledger(self):
-        os.environ[faults.PLAN_ENV] = "crash:spec=2;fail:fp=ff"
+        os.environ["REPRO_FAULT_PLAN"] = "crash:spec=2;fail:fp=ff"
         faults.prepare_for_campaign(["aaa", "bbb", "ccc"])
-        assert os.environ.get(faults.LEDGER_ENV)
+        knobs = settings.resolve()  # installed: survives re-resolution
+        assert knobs.fault_ledger is not None
         plan = faults.active_plan()
         assert plan.directives[0].fp == "bbb"
         assert plan.directives[0].ordinal is None
-        assert "fp=bbb" in os.environ[faults.PLAN_ENV]
+        assert "fp=bbb" in knobs.fault_plan
+        # ... and spawned workers receive the resolved plan and ledger
+        env = settings.child_env()
+        assert "fp=bbb" in env["REPRO_FAULT_PLAN"]
+        assert env["REPRO_FAULT_LEDGER"] == str(knobs.fault_ledger)
 
     def test_prepare_out_of_range_ordinal_never_fires(self):
-        os.environ[faults.PLAN_ENV] = "crash:spec=99"
+        os.environ["REPRO_FAULT_PLAN"] = "crash:spec=99"
         faults.prepare_for_campaign(["aaa", "bbb"])
         plan = faults.active_plan()
         plan.on_spec("aaa")  # would os._exit(13) if it matched
@@ -215,7 +242,7 @@ class TestSerialFaultDifferential:
 
     def test_injected_failure_is_retried(self, full_db, oracle):
         target = _ordered(FSPECS)[0].fingerprint
-        os.environ[faults.PLAN_ENV] = f"fail:fp={target},times=1"
+        os.environ["REPRO_FAULT_PLAN"] = f"fail:fp={target},times=1"
         results = run_campaign(FSPECS, n_workers=1)
         assert results.stats.retries == 1
         for spec in FSPECS:
@@ -223,9 +250,9 @@ class TestSerialFaultDifferential:
 
     def test_hang_is_timed_out_and_retried(self, full_db, monkeypatch, oracle):
         target = _ordered(FSPECS)[0].fingerprint
-        monkeypatch.setenv(campaign_executor.SPEC_TIMEOUT_ENV, "1")
-        monkeypatch.setenv(campaign_executor.RETRY_BACKOFF_ENV, "0.01")
-        os.environ[faults.PLAN_ENV] = f"hang:fp={target},secs=30"
+        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "1")
+        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
+        os.environ["REPRO_FAULT_PLAN"] = f"hang:fp={target},secs=30"
         t0 = time.monotonic()
         results = run_campaign(FSPECS, n_workers=1)
         assert time.monotonic() - t0 < 20  # the 30 s hang was cut short
@@ -237,11 +264,11 @@ class TestSerialFaultDifferential:
         self, full_db, monkeypatch, tmp_path, oracle
     ):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        monkeypatch.setenv(campaign_executor.SPEC_RETRIES_ENV, "1")
-        monkeypatch.setenv(campaign_executor.RETRY_BACKOFF_ENV, "0.01")
+        monkeypatch.setattr(campaign_executor, "SPEC_RETRIES", 1)
+        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
         ordered = _ordered(FSPECS)
         target = ordered[1].fingerprint
-        os.environ[faults.PLAN_ENV] = f"fail:fp={target},times=99"
+        os.environ["REPRO_FAULT_PLAN"] = f"fail:fp={target},times=99"
         with pytest.raises(CampaignExecutionError) as err:
             run_campaign(FSPECS, n_workers=1)
         assert set(err.value.failures) == {target}
@@ -254,40 +281,107 @@ class TestSerialFaultDifferential:
         assert summary["failed_attempts"] == 2  # first try + 1 retry
 
     def test_malformed_timeout_fails_before_simulating(self, monkeypatch):
-        monkeypatch.setenv(campaign_executor.SPEC_TIMEOUT_ENV, "forever")
+        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "forever")
         simulated = []
         monkeypatch.setattr(
             campaign_executor, "_simulate",
             lambda spec: simulated.append(spec),
         )
-        with pytest.raises(ValueError, match=campaign_executor.SPEC_TIMEOUT_ENV):
+        with pytest.raises(ValueError, match="REPRO_SPEC_TIMEOUT"):
             run_campaign(FSPECS[:1])
         assert simulated == []
+
+    @pytest.mark.parametrize("env, value", MALFORMED)
+    def test_malformed_knob_fails_before_simulating(
+        self, monkeypatch, tmp_path, env, value
+    ):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+        monkeypatch.setenv(env, value)
+        simulated = []
+        monkeypatch.setattr(
+            campaign_executor, "_simulate",
+            lambda spec, wave=None: simulated.append(spec),
+        )
+        with pytest.raises(ValueError, match=env):
+            run_campaign(FSPECS[:1])
+        assert simulated == []
+        assert not list(tmp_path.rglob("*.json"))  # not even a journal
+
+    def test_malformed_cases_cover_every_parsed_knob(self):
+        parsed = {
+            settings.ENV[f.name]
+            for f in dataclasses.fields(settings.Settings)
+            if f.metadata["parse"] not in (Path, str)
+        }
+        assert {env for env, _ in MALFORMED} == parsed
 
 
 class TestPoolFaultDifferential:
     def test_worker_crash_rebuilds_pool(self, full_db, monkeypatch, oracle):
-        monkeypatch.setenv(campaign_executor.RETRY_BACKOFF_ENV, "0.01")
-        os.environ[faults.PLAN_ENV] = "crash:spec=1"
+        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
+        os.environ["REPRO_FAULT_PLAN"] = "crash:spec=1"
         results = run_campaign(FSPECS, n_workers=2)
         assert results.stats.pool_failures >= 1
         for spec in FSPECS:
             assert results[spec] == oracle[spec.fingerprint], spec.label()
 
     def test_pool_decay_degrades_to_serial(self, full_db, monkeypatch, oracle):
-        monkeypatch.setenv(campaign_executor.POOL_FAILURES_ENV, "0")
-        monkeypatch.setenv(campaign_executor.RETRY_BACKOFF_ENV, "0.01")
-        os.environ[faults.PLAN_ENV] = "crash:spec=1"
+        monkeypatch.setattr(campaign_executor, "POOL_FAILURES", 0)
+        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
+        os.environ["REPRO_FAULT_PLAN"] = "crash:spec=1"
         results = run_campaign(FSPECS, n_workers=2)
         assert results.stats.pool_failures == 1
         for spec in FSPECS:
             assert results[spec] == oracle[spec.fingerprint], spec.label()
 
+    def test_queued_specs_do_not_trip_the_watchdog(
+        self, full_db, monkeypatch, oracle
+    ):
+        """A long queue is not a wedged worker: 60 healthy 30 ms specs on
+        2 workers take ~0.9 s to drain, almost twice the watchdog horizon
+        (0.5 s here), yet each one runs far inside its deadline."""
+        result = oracle[FSPECS[2].fingerprint]
+        specs = [_spec(alpha=1.0 + i / 100) for i in range(1, 61)]
+
+        def slow(spec, wave=None):
+            time.sleep(0.03)
+            return result
+
+        monkeypatch.setattr(campaign_executor, "_simulate", slow)
+        monkeypatch.setattr(campaign_executor, "_WEDGE_FACTOR", 1.0)
+        monkeypatch.setattr(campaign_executor, "_WEDGE_SLACK_S", 0.0)
+        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "0.5")
+        results = run_campaign(specs, n_workers=2)
+        assert results.stats.pool_failures == 0
+        assert results.stats.retries == 0
+        assert all(results[spec] == result for spec in specs)
+
+    def test_wedged_worker_is_abandoned(self, full_db, monkeypatch, oracle):
+        """A worker that hangs far past a deadline it cannot enforce (the
+        SIGALRM deadline is suppressed here) is abandoned with its pool;
+        the rebuilt pool finishes the campaign without waiting it out."""
+        target = _ordered(FSPECS)[0].fingerprint
+        monkeypatch.setattr(
+            campaign_executor, "_deadline",
+            lambda seconds: contextlib.nullcontext(),
+        )
+        monkeypatch.setattr(campaign_executor, "_WEDGE_FACTOR", 1.0)
+        monkeypatch.setattr(campaign_executor, "_WEDGE_SLACK_S", 0.0)
+        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "0.5")
+        os.environ["REPRO_FAULT_PLAN"] = f"hang:fp={target},secs=5"
+        t0 = time.monotonic()
+        results = run_campaign(FSPECS, n_workers=2)
+        assert time.monotonic() - t0 < 5  # the hang was not waited out
+        assert results.stats.pool_failures == 1
+        assert results.stats.retries == 0
+        for spec in FSPECS:
+            assert results[spec] == oracle[spec.fingerprint], spec.label()
+
     def test_pool_hang_is_timed_out(self, full_db, monkeypatch, oracle):
         target = _ordered(FSPECS)[0].fingerprint
-        monkeypatch.setenv(campaign_executor.SPEC_TIMEOUT_ENV, "1")
-        monkeypatch.setenv(campaign_executor.RETRY_BACKOFF_ENV, "0.01")
-        os.environ[faults.PLAN_ENV] = f"hang:fp={target},secs=30"
+        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "1")
+        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
+        os.environ["REPRO_FAULT_PLAN"] = f"hang:fp={target},secs=30"
         t0 = time.monotonic()
         results = run_campaign(FSPECS, n_workers=2)
         assert time.monotonic() - t0 < 25
@@ -300,7 +394,7 @@ class TestInterruptAndResume:
         self, full_db, monkeypatch, tmp_path, capsys, oracle
     ):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        os.environ[faults.PLAN_ENV] = "interrupt:after=1"
+        os.environ["REPRO_FAULT_PLAN"] = "interrupt:after=1"
         with pytest.raises(KeyboardInterrupt):
             run_campaign(FSPECS, n_workers=1)
         assert "re-run the same command to resume" in capsys.readouterr().err
@@ -327,11 +421,11 @@ class TestInterruptAndResume:
         self, full_db, monkeypatch, tmp_path, oracle
     ):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        os.environ[faults.PLAN_ENV] = "interrupt:after=1"
+        os.environ["REPRO_FAULT_PLAN"] = "interrupt:after=1"
         with pytest.raises(KeyboardInterrupt):
             run_campaign(FSPECS, n_workers=2)
         assert len(list(tmp_path.glob("*.json"))) >= 1
-        os.environ.pop(faults.PLAN_ENV)
+        os.environ.pop("REPRO_FAULT_PLAN")
         faults.reset()
         clear_result_memo()
         resumed = run_campaign(FSPECS, n_workers=1)
@@ -345,14 +439,14 @@ class TestStoreFaultDifferential:
         self, full_db, monkeypatch, tmp_path, oracle
     ):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        os.environ[faults.PLAN_ENV] = "truncate:store=results"
+        os.environ["REPRO_FAULT_PLAN"] = "truncate:store=results"
         spec = FSPECS[0]
         run_campaign([spec])
         file = tmp_path / f"{spec.fingerprint}.json"
         with pytest.raises(ValueError):
             json.loads(file.read_text())  # the write really was truncated
 
-        os.environ.pop(faults.PLAN_ENV)
+        os.environ.pop("REPRO_FAULT_PLAN")
         faults.reset()
         clear_result_memo()
         second = run_campaign([spec])
@@ -629,21 +723,16 @@ class TestExecutorUnits:
         assert "[2 retries, 1 pool failures]" in noisy.summary()
 
     def test_knob_defaults(self, monkeypatch):
-        for env in (
-            campaign_executor.SPEC_TIMEOUT_ENV,
-            campaign_executor.SPEC_RETRIES_ENV,
-            campaign_executor.RETRY_BACKOFF_ENV,
-            campaign_executor.POOL_FAILURES_ENV,
-            campaign_executor.STRAGGLER_FACTOR_ENV,
-        ):
-            monkeypatch.delenv(env, raising=False)
-        assert campaign_executor.spec_timeout() is None
-        assert campaign_executor.spec_retries() == 2
-        assert campaign_executor.retry_backoff() == 0.05
-        assert campaign_executor.max_pool_failures() == 3
-        assert campaign_executor.straggler_factor() == 8.0
-        monkeypatch.setenv(campaign_executor.STRAGGLER_FACTOR_ENV, "0")
-        assert campaign_executor.straggler_factor() is None
+        monkeypatch.delenv("REPRO_SPEC_TIMEOUT", raising=False)
+        assert settings.resolve().spec_timeout is None
+        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "0")
+        assert settings.resolve().spec_timeout is None
+        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "2.5")
+        assert settings.resolve().spec_timeout == 2.5
+        # The retry schedule and pool tolerance are fixed constants.
+        assert campaign_executor.SPEC_RETRIES == 2
+        assert campaign_executor.RETRY_BACKOFF == 0.05
+        assert campaign_executor.POOL_FAILURES == 3
 
     def test_deadline_raises_spec_timeout(self):
         from repro.campaign.executor import SpecTimeout, _deadline

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import settings
 from repro.campaign import Campaign, RunSpec, clear_result_memo
 from repro.campaign.attest import (
     ResultDivergenceError,
@@ -78,7 +79,7 @@ def _integrity_env(monkeypatch):
     faults.reset()
     saved = {
         k: os.environ.pop(k, None)
-        for k in (faults.PLAN_ENV, faults.LEDGER_ENV)
+        for k in ("REPRO_FAULT_PLAN", "REPRO_FAULT_LEDGER")
     }
     for k in (
         "REPRO_REMOTE",
@@ -90,7 +91,6 @@ def _integrity_env(monkeypatch):
         "REPRO_RESULT_CACHE",
         "REPRO_CAMPAIGN_WORKERS",
         "REPRO_VERIFY_READS",
-        "REPRO_SUSPECT_STRIKES",
         "REPRO_WORKER_ID",
     ):
         monkeypatch.delenv(k, raising=False)
@@ -295,6 +295,7 @@ class TestReadVerification:
         entry.write_text(result_to_json(skewed))
         clear_result_memo()
         monkeypatch.setenv("REPRO_VERIFY_READS", "0")
+        settings.resolve()
         served = cached_result(fp)  # knob off: served unverified
         assert served is not None and served != result
 
@@ -375,6 +376,27 @@ class TestVerifyAudit:
         assert report["divergences"] == 0
         assert set(report["modes"]) == {"step", "scalar"}
 
+    def test_sidecar_spec_with_wave_still_reexecutes(
+        self, full_db, monkeypatch, tmp_path
+    ):
+        """Sidecars written while RunSpec carried the event-loop mode
+        embed ``"wave": null`` in their spec; audits still re-execute
+        them instead of reporting version skew."""
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+        spec = ISPECS[0]
+        execute_spec(spec)
+        sidecar = tmp_path / "attest" / f"{spec.fingerprint}.json"
+        payload = json.loads(sidecar.read_text())
+        assert "wave" not in payload["spec"]
+        payload["spec"]["wave"] = None
+        sidecar.write_text(json.dumps(payload, sort_keys=True))
+        clear_result_memo()
+        report = verify_store(
+            tmp_path, sample=1, cross_mode=True, out=lambda _: None
+        )
+        assert report["reexecuted"] == 1 and report["skewed"] == []
+        assert report["divergences"] == 0
+
     def test_cli_verify_exit_codes(self, full_db, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
         spec = ISPECS[0]
@@ -427,8 +449,7 @@ class TestFabricDivergence:
         demoted after K strikes — and the campaign still converges
         bit-identical to the fault-free serial oracle."""
         _remote_env(monkeypatch, tmp_path, workers=0, ttl=5.0, batch=1)
-        monkeypatch.setenv("REPRO_SUSPECT_STRIKES", "2")
-        os.environ[faults.PLAN_ENV] = (
+        os.environ["REPRO_FAULT_PLAN"] = (
             "divergent:store=results,worker=wbad,times=2"
         )
         faults.prepare_for_campaign([])  # mint a shared ledger
@@ -501,7 +522,7 @@ class TestFabricDivergence:
         """One divergence (< K strikes): lease expires, work reassigns,
         the second execution converges — no demotion."""
         _remote_env(monkeypatch, tmp_path, workers=0, ttl=5.0, batch=4)
-        os.environ[faults.PLAN_ENV] = (
+        os.environ["REPRO_FAULT_PLAN"] = (
             "divergent:store=results,worker=w1,times=1"
         )
         faults.prepare_for_campaign([])
@@ -534,9 +555,8 @@ class TestSubprocessFabric:
         only inside the poisoned worker; the campaign completes
         bit-identical with the divergence journaled."""
         _remote_env(monkeypatch, tmp_path, workers=2, ttl=5.0, batch=1)
-        monkeypatch.setenv("REPRO_SUSPECT_STRIKES", "2")
         # Spawned workers get ids w<i>-<coordinator pid>: prefix-match w1.
-        os.environ[faults.PLAN_ENV] = (
+        os.environ["REPRO_FAULT_PLAN"] = (
             "divergent:store=results,worker=w1,times=2"
         )
         results = Campaign(ISPECS).run()
@@ -544,9 +564,7 @@ class TestSubprocessFabric:
             assert results[spec] == oracle[spec.fingerprint], spec.label()
         events = read_journal(next((tmp_path / "journal").glob("*.jsonl")))
         divergences = [e for e in events if e["event"] == "divergence"]
-        fired = len(
-            list(Path(os.environ[faults.LEDGER_ENV]).glob("d0-*"))
-        )
+        fired = len(list(settings.current().fault_ledger.glob("d0-*")))
         # The fault may fire 0-2 times depending on which worker wins
         # claims; every fire must surface as a journaled divergence.
         assert len(divergences) == fired

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import settings
 from repro.campaign import Campaign, RunSpec, clear_result_memo
 from repro.campaign.journal import (
     CampaignJournal,
@@ -79,7 +80,7 @@ def _fabric_env(monkeypatch):
     faults.reset()
     saved = {
         k: os.environ.pop(k, None)
-        for k in (faults.PLAN_ENV, faults.LEDGER_ENV)
+        for k in ("REPRO_FAULT_PLAN", "REPRO_FAULT_LEDGER")
     }
     for k in (
         "REPRO_REMOTE",
@@ -267,7 +268,7 @@ class TestFabricProtocol:
     def test_partition_fault_suppresses_heartbeat(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv(faults.PLAN_ENV, "partition:worker=w1,times=2")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "partition:worker=w1,times=2")
         fabric = Fabric(FileTransport(tmp_path))
         fabric.heartbeat("w1")  # suppressed (1)
         fabric.heartbeat("w1")  # suppressed (2)
@@ -278,7 +279,7 @@ class TestFabricProtocol:
         assert fabric.heartbeat_age("w1") is not None
 
     def test_dupdone_fault_publishes_twice(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(faults.PLAN_ENV, "dupdone:fp=ab")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "dupdone:fp=ab")
         fabric = Fabric(FileTransport(tmp_path))
         puts = []
         original = fabric.transport.put
@@ -294,7 +295,7 @@ class TestFabricProtocol:
         assert puts.count(Fabric.done_path("efgh")) == 1
 
     def test_torn_lease_write_fault(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(faults.PLAN_ENV, "truncate:store=lease")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "truncate:store=lease")
         fabric = Fabric(FileTransport(tmp_path))
         assert fabric.claim("abcd", "w1")
         # the claim won but its lease file was torn mid-write: it reads
@@ -426,7 +427,7 @@ class TestRemoteCampaign:
         _remote_env(monkeypatch, store, ttl=0.4, grace=0.2, batch=3)
         ordinal1 = _ordered(RSPECS)[0].fingerprint
         monkeypatch.setenv(
-            faults.PLAN_ENV,
+            "REPRO_FAULT_PLAN",
             f"partition:worker=pw,times=1000;hang:fp={ordinal1},secs=1.2",
         )
         worker = _start_worker(store, "pw1", idle_exit=1.0)
@@ -444,7 +445,7 @@ class TestRemoteCampaign:
     ):
         store = tmp_path / "store"
         _remote_env(monkeypatch, store, ttl=5.0, grace=30.0)
-        monkeypatch.setenv(faults.PLAN_ENV, "dupdone:times=3")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "dupdone:times=3")
         worker = _start_worker(store, "dw1")
         results = Campaign(RSPECS).run()
         worker.join(timeout=30)
@@ -463,7 +464,7 @@ class TestRemoteCampaign:
         work is executed normally."""
         store = tmp_path / "store"
         _remote_env(monkeypatch, store, ttl=0.3, grace=0.15)
-        monkeypatch.setenv(faults.PLAN_ENV, "truncate:store=lease")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "truncate:store=lease")
         worker = _start_worker(store, "tl1")
         results = Campaign(RSPECS).run()
         worker.join(timeout=30)
@@ -479,7 +480,7 @@ class TestRemoteCampaign:
         drops marker + lease and the spec is simply re-executed."""
         store = tmp_path / "store"
         _remote_env(monkeypatch, store, ttl=0.4, grace=0.2)
-        monkeypatch.setenv(faults.PLAN_ENV, "truncate:store=results")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "truncate:store=results")
         worker = _start_worker(store, "tr1")
         results = Campaign(RSPECS).run()
         worker.join(timeout=30)
@@ -497,8 +498,8 @@ class TestSubprocessWorkers:
         no live workers left — finishes the campaign itself."""
         store = tmp_path / "store"
         _remote_env(monkeypatch, store, workers=1, ttl=0.8, grace=0.3)
-        monkeypatch.setenv(faults.PLAN_ENV, "crash:spec=2")
-        monkeypatch.setenv(faults.LEDGER_ENV, str(tmp_path / "ledger"))
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "crash:spec=2")
+        monkeypatch.setenv("REPRO_FAULT_LEDGER", str(tmp_path / "ledger"))
         results = Campaign(RSPECS).run()
         _assert_matches_oracle(results, oracle)
         summary = journal_status(store)[0]
@@ -691,6 +692,7 @@ class TestStatusAttribution:
         assert status["workers"]["fresh"]["live"]
         assert status["leases"][0]["live"]
         monkeypatch.setenv("REPRO_LEASE_TTL", "0.1")
+        settings.resolve()
         time.sleep(0.2)
         status = fabric_status(tmp_path)
         assert not status["workers"]["fresh"]["live"]

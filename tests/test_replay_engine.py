@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import settings
 from repro.atd.atd import AuxiliaryTagDirectory
 from repro.atd.mlp import MLPCounterArray
 from repro.atd.monitor import RecencyMonitor
@@ -343,6 +344,7 @@ def test_resolve_engine_contract(monkeypatch):
     assert resolve_engine("oracle") == "oracle"
     assert resolve_engine("auto") in ("native", "vector")
     monkeypatch.setenv("REPRO_REPLAY_ENGINE", "vector")
+    settings.resolve()
     assert resolve_engine(None) == "vector"
     with pytest.raises(ValueError):
         resolve_engine("warp-drive")

@@ -17,6 +17,7 @@ The contract under test:
 import numpy as np
 import pytest
 
+from repro import settings
 from repro.campaign.results import result_to_json
 from repro.core import _native_opt
 from repro.core.energy_curve import EnergyCurve
@@ -139,6 +140,7 @@ class TestWaveDifferential:
         sim = MulticoreRMSimulator(mini_db, IdleRM(system2))
         assert sim.wave == "step"
         monkeypatch.setenv("REPRO_SIM_WAVE", "scalar")
+        settings.resolve()
         assert MulticoreRMSimulator(mini_db, IdleRM(system2)).wave == "scalar"
         for removed in ("batched", "epsilon", "native"):
             with pytest.raises(ValueError):
@@ -433,55 +435,3 @@ class TestPersistentMemo:
         assert (memo.hits, memo.misses, memo.seeds) == (0, 0, 1)
         assert memo.get(key) is result
         assert (memo.hits, memo.misses, memo.seeds) == (1, 0, 1)
-
-
-# ---------------------------------------------------------------------------
-# campaign / spec plumbing
-# ---------------------------------------------------------------------------
-class TestSpecWaveKnob:
-    def test_wave_not_in_fingerprint(self):
-        from repro.campaign.spec import RunSpec
-
-        a = RunSpec(seed=1, n_cores=2, rm_kind="idle", model=None, apps=("x", "y"))
-        b = RunSpec(
-            seed=1,
-            n_cores=2,
-            rm_kind="idle",
-            model=None,
-            apps=("x", "y"),
-            wave="scalar",
-        )
-        # Fingerprints are computed lazily and need the database key;
-        # compare payload-level equality via the public invariant: the
-        # wave field must not reach the fingerprint payload.
-        import inspect
-
-        src = inspect.getsource(type(a).fingerprint.fget)
-        assert "wave" not in src
-        assert a.wave is None and b.wave == "scalar"
-
-    def test_wave_validated(self):
-        from repro.campaign.spec import RunSpec
-
-        with pytest.raises(ValueError):
-            RunSpec(
-                seed=1,
-                n_cores=1,
-                rm_kind="idle",
-                model=None,
-                apps=("x",),
-                wave="sometimes",
-            )
-
-    def test_label_carries_wave(self):
-        from repro.campaign.spec import RunSpec
-
-        spec = RunSpec(
-            seed=1,
-            n_cores=1,
-            rm_kind="idle",
-            model=None,
-            apps=("x",),
-            wave="scalar",
-        )
-        assert "wave=scalar" in spec.label()

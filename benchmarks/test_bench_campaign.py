@@ -15,13 +15,10 @@ context.
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
-from repro import settings
-from repro.campaign import Fabric, FileTransport, clear_result_memo
-from repro.campaign.remote import spawn_local_workers
+from repro.campaign import clear_result_memo
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.runner import plan_all, run_all
 
@@ -78,44 +75,6 @@ def test_bench_campaign_all_quick_serial_journaled(
         _cold_run_all, args=(quick_cfg, 1), rounds=1, iterations=1
     )
     assert len(results) == N_EXPERIMENTS
-
-
-def test_bench_campaign_all_quick_remote2(
-    benchmark, quick_cfg, tmp_path, monkeypatch
-):
-    """Distributed-fabric coordination cost on the fault-free path: the
-    same campaign leased to two pre-warmed file-transport workers.
-
-    Workers are started (and their imports / database caches warmed)
-    before the timer, matching the long-lived ``repro campaign --work``
-    deployment — the figure isolates what the lease protocol itself
-    costs versus the in-process pool above, not Python startup."""
-    clear_result_memo()
-    run_all(quick_cfg, n_workers=1)  # warm the on-disk database cache
-    store = tmp_path / "store"
-    monkeypatch.setenv("REPRO_RESULT_CACHE", str(store))
-    monkeypatch.setenv("REPRO_REMOTE", "1")
-    monkeypatch.setenv("REPRO_REMOTE_WORKERS", "0")  # external workers only
-    monkeypatch.setenv("REPRO_REMOTE_TICK", "0.02")
-    settings.resolve()  # the spawned workers receive these settings
-    procs = spawn_local_workers(2, store, idle_exit=120.0)
-    fabric = Fabric(FileTransport(store))
-    deadline = time.monotonic() + 120
-    while len(fabric.workers()) < 2 and time.monotonic() < deadline:
-        time.sleep(0.1)
-    assert len(fabric.workers()) == 2, "fabric workers failed to report in"
-    try:
-        results = benchmark.pedantic(
-            _cold_run_all, args=(quick_cfg, 1), rounds=1, iterations=1
-        )
-    finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.wait(timeout=10)
-    assert len(results) == N_EXPERIMENTS
-    benchmark.extra_info.update(_plan_info(quick_cfg))
-    benchmark.extra_info["cpu_count"] = os.cpu_count()
 
 
 def test_bench_campaign_all_quick_warm(benchmark, quick_cfg):

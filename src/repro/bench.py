@@ -193,7 +193,6 @@ def emit_campaign() -> int:
 
     serial = benches.get("test_bench_campaign_all_quick_serial", {})
     workers2 = benches.get("test_bench_campaign_all_quick_workers2", {})
-    remote2 = benches.get("test_bench_campaign_all_quick_remote2", {})
     warm = benches.get("test_bench_campaign_all_quick_warm", {})
     journaled = benches.get(
         "test_bench_campaign_all_quick_serial_journaled", {}
@@ -208,13 +207,6 @@ def emit_campaign() -> int:
     if serial.get("mean_s") and workers2.get("mean_s"):
         summary["workers2_speedup_vs_serial"] = round(
             serial["mean_s"] / workers2["mean_s"], 2
-        )
-    if workers2.get("mean_s") and remote2.get("mean_s"):
-        # What the lease protocol itself costs: the same 2-way campaign
-        # through pre-warmed file-transport fabric workers vs the
-        # in-process pool.
-        summary["remote2_overhead_vs_workers2"] = round(
-            remote2["mean_s"] / workers2["mean_s"], 3
         )
     if serial.get("mean_s") and warm.get("mean_s"):
         summary["warm_cache_speedup_vs_cold"] = round(

@@ -30,21 +30,11 @@ any failure pattern — see :mod:`repro.campaign.executor` and
 :mod:`repro.util.faults`.  Every ``REPRO_*`` knob named here is
 declared, parsed and validated once, in :mod:`repro.settings`.
 
-Campaigns also scale past one machine: ``REPRO_REMOTE`` (or ``--remote``)
-dispatches pending fingerprints through a lease-based distributed fabric
-(:mod:`repro.campaign.remote`) whose workers claim, heartbeat and publish
-over a shared store behind a pluggable transport
-(:mod:`repro.campaign.transport` — shared filesystem or SSH), with the
-same bit-identical convergence guarantee under worker crashes,
-partitions, duplicate deliveries and torn lease writes.
-
 The bit-identical contract itself is *checked*, not assumed
 (:mod:`repro.campaign.attest`): every published result carries a digest
 + provenance sidecar, occupied-slot writes byte-compare before merging
-(different bytes = quarantined divergence event), done markers carry the
-worker's claimed digest for coordinator cross-checking (repeat offenders
-are demoted as suspect), and ``repro verify`` audits the store by digest
-sweep and deterministic-sample re-execution.
+(different bytes = quarantined divergence event), and ``repro verify``
+audits the store by digest sweep and deterministic-sample re-execution.
 """
 
 from repro.campaign.attest import (
@@ -71,14 +61,6 @@ from repro.campaign.journal import (
     CampaignJournal,
     journal_status,
     protected_fingerprints,
-    worker_attribution,
-)
-from repro.campaign.remote import (
-    Fabric,
-    fabric_status,
-    run_remote,
-    run_worker,
-    spawn_local_workers,
 )
 from repro.campaign.results import (
     cache_stats,
@@ -91,25 +73,15 @@ from repro.campaign.results import (
     result_to_json,
 )
 from repro.campaign.spec import RunSpec
-from repro.campaign.transport import (
-    FileTransport,
-    SSHTransport,
-    Transport,
-    transport_for,
-)
 
 __all__ = [
     "Campaign",
     "CampaignExecutionError",
     "CampaignJournal",
-    "Fabric",
-    "FileTransport",
     "ResultDivergenceError",
     "ResultSet",
     "RunSpec",
-    "SSHTransport",
     "SpecTimeout",
-    "Transport",
     "attestation_stats",
     "cache_stats",
     "clear_database_cache",
@@ -118,7 +90,6 @@ __all__ = [
     "divergence_stats",
     "drop_memo_entry",
     "execute_spec",
-    "fabric_status",
     "get_database",
     "journal_status",
     "protected_fingerprints",
@@ -131,11 +102,6 @@ __all__ = [
     "result_from_json",
     "result_to_json",
     "run_campaign",
-    "run_remote",
-    "run_worker",
-    "spawn_local_workers",
-    "transport_for",
     "verify_store",
-    "worker_attribution",
     "write_attestation",
 ]

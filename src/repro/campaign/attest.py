@@ -25,10 +25,6 @@ This module is what turns that assumption into a checked contract:
   full digest sweep of the store plus deterministic-sample re-execution
   (optionally cross-mode: wave vs scalar) diffed byte-for-byte
   against the stored entries.
-
-The distributed fabric builds on the same digests: done markers carry
-the worker's claimed digest and the coordinator cross-checks it against
-the stored bytes before harvesting (see :mod:`repro.campaign.remote`).
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ __all__ = [
     "ATTEST_DIRNAME",
     "DIVERGENCE_DIRNAME",
     "ResultDivergenceError",
-    "attest_rel",
     "attestation_payload",
     "attestation_stats",
     "digest_text",
@@ -72,7 +67,7 @@ ATTEST_DIRNAME = "attest"
 DIVERGENCE_DIRNAME = "divergence"
 
 #: Digest length in bytes — matches the spec-fingerprint width so both
-#: identifiers read alike in journals and markers.
+#: identifiers read alike in journals and sidecars.
 _DIGEST_SIZE = 16
 
 
@@ -135,24 +130,17 @@ def provenance_block(wave: Optional[str] = None) -> Dict:
     Records exactly the heterogeneity axes that could plausibly skew
     bytes across hosts — interpreter and numpy versions, machine, native
     kernel availability, the event-loop mode — plus the publishing
-    process/worker identity and the code's ``RESULT_VERSION``.
+    process id and the code's ``RESULT_VERSION``.
     ``wave`` is the mode a re-execution ran in (None: this process's
     ``REPRO_SIM_WAVE``).
     """
-    knobs = settings.current()
     return {
         **_host_block(),
         "pid": os.getpid(),
-        "worker": knobs.worker_id,
-        "wave": wave or knobs.wave,
+        "wave": wave or settings.current().wave,
         "result_version": RESULT_VERSION,
         "t": time.time(),
     }
-
-
-def attest_rel(fingerprint: str) -> str:
-    """Sidecar path relative to the store root (transport-addressable)."""
-    return f"{ATTEST_DIRNAME}/{fingerprint}.json"
 
 
 def _attest_path(root: Path, fingerprint: str) -> Path:
@@ -250,8 +238,8 @@ def record_divergence(
     copy; each lands as ``<label>.json`` (plus ``<label>.attest.json``
     when provenance is known) under a fresh
     ``<store>/divergence/<fp>[.pid.N]/`` directory, with a ``meta.json``
-    recording the digests, the reason and any extra fields (worker id,
-    claimed digest...).  The directory is deliberately *outside* the
+    recording the digests, the reason and any extra fields (such as the
+    re-execution mode).  The directory is deliberately *outside* the
     LRU-pruned namespace — divergence evidence is never evicted.
     Returns the evidence directory (None when the filesystem refuses).
     """

@@ -254,7 +254,6 @@ class CampaignStats:
         workers: int,
         retries: int = 0,
         pool_failures: int = 0,
-        lease_expiries: int = 0,
         divergences: int = 0,
     ):
         self.planned = planned
@@ -264,7 +263,6 @@ class CampaignStats:
         self.workers = workers
         self.retries = retries
         self.pool_failures = pool_failures
-        self.lease_expiries = lease_expiries
         self.divergences = divergences
 
     def summary(self) -> str:
@@ -273,18 +271,11 @@ class CampaignStats:
             f"({self.simulated} simulated, {self.cached} cached) "
             f"on {self.workers} worker{'s' if self.workers != 1 else ''}"
         )
-        if (
-            self.retries
-            or self.pool_failures
-            or self.lease_expiries
-            or self.divergences
-        ):
+        if self.retries or self.pool_failures or self.divergences:
             tallies = [
                 f"{self.retries} retries",
                 f"{self.pool_failures} pool failures",
             ]
-            if self.lease_expiries:
-                tallies.append(f"{self.lease_expiries} lease expiries")
             if self.divergences:
                 tallies.append(f"{self.divergences} divergences")
             text += f" [{', '.join(tallies)}]"
@@ -303,13 +294,9 @@ class _ExecState:
         self.pool_failures = 0
         self.divergences = 0
 
-    def record_done(
-        self, fp: str, seconds: float, worker: Optional[str] = None
-    ) -> None:
+    def record_done(self, fp: str, seconds: float) -> None:
         if self.journal is not None:
-            self.journal.done(
-                fp, self.attempts.get(fp, 0) + 1, seconds, worker=worker
-            )
+            self.journal.done(fp, self.attempts.get(fp, 0) + 1, seconds)
 
     def record_failure(self, fp: str, exc: Exception) -> bool:
         """Count one failed attempt; True when a retry is still allowed."""
@@ -319,7 +306,7 @@ class _ExecState:
             # one of the contested versions — fail the spec loudly now.
             self.divergences += 1
             if self.journal is not None:
-                self.journal.divergence(fp, None, [exc.digest_a, exc.digest_b])
+                self.journal.divergence(fp, [exc.digest_a, exc.digest_b])
             self.failures[fp] = repr(exc)
             return False
         attempt = self.attempts.get(fp, 0) + 1
@@ -549,7 +536,6 @@ class Campaign:
         # Every knob is parsed here: a malformed value must fail before
         # hours of simulation, not mid-campaign.
         knobs = settings.resolve()
-        from repro.campaign import remote
 
         specs = self.unique_specs
         results: Dict[str, SimResult] = {}
@@ -562,10 +548,6 @@ class Campaign:
                 pending.append(spec)
 
         workers = resolve_campaign_workers(n_workers, len(pending))
-        if knobs.remote and knobs.remote_workers is not None:
-            # In remote mode "workers" means fabric workers to spawn
-            # (0 = external workers registered via `campaign --work`).
-            workers = knobs.remote_workers
         # Sorted (seed, n_cores) order keeps each worker's database
         # loads/rebinds few and makes the dispatch order — and with it
         # any ``spec=N`` fault-plan ordinal — deterministic.
@@ -590,9 +572,7 @@ class Campaign:
             )
         faults.prepare_for_campaign([s.fingerprint for s in ordered])
         try:
-            if knobs.remote and pending:
-                remote.run_remote(ordered, state, workers)
-            elif workers > 1 and len(pending) > 1:
+            if workers > 1 and len(pending) > 1:
                 # Warm every needed database in the parent first: each
                 # build happens once (and lands in the on-disk cache)
                 # instead of once per worker, and forked workers inherit
@@ -651,7 +631,6 @@ class Campaign:
             workers=workers,
             retries=state.retries,
             pool_failures=state.pool_failures,
-            lease_expiries=getattr(state, "lease_expiries", 0),
             divergences=state.divergences,
         )
         return ResultSet(results, stats)

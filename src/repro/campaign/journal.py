@@ -19,27 +19,13 @@ Events (each line also carries a ``t`` wall-clock timestamp):
     A run (first or resumed) started: planned/unique/cached/pending
     counts and the worker count.
 ``done``
-    One spec simulated and stored (fingerprint, attempt number, seconds;
-    distributed runs add the executing worker's id).
-``remote_begin``
-    A distributed run started: transport kind and expected worker count.
-``claim``
-    A fabric worker leased a batch of fingerprints.
-``lease_expired``
-    The coordinator broke a stale lease and requeued its fingerprints.
-``fallback``
-    The coordinator degraded to executing specs itself (no live workers).
+    One spec simulated and stored (fingerprint, attempt number, seconds).
 ``failed``
     One attempt failed (fingerprint, attempt number, error text).
 ``divergence``
-    Duplicate executions of one spec produced *different bytes* (or a
-    done marker's claimed digest did not match the stored entry): the
+    Duplicate executions of one spec produced *different bytes*: the
     bit-identical contract was violated, both versions were quarantined
     under ``<store>/divergence/``.
-``worker_demoted``
-    One worker accumulated
-    :data:`~repro.campaign.remote.SUSPECT_STRIKES` divergence events and
-    was marked suspect; it stops claiming work.
 ``pool_failure``
     The process pool broke and was rebuilt (or execution degraded to
     serial).
@@ -48,6 +34,9 @@ Events (each line also carries a ``t`` wall-clock timestamp):
     resumable.
 ``complete``
     The run finished (done / permanently-failed counts).
+
+Readers skip event kinds they do not know and fields they do not use,
+so journals written by older versions still summarise.
 """
 
 from __future__ import annotations
@@ -68,7 +57,6 @@ __all__ = [
     "protected_fingerprints",
     "read_journal",
     "summarize_events",
-    "worker_attribution",
 ]
 
 
@@ -119,17 +107,10 @@ class CampaignJournal:
             workers=workers,
         )
 
-    def done(
-        self,
-        fingerprint: str,
-        attempt: int,
-        seconds: float,
-        worker: Optional[str] = None,
-    ) -> None:
-        fields = {"fp": fingerprint, "attempt": attempt, "s": round(seconds, 6)}
-        if worker is not None:
-            fields["worker"] = worker
-        self._append("done", **fields)
+    def done(self, fingerprint: str, attempt: int, seconds: float) -> None:
+        self._append(
+            "done", fp=fingerprint, attempt=attempt, s=round(seconds, 6)
+        )
 
     def failed(self, fingerprint: str, attempt: int, error: str) -> None:
         self._append(
@@ -144,32 +125,8 @@ class CampaignJournal:
     def interrupted(self, done: int, remaining: int) -> None:
         self._append("interrupted", done=done, remaining=remaining)
 
-    def remote_begin(self, transport: str, workers: int, pending: int) -> None:
-        self._append(
-            "remote_begin", transport=transport, workers=workers, pending=pending
-        )
-
-    def claim(self, worker: str, count: int) -> None:
-        self._append("claim", worker=worker, count=count)
-
-    def lease_expired(self, worker: str, fingerprint: str) -> None:
-        self._append("lease_expired", worker=worker, fp=fingerprint)
-
-    def fallback(self, reason: str, count: int) -> None:
-        self._append("fallback", reason=reason, count=count)
-
-    def divergence(
-        self, fingerprint: str, worker: Optional[str], digests: List[str]
-    ) -> None:
-        self._append(
-            "divergence",
-            fp=fingerprint,
-            worker=worker or "local",
-            digests=digests,
-        )
-
-    def worker_demoted(self, worker: str, strikes: int) -> None:
-        self._append("worker_demoted", worker=worker, strikes=strikes)
+    def divergence(self, fingerprint: str, digests: List[str]) -> None:
+        self._append("divergence", fp=fingerprint, digests=digests)
 
     def complete(self, done: int, failed: int) -> None:
         self._append("complete", done=done, failed=failed)
@@ -225,16 +182,11 @@ def summarize_events(events: List[Dict]) -> Optional[Dict]:
     )
     unique = begin.get("unique", 0)
     done_total = begin.get("cached", 0) + len(done_after)
-    remote = any(ev["event"] == "remote_begin" for ev in events)
     # Integrity tallies span the whole file, like failures: a divergence
     # before a resume still violated the contract.
     divergences = sum(1 for ev in events if ev["event"] == "divergence")
-    demoted_workers = sorted(
-        {ev["worker"] for ev in events if ev["event"] == "worker_demoted"}
-    )
     return {
         "runs": sum(1 for ev in events if ev["event"] == "begin"),
-        "remote": remote,
         "unique": unique,
         "cached": begin.get("cached", 0),
         "done": done_total,
@@ -246,44 +198,7 @@ def summarize_events(events: List[Dict]) -> Optional[Dict]:
         "complete": complete is not None,
         "permanent_failures": complete.get("failed", 0) if complete else 0,
         "divergences": divergences,
-        "demoted_workers": demoted_workers,
         "updated": max(ev.get("t", 0.0) for ev in events),
-    }
-
-
-def worker_attribution(events: List[Dict]) -> Dict[str, Dict]:
-    """Per-worker execution accounting across a journal's whole history.
-
-    Completed fingerprints are counted as a *set* per worker — duplicate
-    ``done`` deliveries (the ``dupdone`` fault, or a re-executed expired
-    lease landing twice) must not inflate a worker's tally.  ``done``
-    events without a worker id (local pool/serial execution) are
-    attributed to ``"local"``.
-    """
-    workers: Dict[str, Dict] = {}
-
-    def slot(name: str) -> Dict:
-        return workers.setdefault(
-            name,
-            {"done": set(), "claims": 0, "lease_expired": 0, "last_t": 0.0},
-        )
-
-    for ev in events:
-        kind = ev["event"]
-        if kind == "done":
-            w = slot(ev.get("worker") or "local")
-            w["done"].add(ev["fp"])
-        elif kind == "claim":
-            w = slot(ev["worker"])
-            w["claims"] += 1
-        elif kind == "lease_expired":
-            w = slot(ev["worker"])
-            w["lease_expired"] += 1
-        else:
-            continue
-        w["last_t"] = max(w["last_t"], ev.get("t", 0.0))
-    return {
-        name: {**w, "done": len(w["done"])} for name, w in workers.items()
     }
 
 

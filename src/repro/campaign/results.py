@@ -276,8 +276,8 @@ def store_result(
                 write_attestation(root, fingerprint, text, spec=spec)
             return
         # Sidecar first, entry second: any visible entry already has its
-        # digest on disk, so a reader (or the coordinator's marker
-        # cross-check) can always verify what it just read.
+        # digest on disk, so a reader can always verify what it just
+        # read.
         write_attestation(root, fingerprint, text, spec=spec)
         if atomic_write_text(path, text):
             faults.on_store_write("results", fingerprint, path)

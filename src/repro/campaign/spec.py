@@ -141,12 +141,13 @@ class RunSpec:
         return digest
 
     def to_json(self) -> str:
-        """Wire form for the distributed fabric's task files.
+        """Wire form embedded in attestation sidecars.
 
-        Every field plus the fingerprint; a worker rebuilds the spec with
-        :meth:`from_json` and re-derives the fingerprint from its *own*
-        code and database, so a coordinator/worker version skew surfaces
-        as a fingerprint mismatch instead of a silently mis-filed result.
+        Every field plus the fingerprint; ``repro verify --sample``
+        rebuilds the spec with :meth:`from_json` and re-derives the
+        fingerprint from the *current* code and database, so a version
+        skew since the entry was stored surfaces as a fingerprint
+        mismatch instead of a re-execution against the wrong entry.
         """
         return json.dumps(
             {
@@ -167,23 +168,23 @@ class RunSpec:
     def from_json(cls, text: str) -> "RunSpec":
         """Rebuild a spec from :meth:`to_json`, verifying the fingerprint.
 
-        Raises ``ValueError`` when the locally recomputed fingerprint
-        disagrees with the one the publisher recorded — the two sides run
-        different code, calibration or RESULT_VERSION, and executing the
-        task would publish a result under the wrong content address.
+        Raises ``ValueError`` when the recomputed fingerprint disagrees
+        with the recorded one — the writer ran different code,
+        calibration or RESULT_VERSION, and executing the spec would
+        produce a result for a different content address.
         """
         data = json.loads(text)
         claimed = data.pop("fingerprint", None)
-        # Older task files and sidecars carry the event-loop mode, which
-        # never changed a result byte: ignore it.
+        # Older sidecars carry the event-loop mode, which never changed
+        # a result byte: ignore it.
         data.pop("wave", None)
         data["apps"] = tuple(data["apps"])
         spec = cls(**data)
         if claimed is not None and claimed != spec.fingerprint:
             raise ValueError(
-                f"task fingerprint mismatch: publisher says {claimed[:12]}, "
-                f"this worker computes {spec.fingerprint[:12]} — "
-                "coordinator/worker version or calibration skew"
+                f"spec fingerprint mismatch: recorded {claimed[:12]}, "
+                f"this code computes {spec.fingerprint[:12]} — "
+                "version or calibration skew"
             )
         return spec
 

@@ -16,8 +16,6 @@ Usage::
     python -m repro verify                 # attestation coverage + digests
     python -m repro verify --sample 8      # ... plus re-execution audit
     python -m repro campaign --status      # journaled campaign progress
-    python -m repro all --quick --remote --remote-workers 2  # fabric run
-    python -m repro campaign --work --store /shared/results  # fabric worker
     python -m repro bench --emit localopt  # regenerate one BENCH_*.json
     python -m repro bench --emit all       # ... or every baseline
     python -m repro bench --check simloop  # CI smoke: no perf collapse
@@ -27,23 +25,18 @@ Every experiment plans its simulations through the campaign engine;
 ``--workers`` flag (or ``REPRO_CAMPAIGN_WORKERS``) fans unique runs out
 over a process pool — results are bit-identical for any worker count.
 Every ``REPRO_*`` knob is declared and validated in :mod:`repro.settings`;
-``--wave``, ``--remote`` and ``--remote-workers`` override theirs for
-this process, and a malformed knob fails before anything runs.
+``--wave`` overrides its knob for this process, and a malformed knob
+fails before anything runs.
 The ``cache`` subcommand manages the on-disk result store named by
 ``REPRO_RESULT_CACHE`` (cap: ``REPRO_RESULT_CACHE_MAX_MB``); ``bench``
 emits and checks the ``BENCH_*.json`` baselines; ``campaign --status``
 reports progress, retries and failure tallies from the crash-safe run
 journals kept under the result store (interrupted campaigns resume by
-re-running the same command), plus per-worker attribution and live/stale
-lease state for distributed runs.  ``verify`` audits the result store's
+re-running the same command).  ``verify`` audits the result store's
 integrity layer (:mod:`repro.campaign.attest`): attestation coverage, a
 digest sweep of every entry, and — with ``--sample N`` — deterministic
 re-execution of N stored fingerprints whose bytes must match the store
 (``--cross-mode`` re-executes each sampled spec in both event-loop modes).
-``--remote`` dispatches a campaign
-through the lease-based distributed fabric (:mod:`repro.campaign.remote`)
-and ``campaign --work`` turns this process into a fabric worker against a
-shared store (a directory, or ``ssh://host/path``).
 """
 
 from __future__ import annotations
@@ -120,61 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "with 'campaign': report journaled campaign progress, retry "
-            "and failure tallies from the result store's run journals, "
-            "plus per-worker attribution and lease liveness"
-        ),
-    )
-    parser.add_argument(
-        "--remote",
-        action="store_true",
-        help=(
-            "execute the campaign through the distributed fabric "
-            "(REPRO_REMOTE): pending runs are leased to fabric workers "
-            "over the shared result store; requires REPRO_RESULT_CACHE"
-        ),
-    )
-    parser.add_argument(
-        "--remote-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "with --remote: local fabric worker processes to spawn "
-            "(REPRO_REMOTE_WORKERS; 0 = rely on external "
-            "'campaign --work' workers)"
-        ),
-    )
-    parser.add_argument(
-        "--work",
-        action="store_true",
-        help=(
-            "with 'campaign': run as a fabric worker — claim leased "
-            "fingerprints from --store, execute and publish results"
-        ),
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="STORE",
-        help=(
-            "with 'campaign --work': the shared store — a directory "
-            "(file transport) or ssh://[user@]host/abs/path"
-        ),
-    )
-    parser.add_argument(
-        "--worker-id",
-        default=None,
-        metavar="ID",
-        help="with 'campaign --work': worker id (default: w<pid>)",
-    )
-    parser.add_argument(
-        "--idle-exit",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "with 'campaign --work': exit after this long with nothing "
-            "claimable (default: run forever)"
+            "and failure tallies from the result store's run journals"
         ),
     )
     parser.add_argument(
@@ -331,38 +270,13 @@ def _verify_command(args) -> int:
     return 1 if report["divergences"] else 0
 
 
-def _worker_command(args) -> int:
-    """Run this process as a fabric worker (``campaign --work``)."""
-    from repro.campaign.remote import run_worker
-
-    if args.store is None:
-        print("campaign --work requires --store", file=sys.stderr)
-        return 2
-    completed = run_worker(
-        args.store, worker_id=args.worker_id, idle_exit=args.idle_exit
-    )
-    print(f"[worker done: {completed} specs completed]", file=sys.stderr)
-    return 0
-
-
 def _campaign_command(args) -> int:
-    """Report journaled campaign progress (``repro campaign --status``)
-    or serve as a fabric worker (``repro campaign --work``)."""
-    from repro.campaign.journal import (
-        journal_status,
-        read_journal,
-        worker_attribution,
-    )
-    from repro.campaign.remote import fabric_status
+    """Report journaled campaign progress (``repro campaign --status``)."""
+    from repro.campaign.journal import journal_status
     from repro.campaign.results import result_cache_dir
 
-    if args.work:
-        return _worker_command(args)
     if not args.status:
-        print(
-            "the 'campaign' subcommand requires --status or --work",
-            file=sys.stderr,
-        )
+        print("the 'campaign' subcommand requires --status", file=sys.stderr)
         return 2
     root = result_cache_dir()
     if root is None:
@@ -402,52 +316,6 @@ def _campaign_command(args) -> int:
         if tallies:
             line += f" [{', '.join(tallies)}]"
         print(line)
-        for worker in s.get("demoted_workers", ()):
-            print(f"  worker {worker}: DEMOTED (divergent results)")
-        attribution = worker_attribution(read_journal(Path(s["path"])))
-        if s.get("remote") or len(attribution) > 1:
-            now = time.time()
-            for worker in sorted(attribution):
-                w = attribution[worker]
-                parts = [f"{w['done']} done"]
-                if w["claims"]:
-                    parts.append(f"{w['claims']} claims")
-                if w["lease_expired"]:
-                    parts.append(f"{w['lease_expired']} expired leases")
-                if w["last_t"]:
-                    parts.append(f"last seen {max(0.0, now - w['last_t']):.0f}s ago")
-                print(f"  worker {worker}: {', '.join(parts)}")
-    fabric = fabric_status(root)
-    if fabric["workers"] or fabric["leases"] or fabric.get("suspects"):
-        print(f"fabric (lease TTL {fabric['ttl']:g}s):")
-        for worker in sorted(fabric["workers"]):
-            w = fabric["workers"][worker]
-            age = w["heartbeat_age"]
-            flags = "live" if w["live"] else "stale"
-            if worker in fabric.get("suspects", {}):
-                flags += ", SUSPECT"
-            print(
-                f"  worker {worker}: {flags}"
-                + (f", heartbeat {age:.0f}s ago" if age is not None else "")
-            )
-        for worker in sorted(fabric.get("suspects", {})):
-            if worker in fabric["workers"]:
-                continue
-            strikes = fabric["suspects"][worker]
-            print(
-                f"  worker {worker}: SUSPECT"
-                + (
-                    f" ({strikes} divergence strikes)"
-                    if strikes is not None
-                    else ""
-                )
-            )
-        for lease in fabric["leases"]:
-            print(
-                f"  lease {lease['fp'][:16]}: "
-                f"worker {lease['worker'] or '?'}, "
-                f"{'live' if lease['live'] else 'stale'}"
-            )
     return 0
 
 
@@ -457,10 +325,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     # only: results stay bit-identical, and every knob is validated here,
     # before anything runs.
     flags = {"wave": args.wave} if args.wave else {}
-    if args.remote or args.remote_workers is not None:
-        flags["remote"] = True
-    if args.remote_workers is not None:
-        flags["remote_workers"] = args.remote_workers
     with settings.override(**flags):
         return _run(args)
 
@@ -503,7 +367,7 @@ def _run(args) -> int:
     if args.csv_dir is not None:
         args.csv_dir.mkdir(parents=True, exist_ok=True)
 
-    t0 = time.time()
+    t0 = time.monotonic()
     if args.experiment == "all":
         results = plan_all(cfg).run(n_workers=args.workers)
         print(f"[campaign: {results.stats.summary()}]", file=sys.stderr)
@@ -514,7 +378,7 @@ def _run(args) -> int:
             run_experiment(args.experiment, cfg, n_workers=args.workers),
             args.csv_dir,
         )
-    print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
+    print(f"[done in {time.monotonic() - t0:.1f}s]", file=sys.stderr)
     return 0
 
 

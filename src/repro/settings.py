@@ -7,14 +7,13 @@ its environment variable, default and parser.  No knob changes a result
 byte.
 
 Resolution is per process: CLI flags (applied with :func:`override`),
-then the environment, then the default.  The entry points — the CLI,
-``Campaign.run`` and fabric workers — call :func:`resolve`, which parses
-every knob at once, so a malformed value raises a ``ValueError`` naming
-its variable before anything simulates; everything else reads
-:func:`current`.  Forked pool workers inherit the parent's settings;
-spawned processes receive them through :func:`child_env`.  Booleans
-accept ``1/true/yes/on`` and ``0/false/no/off`` or empty, in any case;
-for every other knob an empty value means unset.
+then the environment, then the default.  The entry points — the CLI
+and ``Campaign.run`` — call :func:`resolve`, which parses every knob at
+once, so a malformed value raises a ``ValueError`` naming its variable
+before anything simulates; everything else reads :func:`current`.
+Forked pool workers inherit the parent's settings.  Booleans accept
+``1/true/yes/on`` and ``0/false/no/off`` or empty, in any case; for
+every other knob an empty value means unset.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "REPLAY_ENGINES",
     "Settings",
     "WAVE_MODES",
-    "child_env",
     "current",
     "install",
     "override",
@@ -68,16 +66,15 @@ def parse_bool(raw: Any) -> bool:
     raise ValueError("must be a boolean (1/true/yes/on or 0/false/no/off)")
 
 
-def _number(kind: type, floor=None) -> Callable[[Any], Any]:
-    """Parse an int or float, clamped to ``floor`` when given."""
+def _number(kind: type) -> Callable[[Any], Any]:
+    """Parse an int or float."""
 
     def parse(raw: Any):
         try:
-            value = kind(raw)
+            return kind(raw)
         except (TypeError, ValueError):
             what = "an integer" if kind is int else "a number"
             raise ValueError(f"must be {what}") from None
-        return value if floor is None else max(floor, value)
 
     return parse
 
@@ -128,19 +125,6 @@ class Settings:
     spec_timeout: Optional[float] = _knob(
         "REPRO_SPEC_TIMEOUT", None, _positive_or_none
     )
-    remote: bool = _knob("REPRO_REMOTE", False, parse_bool)
-    remote_workers: Optional[int] = _knob(
-        "REPRO_REMOTE_WORKERS", None, _number(int, 0)
-    )
-    lease_ttl: float = _knob("REPRO_LEASE_TTL", 30.0, _number(float, 0.1))
-    lease_batch: int = _knob("REPRO_LEASE_BATCH", 4, _number(int, 1))
-    remote_grace: float = _knob(
-        "REPRO_REMOTE_GRACE", 5.0, _number(float, 0.0)
-    )
-    remote_tick: float = _knob(
-        "REPRO_REMOTE_TICK", 0.2, _number(float, 0.01)
-    )
-    worker_id: Optional[str] = _knob("REPRO_WORKER_ID", None, str)
     wave: str = _knob("REPRO_SIM_WAVE", "step", _choice(WAVE_MODES))
     replay_engine: str = _knob(
         "REPRO_REPLAY_ENGINE", "auto", _choice(REPLAY_ENGINES)
@@ -164,11 +148,6 @@ class Settings:
                     msg = f"{env} {msg}, got {value!r}"
                 raise ValueError(msg) from None
             object.__setattr__(self, f.name, value)
-        if self.remote and self.result_cache is None:
-            raise ValueError(
-                "REPRO_REMOTE requires a shared result store "
-                "(set REPRO_RESULT_CACHE)"
-            )
 
 
 #: Field name -> environment variable, for messages and exports.
@@ -248,16 +227,3 @@ def reset(*names: str) -> None:
         for name in names or list(_overrides):
             _overrides.pop(name, None)
         _current = None
-
-
-def child_env(**changes: Any) -> Dict[str, str]:
-    """Environment for a spawned process that must resolve exactly the
-    current settings with ``changes``: this process's environment minus
-    every knob, plus every knob that is set."""
-    knobs = replace(current(), **changes)
-    env = {k: v for k, v in os.environ.items() if k not in ENV.values()}
-    for name, var in ENV.items():
-        value = getattr(knobs, name)
-        if value is not None:
-            env[var] = str(int(value) if isinstance(value, bool) else value)
-    return env

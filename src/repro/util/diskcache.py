@@ -4,8 +4,8 @@ The campaign result store (:mod:`repro.campaign.results`) keeps one JSON
 file per content-fingerprinted entry, publishes atomically through a
 per-process tmp file, and bumps mtime on every hit so a size cap evicts
 least-recently-*used* files first.  This module holds those
-store-agnostic pieces, which the journal, the attestation sidecars and
-the fabric transport reuse for their own crash-safe writes.
+store-agnostic pieces, which the journal and the attestation sidecars
+reuse for their own crash-safe writes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "atomic_write_text",
     "bump_mtime",
     "dir_stats",
-    "exclusive_create_text",
     "fsync_append_line",
     "prune_lru",
     "quarantine_entry",
@@ -27,12 +26,11 @@ __all__ = [
 ]
 
 #: Store sub-directories that hold bookkeeping, not cache entries: the
-#: campaign run journal, quarantined corrupt entries, the distributed
-#: campaign fabric (tasks/leases/worker registry), attestation sidecars
-#: and quarantined divergence evidence.  LRU pruning and size accounting
-#: must never touch them — divergence evidence in particular is
-#: post-mortem state that no cache policy may evict.
-PROTECTED_DIRS = ("journal", "quarantine", "fabric", "attest", "divergence")
+#: campaign run journal, quarantined corrupt entries, attestation
+#: sidecars and quarantined divergence evidence.  LRU pruning and size
+#: accounting must never touch them — divergence evidence in particular
+#: is post-mortem state that no cache policy may evict.
+PROTECTED_DIRS = ("journal", "quarantine", "attest", "divergence")
 
 
 def atomic_write_text(path: Path, text: str, fsync: bool = False) -> bool:
@@ -55,29 +53,6 @@ def atomic_write_text(path: Path, text: str, fsync: bool = False) -> bool:
                 fh.flush()
                 os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except OSError:
-        return False
-    return True
-
-
-def exclusive_create_text(path: Path, text: str) -> bool:
-    """Atomically create ``path`` with ``text`` iff it does not exist.
-
-    The distributed fabric's lease-claim primitive: two workers racing to
-    claim one fingerprint resolve through the filesystem — ``O_EXCL``
-    creation succeeds for exactly one of them (the POSIX equivalent of
-    ``set -C`` noclobber, which the SSH transport uses for the same
-    operation on a remote filesystem).  Returns False when the file
-    already exists or the filesystem refuses.
-    """
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-    except OSError:
-        return False
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
     except OSError:
         return False
     return True

@@ -16,43 +16,31 @@ semicolon-separated list of directives::
                                      # skewed-worker poison the attestation
                                      # layer exists to catch)
     interrupt:after=2                # KeyboardInterrupt after 2 completions
-    partition:worker=w1,times=3      # suppress 3 heartbeats of worker w1*
-    dupdone:fp=ab12                  # publish that completion marker twice
 
 ``spec=N`` addresses the N-th spec (1-based) of the campaign's
 deterministic dispatch order; :func:`prepare_for_campaign` resolves it to
 that spec's fingerprint before any worker starts, so every process agrees
 on the target.  ``fp=<prefix>`` matches a spec fingerprint (crash / fail /
-hang / dupdone) or a store entry name (truncate / corrupt; the empty
+hang) or a store entry name (truncate / corrupt / divergent; the empty
 prefix matches every entry).  ``times`` bounds how often a directive
 fires (default 1 — fire once, then let the retry succeed).
-
-The transport kinds model distributed-fabric failures: ``partition``
-suppresses a worker's next ``times`` heartbeat writes (its lease expires
-and the coordinator reassigns the work while the worker keeps executing —
-the classic duplicate-execution scenario), and ``dupdone`` republishes a
-completion marker a second time (duplicate delivery).  ``truncate`` /
-``corrupt`` additionally accept ``store=lease`` and ``store=done`` to
-tear the fabric's lease-claim and completion-marker writes.
 
 ``divergent`` models a worker whose published bytes silently differ
 from what it computed (skewed toolchain, flipped bit between compute
 and publish): the just-written entry is rewritten with one float
 nudged — still perfectly parseable, caught only by the digest and
-byte-compare checks of :mod:`repro.campaign.attest`.  Store kinds also
-accept ``worker=<prefix>`` to fire only in fabric-worker processes
-whose ``REPRO_WORKER_ID`` matches — that is how a test pins the poison
-to one worker of a multi-worker run (and how the coordinator's K-strike
-demotion is exercised deterministically).
+byte-compare checks of :mod:`repro.campaign.attest`.
 
 Fires are counted in a *ledger* directory (``REPRO_FAULT_LEDGER``) as one
 marker file per fire, recorded durably **before** the fault executes —
 that is what keeps a ``crash`` directive from killing every retry and
-every rebuilt pool worker forever.  Without a ledger the counts are
+every rebuilt pool worker forever.  Each marker is claimed by exclusive
+create, so pool workers racing for a directive's last fire cannot both
+win it.  Without a ledger the counts are
 per-process (fine for serial in-process tests); :func:`prepare_for_campaign`
 creates a shared ledger automatically when a plan is active and installs
-the resolved plan in :mod:`repro.settings`, so forked pool workers and
-spawned fabric workers always agree with the parent.
+the resolved plan in :mod:`repro.settings`, so forked pool workers always
+agree with the parent.
 
 With ``REPRO_FAULT_PLAN`` unset every hook is a single attribute read —
 the production fast path stays fault-free and overhead-free.
@@ -76,8 +64,6 @@ __all__ = [
     "InjectedFault",
     "active_plan",
     "on_completion",
-    "on_done_publish",
-    "on_heartbeat",
     "on_spec",
     "on_store_write",
     "parse_plan",
@@ -90,9 +76,8 @@ CRASH_EXIT_CODE = 13
 
 _SPEC_KINDS = ("crash", "fail", "hang")
 _STORE_KINDS = ("truncate", "corrupt", "divergent")
-_TRANSPORT_KINDS = ("partition", "dupdone")
-_KINDS = _SPEC_KINDS + _STORE_KINDS + _TRANSPORT_KINDS + ("interrupt",)
-_STORES = ("results", "lease", "done")
+_KINDS = _SPEC_KINDS + _STORE_KINDS + ("interrupt",)
+_STORES = ("results",)
 
 
 class InjectedFault(RuntimeError):
@@ -108,7 +93,6 @@ class FaultDirective:
     fp: Optional[str] = None
     ordinal: Optional[int] = None
     store: Optional[str] = None
-    worker: Optional[str] = None
     times: int = 1
     secs: float = 3600.0
     after: int = 1
@@ -116,10 +100,6 @@ class FaultDirective:
     def matches(self, name: str) -> bool:
         """Prefix match against a spec fingerprint or store entry name."""
         return self.fp is not None and name.startswith(self.fp)
-
-    def matches_worker(self, worker_id: str) -> bool:
-        """Prefix match against a fabric worker id (partition targeting)."""
-        return self.worker is not None and worker_id.startswith(self.worker)
 
     def to_text(self) -> str:
         parts = []
@@ -129,8 +109,6 @@ class FaultDirective:
             parts.append(f"spec={self.ordinal}")
         if self.store is not None:
             parts.append(f"store={self.store}")
-        if self.worker is not None:
-            parts.append(f"worker={self.worker}")
         if self.kind == "interrupt":
             parts.append(f"after={self.after}")
         parts.append(f"times={self.times}")
@@ -166,8 +144,6 @@ def parse_plan(text: str) -> List[FaultDirective]:
                     if value not in _STORES:
                         raise bad(f"unknown store {value!r}; options: {_STORES}")
                     d.store = value
-                elif key == "worker":
-                    d.worker = value
                 elif key == "times":
                     d.times = int(value)
                 elif key == "secs":
@@ -187,10 +163,6 @@ def parse_plan(text: str) -> List[FaultDirective]:
                 raise bad(f"{d.kind} needs store={'|'.join(_STORES)}")
             if d.fp is None:
                 d.fp = ""  # empty prefix: first matching write
-        if d.kind == "partition" and d.worker is None:
-            d.worker = ""  # empty prefix: every worker
-        if d.kind == "dupdone" and d.fp is None and d.ordinal is None:
-            d.fp = ""  # empty prefix: first completion published
         directives.append(d)
     return directives
 
@@ -204,28 +176,31 @@ class FaultPlan:
         self._memory: Dict[int, int] = {}
 
     # -- fire accounting ---------------------------------------------------
-    def _fired(self, d: FaultDirective) -> int:
-        if self.ledger is None:
-            return self._memory.get(d.index, 0)
-        try:
-            return len(list(self.ledger.glob(f"d{d.index}-*")))
-        except OSError:
-            return 0
-
-    def _record_fire(self, d: FaultDirective) -> None:
-        """Durably count a fire *before* the fault executes (crash-safe)."""
-        if self.ledger is None:
-            self._memory[d.index] = self._memory.get(d.index, 0) + 1
-            return
-        self.ledger.mkdir(parents=True, exist_ok=True)
-        fd, _ = tempfile.mkstemp(prefix=f"d{d.index}-", dir=self.ledger)
-        os.close(fd)
-
     def _fire_if_due(self, d: FaultDirective) -> bool:
-        if self._fired(d) >= d.times:
-            return False
-        self._record_fire(d)
-        return True
+        """Durably count a fire *before* the fault executes (crash-safe).
+
+        With a ledger, fire ``k`` is the file ``d<index>-<k>``: creating
+        it with ``O_EXCL`` is the claim, so concurrent processes fire a
+        directive exactly ``times`` times between them.
+        """
+        if self.ledger is None:
+            fired = self._memory.get(d.index, 0)
+            if fired >= d.times:
+                return False
+            self._memory[d.index] = fired + 1
+            return True
+        self.ledger.mkdir(parents=True, exist_ok=True)
+        for k in range(d.times):
+            try:
+                fd = os.open(
+                    self.ledger / f"d{d.index}-{k}",
+                    os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+                )
+            except FileExistsError:
+                continue
+            os.close(fd)
+            return True
+        return False
 
     # -- hooks -------------------------------------------------------------
     def on_spec(self, fingerprint: str) -> None:
@@ -248,13 +223,6 @@ class FaultPlan:
         for d in self.directives:
             if d.kind not in _STORE_KINDS or d.store != store:
                 continue
-            if d.worker is not None and not (
-                # Store kinds accept worker= so a multi-worker test can pin
-                # the poison to one fabric worker; coordinator and other
-                # workers (different REPRO_WORKER_ID, or none) skip it.
-                settings.current().worker_id or ""
-            ).startswith(d.worker):
-                continue
             if not d.matches(name) or not self._fire_if_due(d):
                 continue
             try:
@@ -268,31 +236,6 @@ class FaultPlan:
                     path.write_text('{"corrupt": tru')
             except OSError:
                 pass
-
-    def on_heartbeat(self, worker_id: str) -> bool:
-        """Transport hook: True = suppress this heartbeat write.
-
-        Models a network partition / stalled worker: the worker believes
-        it is healthy and keeps executing, but its heartbeat never lands,
-        so its lease expires and the coordinator reassigns the batch —
-        the canonical duplicate-execution scenario the content-addressed
-        store must absorb.
-        """
-        for d in self.directives:
-            if d.kind != "partition" or not d.matches_worker(worker_id):
-                continue
-            if self._fire_if_due(d):
-                return True
-        return False
-
-    def on_done_publish(self, fingerprint: str) -> bool:
-        """Transport hook: True = publish this completion marker twice."""
-        for d in self.directives:
-            if d.kind != "dupdone" or not d.matches(fingerprint):
-                continue
-            if self._fire_if_due(d):
-                return True
-        return False
 
     def on_completion(self, done: int) -> None:
         """Parent-loop hook: deterministic mid-campaign interrupt."""
@@ -373,9 +316,8 @@ def prepare_for_campaign(fingerprints: Sequence[str]) -> None:
     Called once per campaign with the deterministic dispatch order,
     *before* any worker starts: ordinal directives are rewritten to the
     matching fingerprint, a ledger is minted when the plan has none, and
-    both are installed as this process's settings, which every worker
-    inherits or receives (:func:`repro.settings.child_env`).  A no-op
-    when no plan is active.
+    both are installed as this process's settings, which every forked
+    pool worker inherits.  A no-op when no plan is active.
     """
     plan = active_plan()
     if plan is None:
@@ -422,15 +364,3 @@ def on_completion(done: int) -> None:
     plan = active_plan()
     if plan is not None:
         plan.on_completion(done)
-
-
-def on_heartbeat(worker_id: str) -> bool:
-    """Module-level transport hook (False without an active plan)."""
-    plan = active_plan()
-    return plan is not None and plan.on_heartbeat(worker_id)
-
-
-def on_done_publish(fingerprint: str) -> bool:
-    """Module-level transport hook (False without an active plan)."""
-    plan = active_plan()
-    return plan is not None and plan.on_done_publish(fingerprint)

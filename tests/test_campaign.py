@@ -116,9 +116,30 @@ class TestRunSpec:
             assert getattr(spec, name) != getattr(base, name), name
             assert spec.fingerprint != base.fingerprint, name
 
+    def test_wire_roundtrip_preserves_fingerprint(self):
+        spec = _spec()
+        again = RunSpec.from_json(spec.to_json())
+        assert again == spec
+        assert again.fingerprint == spec.fingerprint
+
+    def test_wire_version_skew_is_refused(self):
+        """A sidecar whose recorded fingerprint disagrees with the one
+        this code recomputes must be refused, not re-executed against
+        the wrong entry."""
+        data = json.loads(_spec(rm_kind="idle", model=None).to_json())
+        data["fingerprint"] = "f" * 32
+        with pytest.raises(ValueError, match="mismatch"):
+            RunSpec.from_json(json.dumps(data))
+
+    def test_wire_without_fingerprint_is_accepted(self):
+        spec = _spec(rm_kind="idle", model=None)
+        data = json.loads(spec.to_json())
+        data.pop("fingerprint")
+        assert RunSpec.from_json(json.dumps(data)) == spec
+
     def test_wire_format_with_wave_still_parses(self):
-        """Task files and attestation sidecars written while RunSpec
-        still carried the event-loop mode hold ``"wave": null``."""
+        """Attestation sidecars written while RunSpec still carried the
+        event-loop mode hold ``"wave": null``."""
         spec = _spec()
         legacy = json.loads(spec.to_json())
         legacy["wave"] = None

@@ -180,13 +180,20 @@ class TestCLI:
         assert args.quick and args.cores == [4]
         assert args.workers is None and args.csv_dir is None
 
-    def test_parser_campaign_flags(self):
+    def test_parser_campaign_flags(self, capsys):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
             ["all", "--workers", "3", "--csv-dir", "out"]
         )
         assert args.workers == 3 and str(args.csv_dir) == "out"
+        # The flags of the deleted lease-based campaign fabric.
+        for flag in ("--remote", "--remote-workers", "--work", "--store",
+                     "--worker-id", "--idle-exit"):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(["campaign", flag])
+            assert exit_info.value.code == 2, flag
+        capsys.readouterr()
 
     def test_bench_help_lists_every_baseline(self):
         """The ``bench --emit``/``--check`` help names exactly the

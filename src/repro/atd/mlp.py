@@ -20,6 +20,11 @@ Instruction indices travel to the ATD in a limited field: the paper uses a
 window of four times the maximum ROB (1024 instructions -> 10 bits), so
 indices here wrap modulo ``index_window`` and distances are computed in
 modular arithmetic — reproducing the (pessimistic) hardware quantisation.
+
+:meth:`MLPCounterArray.observe` is the per-access reference.  Batches go
+through :meth:`MLPCounterArray.observe_many`, whose fast path is the
+compiled ``mlp_lanes`` kernel of :mod:`repro.cache._native`; its lane-wise
+Python loop is the fallback when that kernel is unavailable.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.cache import _native
 from repro.config import CORE_PARAMS, CoreSize
 
 __all__ = ["MLPCounterArray", "MLPEstimate"]
@@ -171,12 +177,15 @@ class MLPCounterArray:
     ) -> None:
         """Process a batch of predicted misses, in the given order.
 
-        Exactly equivalent to calling :meth:`observe` once per element —
-        the counters are sequential per (c, w) lane, but lanes are mutually
-        independent, so the batch is processed lane-by-lane over NumPy-
-        extracted subsequences instead of access-by-access over all lanes.
-        The prefix property keeps each lane's subsequence a simple filter:
-        allocation ``w`` sees exactly the accesses with ``miss_ways > w``.
+        Exactly equivalent to calling :meth:`observe` once per element.
+        The compiled kernel (:func:`repro.cache._native.mlp_lanes`) makes
+        one pass over the batch, each access updating lanes ``w < k`` of
+        every core size.  Without it, the lanes are mutually independent,
+        so the batch is processed lane by lane over NumPy-extracted
+        subsequences: allocation ``w`` sees exactly the accesses with
+        ``miss_ways > w`` (the prefix property).  Either way counters clamp
+        once, at the end, which equals clamping at every step because
+        counts only grow by 1.
         """
         idx = np.asarray(inst_indices, dtype=np.int64) % self.index_window
         k = np.minimum(
@@ -196,6 +205,14 @@ class MLPCounterArray:
 
         window = self.index_window
         counter_max = self.counter_max
+        if _native.available():
+            regs = _native.mlp_lanes(
+                idx, k, self.rob_sizes, window,
+                (self._lm, self._last_lm_idx, self._last_ov_dist),
+            )
+            regs[0] = np.minimum(regs[0], counter_max)
+            self._lm, self._last_lm_idx, self._last_ov_dist = regs.tolist()
+            return
         for w in range(self.max_ways):
             sub = idx[k > w]
             if sub.size == 0:

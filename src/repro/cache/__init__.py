@@ -4,7 +4,6 @@ and the private-hierarchy stall model."""
 
 from repro.cache.lru import LRUStack
 from repro.cache.replay import (
-    clear_replay_memo,
     replay_access_stream,
     resolve_engine,
     vector_replay,
@@ -20,7 +19,6 @@ __all__ = [
     "vector_replay",
     "replay_access_stream",
     "resolve_engine",
-    "clear_replay_memo",
     "WayPartition",
     "allocation_to_masks",
     "PrivateHierarchyModel",

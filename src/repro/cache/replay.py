@@ -42,29 +42,22 @@ Both engines are bit-for-bit equivalent to the :class:`LRUStack` oracle —
 including the final stack state — which the differential tests in
 ``tests/test_replay_engine.py`` assert over random streams, replay orders,
 depths and warm-up states.
-
-A small memo keyed on ``(stream identity, replay order, geometry)`` lets
-the main-TD and ATD passes over one stream (and repeated monitors over one
-interval) share a single replay instead of recomputing it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import settings
-from repro.trace.stream import FRESH, AccessStream
+from repro.trace.stream import FRESH
 
 __all__ = [
     "prewarm_tags",
     "replay_access_stream",
-    "replay_pristine",
     "resolve_engine",
     "vector_replay",
-    "clear_replay_memo",
 ]
 
 #: Per-set stack state: tag lists, most-recently-used first.
@@ -345,66 +338,3 @@ def replay_access_stream(
         initial=initial,
         want_state=want_state,
     )
-
-
-# ---------------------------------------------------------------------------
-# Memoized replay of pristine (freshly warmed) directories
-# ---------------------------------------------------------------------------
-
-#: key -> (stream, recency, final_state).  The stream is held strongly so
-#: its ``id`` can never be recycled while the entry is alive.
-_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
-#: Entries pin their stream (~1 MB at paper scale); passes that share a
-#: replay happen back-to-back, so a short window is enough.
-_MEMO_MAX = 8
-
-
-def clear_replay_memo() -> None:
-    """Drop all memoized replays (mainly for tests and benchmarks)."""
-    _MEMO.clear()
-
-
-def replay_pristine(
-    stream: AccessStream,
-    *,
-    n_sets: int,
-    depth: int,
-    prewarm: bool,
-    order_key: str,
-    engine: Optional[str] = None,
-) -> Tuple[np.ndarray, SetState]:
-    """Memoized replay of a stream through a freshly initialised directory.
-
-    ``order_key`` names one of the two canonical replay orders —
-    ``"program"`` or ``"arrival"`` — so the main-TD and ATD passes over
-    the same stream each compute their replay exactly once per process.
-    Engines are bit-for-bit equivalent, so the memo is engine-agnostic.
-    The returned recency array is shared between callers and marked
-    read-only; the state lists must not be mutated (copy before editing).
-    """
-    if order_key not in ("program", "arrival"):
-        raise ValueError(f"unknown order_key {order_key!r}")
-    key = (id(stream), order_key, n_sets, depth, bool(prewarm))
-    hit = _MEMO.get(key)
-    if hit is not None:
-        _MEMO.move_to_end(key)
-        return hit[1], hit[2]
-    initial = (
-        [prewarm_tags(s, depth) for s in range(n_sets)] if prewarm else None
-    )
-    order = None if order_key == "program" else stream.in_arrival_order()
-    recency, state = replay_access_stream(
-        stream.set_index,
-        stream.tag,
-        n_sets=n_sets,
-        depth=depth,
-        order=order,
-        initial=initial,
-        want_state=True,
-        engine=engine,
-    )
-    recency.flags.writeable = False
-    _MEMO[key] = (stream, recency, state)
-    while len(_MEMO) > _MEMO_MAX:
-        _MEMO.popitem(last=False)
-    return recency, state

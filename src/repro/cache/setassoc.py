@@ -31,18 +31,10 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.cache.lru import LRUStack
-from repro.cache.replay import (
-    prewarm_tags,
-    replay_access_stream,
-    replay_pristine,
-    resolve_engine,
-)
+from repro.cache.replay import prewarm_tags, replay_access_stream, resolve_engine
 from repro.trace.stream import AccessStream
 
 __all__ = ["SetAssociativeLRU", "prewarm_tags"]
-
-#: Replay orders that the memoized fast path understands.
-_ORDER_KEYS = ("program", "arrival")
 
 
 class SetAssociativeLRU:
@@ -74,7 +66,6 @@ class SetAssociativeLRU:
             raise ValueError("n_sets must be >= 1")
         self.n_sets = n_sets
         self.depth = depth
-        self.prewarm = prewarm
         self.engine = resolve_engine(engine)
         if prewarm:
             self._sets = [
@@ -82,14 +73,9 @@ class SetAssociativeLRU:
             ]
         else:
             self._sets = [LRUStack(depth) for _ in range(n_sets)]
-        #: True until the first access/replay: a pristine directory holds
-        #: exactly its deterministic warm-up state, so replays of it can be
-        #: shared through the replay memo.
-        self._pristine = True
 
     def access(self, set_index: int, tag: int) -> int:
         """Touch one line; return its recency (FRESH on miss)."""
-        self._pristine = False
         return self._sets[set_index].access(tag)
 
     def replay(
@@ -106,67 +92,40 @@ class SetAssociativeLRU:
         order:
             Replay order: ``None`` or ``"program"`` for program order,
             ``"arrival"`` for the ATD's arrival-order view, or an explicit
-            sequence of stream positions.  The named orders enable the
-            replay memo; explicit sequences always recompute.
+            sequence of stream positions.
 
         Returns
         -------
         ``int16[n]`` recencies indexed by *stream position* (not replay
         order), so results are directly comparable across replay orders.
-        Memoized results are read-only; copy before mutating.
         """
-        order_key: Optional[str]
-        if order is None:
-            order_key, order_arr = "program", None
-        elif isinstance(order, str):
-            if order not in _ORDER_KEYS:
+        if isinstance(order, str):
+            if order not in ("program", "arrival"):
                 raise ValueError(f"unknown replay order {order!r}")
-            order_key = order
-            # resolved lazily below: the memoized pristine path never
-            # needs the explicit permutation
-            order_arr = None
-        else:
-            order_key, order_arr = None, order
-
-        def resolve_order():
-            if order_key == "arrival" and order_arr is None:
-                return stream.in_arrival_order()
-            return order_arr
+            order = None if order == "program" else stream.in_arrival_order()
 
         if self.engine == "oracle":
-            return self._replay_oracle(stream, resolve_order())
+            return self._replay_oracle(stream, order)
 
-        if self._pristine and order_key is not None:
-            recency, state = replay_pristine(
-                stream,
-                n_sets=self.n_sets,
-                depth=self.depth,
-                prewarm=self.prewarm,
-                order_key=order_key,
-                engine=self.engine,
-            )
-        else:
-            recency, state = replay_access_stream(
-                stream.set_index,
-                stream.tag,
-                n_sets=self.n_sets,
-                depth=self.depth,
-                order=resolve_order(),
-                initial=self.contents(),
-                want_state=True,
-                engine=self.engine,
-            )
+        recency, state = replay_access_stream(
+            stream.set_index,
+            stream.tag,
+            n_sets=self.n_sets,
+            depth=self.depth,
+            order=order,
+            initial=self.contents(),
+            want_state=True,
+            engine=self.engine,
+        )
         # Mirror the final stack state so access()/contents()/further
         # replays continue exactly where this stream left off.
         self._sets = [LRUStack(self.depth, c) for c in state]
-        self._pristine = False
         return recency
 
     def _replay_oracle(
         self, stream: AccessStream, order: Optional[Sequence[int]]
     ) -> np.ndarray:
         """Reference path: one :meth:`LRUStack.access` per access."""
-        self._pristine = False
         n = stream.n_accesses
         recency = np.empty(n, dtype=np.int16)
         sets = self._sets

@@ -93,36 +93,6 @@ class SimDatabase:
             for name, recs in self.records.items()
         }
 
-    @property
-    def content_fingerprint(self) -> str:
-        """Content hash of every record plus the system configuration.
-
-        The persistent local-decision memo folds this into its scope key:
-        equal fingerprints mean the optimiser would see bit-identical
-        ground truth, so cached :class:`LocalOptResult`s can be trusted
-        across processes.  Unlike the campaign's
-        :func:`~repro.database.store.database_fingerprint` (which hashes
-        the *specs* that produce a build), this hashes what the database
-        actually contains — it is therefore valid for hand-built and
-        rebound databases alike.  Memoized per instance (records are
-        immutable; their own fingerprints cache too).
-        """
-        cached = self.__dict__.get("_content_fingerprint")
-        if cached is None:
-            import hashlib
-
-            from repro.database.store import _stable_json
-
-            h = hashlib.blake2b(digest_size=16)
-            h.update(_stable_json(self.system).encode())
-            for name in self.app_names():
-                h.update(name.encode())
-                for record in self.records[name]:
-                    h.update(record.fingerprint.encode())
-            cached = h.hexdigest()
-            self.__dict__["_content_fingerprint"] = cached
-        return cached
-
 
 def build_phase_record(
     spec: PhaseSpec,

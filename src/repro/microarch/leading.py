@@ -15,6 +15,12 @@ tries to estimate.  A miss is overlapping iff
 Unlike the ATD heuristic, the oracle walks the stream in **program order**
 with the generator's true dependence links and unwrapped instruction
 indices.
+
+:func:`count_leading_misses` is the per-cell reference.
+:func:`leading_miss_matrix` evaluates every (core size, allocation) cell at
+once: in the compiled ``leading_lanes`` kernel of
+:mod:`repro.cache._native` when it is available, otherwise lane by lane in
+NumPy.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.cache import _native
 from repro.config import CORE_PARAMS, CoreSize
 from repro.trace.stream import FRESH, AccessStream
 
@@ -33,7 +40,7 @@ def count_leading_misses(stream: AccessStream, rob: int, ways: int) -> int:
     """Oracle LM count for one (ROB size, allocation) pair.
 
     Reference implementation — clear rather than fast; the production path
-    is :func:`leading_miss_matrix`, which evaluates every pair lane by lane.
+    is :func:`leading_miss_matrix`, which evaluates every pair at once.
     """
     if rob < 1 or ways < 1:
         raise ValueError("rob and ways must be >= 1")
@@ -64,9 +71,11 @@ def leading_miss_matrix(
     Exploits the nested-miss property of recency semantics: an access of
     recency ``r`` misses exactly at allocations ``w < r`` (every allocation
     for FRESH accesses), so allocation ``w`` sees a subset of the accesses
-    allocation ``w - 1`` sees.  Each (core size, allocation) lane is an
-    independent scan of its own NumPy-filtered subsequence, which walks
-    from one leading miss straight to the next.
+    allocation ``w - 1`` sees.  The compiled kernel makes one program-order
+    pass, access ``k`` with miss prefix ``p`` updating lanes ``w < p``.
+    The fallback scans each (core size, allocation) lane on its own
+    NumPy-filtered subsequence, walking from one leading miss straight to
+    the next.
 
     Returns
     -------
@@ -83,6 +92,10 @@ def leading_miss_matrix(
     # Miss prefix: the access misses at allocations 1..prefix.
     prefix = np.where(recency == FRESH, max_ways, np.minimum(recency - 1, max_ways))
     dep = stream.dep_prev
+    if _native.available():
+        return _native.leading_lanes(
+            stream.inst_index, prefix, dep, rob_sizes, max_ways
+        )
     # A miss is serialised at allocation w only if its producer missed there.
     prod_prefix = np.where(dep >= 0, prefix[np.maximum(dep, 0)], 0)
 

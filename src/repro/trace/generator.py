@@ -6,17 +6,23 @@ The generator realises a :class:`~repro.trace.spec.PhaseSpec` as a concrete
 1. **Instruction positions** — accesses are laid out in bursts: a burst of
    ``B`` accesses separated by small intra-burst gaps, bursts separated by a
    large gap chosen so the *average* access gap matches ``1000/llc_apki``.
+   Burst lengths are drawn first, then one exponential gap per access in
+   stream order, all in NumPy.
 2. **Addresses** — each access targets a recency position drawn from the
    phase's reuse profile and the generator materialises a (set, tag) address
    realising exactly that LRU stack position, maintaining real per-set LRU
    stacks.  The resulting stream, replayed through any LRU model (the main
    tag directory or the ATD), reproduces the intended recency behaviour
-   bit-for-bit after warm-up.
+   bit-for-bit after warm-up.  The stack walk runs in the compiled
+   ``realise`` kernel of :mod:`repro.cache._native` when it is available,
+   otherwise in a Python loop.
 3. **Dependences** — with probability ``chain_frac`` an access depends on
    its predecessor (pointer chasing), serialising their misses.
 4. **Arrival order** — dependent accesses are delayed a few stream positions
    to emulate out-of-order completion; this is the signal the paper's Fig. 4
-   heuristic uses to infer dependences at the ATD.
+   heuristic uses to infer dependences at the ATD.  Every dependence links
+   an access to its predecessor, so the chain depth is one NumPy running
+   maximum.
 """
 
 from __future__ import annotations
@@ -144,24 +150,15 @@ class PhaseTraceGenerator:
         # Sample burst lengths (geometric with the requested mean >= 1).
         p = min(1.0, 1.0 / b)
         lengths = rng.geometric(p, size=max(16, int(2 * n / b) + 16))
-        gaps = np.empty(n, dtype=np.float64)
+        starts = np.cumsum(lengths) - lengths
         lead = np.zeros(n, dtype=bool)
-        pos = 0
-        for blen in lengths:
-            blen = int(min(blen, n - pos))
-            if blen <= 0:
-                break
-            # first access of the burst pays the inter-burst gap
-            gaps[pos] = rng.exponential(inter)
-            lead[pos] = True
-            if blen > 1:
-                gaps[pos + 1 : pos + blen] = rng.exponential(intra, size=blen - 1)
-            pos += blen
-            if pos >= n:
-                break
-        if pos < n:  # extremely unlikely; fill remainder as singleton bursts
-            gaps[pos:] = rng.exponential(inter, size=n - pos)
-            lead[pos:] = True
+        lead[starts[starts < n]] = True
+        # extremely unlikely: lengths run out; the rest are singleton bursts
+        lead[min(int(lengths.sum()), n) :] = True
+        # One exponential gap per access, in stream order: each burst's
+        # first access pays the inter-burst gap.  ``exponential(s)`` draws
+        # ``s * standard_exponential()``: the same doubles, the same state.
+        gaps = rng.standard_exponential(n) * np.where(lead, inter, intra)
         inst = np.cumsum(np.maximum(1, np.round(gaps)).astype(np.int64))
         return inst, lead
 
@@ -174,8 +171,16 @@ class PhaseTraceGenerator:
         first accesses can realise deep recencies; warm-up lines use the
         negative tag space and never collide with generated fresh lines.
         """
+        # Deferred import: the cache package imports this module.
+        from repro.cache import _native
+
         n = len(target_recency)
         sets = rng.integers(0, self.n_sets, size=n).astype(np.int32)
+        if _native.available():
+            tags, realised = _native.realise_recencies(
+                sets, target_recency, self.n_sets, STACK_DEPTH
+            )
+            return sets, tags, realised
         tags = np.empty(n, dtype=np.int64)
         realised = np.empty(n, dtype=np.int16)
 
@@ -237,16 +242,14 @@ class PhaseTraceGenerator:
         ``dep_arrival_delay`` positions per level of dependence depth —
         delays *compound* along a chain, because every link waits a full
         producer latency.  Keys are ranked stably so equal keys keep program
-        order.
+        order.  :meth:`_dependences` links an access only to its
+        predecessor, so the depth is the distance back to the last
+        independent access.
         """
         keys = np.arange(n, dtype=np.float64)
         if spec.dep_arrival_delay > 0 and n:
-            depth = np.zeros(n, dtype=np.int64)
-            dep = dep_prev
-            for k in range(n):
-                d = dep[k]
-                if d >= 0:
-                    depth[k] = depth[d] + 1
+            pos = np.arange(n)
+            depth = pos - np.maximum.accumulate(np.where(dep_prev < 0, pos, 0))
             keys += depth * spec.dep_arrival_delay + np.where(depth > 0, 0.5, 0.0)
         ranks = np.empty(n, dtype=np.int64)
         ranks[np.argsort(keys, kind="stable")] = np.arange(n)

@@ -1,9 +1,12 @@
 """Ground-truth core model tests: leading misses and the interval model."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache import _native
 from repro.config import CoreSize, default_system
 from repro.microarch.interval_model import (
     IntervalModel,
@@ -93,12 +96,14 @@ class TestLeadingMisses:
     )
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_matrix_matches_reference_generated(self, steps, rob_sizes, max_ways):
+        """On the compiled lanes (when available) and on the fallback."""
         gaps, recency, back = zip(*steps)
         dep = [k - b if 0 < b <= k else -1 for k, b in enumerate(back)]
         s = make_stream(np.cumsum(gaps), recency, dep)
-        assert leading_miss_matrix(s, rob_sizes, max_ways).tolist() == every_cell(
-            s, rob_sizes, max_ways
-        )
+        expected = every_cell(s, rob_sizes, max_ways)
+        assert leading_miss_matrix(s, rob_sizes, max_ways).tolist() == expected
+        with mock.patch.object(_native, "available", return_value=False):
+            assert leading_miss_matrix(s, rob_sizes, max_ways).tolist() == expected
 
     def test_lm_decreases_with_window(self, cs_trace):
         matrix = leading_miss_matrix(cs_trace.stream)

@@ -19,29 +19,13 @@ from repro.atd.mlp import MLPCounterArray
 from repro.atd.monitor import RecencyMonitor
 from repro.cache import _native
 from repro.cache.lru import LRUStack
-from repro.cache.replay import (
-    clear_replay_memo,
-    prewarm_tags,
-    replay_pristine,
-    resolve_engine,
-    vector_replay,
-)
+from repro.cache.replay import prewarm_tags, resolve_engine, vector_replay
 from repro.cache.setassoc import SetAssociativeLRU
 from repro.trace.stream import FRESH
 
 DEPTHS = (1, 4, 16)
 
 ENGINES = ["vector"] + (["native"] if _native.available() else [])
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    """Engine-parametrized tests must exercise their engine, not a memo
-    hit left behind by an earlier test over the same session-scoped
-    stream (the memo is engine-agnostic by design)."""
-    clear_replay_memo()
-    yield
-    clear_replay_memo()
 
 
 def oracle_replay(sets, tags, n_sets, depth, order=None, initial=None):
@@ -202,43 +186,6 @@ class TestSetAssociativeEngines:
         model = SetAssociativeLRU(generator.n_sets)
         with pytest.raises(ValueError):
             model.replay(cs_trace.stream, "sideways")
-
-
-class TestReplayMemo:
-    def test_pristine_replays_are_shared(self, cs_trace, generator):
-        clear_replay_memo()
-        a = replay_pristine(
-            cs_trace.stream, n_sets=generator.n_sets, depth=16,
-            prewarm=True, order_key="arrival",
-        )[0]
-        b = replay_pristine(
-            cs_trace.stream, n_sets=generator.n_sets, depth=16,
-            prewarm=True, order_key="arrival",
-        )[0]
-        assert a is b  # second call is a cache hit
-        assert not a.flags.writeable
-        clear_replay_memo()
-
-    def test_orders_are_distinct_entries(self, cs_trace, generator):
-        clear_replay_memo()
-        prog = replay_pristine(
-            cs_trace.stream, n_sets=generator.n_sets, depth=16,
-            prewarm=True, order_key="program",
-        )[0]
-        arr = replay_pristine(
-            cs_trace.stream, n_sets=generator.n_sets, depth=16,
-            prewarm=True, order_key="arrival",
-        )[0]
-        assert prog is not arr
-        assert np.array_equal(prog, cs_trace.stream.recency)
-        clear_replay_memo()
-
-    def test_bad_order_key(self, cs_trace, generator):
-        with pytest.raises(ValueError):
-            replay_pristine(
-                cs_trace.stream, n_sets=generator.n_sets, depth=16,
-                prewarm=True, order_key="sideways",
-            )
 
 
 class TestATDEquivalence:

@@ -1,181 +1,248 @@
-"""Optional compiled kernels: (min,+) combine and core advance.
+"""Optional compiled kernels: the reduction tree's combines and the
+simulator's per-event step.
 
-The pairwise curve combine is the decision kernel's floor: every
-leaf-to-root recombine pays one ``la * lb`` (min,+) convolution, and at
-64 cores the top-of-tree operands are hundreds of points wide.  NumPy
-pays several full passes over a banded matrix (outer add, argmin, fancy
-index); this module holds the escape hatch — a ~20-line C kernel that
-walks each output column's band once — built on demand with the system C
-compiler and loaded through :mod:`ctypes`, exactly the pattern of the
-replay engine's :mod:`repro.cache._native`.
+Two hot loops cross into C here, one :mod:`ctypes` call each:
 
-Bit-identity is structural: each cell is the single addition
-``a[ia] + b[w - ia]`` (no fusion or reassociation is possible) and the
-column minimum keeps the first row achieving it — the same strict-less
-scan :func:`numpy.argmin` performs over the skew-viewed band, including
-the all-infeasible convention (``choice`` stays at the first row).  The
-differential tests assert equality against the NumPy kernel, which
-itself is pinned to the scalar reference.
+* ``tree_update`` — the decision kernel.  Every leaf-to-root recombine
+  pays one windowed ``la * lb`` (min,+) convolution per level, and at 64
+  cores the upper operands are hundreds of points wide.  One call
+  recombines a changed leaf's whole path and then evaluates the root
+  split at the way budget, reading and writing a per-tree node table
+  (energy buffer, low way count, width per node) so no Python runs per
+  level.  The tree's construction runs the same kernel over every
+  internal node.
+* ``wave_event`` — the simulator.  One call per wave-loop event computes
+  every core's time to its boundary, picks the next boundary, counts the
+  boundary wave and advances every core to it, through a pointer table
+  built once per state container.
 
-Alongside the combine/path kernels this module carries the wave loop's
-fused per-event advance (``advance_fast``).
+Both are built on demand with the system C compiler and loaded through
+:mod:`ctypes`, exactly the pattern of the replay engine's
+:mod:`repro.cache._native`.
+
+Bit-identity is structural.  Each combine cell is the single addition
+``a[ia] + b[w - ia]`` (no fusion or reassociation is possible) and a
+column's value is its minimum — the same values the NumPy combine's
+argmin selects.  The root split and the boundary pick keep the first
+minimum, and the first NaN if any, exactly as :func:`numpy.argmin`.  The
+advance performs NumPy's elementwise operations in the same per-element
+order; ``-ffp-contract=off`` keeps the compiler from fusing any of them.
+The differential tests assert equality against the NumPy paths, which
+are themselves pinned to the scalar references.
 
 Everything degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NO_NATIVE`` set true (:mod:`repro.settings`) make
-:func:`available` return ``False`` and the tree fall back to the NumPy
-combine (and the wave loop to its NumPy advance).
+:func:`available` return ``False``; the tree then combines and evaluates
+through NumPy, and the wave loop picks and advances through NumPy.
 """
 
 from __future__ import annotations
 
 import ctypes
 from pathlib import Path
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro import settings
 from repro.util.nativebuild import build_shared
 
-__all__ = ["available", "native_combine", "native_combine_window"]
+__all__ = ["EVENT_SLOTS", "NODE_FIELDS", "available", "raw_lib"]
+
+#: Int64 fields per reduction-tree node in ``tree_update``'s node table:
+#: energy buffer address, lowest way count, width.
+NODE_FIELDS = 3
+
+#: Pointer slots of ``wave_event``'s state table, in table order (the
+#: simulator's ``_CoreStates`` attribute names).
+EVENT_SLOTS = (
+    "stall_s",
+    "tpi_s",
+    "instr_done",
+    "total_instr",
+    "interval_elapsed_s",
+    "n_instructions",
+    "epi_j",
+    "work_j_per_inst",
+    "static_w",
+    "_active",
+    "core_dynamic_j",
+    "core_static_j",
+    "memory_j",
+    "_dinstr",
+    "_remaining",
+    "_dts",
+)
 
 _SOURCE = r"""
 #include <stdint.h>
-#include <stdlib.h>
 #include <math.h>
 
-/* Column minima of the (min,+) band over one operand pair, restricted
- * to output columns [w0, w1] (0-based, relative to the combined
- * domain's low end).
+/* ---- decision kernel ------------------------------------------------
  *
- * `b` is consumed REVERSED (brev[j] == b[lb-1-j]) so each column's band
- * is the elementwise sum of two forward contiguous streams —
- * a[ia] + brev[ia + (lb-1-w)] — which the compiler vectorises.  Two
- * passes per column: a pure SIMD-friendly min reduction (min is exactly
- * associative, so any reduction order yields the bit-identical result),
- * then a first-exact-match scan, which recovers precisely the row the
- * reference's strict-less scan keeps (numpy.argmin's first-minimum
- * tie-break; +inf padding can never equal a finite minimum).  An
- * all-infeasible column keeps arg 0 — numpy's convention for an all-inf
- * column of the skewed band view. */
-static void combine_cols(const double* restrict a, int64_t la,
-                         const double* restrict brev, int64_t lb,
-                         int64_t w0, int64_t w1, int64_t base,
-                         double* restrict best, int64_t* restrict choice)
+ * Node table: three int64 per tree node (N_ADDR, N_LO, N_LEN) — the
+ * address of its energy buffer, its lowest way count and its width.  A
+ * leaf's triple is its curve's (the caller rewrites it on install); an
+ * internal node owns a fixed buffer sized for its budget window and the
+ * kernel rewrites its low end and width whenever it recombines it. */
+enum { N_ADDR, N_LO, N_LEN, N_FIELDS };
+
+/* Output columns [lo, hi] (absolute way counts) of the (min,+) band of
+ * one node's two children, VALUES ONLY (back-tracks recover a visited
+ * column's choice lazily).  The right operand is consumed REVERSED
+ * (scratch[j] == b[lb-1-j]) so each column's band is the elementwise
+ * sum of two forward contiguous streams, which the compiler vectorises.
+ * min is exactly associative and commutative (inf included), so the
+ * SIMD reduction is bit-identical to the sequential scan; the adds are
+ * untouched.  The pragma is inert without -fopenmp-simd. */
+static void combine_window(const int64_t* left, const int64_t* right,
+                           int64_t lo, int64_t hi, double* restrict out,
+                           double* restrict scratch)
 {
-    for (int64_t w = w0; w <= w1; w++) {
-        int64_t lo = w - (lb - 1); if (lo < 0) lo = 0;
-        int64_t hi = w < la - 1 ? w : la - 1;
+    const double* restrict a = (const double*)(intptr_t)left[N_ADDR];
+    const double* b = (const double*)(intptr_t)right[N_ADDR];
+    int64_t la = left[N_LEN], lb = right[N_LEN];
+    int64_t base = left[N_LO] + right[N_LO];
+    for (int64_t j = 0; j < lb; j++) scratch[j] = b[lb - 1 - j];
+    for (int64_t w = lo - base; w <= hi - base; w++) {
+        int64_t s = w - (lb - 1); if (s < 0) s = 0;
+        int64_t e = w < la - 1 ? w : la - 1;
         int64_t off = lb - 1 - w;
         double bst = INFINITY;
-        /* min is exactly associative and commutative (inf included), so
-         * a SIMD reduction is bit-identical to the sequential scan; the
-         * elementwise adds are untouched.  The pragma is inert without
-         * -fopenmp-simd. */
         #pragma omp simd reduction(min:bst)
-        for (int64_t ia = lo; ia <= hi; ia++) {
-            double v = a[ia] + brev[ia + off];
+        for (int64_t ia = s; ia <= e; ia++) {
+            double v = a[ia] + scratch[ia + off];
             bst = v < bst ? v : bst;
         }
-        int64_t arg = 0;
-        if (bst < INFINITY) {
-            for (int64_t ia = lo; ia <= hi; ia++) {
-                if (a[ia] + brev[ia + off] == bst) { arg = ia; break; }
-            }
-        }
-        best[w - w0] = bst;
-        choice[w - w0] = base + arg;
+        out[w - (lo - base)] = bst;
     }
 }
 
-void combine(const double* a, int64_t la, const double* b, int64_t lb,
-             int64_t w0, int64_t w1, double* best, int64_t* choice)
+/* Recombine a plan's nodes in order, then evaluate the root split.
+ *
+ * plan = [steps, then per step (node, left, right, win_lo, win_hi),
+ *         then (root left, root right, budget)].  A step's columns are
+ * its natural domain clipped to its budget window.  The root split is
+ * ReductionTree.evaluate's: candidate left allocations ascending, the
+ * right child read descending, first minimum (first NaN) kept; it
+ * writes the total to total_out and (left ways, candidates) to
+ * eval_out, candidates 0 when the budget misses the children's domain.
+ * Returns 1 if some step's output shape (low end or width) changed, 0
+ * if none did, and -1 on an empty window. */
+int64_t tree_update(const int64_t* plan, int64_t* nodes, double* scratch,
+                    double* total_out, int64_t* eval_out)
 {
-    double stackbuf[2048];
-    double* brev = lb <= 2048 ? stackbuf
-                              : (double*)malloc((size_t)lb * sizeof(double));
-    if (brev != NULL) {
-        for (int64_t j = 0; j < lb; j++) brev[j] = b[lb - 1 - j];
-        combine_cols(a, la, brev, lb, w0, w1, 0, best, choice);
-        if (brev != stackbuf) free(brev);
-        return;
-    }
-    /* Allocation failed: direct unreversed scan (identical results,
-     * just unvectorised). */
-    for (int64_t w = w0; w <= w1; w++) {
-        int64_t lo = w - (lb - 1); if (lo < 0) lo = 0;
-        int64_t hi = w < la - 1 ? w : la - 1;
-        double bst = INFINITY; int64_t arg = 0;
-        for (int64_t ia = lo; ia <= hi; ia++) {
-            double v = a[ia] + b[w - ia];
-            if (v < bst) { bst = v; arg = ia; }
+    int64_t steps = plan[0];
+    const int64_t* p = plan + 1;
+    int64_t changed = 0;
+    for (int64_t s = 0; s < steps; s++, p += 5) {
+        int64_t* node = nodes + N_FIELDS * p[0];
+        const int64_t* left = nodes + N_FIELDS * p[1];
+        const int64_t* right = nodes + N_FIELDS * p[2];
+        int64_t lo = left[N_LO] + right[N_LO];
+        int64_t hi = lo + left[N_LEN] + right[N_LEN] - 2;
+        if (lo < p[3]) lo = p[3];
+        if (hi > p[4]) hi = p[4];
+        if (lo > hi) return -1;
+        combine_window(left, right, lo, hi,
+                       (double*)(intptr_t)node[N_ADDR], scratch);
+        if (node[N_LO] != lo || node[N_LEN] != hi - lo + 1) {
+            node[N_LO] = lo;
+            node[N_LEN] = hi - lo + 1;
+            changed = 1;
         }
-        best[w - w0] = bst; choice[w - w0] = arg;
     }
+    const int64_t* left = nodes + N_FIELDS * p[0];
+    const int64_t* right = nodes + N_FIELDS * p[1];
+    int64_t budget = p[2];
+    int64_t llo = left[N_LO], rlo = right[N_LO];
+    int64_t lo = budget - (rlo + right[N_LEN] - 1);
+    int64_t hi = budget - rlo;
+    if (lo < llo) lo = llo;
+    if (hi > llo + left[N_LEN] - 1) hi = llo + left[N_LEN] - 1;
+    eval_out[1] = 0;
+    if (lo > hi) return changed;
+    const double* L = (const double*)(intptr_t)left[N_ADDR];
+    const double* R = (const double*)(intptr_t)right[N_ADDR];
+    int64_t rtop = budget - rlo;  /* R[rtop - wa]: right at budget - wa */
+    double best = L[lo - llo] + R[rtop - lo];
+    int64_t arg = lo;
+    if (best == best) {
+        for (int64_t wa = lo + 1; wa <= hi; wa++) {
+            double v = L[wa - llo] + R[rtop - wa];
+            if (v < best) { best = v; arg = wa; }
+            else if (v != v) { best = v; arg = wa; break; }
+        }
+    }
+    *total_out = best;
+    eval_out[0] = arg;
+    eval_out[1] = hi - lo + 1;
+    return changed;
 }
 
-/* One leaf-to-root path recombine in a single call: level l combines the
- * previous level's output (`cur`, the path-side child) with that level's
- * sibling curve, restricted to the level's output window — VALUES ONLY.
- * Back-tracking choices are not materialised here: the caller recovers
- * any queried column's first-minimum choice lazily from the (consistent)
- * child curves, so the hot path pays just one vectorised min reduction
- * per column. */
-void path_update(int64_t levels, const double* cur, int64_t cur_n,
-                 const double* const* sibs, const int64_t* sib_n,
-                 const int64_t* sib_is_left,
-                 const int64_t* w0, const int64_t* w1,
-                 double* const* bests, double* scratch)
-{
-    for (int64_t l = 0; l < levels; l++) {
-        const double *a, *b; int64_t la, lb;
-        if (sib_is_left[l]) { a = sibs[l]; la = sib_n[l]; b = cur; lb = cur_n; }
-        else { a = cur; la = cur_n; b = sibs[l]; lb = sib_n[l]; }
-        for (int64_t j = 0; j < lb; j++) scratch[j] = b[lb - 1 - j];
-        double* best = bests[l];
-        int64_t first = w0[l], last = w1[l];
-        for (int64_t w = first; w <= last; w++) {
-            int64_t lo = w - (lb - 1); if (lo < 0) lo = 0;
-            int64_t hi = w < la - 1 ? w : la - 1;
-            int64_t off = lb - 1 - w;
-            double bst = INFINITY;
-            #pragma omp simd reduction(min:bst)
-            for (int64_t ia = lo; ia <= hi; ia++) {
-                double v = a[ia] + scratch[ia + off];
-                bst = v < bst ? v : bst;
-            }
-            best[w - first] = bst;
-        }
-        cur = best; cur_n = last - first + 1;
-    }
-}
+/* ---- simulator --------------------------------------------------------
+ *
+ * One wave-loop event.  Table slots follow EVENT_SLOTS on the Python
+ * side.  The boundary pick is numpy's: rem = max(n - done, 0) and
+ * dts = rem * tpi + stall land in the REM/DTS scratch, and the argmin
+ * keeps the first minimum (the first NaN, if any); the boundary wave is
+ * every core with dts <= dt.  b, dt and the wave size are written out.
+ *
+ * The advance then derives each core's instruction delta (numpy's
+ * elementwise min/div/clamp arithmetic, reusing rem for the clamp) and
+ * the maximum of total+delta over active cores.  If any active core
+ * would reach the horizon — or dt is negative or NaN — the call returns
+ * 1 WITHOUT mutating any core state and the caller runs the reference
+ * NumPy advance.  Otherwise it applies the unmasked NumPy fast path's
+ * per-element operations in the same order and returns 0. */
+enum { E_STALL, E_TPI, E_DONE, E_TOTAL, E_ELAPSED, E_NINSTR, E_EPI, E_WORK,
+       E_STAT, E_ACTIVE, E_DYN, E_STATIC, E_MEM, E_DINSTR, E_REM, E_DTS };
 
-/* The wave simulator's fast-path core advance: one call performs the
- * whole per-event elementwise update the NumPy kernel would issue a
- * dozen dispatches for.  Pass 1 derives each core's instruction delta
- * (exactly numpy's elementwise min/div/clamp arithmetic) and the masked
- * maximum of total+delta over active cores; if any active core would
- * reach the horizon the call returns 1 WITHOUT mutating anything and
- * the caller runs the reference finish-event path.  Pass 2 applies the
- * same independent per-element operations the unmasked NumPy fast path
- * applies, in the same per-element order. */
-int64_t advance_fast(double dt, double horizon, int64_t n,
-                     double* stall, const double* tpi,
-                     double* instr_done, double* total, double* elapsed,
-                     const double* n_instr, const double* epi,
-                     const double* work, const double* stat,
-                     const uint8_t* active,
-                     double* core_dyn, double* core_static, double* mem_j,
-                     double* d_out)
+int64_t wave_event(double horizon, int64_t n, void* const* t,
+                   double* dt_out, int64_t* out)
 {
+    double* stall = t[E_STALL];
+    const double* tpi = t[E_TPI];
+    double* done = t[E_DONE];
+    double* total = t[E_TOTAL];
+    double* elapsed = t[E_ELAPSED];
+    const double* n_instr = t[E_NINSTR];
+    const double* epi = t[E_EPI];
+    const double* work = t[E_WORK];
+    const double* stat = t[E_STAT];
+    const uint8_t* active = t[E_ACTIVE];
+    double* core_dyn = t[E_DYN];
+    double* core_static = t[E_STATIC];
+    double* mem_j = t[E_MEM];
+    double* d_out = t[E_DINSTR];
+    double* rem = t[E_REM];
+    double* dts = t[E_DTS];
+
+    for (int64_t i = 0; i < n; i++) {
+        double r = n_instr[i] - done[i];
+        if (r < 0.0) r = 0.0;
+        rem[i] = r;
+        dts[i] = r * tpi[i] + stall[i];
+    }
+    int64_t b = 0;
+    double dt = dts[0];
+    if (dt == dt) {
+        for (int64_t i = 1; i < n; i++) {
+            double v = dts[i];
+            if (v < dt) { dt = v; b = i; }
+            else if (v != v) { dt = v; b = i; break; }
+        }
+    }
+    int64_t wave = 0;
+    for (int64_t i = 0; i < n; i++) wave += dts[i] <= dt;
+    *dt_out = dt;
+    out[0] = b;
+    out[1] = wave;
+    if (!(dt >= 0.0)) return 1;
+
     double mx = -INFINITY;
     for (int64_t i = 0; i < n; i++) {
         double served = stall[i] < dt ? stall[i] : dt;
-        double run = dt - served;
-        double d = run / tpi[i];
-        double rem = n_instr[i] - instr_done[i];
-        if (rem < 0.0) rem = 0.0;
-        double lim = rem + 1e-6;
+        double d = (dt - served) / tpi[i];
+        double lim = rem[i] + 1e-6;
         if (lim < d) d = lim;
         d_out[i] = d;
         if (active[i]) {
@@ -191,7 +258,7 @@ int64_t advance_fast(double dt, double horizon, int64_t n,
         core_dyn[i] += epi[i] * d;
         mem_j[i] += (work[i] - epi[i]) * d;
         core_static[i] += stat[i] * dt;
-        instr_done[i] += d;
+        done[i] += d;
         total[i] += d;
         elapsed[i] += dt;
     }
@@ -214,7 +281,7 @@ def _cache_dir() -> Path:
 #: without it — results identical, just slower).  -ffp-contract=off is
 #: non-negotiable in every set: a contracted a + b*c FMA rounds once
 #: where NumPy rounds twice, which would break bit-identity in the
-#: advance kernel — no set without it is ever attempted.
+#: event kernel — no set without it is ever attempted.
 _FLAG_SETS = (
     ("-O3", "-march=native", "-fopenmp-simd", "-ffp-contract=off"),
     ("-O3", "-fopenmp-simd", "-ffp-contract=off"),
@@ -239,36 +306,22 @@ def _load() -> Optional[ctypes.CDLL]:
         return None
     try:
         lib = ctypes.CDLL(str(so_path))
-        lib.combine.restype = None
-        lib.combine.argtypes = [
-            ctypes.c_void_p,  # a (double*)
-            ctypes.c_int64,  # la
-            ctypes.c_void_p,  # b (double*)
-            ctypes.c_int64,  # lb
-            ctypes.c_int64,  # w0 (first output column)
-            ctypes.c_int64,  # w1 (last output column)
-            ctypes.c_void_p,  # best (double*)
-            ctypes.c_void_p,  # choice (int64*)
+        lib.tree_update.restype = ctypes.c_int64
+        lib.tree_update.argtypes = [
+            ctypes.c_void_p,  # plan (int64*)
+            ctypes.c_void_p,  # node table (int64*)
+            ctypes.c_void_p,  # scratch (double*, >= widest operand)
+            ctypes.c_void_p,  # root total out (double*)
+            ctypes.c_void_p,  # root split out (int64[2])
         ]
-        lib.path_update.restype = None
-        lib.path_update.argtypes = [
-            ctypes.c_int64,  # levels
-            ctypes.c_void_p,  # cur (double*)
-            ctypes.c_int64,  # cur_n
-            ctypes.c_void_p,  # sibs (double**)
-            ctypes.c_void_p,  # sib_n (int64*)
-            ctypes.c_void_p,  # sib_is_left (int64*)
-            ctypes.c_void_p,  # w0 (int64*)
-            ctypes.c_void_p,  # w1 (int64*)
-            ctypes.c_void_p,  # bests (double**)
-            ctypes.c_void_p,  # scratch (double*, capacity >= max operand)
-        ]
-        lib.advance_fast.restype = ctypes.c_int64
-        lib.advance_fast.argtypes = [
-            ctypes.c_double,  # dt
+        lib.wave_event.restype = ctypes.c_int64
+        lib.wave_event.argtypes = [
             ctypes.c_double,  # horizon
             ctypes.c_int64,  # n
-        ] + [ctypes.c_void_p] * 14  # per-core state arrays
+            ctypes.c_void_p,  # state table (void*[len(EVENT_SLOTS)])
+            ctypes.c_void_p,  # dt out (double*)
+            ctypes.c_void_p,  # b, wave size out (int64[2])
+        ]
     except OSError:
         _lib_failed = True
         return None
@@ -277,62 +330,16 @@ def _load() -> Optional[ctypes.CDLL]:
 
 
 def available() -> bool:
-    """Whether the compiled kernel can be used in this environment."""
+    """Whether the compiled kernels can be used in this environment."""
     return _load() is not None
 
 
 def raw_lib() -> Optional[ctypes.CDLL]:
-    """The loaded library for direct ``lib.combine`` calls, or None.
+    """The loaded library for direct kernel calls, or None.
 
-    Hot paths (the reduction tree's per-update recombines) call the
-    kernel without the wrapper's contiguity/window checks; callers must
-    pass C-contiguous float64/int64 buffers and a valid column window —
-    exactly what :mod:`repro.core.global_opt` constructs.
+    Hot paths call the kernels without argument checks; callers must
+    pass C-contiguous buffers of the documented dtypes and shapes —
+    exactly what :mod:`repro.core.global_opt` and
+    :mod:`repro.simulator.rmsim` construct.
     """
     return _load()
-
-
-def native_combine_window(
-    a_energy: np.ndarray,
-    b_energy: np.ndarray,
-    w0: int,
-    w1: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(min,+) column minima for output columns ``[w0, w1]`` of the band.
-
-    Columns are 0-based relative to the combined domain's low end;
-    ``arg`` holds 0-based indices into ``a_energy`` (the caller adds
-    ``a.w_min``).  Raises when the kernel is unavailable — callers gate
-    on :func:`available`.
-    """
-    lib = _load()
-    if lib is None:
-        raise RuntimeError("native combine kernel unavailable")
-    a = np.ascontiguousarray(a_energy, dtype=float)
-    b = np.ascontiguousarray(b_energy, dtype=float)
-    width = a.size + b.size - 1
-    if not 0 <= w0 <= w1 <= width - 1:
-        raise ValueError("output column window outside the band")
-    n = w1 - w0 + 1
-    best = np.empty(n)
-    arg = np.empty(n, dtype=np.int64)
-    lib.combine(
-        a.ctypes.data,
-        a.size,
-        b.ctypes.data,
-        b.size,
-        w0,
-        w1,
-        best.ctypes.data,
-        arg.ctypes.data,
-    )
-    return best, arg
-
-
-def native_combine(
-    a_energy: np.ndarray, b_energy: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Full-band :func:`native_combine_window` (every output column)."""
-    return native_combine_window(
-        a_energy, b_energy, 0, a_energy.size + b_energy.size - 2
-    )

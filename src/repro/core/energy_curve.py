@@ -70,7 +70,16 @@ class EnergyCurve:
         return float(self.energy[ways - self.w_min])
 
     def has_feasible_point(self) -> bool:
-        return bool(np.any(np.isfinite(self.energy)))
+        """Whether any allocation is finite — scanned once per curve.
+
+        Curves are immutable, and memoized local results hand the same
+        curve object back on every recurrence, so the answer is cached.
+        """
+        feasible = self.__dict__.get("_feasible")
+        if feasible is None:
+            feasible = bool(np.isfinite(self.energy).any())
+            object.__setattr__(self, "_feasible", feasible)
+        return feasible
 
     @staticmethod
     def pinned(ways: int, energy: float = 0.0) -> "EnergyCurve":

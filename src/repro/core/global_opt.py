@@ -24,7 +24,13 @@ Two entry points share the same combine kernel:
   never materialised at all — the budget is fixed, so the root is
   evaluated at the single way count ``A`` with a windowed min instead of
   a full (min,+) convolution, which removes the single most expensive
-  combine from every update.
+  combine from every update.  The wave-batched simulator's accelerated
+  tree also restricts every combine to the columns the budget can read,
+  and with a C compiler an update is one compiled call
+  (``tree_update`` in :mod:`repro.core._native_opt`): the leaf's whole
+  path is recombined and the root split evaluated from a node table and
+  a per-leaf plan staged once per tree.  Without a compiler the same
+  windowed combines and root window run in NumPy.
 
 Both paths are differentially tested bit-identical in their selected
 allocations and energies (``tests/test_decision_kernel.py``); they differ
@@ -35,7 +41,9 @@ charges.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -76,7 +84,7 @@ class _Node:
         "win_lo",
         "win_hi",
         "out_buf",
-        "out_addr",
+        "idx",
     )
 
     def __init__(self, curve=None, left=None, right=None, choice=None):
@@ -90,10 +98,11 @@ class _Node:
         self.parent: Optional[_Node] = None
         #: Leaves under this node (window derivation).
         self.n_leaves: int = 1
-        #: Reusable native-path output buffer (and its cached address);
-        #: see :meth:`ReductionTree._update_path_native`.
+        #: Compiled path only: the fixed buffer the kernel writes this
+        #: node's windowed values into, and the node's row in the
+        #: kernel's node table (see :meth:`ReductionTree._stage_native`).
         self.out_buf: Optional[np.ndarray] = None
-        self.out_addr: int = 0
+        self.idx: int = 0
         #: Width the *unwindowed* combine would have — the accounting
         #: basis: ``dp_operations`` always charges nominal ``la * lb``
         #: cells, whether or not the accelerated path narrowed the
@@ -203,12 +212,12 @@ def _combine_node_accel(node: _Node) -> int:
     produced value (and its first-minimum choice) is bit-identical to the
     full combine's; the skipped columns are exactly those no feasible
     full-budget split can ever read (see
-    :meth:`ReductionTree.set_acceleration`).  The compiled kernel walks
-    each column's band once when available; the NumPy fallback slices the
-    same columns out of the full banded view.  Either way the charged
-    cells stay the *nominal* ``la * lb`` — the accounting the unwindowed
-    PR-4 path reports (the :meth:`ReductionTree.path_operations`
-    invariance pattern).
+    :meth:`ReductionTree._derive_windows`).  This is the NumPy path,
+    slicing the same columns out of the full banded view; the compiled
+    kernel's ``tree_update`` computes the same values.  Either way the
+    charged cells stay the *nominal* ``la * lb`` — the accounting the
+    unwindowed plain tree reports (the
+    :meth:`ReductionTree.path_operations` invariance pattern).
     """
     a, b = node.left.curve, node.right.curve
     nom_la = node.left.nom_size
@@ -216,44 +225,37 @@ def _combine_node_accel(node: _Node) -> int:
     node.nom_size = nom_la + nom_lb - 1
     lo = a.w_min + b.w_min
     hi = a.w_max + b.w_max
-    win_lo = lo if node.win_lo is None else max(lo, node.win_lo)
-    win_hi = hi if node.win_hi is None else min(hi, node.win_hi)
+    win_lo = max(lo, node.win_lo)
+    win_hi = min(hi, node.win_hi)
     if win_lo > win_hi:  # pragma: no cover - guarded by budget validation
         raise ValueError("empty budget window; budget outside domain")
-    la = a.energy.size
-    lib = _native_opt.raw_lib()
-    if lib is not None:
-        # Direct FFI call: curve energies are C-contiguous float64 by
-        # construction (kernel outputs, ``from_reduction`` buffers,
-        # pinned/candidate arrays), so the wrapper's checks are skipped.
-        n_out = win_hi - win_lo + 1
-        best = np.empty(n_out)
-        arg = np.empty(n_out, dtype=np.int64)
-        lib.combine(
-            a.energy.ctypes.data,
-            la,
-            b.energy.ctypes.data,
-            b.energy.size,
-            win_lo - lo,
-            win_hi - lo,
-            best.ctypes.data,
-            arg.ctypes.data,
-        )
-    else:
-        lb = b.energy.size
-        width = la + lb - 1
-        buf = np.empty((la, width + 1))
-        buf[:, lb:] = np.inf
-        np.add(a.energy[:, None], b.energy[None, :], out=buf[:, :lb])
-        sums = buf.reshape(-1)[: la * width].reshape(la, width)
-        seg = sums[:, win_lo - lo : win_hi - lo + 1]
-        arg = seg.argmin(axis=0)
-        best = seg[arg, np.arange(arg.size)]
+    la, lb = a.energy.size, b.energy.size
+    width = la + lb - 1
+    buf = np.empty((la, width + 1))
+    buf[:, lb:] = np.inf
+    np.add(a.energy[:, None], b.energy[None, :], out=buf[:, :lb])
+    sums = buf.reshape(-1)[: la * width].reshape(la, width)
+    seg = sums[:, win_lo - lo : win_hi - lo + 1]
+    arg = seg.argmin(axis=0)
+    best = seg[arg, np.arange(arg.size)]
     node.curve = EnergyCurve.from_reduction(win_lo, best)
     arg = arg + a.w_min
     node.choice = arg.tolist()
     node.w_lo = win_lo
     return nom_la * nom_lb
+
+
+def _energy_addr(curve: EnergyCurve) -> int:
+    """Address of a (C-contiguous) curve's energy buffer, cached on it.
+
+    Leaf curves recur — memoized local results hand the same curve
+    object back — so the lookup is paid once per curve, not per update.
+    """
+    addr = curve.__dict__.get("_caddr")
+    if addr is None:
+        addr = curve.energy.ctypes.data
+        object.__setattr__(curve, "_caddr", addr)
+    return addr
 
 
 def _internal_bottom_up(root: _Node) -> List[_Node]:
@@ -333,6 +335,17 @@ class ReductionTree:
     and charge :meth:`path_operations` instead — the exact cell count
     :meth:`update` would have reported.
 
+    ``acceleration=(budget, leaf_lo, leaf_hi)`` enables the wave loop's
+    fast path: every combine materialises only its budget window (see
+    :meth:`_derive_windows`), and with a C compiler one ``tree_update``
+    call per :meth:`update` recombines the leaf's whole path and
+    evaluates the root split, which :meth:`evaluate` then replays.  The
+    tree then accepts only leaf curves inside ``[leaf_lo, leaf_hi]`` and
+    evaluates only at ``budget``.  Values, choices and charged cells are
+    bit-identical to the plain tree (differentially tested), which is
+    why the wave-batched simulator enables it while the scalar oracle
+    leaves it off.
+
     ``order="pinned_first"`` reorders the *leaf placement* at build time
     so degenerate single-point (pinned) curves pair with each other
     before any real curve joins: their combines cost one cell each and
@@ -362,16 +375,18 @@ class ReductionTree:
                 f"unknown leaf order {order!r}; options: natural, pinned_first"
             )
         self.order = order
-        #: ``(budget, leaf_lo, leaf_hi)`` enabling the budget-windowed
-        #: combine path (plus the compiled kernel when available), or
-        #: None for the PR-4-era full combines.  See
-        #: :meth:`set_acceleration`; results and accounting are identical
-        #: either way, which is why the wave-batched simulator can flip
-        #: it on freely while the scalar oracle leaves it off.
+        #: ``(budget, leaf_lo, leaf_hi)`` of the accelerated path, or None
+        #: for the plain tree's full combines.
         self.acceleration = None
         if acceleration is not None:
-            self._validate_acceleration(acceleration)
-            self.acceleration = tuple(acceleration)
+            budget, leaf_lo, leaf_hi = (int(v) for v in acceleration)
+            if leaf_lo < 1 or leaf_hi < leaf_lo:
+                raise ValueError(
+                    "leaf bounds must satisfy 1 <= leaf_lo <= leaf_hi"
+                )
+            if budget < 1:
+                raise ValueError("budget must be >= 1")
+            self.acceleration = (budget, leaf_lo, leaf_hi)
         if order == "pinned_first":
             # Stable partition: single-point curves first, everything else
             # after, both in their original relative order.
@@ -389,32 +404,42 @@ class ReductionTree:
         self._internal = _internal_bottom_up(self._root)
         for leaf in self._leaves:
             if self.acceleration is not None:
-                leaf.curve = self._contiguous_leaf(leaf.curve)
+                leaf.curve = self._accelerated_leaf(leaf.curve)
             leaf.nom_size = leaf.curve.energy.size
         for node in self._internal:
             node.n_leaves = node.left.n_leaves + node.right.n_leaves
-        if self.acceleration is not None:
-            self._derive_windows()
-        combine = (
-            _combine_node_accel if self.acceleration is not None else _combine_node
-        )
-        ops = 0
-        for node in self._internal:
-            if node is not self._root:
-                ops += combine(node)
-        #: Cells touched building every non-root combine once.
-        self.build_operations = ops
         self._w_min_total = sum(c.w_min for c in curves)
         self._w_max_total = sum(c.w_max for c in curves)
         #: Accelerated-path evaluation memo: (budget, total, ops, extract)
         #: valid while no update has touched the tree since it was
         #: computed — a skipped-update invocation re-reads the identical
         #: root state, so replaying the triple (including the charged
-        #: window size) is exact.
+        #: window size) is exact.  The compiled path fills it on every
+        #: recombine.
         self._eval_cache = None
-        #: Reusable ctypes argument buffers of the native path update.
-        self._c_bufs = None
-        self._c_scratch = None
+        #: Leaf position -> cells of its path's combines (nominal widths
+        #: change only when some leaf's width does; then it is cleared).
+        self._path_ops: dict = {}
+        #: The compiled kernels (accelerated trees with a root split only).
+        self._lib = None
+        if self.acceleration is not None:
+            self._derive_windows()
+            if self._root.left is not None:
+                self._lib = _native_opt.raw_lib()
+        if self._lib is not None:
+            ops = self._stage_native()
+        else:
+            combine = (
+                _combine_node_accel
+                if self.acceleration is not None
+                else _combine_node
+            )
+            ops = 0
+            for node in self._internal:
+                if node is not self._root:
+                    ops += combine(node)
+        #: Cells touched building every non-root combine once.
+        self.build_operations = ops
 
     @property
     def n_leaves(self) -> int:
@@ -431,27 +456,26 @@ class ReductionTree:
     def leaf_curve(self, index: int) -> EnergyCurve:
         return self._leaves[self._leaf_of[index]].curve
 
-    @staticmethod
-    def _contiguous_leaf(curve: EnergyCurve) -> EnergyCurve:
-        """A C-contiguous-energy view of a leaf curve (accelerated path).
+    def _accelerated_leaf(self, curve: EnergyCurve) -> EnergyCurve:
+        """Validate and, if needed, repack a leaf curve for the fast path.
 
-        The compiled kernels read raw ``energy`` buffers; curves the
+        The budget windows — and the compiled kernel's fixed node
+        buffers — are sized from the leaf bounds, so a curve outside them
+        is rejected.  The kernels read raw ``energy`` buffers; curves the
         managers install are contiguous already (kernel outputs, pinned
         arrays) and pass through untouched — object identity preserved,
         which callers rely on — while a caller-supplied strided view is
         repacked once at install.
         """
+        _, leaf_lo, leaf_hi = self.acceleration
+        if curve.w_min < leaf_lo or curve.w_max > leaf_hi:
+            raise ValueError(
+                f"leaf curve ways [{curve.w_min}, {curve.w_max}] outside the "
+                f"accelerated tree's bounds [{leaf_lo}, {leaf_hi}]"
+            )
         if curve.energy.flags.c_contiguous:
             return curve
         return EnergyCurve(curve.ways, np.ascontiguousarray(curve.energy))
-
-    @staticmethod
-    def _validate_acceleration(acceleration) -> None:
-        budget, leaf_lo, leaf_hi = acceleration
-        if leaf_lo < 1 or leaf_hi < leaf_lo:
-            raise ValueError("leaf bounds must satisfy 1 <= leaf_lo <= leaf_hi")
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
 
     def _derive_windows(self) -> None:
         """Fixed per-node budget windows from universal leaf bounds.
@@ -473,154 +497,146 @@ class ReductionTree:
             node.win_lo = budget - leaf_hi * rest
             node.win_hi = budget - leaf_lo * rest
 
-    def set_acceleration(
-        self, budget: int, leaf_lo: int, leaf_hi: int
-    ) -> None:
-        """Enable the windowed/native combine path for one fixed budget.
+    def _stage_native(self) -> int:
+        """Stage the compiled kernel's state and build the tree with it.
 
-        Applies to every combine from now on; curves already combined at
-        full width stay valid (a wider column range is always a superset
-        of the window).  Evaluation is then only legal at ``budget`` —
-        other way totals could need columns the windows never
-        materialise — and :meth:`evaluate` enforces that.  Values,
-        choices and charged cells are bit-identical to the unaccelerated
-        path (differentially tested); only wall-clock changes.
+        Everything static is laid out once per tree: the node table (one
+        row per node; leaves point at their curves, each internal node at
+        a fixed buffer sized for its window — at most ``k * (leaf_hi -
+        leaf_lo) + 1`` wide for ``k`` leaves), and one plan per leaf
+        listing its path's (node, children, window) steps and the root
+        split.  An update then writes the leaf's row and makes one call.
+        Returns the build's nominal cells.
         """
-        acceleration = (int(budget), int(leaf_lo), int(leaf_hi))
-        self._validate_acceleration(acceleration)
-        self.acceleration = acceleration
-        self._eval_cache = None
+        budget, leaf_lo, leaf_hi = self.acceleration
+        spread = leaf_hi - leaf_lo
+        root = self._root
+        combined = [node for node in self._internal if node is not root]
+        nodes = self._leaves + self._internal
+        for idx, node in enumerate(nodes):
+            node.idx = idx
+        fields = _native_opt.NODE_FIELDS
+        self._tab = (ctypes.c_int64 * (fields * len(nodes)))()
+        for pos, leaf in enumerate(self._leaves):
+            self._install_native(pos, leaf.curve)
+        widest = spread + 1
+        ops = 0
+        for node in combined:
+            ops += node.left.nom_size * node.right.nom_size
+            node.nom_size = node.left.nom_size + node.right.nom_size - 1
+            cap = min(node.win_hi - node.win_lo, node.n_leaves * spread) + 1
+            node.out_buf = np.empty(cap)
+            self._tab[fields * node.idx] = node.out_buf.ctypes.data
+            widest = max(widest, cap)
+        self._scratch = np.empty(widest)
+        self._total = (ctypes.c_double * 1)()
+        self._split = (ctypes.c_int64 * 2)()
+        self._args = (
+            ctypes.addressof(self._tab),
+            self._scratch.ctypes.data,
+            ctypes.addressof(self._total),
+            ctypes.addressof(self._split),
+        )
+        tail = (root.left.idx, root.right.idx, budget)
+
+        def plan(steps: List[_Node]):
+            flat = [len(steps)]
+            for node in steps:
+                flat += (node.idx, node.left.idx, node.right.idx,
+                         node.win_lo, node.win_hi)
+            flat += tail
+            return (ctypes.c_int64 * len(flat))(*flat)
+
+        #: Per leaf position: its path's internal nodes (root excluded)
+        #: and the kernel plan recombining them.
+        self._paths: List[List[_Node]] = []
+        self._plans = []
         for leaf in self._leaves:
-            leaf.curve = self._contiguous_leaf(leaf.curve)
-        self._derive_windows()
+            path = []
+            node = leaf.parent
+            while node is not root:
+                path.append(node)
+                node = node.parent
+            self._paths.append(path)
+            self._plans.append(plan(path))
+        self._plan_addrs = [ctypes.addressof(p) for p in self._plans]
+        build = plan(combined)
+        self._run_native(ctypes.addressof(build), combined)
+        return ops
+
+    def _install_native(self, pos: int, curve: EnergyCurve) -> None:
+        """Point a leaf's node-table row at its (new) curve."""
+        row = _native_opt.NODE_FIELDS * pos
+        tab = self._tab
+        tab[row] = _energy_addr(curve)
+        tab[row + 1] = curve.w_min
+        tab[row + 2] = curve.energy.size
+
+    def _run_native(self, plan_addr: int, nodes: List[_Node]) -> None:
+        """One ``tree_update`` call: recombine a plan, evaluate the root.
+
+        Internal curves are views of the nodes' fixed buffers, rewritten
+        in place; a node's view is rebuilt only when the kernel moved its
+        low end or width (safe because internal curves are never
+        retained across updates — leaf curves are the only
+        identity-checked objects).  The root split lands in the
+        evaluation memo when it is feasible; otherwise :meth:`evaluate`
+        re-derives it and raises.
+        """
+        changed = self._lib.tree_update(plan_addr, *self._args)
+        if changed:
+            if changed < 0:
+                raise ValueError("empty budget window; budget outside domain")
+            tab = self._tab
+            for node in nodes:
+                row = _native_opt.NODE_FIELDS * node.idx
+                lo, width = tab[row + 1], tab[row + 2]
+                cur = node.curve
+                if cur is None or cur.w_min != lo or cur.energy.size != width:
+                    node.curve = EnergyCurve.from_reduction(
+                        lo, node.out_buf[:width]
+                    )
+        split = self._split
+        total = self._total[0]
+        if split[1] and math.isfinite(total):
+            budget = self.acceleration[0]
+            self._eval_cache = (
+                budget,
+                total,
+                split[1],
+                partial(self._extract, split[0], budget),
+            )
 
     def update(self, index: int, curve: EnergyCurve) -> int:
         """Replace one leaf's curve; recombine its path; return ops."""
-        leaf = self._leaves[self._leaf_of[index]]
+        pos = self._leaf_of[index]
+        leaf = self._leaves[pos]
         old = leaf.curve
         if self.acceleration is not None:
-            curve = self._contiguous_leaf(curve)
+            curve = self._accelerated_leaf(curve)
         leaf.curve = curve
-        leaf.nom_size = curve.energy.size
         self._w_min_total += curve.w_min - old.w_min
         self._w_max_total += curve.w_max - old.w_max
         self._eval_cache = None
-        if self.acceleration is not None:
-            lib = _native_opt.raw_lib()
-            if lib is not None:
-                return self._update_path_native(lib, leaf)
-            combine = _combine_node_accel
-        else:
-            combine = _combine_node
-        ops = 0
+        if curve.energy.size != leaf.nom_size:
+            leaf.nom_size = curve.energy.size
+            node = leaf.parent
+            while node is not None:
+                node.nom_size = node.left.nom_size + node.right.nom_size - 1
+                node = node.parent
+            self._path_ops.clear()
+        ops = self.path_operations(index)
+        if self._lib is not None:
+            self._install_native(pos, curve)
+            self._run_native(self._plan_addrs[pos], self._paths[pos])
+            return ops
+        combine = (
+            _combine_node_accel if self.acceleration is not None else _combine_node
+        )
         node = leaf.parent
         while node is not None and node is not self._root:
-            ops += combine(node)
+            combine(node)
             node = node.parent
-        return ops
-
-    def _update_path_native(self, lib, leaf: _Node) -> int:
-        """One FFI call recombines the whole leaf-to-root path.
-
-        Stages each level's sibling pointer, window and output buffers
-        into reusable ctypes arrays, then lets the compiled
-        ``path_update`` chain the windowed combines (level ``l``'s output
-        is level ``l+1``'s path-side operand).  Cell arithmetic,
-        tie-breaks and the charged nominal bill are exactly the
-        per-node path's (differentially tested); only FFI and Python
-        per-combine overhead disappears.
-        """
-        bufs = self._c_bufs
-        if bufs is None:
-            depth = 48  # >= ceil(log2(n_leaves)) for any conceivable tree
-            bufs = self._c_bufs = (
-                (ctypes.c_void_p * depth)(),  # sibling energies
-                (ctypes.c_int64 * depth)(),  # sibling widths
-                (ctypes.c_int64 * depth)(),  # sibling-is-left flags
-                (ctypes.c_int64 * depth)(),  # first output column
-                (ctypes.c_int64 * depth)(),  # last output column
-                (ctypes.c_void_p * depth)(),  # output energies
-            )
-        sibs, sib_ns, sib_left, w0s, w1s, bests = bufs
-        child = leaf
-        lc = leaf.curve
-        cur_lo = lc.w_min
-        cur_n = lc.energy.size
-        cur_nom = leaf.nom_size
-        node = leaf.parent
-        root = self._root
-        ops = 0
-        outs = []
-        n_levels = 0
-        while node is not None and node is not root:
-            path_is_left = node.left is child
-            sib = node.right if path_is_left else node.left
-            sc = sib.curve
-            nat_lo = cur_lo + sc.w_min
-            nat_hi = cur_lo + cur_n - 1 + sc.w_max
-            win_lo = max(nat_lo, node.win_lo)
-            win_hi = min(nat_hi, node.win_hi)
-            if win_lo > win_hi:  # pragma: no cover - budget validated
-                raise ValueError("empty budget window; budget outside domain")
-            n_out = win_hi - win_lo + 1
-            # Steady-state updates reuse the node's output buffer (and
-            # its cached address) — the kernel overwrites it in place,
-            # and the node's curve object survives when its window is
-            # unchanged.  Safe because internal curves are never
-            # retained across updates (leaf curves are the only
-            # identity-checked objects) and distinct nodes never share
-            # a buffer.
-            best = node.out_buf
-            if best is None or best.size != n_out:
-                best = node.out_buf = np.empty(n_out)
-                node.out_addr = best.ctypes.data
-            addr = getattr(sc, "_caddr", None)
-            if addr is None:
-                addr = sc.energy.ctypes.data
-                object.__setattr__(sc, "_caddr", addr)
-            sibs[n_levels] = addr
-            sib_ns[n_levels] = sc.energy.size
-            sib_left[n_levels] = 0 if path_is_left else 1
-            w0s[n_levels] = win_lo - nat_lo
-            w1s[n_levels] = win_hi - nat_lo
-            bests[n_levels] = node.out_addr
-            ops += cur_nom * sib.nom_size
-            cur_nom = cur_nom + sib.nom_size - 1
-            outs.append((node, win_lo, best, cur_nom))
-            cur_lo, cur_n = win_lo, n_out
-            child = node
-            node = node.parent
-            n_levels += 1
-        if n_levels == 0:
-            return 0
-        scratch = self._c_scratch
-        if scratch is None or scratch.size <= self._w_max_total:
-            # Reversal scratch for the kernel: any operand's width is
-            # bounded by the widest possible combined domain.
-            scratch = self._c_scratch = np.empty(self._w_max_total + 1)
-        addr = getattr(lc, "_caddr", None)
-        if addr is None:
-            addr = lc.energy.ctypes.data
-            object.__setattr__(lc, "_caddr", addr)
-        lib.path_update(
-            n_levels,
-            addr,
-            lc.energy.size,
-            sibs,
-            sib_ns,
-            sib_left,
-            w0s,
-            w1s,
-            bests,
-            scratch.ctypes.data,
-        )
-        for node, win_lo, best, nom in outs:
-            cur = node.curve
-            if cur is None or cur.energy is not best or cur.w_min != win_lo:
-                node.curve = EnergyCurve.from_reduction(win_lo, best)
-            node.choice = None  # back-tracks recover columns on demand
-            node.w_lo = win_lo
-            node.nom_size = nom
         return ops
 
     def path_operations(self, index: int) -> int:
@@ -633,13 +649,18 @@ class ReductionTree:
         that can prove a leaf's curve is unchanged (e.g. a memoized local
         result feeding the same curve object back) charge this instead of
         re-running :meth:`update`, keeping ``dp_operations`` identical
-        between the skipped and the recomputed path.
+        between the skipped and the recomputed path.  Memoized per leaf
+        until some leaf's width changes.
         """
-        ops = 0
-        node = self._leaves[self._leaf_of[index]].parent
-        while node is not None and node is not self._root:
-            ops += node.left.nom_size * node.right.nom_size
-            node = node.parent
+        pos = self._leaf_of[index]
+        ops = self._path_ops.get(pos)
+        if ops is None:
+            ops = 0
+            node = self._leaves[pos].parent
+            while node is not None and node is not self._root:
+                ops += node.left.nom_size * node.right.nom_size
+                node = node.parent
+            self._path_ops[pos] = ops
         return ops
 
     def evaluate(self, total_ways: int):
@@ -688,25 +709,26 @@ class ReductionTree:
         total = sums[wa - lo]
         if not np.isfinite(total):
             raise ValueError("no feasible partition for the given curves")
-
-        def extract() -> List[int]:
-            out: List[int] = []
-            _backtrack(root.left, wa, out)
-            _backtrack(root.right, total_ways - wa, out)
-            if self.order == "natural":
-                return out
-            unpermuted = [0] * len(out)
-            for pos, orig in enumerate(self._perm):
-                unpermuted[orig] = out[pos]
-            return unpermuted
-
-        result = (float(total), int(sums.size), extract)
+        result = (float(total), int(sums.size), partial(self._extract, wa, total_ways))
         if self.acceleration is not None:
             # Memoize only on the accelerated path — the PR-4 cost
             # profile (one window evaluation per invocation) stays
             # measurable on the plain tree.
             self._eval_cache = (total_ways, *result)
         return result
+
+    def _extract(self, wa: int, total_ways: int) -> List[int]:
+        """Per-leaf allocation of the root split ``(wa, total_ways - wa)``."""
+        root = self._root
+        out: List[int] = []
+        _backtrack(root.left, wa, out)
+        _backtrack(root.right, total_ways - wa, out)
+        if self.order == "natural":
+            return out
+        unpermuted = [0] * len(out)
+        for pos, orig in enumerate(self._perm):
+            unpermuted[orig] = out[pos]
+        return unpermuted
 
     def solve(self, total_ways: int) -> GlobalOptResult:
         """Optimal partition for the budget from the current curves."""

@@ -48,7 +48,7 @@ differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -229,6 +229,12 @@ class ResourceManager:
             min(min(candidates), self._baseline.ways),
             max(max(candidates), self._baseline.ways),
         )
+
+    @property
+    def effective_curves(self) -> Tuple[EnergyCurve, ...]:
+        """The per-core curves the global step currently runs over: fresh
+        local curves once observed, baseline-pinned before that."""
+        return tuple(self._curves)
 
     def _pinned_curves(self) -> List[EnergyCurve]:
         pinned = EnergyCurve.pinned(self.system.baseline_setting().ways)

@@ -19,22 +19,23 @@ stops at the instruction horizon; simulation (and uncore energy) continues
 until every core reaches it (Section IV-D1).
 
 Per-core execution state lives in a struct-of-arrays container
-(:class:`_CoreStates`): the per-event hot path — boundary selection and
-:func:`advance_cores` — is pure NumPy over those arrays, so a 32-core
-system pays a handful of array operations per event instead of a Python
-loop over cores.
+(:class:`_CoreStates`), so an event costs a handful of array operations
+instead of a Python loop over cores.
 
 The event loop itself runs in one of two *wave modes*:
 
-* ``"step"`` (default) — the wave-batched loop: each event also names the
-  *boundary wave* (every core whose boundary lands in the same wall-clock
-  step), probes the local-decision memo for the whole wave in one batched
-  lookup and routes the misses through a single
-  :func:`~repro.core.local_opt.optimize_local_batch` tensor pass
-  (:meth:`~repro.core.managers.ResourceManager.precompute_wave`), advances
-  the cores through a zero-allocation scratch-buffered kernel
-  (:func:`advance_cores_wave`: one compiled call, or NumPy without a
-  compiler), replays progress/energy rates from the per-record memo
+* ``"step"`` (default) — the wave-batched loop.  Each event is one
+  compiled call (:meth:`_CoreStates.next_event`, the ``wave_event``
+  kernel of :mod:`repro.core._native_opt`): it picks the next boundary,
+  counts the *boundary wave* (every core whose boundary lands in the
+  same wall-clock step) and advances every core to it; without a
+  compiler the same steps run in NumPy over scratch buffers
+  (:func:`advance_cores_wave`), which also serves the rare
+  horizon-reaching event.  The loop then probes the local-decision memo
+  for the whole wave in one batched lookup and routes the misses
+  through a single :func:`~repro.core.local_opt.optimize_local_batch`
+  tensor pass (:meth:`~repro.core.managers.ResourceManager.precompute_wave`),
+  replays progress/energy rates from the per-record memo
   (:meth:`~repro.database.records.PhaseRecord.rates_at`) and applies
   decisions via one vectorised settings-diff against the
   struct-of-arrays state.  Event *sequencing* is untouched — boundaries
@@ -54,6 +55,7 @@ default.
 
 from __future__ import annotations
 
+import ctypes
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,10 +103,11 @@ class _CoreStates:
     For the wave loop the container additionally mirrors the current
     settings as three plain arrays (``set_c``/``set_f``/``set_w``) so a
     decision diffs against the whole system in a handful of vector
-    compares, and owns the preallocated scratch buffers of the
-    zero-allocation advance kernel.  ``rate_refreshes`` counts every rate
-    derivation (memoized or not) — the wave tests assert that replayed
-    settings maps trigger exactly one refresh per boundary.
+    compares, and owns the preallocated scratch buffers and the compiled
+    kernel's state table of :meth:`next_event`.  ``rate_refreshes``
+    counts every rate derivation (memoized or not) — the wave tests
+    assert that replayed settings maps trigger exactly one refresh per
+    boundary.
     """
 
     __slots__ = (
@@ -132,10 +135,13 @@ class _CoreStates:
         "set_f",
         "set_w",
         "rate_refreshes",
-        "any_finished",
+        "n_active",
         "_active",
-        "_advlib",
-        "_adv_ptrs",
+        "_evlib",
+        "_ev_args",
+        "_ev_dt",
+        "_ev_out",
+        "_ev_table",
         "_dts",
         "_remaining",
         "_served",
@@ -169,21 +175,32 @@ class _CoreStates:
         self.set_f = np.zeros(n)
         self.set_w = np.zeros(n, dtype=np.int64)
         self.rate_refreshes = 0
-        self.any_finished = False
         #: ``~finished`` maintained as its own array (wave-loop guard
-        #: reductions read it every event).
+        #: reductions read it every event), and its count.
         self._active = np.ones(n, dtype=bool)
-        #: Compiled fast-path advance (None when no compiler): the
-        #: argument pointers are cached once — every array above lives
-        #: for the container's lifetime and is never reallocated.
-        self._advlib = _native_opt.raw_lib()
-        self._adv_ptrs = None
+        self.n_active = n
         # Scratch buffers of the zero-allocation event kernels.
         self._dts = np.empty(n)
         self._remaining = np.empty(n)
         self._served = np.empty(n)
         self._dinstr = np.empty(n)
         self._tmp = np.empty(n)
+        #: Compiled per-event kernel (None when no compiler).  Its state
+        #: table holds one pointer per array above, built once: every
+        #: array lives for the container's lifetime and is only ever
+        #: updated in place.
+        self._evlib = _native_opt.raw_lib()
+        if self._evlib is not None:
+            self._ev_table = (ctypes.c_void_p * len(_native_opt.EVENT_SLOTS))(
+                *(getattr(self, name).ctypes.data for name in _native_opt.EVENT_SLOTS)
+            )
+            self._ev_dt = (ctypes.c_double * 1)()
+            self._ev_out = (ctypes.c_int64 * 2)()
+            self._ev_args = (
+                ctypes.addressof(self._ev_table),
+                ctypes.addressof(self._ev_dt),
+                ctypes.addressof(self._ev_out),
+            )
 
     @property
     def remaining_instr(self) -> np.ndarray:
@@ -283,7 +300,46 @@ class _CoreStates:
         return np.nonzero(changed)[0].tolist()
 
     def finished_all(self) -> bool:
-        return self.any_finished and bool(self.finished.all())
+        """Every core reached the horizon (wave loop: the advance keeps
+        :attr:`n_active`)."""
+        return self.n_active == 0
+
+    def next_event(self, horizon: float) -> Tuple[int, float, int]:
+        """One wave-loop event: pick the next boundary and advance to it.
+
+        Returns ``(b, dt, wave)``: the boundary core, the wall-clock step
+        to its boundary and the size of the boundary wave (every core
+        whose boundary lands within ``dt``; the members are
+        ``_dts <= dt``, left in the scratch for the caller).  With a
+        compiler this is one ``wave_event`` call — a finish-adjacent
+        event returns with no core state touched and takes
+        :func:`advance_cores_wave`'s reference path — and
+        :meth:`_next_event_numpy` otherwise; the two are bit-identical
+        (differentially tested).
+        """
+        lib = self._evlib
+        if lib is None:
+            return self._next_event_numpy(horizon)
+        dt = self._ev_dt
+        out = self._ev_out
+        if lib.wave_event(horizon, self.n, *self._ev_args):
+            advance_cores_wave(self, dt[0], horizon)
+        return out[0], dt[0], out[1]
+
+    def _next_event_numpy(self, horizon: float) -> Tuple[int, float, int]:
+        """:meth:`next_event` in NumPy: the arithmetic of
+        :func:`~repro.simulator.events.next_boundary_arrays` over the
+        scratch buffers (``np.argmin`` keeps the first minimum — the
+        lowest core id on ties), then :func:`advance_cores_wave`."""
+        rem = np.subtract(self.n_instructions, self.instr_done, out=self._remaining)
+        np.maximum(rem, 0.0, out=rem)
+        dts = np.multiply(rem, self.tpi_s, out=self._dts)
+        dts += self.stall_s
+        b = int(dts.argmin())
+        dt = float(dts[b])
+        wave = int(np.count_nonzero(dts <= dt))
+        advance_cores_wave(self, dt, horizon)
+        return b, dt, wave
 
     def energy_breakdowns(self) -> List[EnergyBreakdown]:
         return [
@@ -341,42 +397,19 @@ def advance_cores_wave(st: _CoreStates, dt: float, horizon: float) -> None:
     """:func:`advance_cores` through preallocated scratch buffers.
 
     Requires ``st._remaining`` to hold this event's pre-advance remaining
-    instructions (the wave loop computes it for boundary selection — the
-    advance clamp reuses it, exactly the value :func:`advance_cores`
-    would re-derive).  While no *active* core would reach the horizon
-    this event, the whole advance is one compiled call (or the unmasked
-    NumPy block below without a compiler) — exact because the
+    instructions (the boundary pick computes it — the advance clamp
+    reuses it, exactly the value :func:`advance_cores` would re-derive).
+    While no *active* core would reach the horizon this event, the
+    advance is the unmasked NumPy block below — exact because the
     reference's masks then select every core, and finished cores carry
     zeroed energy rates (each update adds ``+0.0``, the identity on
     their non-negative accumulators).  A horizon-reaching event (at most
-    one per core per run) takes the reference's masked path.
+    one per core per run) takes the reference's masked path.  The
+    compiled ``wave_event`` performs the same fast block and hands
+    horizon-reaching events here (:meth:`_CoreStates.next_event`).
     """
     if dt < 0:
         raise ValueError("dt must be non-negative")
-    lib = st._advlib
-    if lib is not None:
-        ptrs = st._adv_ptrs
-        if ptrs is None:
-            ptrs = st._adv_ptrs = (
-                st.stall_s.ctypes.data,
-                st.tpi_s.ctypes.data,
-                st.instr_done.ctypes.data,
-                st.total_instr.ctypes.data,
-                st.interval_elapsed_s.ctypes.data,
-                st.n_instructions.ctypes.data,
-                st.epi_j.ctypes.data,
-                st.work_j_per_inst.ctypes.data,
-                st.static_w.ctypes.data,
-                st._active.ctypes.data,
-                st.core_dynamic_j.ctypes.data,
-                st.core_static_j.ctypes.data,
-                st.memory_j.ctypes.data,
-                st._dinstr.ctypes.data,
-            )
-        if lib.advance_fast(dt, horizon, st.n, *ptrs) == 0:
-            return
-        # Finish-adjacent event: nothing was mutated — fall through to
-        # the reference arithmetic below.
     served = np.minimum(st.stall_s, dt, out=st._served)
     d_instr = np.subtract(dt, served, out=st._dinstr)
     np.divide(d_instr, st.tpi_s, out=d_instr)
@@ -438,7 +471,7 @@ def _advance_finish_event(
     if np.any(newly):
         st.finished[newly] = True
         active[newly] = False
-        st.any_finished = True
+        st.n_active -= int(np.count_nonzero(newly))
         st.zero_finished_rates(newly)
 
 
@@ -764,14 +797,14 @@ class MulticoreRMSimulator:
         #: batched at most once no matter how many events the wave spans.
         spec_mark = [-1] * n_cores
         # Hot-loop locals: the boundary pick is the arithmetic of
-        # :func:`next_boundary_arrays` over preallocated scratch (float
-        # addition commutes, so the pick is bit-equal; progress-state
-        # validation moves to the loop entry + the rates memo, which
-        # revalidates every new (record, setting) pair).
+        # :func:`next_boundary_arrays` over preallocated scratch
+        # (:meth:`_CoreStates.next_event`; float addition commutes, so
+        # the pick is bit-equal; progress-state validation moves to the
+        # loop entry + the rates memo, which revalidates every new
+        # (record, setting) pair).
         stall_s = st.stall_s
         tpi_s = st.tpi_s
         instr_done = st.instr_done
-        n_instructions = st.n_instructions
         finished = st.finished
         records = st.records
         settings_list = st.settings
@@ -779,7 +812,7 @@ class MulticoreRMSimulator:
         interval_elapsed = st.interval_elapsed_s
         apps_list = st.apps
         dts = st._dts
-        rem = st._remaining
+        next_event = st.next_event
         record_for_interval = db.record_for_interval
         observe = rm.observe
         if stall_s.min() < 0 or tpi_s.min() <= 0:
@@ -796,43 +829,35 @@ class MulticoreRMSimulator:
         for _ in range(max_events):
             if st.finished_all():
                 break
-            np.subtract(n_instructions, instr_done, out=rem)
-            np.maximum(rem, 0.0, out=rem)
-            np.multiply(rem, tpi_s, out=dts)
-            dts += stall_s
-            b = int(dts.argmin())
-            dt = float(dts[b])
-
-            if speculate:
-                # The boundary wave: every core tied with the next
-                # boundary in wall-clock time.
-                wave_mask = dts <= dt
-                if int(wave_mask.sum()) > 1:
-                    members = np.nonzero(wave_mask)[0]
-                    wave_inputs = []
-                    for i in members.tolist():
-                        iv = intervals[i]
-                        if spec_mark[i] == iv:
-                            continue
-                        spec_mark[i] = iv
-                        rec = records[i]
-                        wave_inputs.append(
-                            (
-                                i,
-                                ModelInputs(
-                                    counters=rec.counters_at(settings_list[i]),
-                                    atd=rec.atd_report(),
-                                    next_record=record_for_interval(
-                                        apps_list[i], iv + 1
-                                    ),
-                                ),
-                            )
-                        )
-                    if wave_inputs:
-                        rm.precompute_wave(wave_inputs)
-
-            advance_cores_wave(st, dt, horizon)
+            b, dt, wave = next_event(horizon)
             t += dt
+
+            if speculate and wave > 1:
+                # The boundary wave: every core tied with the next
+                # boundary in wall-clock time.  Speculation reads only
+                # records, settings and intervals, none of which the
+                # advance touches, so it may follow it.
+                wave_inputs = []
+                for i in np.flatnonzero(dts <= dt).tolist():
+                    iv = intervals[i]
+                    if spec_mark[i] == iv:
+                        continue
+                    spec_mark[i] = iv
+                    rec = records[i]
+                    wave_inputs.append(
+                        (
+                            i,
+                            ModelInputs(
+                                counters=rec.counters_at(settings_list[i]),
+                                atd=rec.atd_report(),
+                                next_record=record_for_interval(
+                                    apps_list[i], iv + 1
+                                ),
+                            ),
+                        )
+                    )
+                if wave_inputs:
+                    rm.precompute_wave(wave_inputs)
 
             elapsed = float(interval_elapsed[b])
             record = records[b]

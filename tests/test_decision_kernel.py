@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import _native_opt
 from repro.core.energy_curve import EnergyCurve
 from repro.core.global_opt import (
     ReductionTree,
@@ -27,6 +28,7 @@ from repro.simulator.rmsim import (
     _CoreStates,
     advance_cores,
     advance_cores_reference,
+    advance_cores_wave,
 )
 
 
@@ -330,3 +332,233 @@ class TestSimulatorModeIdentity:
         assert expected_w > 0
         assert res.uncore_j == pytest.approx(expected_w * res.t_end_s)
         assert res.uncore_j > 0
+
+
+# ---------------------------------------------------------------------------
+# Compiled kernels vs their NumPy paths, on generated inputs
+# ---------------------------------------------------------------------------
+needs_native = pytest.mark.skipif(
+    not _native_opt.available(), reason="compiled kernels unavailable"
+)
+
+#: Every per-core array the event touches outside its scratch buffers.
+_STATE = (
+    "stall_s", "tpi_s", "instr_done", "total_instr", "interval_elapsed_s",
+    "n_instructions", "epi_j", "work_j_per_inst", "static_w", "finished",
+    "_active", "core_dynamic_j", "core_static_j", "memory_j",
+)
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).tobytes()
+
+
+def _event_states(seed, n, ties, crossing):
+    """A wave-loop state built from ``seed``: zero and positive stalls,
+    cores past their interval end (``rem`` clamps at 0), finished cores
+    with zeroed rates, ``ties`` cores copying core 0's boundary exactly,
+    and a horizon that some active core crosses when ``crossing``."""
+    rng = np.random.default_rng(seed)
+    st_ = _CoreStates(n)
+    st_.stall_s[:] = np.where(rng.random(n) < 0.5, 0.0, rng.random(n) * 1e-3)
+    st_.tpi_s[:] = rng.random(n) * 1e-8 + 1e-10
+    st_.n_instructions[:] = rng.integers(1_000, 100_000, n).astype(float)
+    st_.instr_done[:] = st_.n_instructions * rng.random(n) * 1.2
+    st_.total_instr[:] = st_.instr_done + rng.random(n) * 1e5
+    st_.interval_elapsed_s[:] = rng.random(n) * 1e-2
+    st_.epi_j[:] = rng.random(n) * 1e-9
+    st_.work_j_per_inst[:] = st_.epi_j + rng.random(n) * 1e-9
+    st_.static_w[:] = rng.random(n)
+    st_.core_dynamic_j[:] = rng.random(n)
+    st_.core_static_j[:] = rng.random(n)
+    st_.memory_j[:] = rng.random(n)
+    for i in rng.choice(n, size=min(ties, n), replace=False):
+        for name in ("stall_s", "tpi_s", "n_instructions", "instr_done"):
+            getattr(st_, name)[i] = getattr(st_, name)[0]
+    done = rng.random(n) < 0.25
+    if done.all():
+        done[0] = False
+    st_.finished[:] = done
+    st_._active[:] = ~done
+    st_.n_active = int((~done).sum())
+    st_.zero_finished_rates(done)
+    if crossing:
+        # Where a random active core lands this event: it, and every
+        # active core landing further, reaches the horizon.
+        rem = np.maximum(st_.n_instructions - st_.instr_done, 0.0)
+        dt = (rem * st_.tpi_s + st_.stall_s).min()
+        d = (dt - np.minimum(st_.stall_s, dt)) / st_.tpi_s
+        d = np.minimum(d, rem + 1e-6)
+        i = int(rng.choice(np.flatnonzero(~done)))
+        horizon = float(st_.total_instr[i] + d[i])
+    else:
+        horizon = float(st_.total_instr.max()) + 1e9
+    return st_, horizon
+
+
+class TestEventKernelDifferential:
+    """``wave_event`` (one call per event) against the wave loop's NumPy
+    boundary pick followed by :func:`advance_cores_wave`."""
+
+    @staticmethod
+    def _reference(st_, horizon):
+        rem = np.maximum(st_.n_instructions - st_.instr_done, 0.0)
+        st_._remaining[:] = rem
+        dts = rem * st_.tpi_s
+        dts += st_.stall_s
+        b = int(dts.argmin())
+        dt = float(dts[b])
+        wave = int((dts <= dt).sum())
+        advance_cores_wave(st_, dt, horizon)
+        return b, dt, wave
+
+    @needs_native
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+        ties=st.integers(0, 6),
+        crossing=st.booleans(),
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_event_matches_numpy_pick_and_advance(self, n, seed, ties, crossing):
+        got_st, horizon = _event_states(seed, n, ties, crossing)
+        ref_st, _ = _event_states(seed, n, ties, crossing)
+        got = got_st.next_event(horizon)
+        ref = self._reference(ref_st, horizon)
+        assert got == ref
+        assert got_st.n_active == ref_st.n_active
+        for name in _STATE:
+            assert _bits(getattr(got_st, name)) == _bits(getattr(ref_st, name)), name
+
+    @needs_native
+    @given(n=st.integers(1, 40), seed=st.integers(0, 10_000), ties=st.integers(0, 6))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_horizon_crossing_event_mutates_nothing(self, n, seed, ties):
+        st_, horizon = _event_states(seed, n, ties, crossing=True)
+        before = {name: _bits(getattr(st_, name)) for name in _STATE}
+        lib = _native_opt.raw_lib()
+        assert lib.wave_event(horizon, n, *st_._ev_args) == 1
+        for name in _STATE:
+            assert _bits(getattr(st_, name)) == before[name], name
+        ref_st, _ = _event_states(seed, n, ties, crossing=True)
+        b, dt, wave = self._reference(ref_st, horizon)
+        assert (st_._ev_out[0], st_._ev_dt[0], st_._ev_out[1]) == (b, dt, wave)
+
+    def test_tied_boundaries_pick_lowest_core(self):
+        st_ = _CoreStates(5)
+        st_.tpi_s[:] = 1e-9
+        st_.n_instructions[:] = 1000.0
+        st_.instr_done[:] = [500.0, 0.0, 500.0, 500.0, 2000.0]
+        st_.stall_s[:] = [1e-7, 0.0, 1e-7, 0.0, 0.0]
+        # core 4 is past its end: rem clamps to 0, so it is the boundary
+        b, dt, wave = st_.next_event(1e12)
+        assert (b, dt, wave) == (4, 0.0, 1)
+        st_.instr_done[4] = 500.0
+        b, dt, wave = st_.next_event(1e12)
+        assert (b, wave) == (3, 2)  # cores 3 and 4 tie exactly
+        st_.instr_done[:] = 0.0
+        st_.stall_s[:] = 0.0
+        b, _, wave = st_.next_event(1e12)
+        assert (b, wave) == (0, 5)
+
+
+def _tree_curves(rng, n, leaf_lo, leaf_hi, ties):
+    curves = []
+    for _ in range(n):
+        width = int(rng.integers(1, leaf_hi - leaf_lo + 2))
+        w_min = int(rng.integers(leaf_lo, leaf_hi - width + 2))
+        if ties:
+            energy = rng.integers(0, 4, width).astype(float)
+        else:
+            energy = rng.random(width) * 10.0
+        if width > 1 and rng.random() < 0.4:
+            start = int(rng.integers(0, width))
+            energy[start : start + int(rng.integers(1, width + 1))] = np.inf
+        curves.append(EnergyCurve(np.arange(w_min, w_min + width), energy))
+    return curves
+
+
+class TestFusedRootEvaluation:
+    """``tree_update``'s root split against :meth:`ReductionTree.evaluate`'s
+    NumPy window over the same tree, across leaf updates."""
+
+    @staticmethod
+    def _numpy_evaluate(tree, budget):
+        cached = tree._eval_cache
+        tree._eval_cache = None
+        try:
+            total, ops, extract = tree.evaluate(budget)
+            return total, ops, extract()
+        finally:
+            tree._eval_cache = cached
+
+    @needs_native
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 10_000),
+        ties=st.booleans(),
+        n_updates=st.integers(0, 8),
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_fused_root_matches_numpy_window(self, n, seed, ties, n_updates):
+        rng = np.random.default_rng(seed)
+        leaf_lo, leaf_hi = 2, 16
+        curves = _tree_curves(rng, n, leaf_lo, leaf_hi, ties)
+        budget = int(
+            rng.integers(
+                sum(c.w_min for c in curves), sum(c.w_max for c in curves) + 1
+            )
+        )
+        tree = ReductionTree(curves, acceleration=(budget, leaf_lo, leaf_hi))
+        for step in range(n_updates + 1):
+            if step:
+                # Only updates that keep the budget inside the domain.
+                i = int(rng.integers(n))
+                fresh = _tree_curves(rng, 1, leaf_lo, leaf_hi, ties)[0]
+                old = curves[i]
+                if not (
+                    tree.w_min_total - old.w_min + fresh.w_min
+                    <= budget
+                    <= tree.w_max_total - old.w_max + fresh.w_max
+                ):
+                    continue
+                curves[i] = fresh
+                tree.update(i, fresh)
+            try:
+                ref = self._numpy_evaluate(tree, budget)
+            except ValueError:
+                assert tree._eval_cache is None
+                with pytest.raises(ValueError):
+                    tree.evaluate(budget)
+                continue
+            cache = tree._eval_cache
+            assert cache is not None and cache[0] == budget
+            total, ops, extract = tree.evaluate(budget)
+            assert (total, ops, extract()) == ref
+            stateless = partition_ways(curves, budget)
+            assert ref[2] == stateless.ways
+            assert ref[0] == stateless.total_energy
+
+    @needs_native
+    def test_leaf_whose_parent_is_the_root(self):
+        """Two leaves: each update's plan has no combine step, only the
+        root split; single-point and +inf-run curves included."""
+        a = EnergyCurve(np.arange(2, 7), np.array([np.inf, np.inf, 1.0, 1.0, 0.5]))
+        b = EnergyCurve.pinned(8)
+        tree = ReductionTree([a, b], acceleration=(12, 2, 16))
+        assert tree._plans[0][0] == 0 and tree._plans[1][0] == 0
+        assert tree.solve(12).ways == partition_ways([a, b], 12).ways
+        c = EnergyCurve(np.arange(4, 10), np.array([3.0, 2.0, 2.0, np.inf, 2.0, 9.0]))
+        assert tree.update(1, c) == 0
+        got = tree.solve(12)
+        ref = partition_ways([a, c], 12)
+        assert (got.ways, got.total_energy) == (ref.ways, ref.total_energy)
+        assert got.dp_operations == 4  # candidate left allocations 3..6
+
+    def test_curve_outside_leaf_bounds_rejected(self):
+        curves = [EnergyCurve.pinned(8) for _ in range(4)]
+        tree = ReductionTree(curves, acceleration=(32, 2, 16))
+        with pytest.raises(ValueError, match="bounds"):
+            tree.update(0, EnergyCurve(np.arange(10, 18), np.zeros(8)))
+        with pytest.raises(ValueError, match="bounds"):
+            ReductionTree([EnergyCurve.pinned(1)] * 4, acceleration=(32, 2, 16))

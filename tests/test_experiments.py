@@ -108,6 +108,47 @@ class TestDynamicArtefacts:
         assert s3_rm3 > s3_rm2 + 0.04
         s4_rm3 = sum(summary["rm3"][4]) / len(summary["rm3"][4])
         assert abs(s4_rm3) < 0.03
+    @pytest.mark.parametrize("rm_kind", ["rm2", "rm3"])
+    @pytest.mark.parametrize("n_cores", [2, 8, 32, 64])
+    def test_measure_invocation_matches_one_manager_per_mode(
+        self, quick_cfg, rm_kind, n_cores
+    ):
+        """One primed manager plus a stateless rebuild over its effective
+        curves bills exactly what a manager primed in each reduction mode
+        reports for its last invocation."""
+        from repro.core.managers import make_rm
+        from repro.core.perf_models import ModelInputs
+        from repro.experiments.common import get_database, make_model
+        from repro.experiments.overheads_table import measure_invocation
+
+        db = get_database(n_cores, quick_cfg.seed)
+        system = db.system
+        base = system.baseline_setting()
+        names = db.app_names()
+        per_mode = {}
+        for reduction in ("full_rebuild", "incremental"):
+            rm = make_rm(
+                rm_kind, system, make_model("Model3"), reduction=reduction
+            )
+            for core in range(n_cores):
+                record = db.records[names[core % len(names)]][0]
+                decision = rm.observe(
+                    core,
+                    ModelInputs(
+                        counters=record.counters_at(base),
+                        atd=record.atd_report(),
+                    ),
+                )
+            per_mode[reduction] = decision
+        assert measure_invocation(db, rm_kind) == (
+            per_mode["full_rebuild"].local_evaluations,
+            per_mode["full_rebuild"].dp_operations,
+            per_mode["incremental"].dp_operations,
+        )
+        assert (
+            per_mode["incremental"].local_evaluations
+            == per_mode["full_rebuild"].local_evaluations
+        )
 
     def test_ext_scaling_quick(self, quick_cfg):
         """The 16/32-core sweep: savings survive scale, kernel work does

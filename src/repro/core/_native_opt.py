@@ -1,7 +1,7 @@
-"""Optional compiled kernels: the reduction tree's combines and the
-simulator's per-event step.
+"""Optional compiled kernels: the reduction tree's combines, the
+simulator's per-event step and the QoS-violation sweep.
 
-Two hot loops cross into C here, one :mod:`ctypes` call each:
+Three hot loops cross into C here, one :mod:`ctypes` call each:
 
 * ``tree_update`` — the decision kernel.  Every leaf-to-root recombine
   pays one windowed ``la * lb`` (min,+) convolution per level, and at 64
@@ -15,8 +15,15 @@ Two hot loops cross into C here, one :mod:`ctypes` call each:
   every core's time to its boundary, picks the next boundary, counts the
   boundary wave and advances every core to it, through a pointer table
   built once per state container.
+* ``qos_sweep`` — the Figs. 7-8 QoS-violation study.  One call scores
+  every (current, slower target) setting pair of one phase record under
+  one model: a per-current table of Eq. 1's compute term, hoisted out of
+  the pair loop, plus the model's memory term ``u[target] * v[current]``,
+  compared with the current's predicted baseline.  It writes the
+  per-target violation counts and every violating pair's magnitude in
+  row-major order; :mod:`repro.analysis.stats` sums them in NumPy.
 
-Both are built on demand with the system C compiler and loaded through
+All three are built on demand with the system C compiler and loaded through
 :mod:`ctypes`, exactly the pattern of the replay engine's
 :mod:`repro.cache._native`.
 
@@ -26,26 +33,30 @@ column's value is its minimum — the same values the NumPy combine's
 argmin selects.  The root split and the boundary pick keep the first
 minimum, and the first NaN if any, exactly as :func:`numpy.argmin`.  The
 advance performs NumPy's elementwise operations in the same per-element
-order; ``-ffp-contract=off`` keeps the compiler from fusing any of them.
+order, and the sweep's prediction is NumPy's one multiply and one add;
+``-ffp-contract=off`` keeps the compiler from fusing any of them.
 The differential tests assert equality against the NumPy paths, which
 are themselves pinned to the scalar references.
 
 Everything degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NO_NATIVE`` set true (:mod:`repro.settings`) make
 :func:`available` return ``False``; the tree then combines and evaluates
-through NumPy, and the wave loop picks and advances through NumPy.
+through NumPy, the wave loop picks and advances through NumPy, and the
+QoS study gathers, adds and compares the same operands in NumPy.
 """
 
 from __future__ import annotations
 
 import ctypes
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro import settings
 from repro.util.nativebuild import build_shared
 
-__all__ = ["EVENT_SLOTS", "NODE_FIELDS", "available", "raw_lib"]
+__all__ = ["EVENT_SLOTS", "NODE_FIELDS", "available", "qos_sweep", "raw_lib"]
 
 #: Int64 fields per reduction-tree node in ``tree_update``'s node table:
 #: energy buffer address, lowest way count, width.
@@ -264,6 +275,44 @@ int64_t wave_event(double horizon, int64_t n, void* const* t,
     }
     return 0;
 }
+
+/* ---- QoS-violation sweep ----------------------------------------------
+ *
+ * One phase record under one model.  comp holds Eq. 1's compute term of
+ * every current setting, ncf (core size, frequency) columns a row; the
+ * prediction of current k for target j is comp[k*ncf + cf[j]] + u[j]*v[k],
+ * one rounded multiply and one rounded add, exactly NumPy's.  The pair
+ * violates when that is <= thr[k], the current's predicted baseline
+ * times 1 + 1e-9, so a tie violates.  counts[j] receives target j's
+ * violating currents and mags_out, in row-major (current, target)
+ * order, mag[j] once per violating pair; returns their number.
+ *
+ * Targets go in blocks of 64: the compare loop vectorises into a hit
+ * mask, and only the set bits are walked, lowest first. */
+int64_t qos_sweep(int64_t n_cur, int64_t ncf, const double* comp,
+                  const double* v, const double* thr, int64_t n_tgt,
+                  const int64_t* cf, const double* u, const double* mag,
+                  int64_t* counts, double* mags_out)
+{
+    int64_t n = 0;
+    for (int64_t j = 0; j < n_tgt; j++) counts[j] = 0;
+    for (int64_t k = 0; k < n_cur; k++) {
+        const double* row = comp + k * ncf;
+        double vk = v[k], tk = thr[k];
+        for (int64_t j0 = 0; j0 < n_tgt; j0 += 64) {
+            int64_t m = n_tgt - j0 < 64 ? n_tgt - j0 : 64;
+            uint64_t hits = 0;
+            for (int64_t j = 0; j < m; j++) {
+                uint64_t hit = row[cf[j0 + j]] + u[j0 + j] * vk <= tk;
+                counts[j0 + j] += hit;
+                hits |= hit << j;
+            }
+            for (; hits; hits &= hits - 1)
+                mags_out[n++] = mag[j0 + __builtin_ctzll(hits)];
+        }
+    }
+    return n;
+}
 """
 
 _lib: Optional[ctypes.CDLL] = None
@@ -281,7 +330,8 @@ def _cache_dir() -> Path:
 #: without it — results identical, just slower).  -ffp-contract=off is
 #: non-negotiable in every set: a contracted a + b*c FMA rounds once
 #: where NumPy rounds twice, which would break bit-identity in the
-#: event kernel — no set without it is ever attempted.
+#: event kernel and the sweep's ``a + u*v`` — no set without it is
+#: ever attempted.
 _FLAG_SETS = (
     ("-O3", "-march=native", "-fopenmp-simd", "-ffp-contract=off"),
     ("-O3", "-fopenmp-simd", "-ffp-contract=off"),
@@ -322,6 +372,20 @@ def _load() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p,  # dt out (double*)
             ctypes.c_void_p,  # b, wave size out (int64[2])
         ]
+        lib.qos_sweep.restype = ctypes.c_int64
+        lib.qos_sweep.argtypes = [
+            ctypes.c_int64,  # n_cur
+            ctypes.c_int64,  # ncf
+            ctypes.c_void_p,  # compute table (double[n_cur * ncf])
+            ctypes.c_void_p,  # v (double[n_cur])
+            ctypes.c_void_p,  # thresholds (double[n_cur])
+            ctypes.c_int64,  # n_tgt
+            ctypes.c_void_p,  # compute column per target (int64[n_tgt])
+            ctypes.c_void_p,  # u (double[n_tgt])
+            ctypes.c_void_p,  # magnitude per target (double[n_tgt])
+            ctypes.c_void_p,  # counts out (int64[n_tgt])
+            ctypes.c_void_p,  # magnitudes out (double[n_cur * n_tgt])
+        ]
     except OSError:
         _lib_failed = True
         return None
@@ -343,3 +407,41 @@ def raw_lib() -> Optional[ctypes.CDLL]:
     :mod:`repro.simulator.rmsim` construct.
     """
     return _load()
+
+
+def qos_sweep(
+    comp: np.ndarray,
+    cf: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    thr: np.ndarray,
+    mag: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(counts, mags)`` of one record's sweep under one model.
+
+    Pair ``(k, j)`` violates when ``comp[k, cf[j]] + u[j] * v[k] <=
+    thr[k]``.  ``counts[j]`` is target ``j``'s number of violating
+    currents and ``mags`` holds ``mag[j]`` once per violating pair, in
+    row-major (current, target) order.
+    """
+    lib = _load()
+    if lib is None:
+        raise RuntimeError("native decision kernels unavailable")
+    comp, u, v, thr, mag = (
+        np.ascontiguousarray(a, dtype=np.float64) for a in (comp, u, v, thr, mag)
+    )
+    cf = np.ascontiguousarray(cf, dtype=np.int64)
+    if comp.ndim != 2 or v.shape != (comp.shape[0],) or thr.shape != v.shape:
+        raise ValueError("need one v and one threshold per compute-table row")
+    if cf.ndim != 1 or u.shape != cf.shape or mag.shape != cf.shape:
+        raise ValueError("need one u and one magnitude per target column")
+    if cf.size and (cf.min() < 0 or cf.max() >= comp.shape[1]):
+        raise ValueError("target columns must lie in 0..compute columns - 1")
+    counts = np.empty(cf.size, dtype=np.int64)
+    mags = np.empty(comp.shape[0] * cf.size)
+    n = lib.qos_sweep(
+        comp.shape[0], comp.shape[1], comp.ctypes.data, v.ctypes.data,
+        thr.ctypes.data, cf.size, cf.ctypes.data, u.ctypes.data,
+        mag.ctypes.data, counts.ctypes.data, mags.ctypes.data,
+    )
+    return counts, mags[:n]

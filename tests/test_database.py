@@ -1,10 +1,12 @@
 """Database tests: record consistency, builder, disk cache."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import settings
-from repro.config import CoreSize, Setting
+from repro.config import CoreSize, Setting, default_system
 from repro.database.builder import (
     SimDatabase,
     baseline_feasibility_check,
@@ -17,6 +19,7 @@ from repro.database.store import (
 )
 
 from repro.testing import mini_suite
+from repro.workloads.suite import spec_suite
 
 
 class TestPhaseRecord:
@@ -165,6 +168,37 @@ class TestStore:
         assert base == database_fingerprint(mini_suite(), system2, 7)
         assert base != database_fingerprint(suite, system2, 8)
         assert base != database_fingerprint(suite[:3], system2, 7)
+
+    @pytest.mark.parametrize(
+        "n_cores, seed, key",
+        [
+            (2, 2020, "94cd3ba1ec9cc3b694e30ceae401fe3b"),
+            (4, 2020, "0d86f3979585782b61cf4014000d93fe"),
+            (16, 2020, "9864f4debb3bb447ed5d3718332a52cb"),
+            (64, 2020, "c9c08c7dbe4fc26c6cced7f5b3cbf41f"),
+            (4, 4099, "e5807489298a8eb30306047a5b4bd069"),
+        ],
+    )
+    def test_suite_fingerprints_are_pinned(self, n_cores, seed, key):
+        """Result-store keys and cached ``.npz`` names rest on these
+        values: memoising the suite's serialisation must not move them."""
+        for _ in range(2):  # the second call is served by the memo
+            assert database_fingerprint(
+                spec_suite(), default_system(n_cores), seed
+            ) == key
+
+    def test_fingerprint_sees_one_phase_parameter(self):
+        suite = spec_suite()
+        system = default_system(4)
+        base = database_fingerprint(suite, system, 2020)
+        app = suite[3]
+        phase = dataclasses.replace(
+            app.phases[0], llc_apki=app.phases[0].llc_apki * 1.01
+        )
+        changed = list(suite)
+        changed[3] = dataclasses.replace(app, phases=(phase,) + app.phases[1:])
+        assert database_fingerprint(changed, system, 2020) != base
+        assert database_fingerprint(spec_suite(), system, 2020) == base
 
     def test_roundtrip(self, mini_db, system2, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

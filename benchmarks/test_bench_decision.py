@@ -8,11 +8,10 @@ global curve reduction — at 4/8/16/32 cores in both reduction modes:
 * ``incremental`` — the persistent tree re-runs only the invoker's
   leaf-to-root path combines plus the root window evaluation.
 
-``BENCH_decision.json`` at the repo root keeps the current baseline
-(regenerate with ``python -m repro bench --emit decision``); the
-deterministic counterpart of these wall-clock numbers — DP cells touched
-per invocation — is recorded as ``extra_info`` and asserted to scale in
-``tests/test_decision_kernel.py``.
+No committed baseline reads these timings: run the file with
+pytest-benchmark to compare two trees.  Their deterministic counterpart
+— DP cells touched per invocation — is recorded as ``extra_info`` and
+asserted to scale in ``tests/test_decision_kernel.py``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Local-decision kernel benchmarks: warm ``observe`` latency + memo hits.
 
-Times one warm resource-manager invocation wave — every core observes
-its steady-state statistics once — at 4/8/16/32/64 cores in both local
-modes:
+Times one warm round of resource-manager invocations — every core
+observes its steady-state statistics once — at 4/8/16/32/64 cores in
+both local modes:
 
 * ``always_recompute`` — every observe runs the fused grid kernel
   (:class:`~repro.core.local_opt.LocalOptKernel`), and
@@ -16,10 +16,6 @@ rate ceiling; ``BENCH_localopt.json`` at the repo root keeps the current
 baseline (regenerate with ``python -m repro bench --emit localopt``).
 The memo hit rate and the (mode-invariant) operation accounting ride
 along as ``extra_info``.
-
-A second group benchmarks the batched entry point
-(:func:`~repro.core.local_opt.optimize_local_batch`) against the scalar
-reference loop — the warm-up-wave / database-precompute shape.
 """
 
 from __future__ import annotations
@@ -27,12 +23,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import primed_rm
-from repro.core.local_opt import optimize_local, optimize_local_batch
-from repro.core.perf_models import Model3, ModelInputs
-from repro.experiments.common import get_database
 
 CORE_COUNTS = (4, 8, 16, 32, 64)
-SEED = 2020
 
 
 def _observe_round(rm, inputs):
@@ -77,50 +69,3 @@ def test_localopt_accounting_mode_invariant(n_cores):
     # Stats are reset after priming, so the warm round is pure hits.
     assert rm_memo.local_memo.hit_rate == 1.0
 
-
-def _batch_inputs(n: int):
-    db = get_database(4, SEED)
-    base = db.system.baseline_setting()
-    records = [recs[0] for recs in db.records.values()][:n]
-    return db.system, [
-        ModelInputs(
-            counters=r.counters_at(base), atd=r.atd_report(), next_record=r
-        )
-        for r in records
-    ]
-
-
-def test_bench_local_batch(benchmark):
-    from repro.core.local_opt import RMCapabilities
-    from repro.core.energy_model import OnlineEnergyModel
-    from repro.power.model import PowerModel
-
-    system, inputs = _batch_inputs(24)
-    model = Model3()
-    em = OnlineEnergyModel(PowerModel(system.power, system.dvfs, system.memory))
-    caps = RMCapabilities(adapt_frequency=True, adapt_core=True)
-    results = benchmark(
-        optimize_local_batch, inputs, model, em, system, caps
-    )
-    assert len(results) == len(inputs)
-    benchmark.extra_info.update({"batch": len(inputs)})
-
-
-def test_bench_local_scalar_loop(benchmark):
-    from repro.core.local_opt import RMCapabilities
-    from repro.core.energy_model import OnlineEnergyModel
-    from repro.power.model import PowerModel
-
-    system, inputs = _batch_inputs(24)
-    model = Model3()
-    em = OnlineEnergyModel(PowerModel(system.power, system.dvfs, system.memory))
-    caps = RMCapabilities(adapt_frequency=True, adapt_core=True)
-
-    def loop():
-        return [
-            optimize_local(i, model, em, system, caps) for i in inputs
-        ]
-
-    results = benchmark(loop)
-    assert len(results) == len(inputs)
-    benchmark.extra_info.update({"batch": len(inputs)})

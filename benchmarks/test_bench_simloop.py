@@ -1,11 +1,11 @@
-"""Simulator event-loop benchmarks: wave batching.
+"""Simulator event-loop benchmarks: the wave loop against the scalar loop.
 
 End-to-end RM3/Model3 runs (fresh manager per round, the campaign-worker
 shape) in both event-loop modes:
 
 * ``scalar`` — the PR-4 loop, preserved as the differential oracle and
   perf baseline,
-* ``step`` — the wave-batched loop.
+* ``step`` — the wave loop.
 
 ``BENCH_simloop.json`` at the repo root keeps the committed baseline
 (regenerate with ``python -m repro bench --emit simloop`` — the emitter

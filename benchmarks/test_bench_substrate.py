@@ -5,9 +5,10 @@ so performance regressions in the substrate are visible independently of
 the experiment-level benchmarks.
 
 The replay benchmarks record accesses/sec for the per-access oracle and
-the batched engines in ``extra_info``; ``BENCH_substrate.json`` at the
-repo root keeps the current baseline so future PRs have a perf
-trajectory (regenerate with ``python -m repro bench --emit substrate``).
+the batched engines in ``extra_info``.  No committed baseline reads
+them: run the file with pytest-benchmark to compare two trees (CI runs
+it with ``--benchmark-disable`` and ``REPRO_BENCH_NO_PRIME=1`` as a
+smoke test).
 """
 
 import numpy as np

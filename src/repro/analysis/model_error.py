@@ -16,20 +16,12 @@ assumptions.  Used by tests and handy for calibrating new applications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
 
 from repro.config import CORE_PARAMS, Setting, SystemConfig
-from repro.core.energy_model import OnlineEnergyModel
-from repro.core.local_opt import (
-    LocalOptResult,
-    RMCapabilities,
-    optimize_local_batch,
-)
 from repro.core.perf_models import ModelInputs, PerformanceModel
-from repro.core.qos import QoSPolicy
 from repro.database.records import PhaseRecord
 
-__all__ = ["ErrorDecomposition", "decompose_error", "local_decision_sweep"]
+__all__ = ["ErrorDecomposition", "decompose_error"]
 
 
 @dataclass(frozen=True)
@@ -96,33 +88,3 @@ def decompose_error(
         memory_s=pred_memory - true_memory,
     )
 
-
-def local_decision_sweep(
-    records: Sequence[PhaseRecord],
-    model: PerformanceModel,
-    energy_model: OnlineEnergyModel,
-    system: SystemConfig,
-    caps: RMCapabilities,
-    current: Optional[Setting] = None,
-    qos: Optional[QoSPolicy] = None,
-) -> List[LocalOptResult]:
-    """Local-optimisation results for many phases in one batched call.
-
-    Database-side precomputation for calibration and model-error studies:
-    every record is observed at ``current`` (baseline by default) and the
-    full local decision — energy curve, per-way argmin settings,
-    predicted times — comes back from a single
-    :func:`~repro.core.local_opt.optimize_local_batch` tensor pass,
-    bit-identical to running :func:`~repro.core.local_opt.optimize_local`
-    per record.  ``next_record`` is wired to the record itself (a phase
-    predicts its own recurrence), which is what lets the Perfect oracle
-    participate in sweeps.
-    """
-    current = current or system.baseline_setting()
-    inputs = [
-        ModelInputs(
-            counters=r.counters_at(current), atd=r.atd_report(), next_record=r
-        )
-        for r in records
-    ]
-    return optimize_local_batch(inputs, model, energy_model, system, caps, qos)

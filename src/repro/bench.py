@@ -1,16 +1,17 @@
 """Benchmark baseline tooling: one entry point for every ``BENCH_*.json``.
 
 The repo keeps small, stable perf baselines at its root —
-``BENCH_substrate.json`` (replay engines), ``BENCH_campaign.json``
-(end-to-end ``all --quick``), ``BENCH_decision.json`` (global reduction),
+``BENCH_campaign.json`` (end-to-end ``all --quick``),
 ``BENCH_localopt.json`` (the local-decision kernel) and
-``BENCH_simloop.json`` (the wave-batched simulator event loop).  Most are
-distilled from a pytest-benchmark run of the matching file under
-``benchmarks/`` (``simloop`` measures in-process with interleaved rounds
-— its headline is a ratio, which frequency drift would otherwise skew);
-this module is the single implementation behind
+``BENCH_simloop.json`` (the simulator's wave event loop against the
+scalar loop).  Each has an emitter and a ``--check`` that reads it.
+``campaign`` and ``localopt`` are distilled from a pytest-benchmark run
+of the matching file under ``benchmarks/`` (``simloop`` measures
+in-process with interleaved rounds — its headline is a ratio, which
+frequency drift would otherwise skew); this module is the single
+implementation behind
 
-    python -m repro bench --emit decision        # regenerate one
+    python -m repro bench --emit simloop         # regenerate one
     python -m repro bench --emit all             # regenerate every one
     python -m repro bench --check localopt       # CI smoke: no regression
 
@@ -44,10 +45,8 @@ __all__ = [
     "check_localopt",
     "check_simloop",
     "emit_campaign",
-    "emit_decision",
     "emit_localopt",
     "emit_simloop",
-    "emit_substrate",
     "environment_block",
     "main",
     "measure_localopt",
@@ -57,8 +56,6 @@ __all__ = [
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BENCH_DIR = REPO_ROOT / "benchmarks"
 
-#: Core counts measured by the local-decision benchmark/baseline.
-LOCALOPT_CORE_COUNTS = (4, 8, 16, 32, 64)
 #: Core counts re-measured by the CI check (small: CI boxes are slow).
 CHECK_CORE_COUNTS = (4, 16)
 BENCH_SEED = 2020
@@ -102,7 +99,7 @@ def environment_block(**knobs) -> Dict:
     return block
 
 
-def _run_pytest_benchmark(test_file: str, env: Optional[Dict] = None) -> Dict:
+def _run_pytest_benchmark(test_file: str) -> Dict:
     """Run one benchmark file, return pytest-benchmark's raw JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         raw_path = Path(tmp) / "bench.json"
@@ -117,7 +114,6 @@ def _run_pytest_benchmark(test_file: str, env: Optional[Dict] = None) -> Dict:
                 str(raw_path),
             ],
             cwd=REPO_ROOT,
-            env={**os.environ, **(env or {})},
         )
         if proc.returncode != 0:
             raise RuntimeError(
@@ -129,50 +125,6 @@ def _run_pytest_benchmark(test_file: str, env: Optional[Dict] = None) -> Dict:
 def _write(path: Path, payload: Dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
-
-
-# ---------------------------------------------------------------------------
-# substrate
-# ---------------------------------------------------------------------------
-def emit_substrate() -> int:
-    """Regenerate ``BENCH_substrate.json`` (replay-engine baseline)."""
-    raw = _run_pytest_benchmark(
-        "test_bench_substrate.py", env={"REPRO_BENCH_NO_PRIME": "1"}
-    )
-    from repro.cache import _native
-
-    benches = {}
-    for entry in raw["benchmarks"]:
-        record = {
-            "mean_s": entry["stats"]["mean"],
-            "stddev_s": entry["stats"]["stddev"],
-            "rounds": entry["stats"]["rounds"],
-        }
-        record.update(entry.get("extra_info", {}))
-        benches[entry["name"]] = record
-
-    oracle = benches.get("test_bench_replay_oracle", {}).get("mean_s")
-    summary = {}
-    for engine in ("vector", "native"):
-        mean = benches.get(f"test_bench_replay_{engine}", {}).get("mean_s")
-        if oracle and mean:
-            summary[f"replay_{engine}_speedup_vs_oracle"] = round(
-                oracle / mean, 2
-            )
-
-    _write(
-        REPO_ROOT / "BENCH_substrate.json",
-        {
-            "description": "Substrate benchmark baseline "
-            "(benchmarks/test_bench_substrate.py)",
-            "environment": environment_block(
-                native_kernel_available=_native.available()
-            ),
-            "replay_summary": summary,
-            "benchmarks": benches,
-        },
-    )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -240,101 +192,6 @@ def emit_campaign() -> int:
             "benchmarks": benches,
         },
     )
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# decision kernel
-# ---------------------------------------------------------------------------
-def _leaf_order_delta() -> Dict:
-    """Deterministic dp-cell delta of the pinned-first tree build order.
-
-    Measured on the states the reorder is provably bit-identical in
-    (at most two real 15-point curves among pinned single-point leaves):
-    the managers' actual build state (one real curve — the invoking
-    core) and a two-real state with the fresh curves scattered.  The
-    measurement *is* the ROADMAP answer: with one real curve the reorder
-    saves nothing (a real x pinned combine costs the real's width
-    wherever it sits), and with scattered reals it is counterproductive
-    — natural order lets the reals meet at the windowed root for free,
-    pinned-first drags their full (min,+) convolution below it.  The
-    managers therefore keep the natural order.
-    """
-    import numpy as np
-
-    from repro.core.energy_curve import EnergyCurve
-    from repro.core.global_opt import ReductionTree
-
-    def _build_ops(n: int, real_positions) -> Dict:
-        curves = [EnergyCurve.pinned(8) for _ in range(n)]
-        for p in real_positions:
-            curves[p] = EnergyCurve(
-                np.arange(2, 17), np.linspace(5.0, 1.0, 15)
-            )
-        natural = ReductionTree(curves, order="natural").build_operations
-        pinned_first = ReductionTree(
-            curves, order="pinned_first"
-        ).build_operations
-        return {
-            "build_cells_natural": natural,
-            "build_cells_pinned_first": pinned_first,
-            "cells_saved": natural - pinned_first,
-        }
-
-    delta = {}
-    for n in LOCALOPT_CORE_COUNTS:
-        delta[str(n)] = {
-            "one_real": _build_ops(n, (n // 2,)),
-            "two_reals_scattered": _build_ops(n, (n // 3, 2 * n // 3)),
-        }
-    return delta
-
-
-def emit_decision() -> int:
-    """Regenerate ``BENCH_decision.json`` (global reduction baseline)."""
-    raw = _run_pytest_benchmark("test_bench_decision.py")
-
-    per_mode: Dict = {}
-    for entry in raw["benchmarks"]:
-        info = entry.get("extra_info", {})
-        if "reduction" not in info:
-            continue
-        n = int(info["n_cores"])
-        observe_s = entry["stats"]["mean"] / info["observes_per_round"]
-        per_mode.setdefault(info["reduction"], {})[n] = {
-            "observe_us": observe_s * 1e6,
-            "dp_operations": info["dp_operations"],
-            "local_evaluations": info["local_evaluations"],
-        }
-
-    speedups = {}
-    for n, full in sorted(per_mode.get("full_rebuild", {}).items()):
-        incr = per_mode.get("incremental", {}).get(n)
-        if incr:
-            speedups[str(n)] = {
-                "observe_speedup": full["observe_us"] / incr["observe_us"],
-                "dp_ratio": full["dp_operations"] / max(incr["dp_operations"], 1),
-            }
-
-    payload = {
-        "environment": environment_block(
-            reduction_modes=["full_rebuild", "incremental"],
-            local_mode="memoized",
-        ),
-        "modes": {
-            mode: {str(n): rec for n, rec in sorted(rows.items())}
-            for mode, rows in per_mode.items()
-        },
-        "incremental_vs_full_rebuild": speedups,
-        "leaf_order_pinned_first": _leaf_order_delta(),
-    }
-    _write(REPO_ROOT / "BENCH_decision.json", payload)
-    top = speedups.get("32")
-    if top:
-        print(
-            f"32-core observe: {top['observe_speedup']:.2f}x faster "
-            f"incremental vs full rebuild (dp ratio {top['dp_ratio']:.1f}x)"
-        )
     return 0
 
 
@@ -497,7 +354,7 @@ def check_localopt() -> int:
 
 
 # ---------------------------------------------------------------------------
-# simulator event loop (wave batching)
+# simulator event loop
 # ---------------------------------------------------------------------------
 #: Core counts measured by the simulator event-loop baseline.
 SIMLOOP_CORE_COUNTS = (4, 16, 64)
@@ -510,8 +367,8 @@ def measure_simloop(
 ) -> Dict:
     """End-to-end RM3/Model3 run wall-clock in both loop modes.
 
-    Measures ``scalar`` (the PR-4 oracle) against ``step`` (the
-    wave-batched loop) with the rounds *interleaved* and summarised by
+    Measures ``scalar`` (the PR-4 oracle) against ``step`` (the wave
+    loop) with the rounds *interleaved* and summarised by
     median, so CPU-frequency drift hits both modes equally instead of
     whichever ran last.  Each round builds fresh managers, so the memo
     hit rate is a fresh in-memory memo's; only OS/db-level state stays
@@ -580,7 +437,7 @@ def emit_simloop() -> int:
 
     top = per_cores[str(max(SIMLOOP_CORE_COUNTS))]
     payload = {
-        "description": "Simulator event-loop baseline (wave-batched loop "
+        "description": "Simulator event-loop baseline (wave loop "
         "vs the scalar PR-4 oracle; end-to-end RM3/Model3 runs, fresh "
         "manager per run, interleaved medians)",
         "environment": environment_block(
@@ -695,9 +552,7 @@ def check_campaign() -> int:
 
 
 EMITTERS: Dict[str, Callable[[], int]] = {
-    "substrate": emit_substrate,
     "campaign": emit_campaign,
-    "decision": emit_decision,
     "localopt": emit_localopt,
     "simloop": emit_simloop,
 }

@@ -41,7 +41,9 @@ interchangeable engines:
 Both engines are bit-for-bit equivalent to the :class:`LRUStack` oracle —
 including the final stack state — which the differential tests in
 ``tests/test_replay_engine.py`` assert over random streams, replay orders,
-depths and warm-up states.
+depths and warm-up states.  The front door
+(:func:`replay_access_stream`) runs that oracle as its ``"oracle"``
+engine: one :meth:`LRUStack.access` per access.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import settings
+from repro.cache.lru import LRUStack
 from repro.trace.stream import FRESH
 
 __all__ = [
@@ -318,18 +321,12 @@ def replay_access_stream(
     """Replay through the requested engine (see :func:`resolve_engine`)."""
     resolved = resolve_engine(engine)
     if resolved == "native":
-        from repro.cache import _native
-
-        return _native.native_replay(
-            set_index,
-            tag,
-            n_sets=n_sets,
-            depth=depth,
-            order=order,
-            initial=initial,
-            want_state=want_state,
-        )
-    return vector_replay(
+        from repro.cache._native import native_replay as replay
+    elif resolved == "oracle":
+        replay = _oracle_replay
+    else:
+        replay = vector_replay
+    return replay(
         set_index,
         tag,
         n_sets=n_sets,
@@ -338,3 +335,25 @@ def replay_access_stream(
         initial=initial,
         want_state=want_state,
     )
+
+
+def _oracle_replay(
+    set_index: np.ndarray,
+    tag: np.ndarray,
+    *,
+    n_sets: int,
+    depth: int,
+    order: Optional[Sequence[int]] = None,
+    initial: Optional[SetState] = None,
+    want_state: bool = False,
+) -> Tuple[np.ndarray, Optional[SetState]]:
+    """The per-access :class:`LRUStack` loop (the ``"oracle"`` engine)."""
+    if initial is None:
+        initial = [None] * n_sets
+    elif len(initial) != n_sets:
+        raise ValueError("initial must hold one contents list per set")
+    stacks = [LRUStack(depth, contents) for contents in initial]
+    recency = np.empty(len(set_index), dtype=np.int16)
+    for k in range(len(set_index)) if order is None else order:
+        recency[k] = stacks[set_index[k]].access(int(tag[k]))
+    return recency, ([s.contents() for s in stacks] if want_state else None)

@@ -10,14 +10,14 @@ It serves two roles:
 * as the tag-array core of the **ATD** (``repro.atd``), which replays the
   same stream in arrival order.
 
-Replays run on one of the interchangeable engines of
-:mod:`repro.cache.replay` (default: ``REPRO_REPLAY_ENGINE``, itself
-``auto`` — the compiled kernel when a C compiler is available, NumPy
-otherwise); ``engine="oracle"`` keeps the
-original per-access :class:`~repro.cache.lru.LRUStack` loop as the
-reference path.  All engines are bit-for-bit equivalent, including the
-directory state left behind after a replay, so engines can be switched
-mid-stream and results compared exactly.
+Replays run through :func:`~repro.cache.replay.replay_access_stream` on
+one of its interchangeable engines (default: ``REPRO_REPLAY_ENGINE``,
+itself ``auto`` — the compiled kernel when a C compiler is available,
+NumPy otherwise); ``engine="oracle"`` is the per-access
+:class:`~repro.cache.lru.LRUStack` loop, the reference path.  All engines
+are bit-for-bit equivalent, including the directory state left behind
+after a replay, so engines can be switched mid-stream and results
+compared exactly.
 
 :func:`prewarm_tags` reproduces the deterministic warm-up contents the
 trace generator installs, standing in for the paper's 100M-instruction
@@ -104,9 +104,6 @@ class SetAssociativeLRU:
                 raise ValueError(f"unknown replay order {order!r}")
             order = None if order == "program" else stream.in_arrival_order()
 
-        if self.engine == "oracle":
-            return self._replay_oracle(stream, order)
-
         recency, state = replay_access_stream(
             stream.set_index,
             stream.tag,
@@ -120,20 +117,6 @@ class SetAssociativeLRU:
         # Mirror the final stack state so access()/contents()/further
         # replays continue exactly where this stream left off.
         self._sets = [LRUStack(self.depth, c) for c in state]
-        return recency
-
-    def _replay_oracle(
-        self, stream: AccessStream, order: Optional[Sequence[int]]
-    ) -> np.ndarray:
-        """Reference path: one :meth:`LRUStack.access` per access."""
-        n = stream.n_accesses
-        recency = np.empty(n, dtype=np.int16)
-        sets = self._sets
-        set_idx = stream.set_index
-        tags = stream.tag
-        positions = range(n) if order is None else order
-        for k in positions:
-            recency[k] = sets[set_idx[k]].access(int(tags[k]))
         return recency
 
     def contents(self) -> List[List[int]]:

@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "with 'bench': regenerate one BENCH_*.json baseline "
-            "(substrate|campaign|decision|localopt|simloop) or 'all'"
+            "(campaign|localopt|simloop) or 'all'"
         ),
     )
     parser.add_argument(

@@ -6,8 +6,8 @@
 * :mod:`repro.core.energy_model` — the online energy model (Eq. 4-5).
 * :mod:`repro.core.qos` — the QoS predicate (Eq. 3).
 * :mod:`repro.core.local_opt` — per-core optimisation producing
-  ``c*(w), f*(w)`` and the energy curve ``E(w)`` (fused kernel, batched
-  entry point, unfused reference oracle).
+  ``c*(w), f*(w)`` and the energy curve ``E(w)`` (fused kernel and
+  unfused reference oracle).
 * :mod:`repro.core.local_cache` — phase-level memoization of local
   results (the ``local_mode="memoized"`` layer).
 * :mod:`repro.core.energy_curve` / :mod:`repro.core.global_opt` — the
@@ -33,7 +33,6 @@ from repro.core.local_opt import (
     LocalOptResult,
     RMCapabilities,
     optimize_local,
-    optimize_local_batch,
 )
 from repro.core.energy_curve import EnergyCurve
 from repro.core.global_opt import GlobalOptResult, ReductionTree, partition_ways
@@ -64,7 +63,6 @@ __all__ = [
     "LocalOptMemo",
     "LocalOptResult",
     "optimize_local",
-    "optimize_local_batch",
     "EnergyCurve",
     "GlobalOptResult",
     "ReductionTree",

@@ -12,9 +12,9 @@ Three hot loops cross into C here, one :mod:`ctypes` call each:
   level.  The tree's construction runs the same kernel over every
   internal node.
 * ``wave_event`` — the simulator.  One call per wave-loop event computes
-  every core's time to its boundary, picks the next boundary, counts the
-  boundary wave and advances every core to it, through a pointer table
-  built once per state container.
+  every core's time to its boundary, picks the next boundary and
+  advances every core to it, through a pointer table built once per
+  state container.
 * ``qos_sweep`` — the Figs. 7-8 QoS-violation study.  One call scores
   every (current, slower target) setting pair of one phase record under
   one model: a per-current table of Eq. 1's compute term, hoisted out of
@@ -194,8 +194,8 @@ int64_t tree_update(const int64_t* plan, int64_t* nodes, double* scratch,
  * One wave-loop event.  Table slots follow EVENT_SLOTS on the Python
  * side.  The boundary pick is numpy's: rem = max(n - done, 0) and
  * dts = rem * tpi + stall land in the REM/DTS scratch, and the argmin
- * keeps the first minimum (the first NaN, if any); the boundary wave is
- * every core with dts <= dt.  b, dt and the wave size are written out.
+ * keeps the first minimum (the first NaN, if any).  b and dt are
+ * written out.
  *
  * The advance then derives each core's instruction delta (numpy's
  * elementwise min/div/clamp arithmetic, reusing rem for the clamp) and
@@ -208,7 +208,7 @@ enum { E_STALL, E_TPI, E_DONE, E_TOTAL, E_ELAPSED, E_NINSTR, E_EPI, E_WORK,
        E_STAT, E_ACTIVE, E_DYN, E_STATIC, E_MEM, E_DINSTR, E_REM, E_DTS };
 
 int64_t wave_event(double horizon, int64_t n, void* const* t,
-                   double* dt_out, int64_t* out)
+                   double* dt_out, int64_t* b_out)
 {
     double* stall = t[E_STALL];
     const double* tpi = t[E_TPI];
@@ -242,11 +242,8 @@ int64_t wave_event(double horizon, int64_t n, void* const* t,
             else if (v != v) { dt = v; b = i; break; }
         }
     }
-    int64_t wave = 0;
-    for (int64_t i = 0; i < n; i++) wave += dts[i] <= dt;
     *dt_out = dt;
-    out[0] = b;
-    out[1] = wave;
+    *b_out = b;
     if (!(dt >= 0.0)) return 1;
 
     double mx = -INFINITY;
@@ -370,7 +367,7 @@ def _load() -> Optional[ctypes.CDLL]:
             ctypes.c_int64,  # n
             ctypes.c_void_p,  # state table (void*[len(EVENT_SLOTS)])
             ctypes.c_void_p,  # dt out (double*)
-            ctypes.c_void_p,  # b, wave size out (int64[2])
+            ctypes.c_void_p,  # b out (int64*)
         ]
         lib.qos_sweep.restype = ctypes.c_int64
         lib.qos_sweep.argtypes = [

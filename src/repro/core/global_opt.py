@@ -24,7 +24,7 @@ Two entry points share the same combine kernel:
   never materialised at all — the budget is fixed, so the root is
   evaluated at the single way count ``A`` with a windowed min instead of
   a full (min,+) convolution, which removes the single most expensive
-  combine from every update.  The wave-batched simulator's accelerated
+  combine from every update.  The simulator wave loop's accelerated
   tree also restricts every combine to the columns the budget can read,
   and with a C compiler an update is one compiled call
   (``tree_update`` in :mod:`repro.core._native_opt`): the leaf's whole
@@ -343,38 +343,17 @@ class ReductionTree:
     tree then accepts only leaf curves inside ``[leaf_lo, leaf_hi]`` and
     evaluates only at ``budget``.  Values, choices and charged cells are
     bit-identical to the plain tree (differentially tested), which is
-    why the wave-batched simulator enables it while the scalar oracle
+    why the simulator's wave loop enables it while the scalar oracle
     leaves it off.
-
-    ``order="pinned_first"`` reorders the *leaf placement* at build time
-    so degenerate single-point (pinned) curves pair with each other
-    before any real curve joins: their combines cost one cell each and
-    stay single-point all the way up.  Extraction un-permutes, so callers
-    always receive allocations in the order the curves were given.
-    Pinned curves are exact identity elements of the (min,+) combine
-    (they add 0.0 J and a fixed way shift), so with at most two real
-    curves the reordered tree is bit-identical to the natural order;
-    with three or more real curves the float *association* of their sums
-    changes, which is why the resource managers keep the natural order
-    (their stateless ``full_rebuild`` reference could no longer be
-    matched bit for bit) and the option is exercised by warm-up-shaped
-    workloads (one fresh curve, the rest pinned) where it is provably
-    exact.
     """
 
     def __init__(
         self,
         curves: Sequence[EnergyCurve],
-        order: str = "natural",
         acceleration: Optional[tuple] = None,
     ):
         if not curves:
             raise ValueError("need at least one curve")
-        if order not in ("natural", "pinned_first"):
-            raise ValueError(
-                f"unknown leaf order {order!r}; options: natural, pinned_first"
-            )
-        self.order = order
         #: ``(budget, leaf_lo, leaf_hi)`` of the accelerated path, or None
         #: for the plain tree's full combines.
         self.acceleration = None
@@ -387,19 +366,7 @@ class ReductionTree:
             if budget < 1:
                 raise ValueError("budget must be >= 1")
             self.acceleration = (budget, leaf_lo, leaf_hi)
-        if order == "pinned_first":
-            # Stable partition: single-point curves first, everything else
-            # after, both in their original relative order.
-            perm = sorted(
-                range(len(curves)), key=lambda i: curves[i].energy.size > 1
-            )
-        else:
-            perm = list(range(len(curves)))
-        #: tree-leaf position -> caller index (extraction un-permutes).
-        self._perm = perm
-        self._leaves = [_Node(curve=curves[i]) for i in perm]
-        #: caller index -> tree-leaf position (update re-permutes).
-        self._leaf_of = {orig: pos for pos, orig in enumerate(perm)}
+        self._leaves = [_Node(curve=curve) for curve in curves]
         self._root = _pair_up(list(self._leaves))
         self._internal = _internal_bottom_up(self._root)
         for leaf in self._leaves:
@@ -454,7 +421,7 @@ class ReductionTree:
         return self._w_max_total
 
     def leaf_curve(self, index: int) -> EnergyCurve:
-        return self._leaves[self._leaf_of[index]].curve
+        return self._leaves[index].curve
 
     def _accelerated_leaf(self, curve: EnergyCurve) -> EnergyCurve:
         """Validate and, if needed, repack a leaf curve for the fast path.
@@ -609,8 +576,7 @@ class ReductionTree:
 
     def update(self, index: int, curve: EnergyCurve) -> int:
         """Replace one leaf's curve; recombine its path; return ops."""
-        pos = self._leaf_of[index]
-        leaf = self._leaves[pos]
+        leaf = self._leaves[index]
         old = leaf.curve
         if self.acceleration is not None:
             curve = self._accelerated_leaf(curve)
@@ -627,8 +593,8 @@ class ReductionTree:
             self._path_ops.clear()
         ops = self.path_operations(index)
         if self._lib is not None:
-            self._install_native(pos, curve)
-            self._run_native(self._plan_addrs[pos], self._paths[pos])
+            self._install_native(index, curve)
+            self._run_native(self._plan_addrs[index], self._paths[index])
             return ops
         combine = (
             _combine_node_accel if self.acceleration is not None else _combine_node
@@ -652,15 +618,14 @@ class ReductionTree:
         between the skipped and the recomputed path.  Memoized per leaf
         until some leaf's width changes.
         """
-        pos = self._leaf_of[index]
-        ops = self._path_ops.get(pos)
+        ops = self._path_ops.get(index)
         if ops is None:
             ops = 0
-            node = self._leaves[pos].parent
+            node = self._leaves[index].parent
             while node is not None and node is not self._root:
                 ops += node.left.nom_size * node.right.nom_size
                 node = node.parent
-            self._path_ops[pos] = ops
+            self._path_ops[index] = ops
         return ops
 
     def evaluate(self, total_ways: int):
@@ -723,12 +688,7 @@ class ReductionTree:
         out: List[int] = []
         _backtrack(root.left, wa, out)
         _backtrack(root.right, total_ways - wa, out)
-        if self.order == "natural":
-            return out
-        unpermuted = [0] * len(out)
-        for pos, orig in enumerate(self._perm):
-            unpermuted[orig] = out[pos]
-        return unpermuted
+        return out
 
     def solve(self, total_ways: int) -> GlobalOptResult:
         """Optimal partition for the budget from the current curves."""

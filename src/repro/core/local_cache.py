@@ -23,7 +23,9 @@ bit-identical to ``"always_recompute"`` (settings, energies, histories
 
 The memo is a plain LRU: bounded, per-manager (never shared across
 systems/models/capabilities), with hit/miss/eviction counters that the
-local-decision benchmarks report.
+local-decision benchmarks report.  Only a miss in
+:meth:`ResourceManager.observe` fills it, so the counters describe the
+observe stream exactly.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ class LocalOptMemo:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.seeds = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -90,14 +91,6 @@ class LocalOptMemo:
         self.hits += 1
         return entry
 
-    def peek(self, key: Hashable) -> Optional[LocalOptResult]:
-        """Non-counting probe (speculative wave lookups).
-
-        Touches neither the hit/miss counters nor the recency order, so
-        speculation cannot skew the hit-rate the benchmarks gate on.
-        """
-        return self._entries.get(key)
-
     def put(self, key: Hashable, result: LocalOptResult) -> None:
         entries = self._entries
         entries[key] = result
@@ -105,13 +98,6 @@ class LocalOptMemo:
         if len(entries) > self.capacity:
             entries.popitem(last=False)
             self.evictions += 1
-
-    def seed(self, key: Hashable, result: LocalOptResult) -> None:
-        """Insert a speculatively batched result (counted separately from
-        demand ``put``s so hit/miss stats stay a property of the observe
-        stream alone)."""
-        self.seeds += 1
-        self.put(key, result)
 
     def clear(self) -> None:
         """Drop entries; cumulative counters survive (bench reporting)."""
@@ -124,7 +110,7 @@ class LocalOptMemo:
         covers only the steady-state window — comparable across runs
         with different observe counts.
         """
-        self.hits = self.misses = self.evictions = self.seeds = 0
+        self.hits = self.misses = self.evictions = 0
 
     @property
     def hit_rate(self) -> float:

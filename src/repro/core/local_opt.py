@@ -11,7 +11,7 @@ minimum-predicted-energy pair that satisfies QoS, producing
 RM1 may move neither f nor c (curve points are baseline-setting energies);
 RM2 searches f only (the prior-work framework); RM3 searches both.
 
-Three implementations share one contract and are differentially tested
+Two implementations share one contract and are differentially tested
 bit-identical:
 
 * :func:`optimize_local` — the unfused reference: performance-model time
@@ -25,15 +25,11 @@ bit-identical:
   through preallocated scratch buffers — element for element the same
   arithmetic, so results are bit-identical while the per-invocation
   allocations drop to the small per-way output arrays.
-* :func:`optimize_local_batch` — many (inputs, qos) pairs stacked into
-  one 4-D ``(batch, core size, frequency, ways)`` tensor pass, for
-  warm-up waves, analysis sweeps and database-side precomputation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
 
 import numpy as np
 
@@ -49,7 +45,6 @@ __all__ = [
     "LocalOptResult",
     "LocalOptKernel",
     "optimize_local",
-    "optimize_local_batch",
 ]
 
 
@@ -348,158 +343,3 @@ class LocalOptKernel:
             evaluations=self.evaluations,
         )
 
-
-def optimize_local_batch(
-    inputs_batch: Sequence[ModelInputs],
-    perf_model: PerformanceModel,
-    energy_model: OnlineEnergyModel,
-    system: SystemConfig,
-    caps: RMCapabilities,
-    qos: QoSPolicy | Sequence[QoSPolicy] | None = None,
-) -> List[LocalOptResult]:
-    """Local optimisation for many inputs in one 4-D tensor pass.
-
-    Stacks every (record, setting) observation into ``(batch, core size,
-    frequency, ways)`` tensors so warm-up waves, analysis sweeps and
-    database-side precomputation pay one NumPy dispatch per pipeline
-    stage instead of one per observation.  Element for element the
-    arithmetic is :func:`optimize_local`'s, so each returned result is
-    bit-identical to the equivalent scalar call (differentially tested).
-
-    ``qos`` may be a single policy shared by the batch, one policy per
-    input, or None for the system default.
-    """
-    batch = list(inputs_batch)
-    nb = len(batch)
-    if nb == 0:
-        return []
-    if qos is None:
-        policies = [QoSPolicy(system.qos_alpha)] * nb
-    elif isinstance(qos, QoSPolicy):
-        policies = [qos] * nb
-    else:
-        policies = list(qos)
-        if len(policies) != nb:
-            raise ValueError("qos sequence length must match the batch")
-
-    baseline = system.baseline_setting()
-    sizes = CoreSize.all()
-    n_sizes = len(sizes)
-    freqs, volts, size_factors, static_power = (
-        energy_model._system_constants(system)
-    )
-    n_freqs = freqs.size
-    freqs_hz = freqs * 1e9
-    from repro.core.perf_models import _dispatch_widths
-
-    widths = _dispatch_widths()
-    base_ci = int(baseline.core)
-    base_fi = system.dvfs.index_of(baseline.f_ghz)
-    base_wi = baseline.ways - 1
-
-    # --- time grids ---------------------------------------------------
-    if _overrides_time_grid(perf_model):
-        T = np.stack(
-            [np.asarray(perf_model.predict_time_grid(i, system)) for i in batch]
-        )
-    else:
-        t0s = np.array([i.counters.t0_cycles for i in batch])
-        t1s = np.array([i.counters.t1_cycles for i in batch])
-        d_is = np.array(
-            [widths[int(i.counters.setting.core)] for i in batch]
-        )
-        tmem = np.stack(
-            [perf_model.memory_time_grid(i, system) for i in batch]
-        )  # (nb, n_sizes, n_grid_w)
-        cc = t0s[:, None] * (d_is[:, None] / widths[None, :]) + t1s[:, None]
-        T = cc[:, :, None, None] / freqs_hz[None, None, :, None]
-        T = T + tmem[:, :, None, :]
-    n_grid_w = T.shape[-1]
-
-    # --- energy grids -------------------------------------------------
-    ns = np.array([i.counters.n_instructions for i in batch])
-    v_is = np.array(
-        [system.dvfs.voltage(i.counters.setting.f_ghz) for i in batch]
-    )
-    epi_sampled = np.array(
-        [i.counters.core_dynamic_j / max(i.counters.n_instructions, 1.0) for i in batch]
-    )
-    f_curs = np.array(
-        [system.power.dyn_size_factor[i.counters.setting.core] for i in batch]
-    )
-    epi = (
-        epi_sampled[:, None, None]
-        * (size_factors[None, :, None] / f_curs[:, None, None])
-        * (volts[None, None, :] / v_is[:, None, None]) ** 2
-    )  # (nb, n_sizes, n_freqs)
-    e_dyn = epi * ns[:, None, None]
-    miss_curves = np.stack(
-        [np.asarray(i.atd.miss_curve, dtype=float) for i in batch]
-    )
-    if miss_curves.shape[1] != n_grid_w:
-        raise ValueError("ATD miss curve length mismatch with grid")
-    w_curs = np.array([i.counters.setting.ways - 1 for i in batch])
-    dm = miss_curves - miss_curves[np.arange(nb), w_curs][:, None]
-    mas = np.array([i.counters.misses_current for i in batch])
-    accs = np.array([i.atd.accesses for i in batch])
-    e_mem = (
-        np.clip(mas[:, None] + dm, 0.0, None)
-        * energy_model.power.dram_access_energy_j()
-        + accs[:, None] * energy_model.power.llc_access_energy_j()
-    )  # (nb, n_grid_w)
-    E = e_dyn[:, :, :, None] + static_power[None, :, :, None] * T
-    E = E + e_mem[:, None, None, :]
-
-    # --- feasibility + capability mask --------------------------------
-    t_bases = T[:, base_ci, base_fi, base_wi]
-    if np.any(t_bases <= 0):
-        raise ValueError("baseline prediction must be positive")
-    alphas = np.array([p.alpha for p in policies])
-    bounds = t_bases * alphas
-    feasible = T <= (bounds * (1.0 + _qos_mod._RTOL))[:, None, None, None]
-    allowed_cf = np.ones((n_sizes, n_freqs), dtype=bool)
-    if not caps.adapt_core:
-        row = np.zeros(n_sizes, dtype=bool)
-        row[base_ci] = True
-        allowed_cf &= row[:, None]
-    if not caps.adapt_frequency:
-        col = np.zeros(n_freqs, dtype=bool)
-        col[base_fi] = True
-        allowed_cf &= col[None, :]
-    candidate = feasible & allowed_cf[None, :, :, None]
-    masked = np.where(candidate, E, np.inf)
-
-    ways = np.array(system.candidate_ways())
-    w_idx = ways - 1
-    n_w = ways.size
-    evaluations = int(np.count_nonzero(allowed_cf)) * n_w
-
-    plane = masked[:, :, :, w_idx].reshape(nb, -1, n_w)
-    best = np.argmin(plane, axis=1)  # (nb, n_w)
-    best_energy = np.take_along_axis(plane, best[:, None, :], axis=1)[:, 0, :]
-    finite = np.isfinite(best_energy)
-    ci, fi = np.unravel_index(best, (n_sizes, n_freqs))
-    t_hats = T[np.arange(nb)[:, None], ci, fi, w_idx[None, :]]
-
-    results: List[LocalOptResult] = []
-    for b in range(nb):
-        c_star = np.full(n_w, base_ci, dtype=int)
-        f_star = np.full(n_w, baseline.f_ghz, dtype=float)
-        t_hat = np.full(n_w, np.inf)
-        e_curve = np.full(n_w, np.inf)
-        fin = finite[b]
-        c_star[fin] = ci[b][fin]
-        f_star[fin] = freqs[fi[b][fin]]
-        e_curve[fin] = best_energy[b][fin]
-        t_hat[fin] = t_hats[b][fin]
-        results.append(
-            LocalOptResult(
-                curve=EnergyCurve(ways, e_curve),
-                c_star=c_star,
-                f_star=f_star,
-                t_hat=t_hat,
-                predicted_baseline_time=float(t_bases[b]),
-                evaluations=evaluations,
-            )
-        )
-    return results

@@ -31,8 +31,14 @@ The *local* step likewise runs in one of two modes:
   content of the optimiser inputs; a hit skips the whole grid pipeline
   — and, when the hit feeds the *same curve object* the reduction tree
   already holds, the leaf-to-root recombine as well (the tree reports
-  the identical cell bill through ``path_operations``).
+  the identical cell bill through ``path_operations``).  A miss runs the
+  fused grid kernel (:class:`~repro.core.local_opt.LocalOptKernel`) and
+  stores its result.
 * ``"always_recompute"`` — every observe runs the fused grid kernel.
+
+Both event loops of the simulator drive the local step the same way:
+one observe per interval boundary, so the memo sees the same gets in
+the same order under either loop.
 
 Accounting is mode-invariant by construction: a memo hit charges the
 same ``local_evaluations`` the replayed run paid and the same
@@ -56,12 +62,7 @@ from repro.config import Setting, SystemConfig
 from repro.core.energy_curve import EnergyCurve
 from repro.core.energy_model import OnlineEnergyModel
 from repro.core.local_cache import DEFAULT_CAPACITY, LocalOptMemo, local_memo_key
-from repro.core.local_opt import (
-    LocalOptKernel,
-    LocalOptResult,
-    RMCapabilities,
-    optimize_local_batch,
-)
+from repro.core.local_opt import LocalOptKernel, LocalOptResult, RMCapabilities
 from repro.core.global_opt import ReductionTree, partition_ways
 from repro.core.perf_models import ModelInputs, PerformanceModel
 from repro.core.qos import QoSPolicy
@@ -215,7 +216,7 @@ class ResourceManager:
         #: to skip its per-core setting diff entirely.
         self._last_settings: Optional[Dict[int, Setting]] = None
         #: Wave acceleration of the reduction tree (budget-windowed +
-        #: native combines) — enabled by the wave-batched simulator;
+        #: native combines) — enabled by the simulator's wave loop;
         #: results and accounting are bit-identical, only wall-clock
         #: differs, so the scalar oracle leaves it off.  The window
         #: parameters are the run-invariant bounds every leaf curve obeys:
@@ -274,20 +275,10 @@ class ResourceManager:
             raise KeyError(f"unknown core {core_id}")
         return self._qos[core_id]
 
-    @property
-    def wants_wave_precompute(self) -> bool:
-        """Whether speculative wave batching can pay off for this manager.
-
-        True only when results are memoized — the batch lands in the memo
-        for the per-boundary observes to replay.  The wave simulator
-        skips building speculation inputs entirely when this is False.
-        """
-        return self.local_memo is not None
-
     def set_wave_acceleration(self, enabled: bool) -> None:
         """Toggle the accelerated reduction path for future trees.
 
-        The wave-batched simulator turns this on at run start (right
+        The simulator's wave loop turns this on at run start (right
         after ``reset``, while no tree exists); the next lazily built
         tree then combines through the budget-windowed/native kernel.
         Decisions and accounting are bit-identical either way — the
@@ -297,53 +288,6 @@ class ResourceManager:
         mid-run rebuild would re-charge build operations).
         """
         self._accelerate = bool(enabled)
-
-    def precompute_wave(self, wave) -> int:
-        """Batch the local optimisations of one invocation wave.
-
-        ``wave`` is a sequence of ``(core_id, inputs)`` pairs — every core
-        whose interval boundary lands in the simulator's current wave.
-        Keys already answerable by the memo (either tier) are skipped; the
-        rest run through one :func:`optimize_local_batch` 4-D tensor pass
-        and are seeded into the memo, so the per-boundary ``observe``
-        calls that follow replay them instead of running the grid
-        pipeline one core at a time.  Purely an execution strategy:
-        results are bit-identical to per-observe computation (the batch
-        is differentially tested against the scalar kernel), decisions
-        and accounting are untouched, and a speculation that a mid-wave
-        settings change invalidates simply misses and recomputes.
-
-        Returns the number of results batched (0 when memoization is off).
-        """
-        memo = self.local_memo
-        if memo is None:
-            return 0
-        pending_keys = []
-        pending_inputs = []
-        pending_qos = []
-        seen = set()
-        for core_id, inputs in wave:
-            qos = self.qos_for(core_id)
-            key = local_memo_key(inputs, self.perf_model, qos)
-            if key in seen or memo.peek(key) is not None:
-                continue
-            seen.add(key)
-            pending_keys.append(key)
-            pending_inputs.append(inputs)
-            pending_qos.append(qos)
-        if not pending_keys:
-            return 0
-        results = optimize_local_batch(
-            pending_inputs,
-            self.perf_model,
-            self.energy_model,
-            self.system,
-            self.capabilities,
-            pending_qos,
-        )
-        for key, result in zip(pending_keys, results):
-            memo.seed(key, result)
-        return len(results)
 
     def _core_state(self, core_id: int) -> _CoreState:
         if core_id not in self._cores:
@@ -590,14 +534,6 @@ class IdleRM(ResourceManager):
             dp_operations=0,
             total_predicted_energy=float("nan"),
         )
-
-    @property
-    def wants_wave_precompute(self) -> bool:
-        return False
-
-    def precompute_wave(self, wave) -> int:
-        """Idle never optimises: there is nothing to batch."""
-        return 0
 
     def reset(self) -> None:
         super().reset()

@@ -291,7 +291,7 @@ class PhaseRecord:
         replay is bit-identical to a fresh derivation.  Rates are a pure
         function of the (immutable record, setting) pair and the pair
         recurs at every interval boundary of a recurring phase, which is
-        what makes the wave-batched event loop's boundary path a dict
+        what makes the wave event loop's boundary path a dict
         lookup instead of five grid reads and an argmin.
         """
         cache = self.__dict__.setdefault("_rates_cache", {})

@@ -13,11 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 from dataclasses import asdict, is_dataclass
-from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -92,33 +90,16 @@ def _stable_json(obj) -> str:
     return json.dumps(normalise(raw), sort_keys=True)
 
 
-@lru_cache(maxsize=16)
-def _suite_json(pickled_suite: bytes) -> Tuple[str, ...]:
-    """The stable JSON of each spec of a pickled suite.
-
-    Memoised on the pickle, which is the suite's content: equal bytes
-    unpickle to equal specs, so a hit returns exactly what serialising the
-    caller's specs afresh would.
-    """
-    return tuple(_stable_json(spec) for spec in pickle.loads(pickled_suite))
-
-
 def database_fingerprint(
     suite: Sequence[AppSpec], system: SystemConfig, seed: int
 ) -> str:
-    """Content hash identifying one database build.
-
-    The suite's serialisation is memoised per process on its content,
-    never on object identity (:func:`repro.workloads.suite.spec_suite`
-    builds fresh specs on every call), so a repeated suite costs one
-    pickle.
-    """
+    """Content hash identifying one database build."""
     h = hashlib.blake2b(digest_size=16)
     h.update(f"v{CODE_VERSION}".encode())
     h.update(_stable_json(system).encode())
     h.update(str(seed).encode())
-    for text in _suite_json(pickle.dumps(tuple(suite), pickle.HIGHEST_PROTOCOL)):
-        h.update(text.encode())
+    for spec in suite:
+        h.update(_stable_json(spec).encode())
     return h.hexdigest()
 
 

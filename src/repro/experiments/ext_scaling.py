@@ -14,8 +14,8 @@ the Idle baseline with all overheads charged, reporting
   fraction of executed work, and
 * the decision-kernel work itself — per-invocation DP cells of the
   default incremental kernel next to the ``full_rebuild`` accounting, the
-  deterministic counterpart of the wall-clock numbers in
-  ``BENCH_decision.json``.
+  deterministic counterpart of the wall-clock timings of
+  ``benchmarks/test_bench_decision.py``.
 
 Workload counts are intentionally small (this is a scaling study, not a
 statistics study): two per scenario at full scale, one in quick mode.
@@ -152,7 +152,8 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         "RM3/Model3 vs Idle, overheads charged; workloads per scenario: "
         f"{_workloads_per_scenario(cfg)}",
         "kernel cells: DP cells of one warm observe, full_rebuild vs the "
-        "persistent incremental tree (wall-clock in BENCH_decision.json)",
+        "persistent incremental tree (wall-clock: "
+        "benchmarks/test_bench_decision.py)",
     ]
     return ExperimentResult(
         name="ext-scaling",

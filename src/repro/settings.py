@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 #: Simulator event-loop modes: ``scalar`` is the differential oracle,
-#: ``step`` the wave-batched fast path; results are bit-identical.
+#: ``step`` the wave loop, the fast path; results are bit-identical.
 WAVE_MODES = ("scalar", "step")
 
 #: Replay engines (see :mod:`repro.cache.replay`); ``auto`` picks

@@ -24,29 +24,25 @@ instead of a Python loop over cores.
 
 The event loop itself runs in one of two *wave modes*:
 
-* ``"step"`` (default) — the wave-batched loop.  Each event is one
-  compiled call (:meth:`_CoreStates.next_event`, the ``wave_event``
-  kernel of :mod:`repro.core._native_opt`): it picks the next boundary,
-  counts the *boundary wave* (every core whose boundary lands in the
-  same wall-clock step) and advances every core to it; without a
-  compiler the same steps run in NumPy over scratch buffers
-  (:func:`advance_cores_wave`), which also serves the rare
-  horizon-reaching event.  The loop then probes the local-decision memo
-  for the whole wave in one batched lookup and routes the misses
-  through a single :func:`~repro.core.local_opt.optimize_local_batch`
-  tensor pass (:meth:`~repro.core.managers.ResourceManager.precompute_wave`),
-  replays progress/energy rates from the per-record memo
+* ``"step"`` (default) — the wave loop.  Each event is one compiled
+  call (:meth:`_CoreStates.next_event`, the ``wave_event`` kernel of
+  :mod:`repro.core._native_opt`): it picks the next boundary and
+  advances every core to it; without a compiler the same steps run in
+  NumPy over scratch buffers (:func:`advance_cores_wave`), which also
+  serves the rare horizon-reaching event.  The loop then makes the
+  boundary core's observe, as the scalar loop does, replays
+  progress/energy rates from the per-record memo
   (:meth:`~repro.database.records.PhaseRecord.rates_at`) and applies
   decisions via one vectorised settings-diff against the
   struct-of-arrays state.  Event *sequencing* is untouched — boundaries
   drain one at a time in the scalar order — so full runs are bit-identical
   to the scalar oracle (differentially tested across RMs × models ×
-  overheads × reduction/local modes).
+  overheads × reduction/local modes), and so is the manager's memo
+  traffic.
 * ``"scalar"`` — the PR-4-era loop, preserved verbatim as the
   differential-testing oracle and perf baseline (the replay engine's
   ``LRUStack`` pattern): single next boundary, one core's observe, scalar
-  per-core settings diff, no memo speculation, no reduction-combine
-  reuse.
+  per-core settings diff, no reduction-combine reuse.
 
 The mode resolves from the constructor argument, then ``REPRO_SIM_WAVE``
 (:mod:`repro.settings`; ``--wave`` on the CLI), then the ``"step"``
@@ -195,7 +191,7 @@ class _CoreStates:
                 *(getattr(self, name).ctypes.data for name in _native_opt.EVENT_SLOTS)
             )
             self._ev_dt = (ctypes.c_double * 1)()
-            self._ev_out = (ctypes.c_int64 * 2)()
+            self._ev_out = (ctypes.c_int64 * 1)()
             self._ev_args = (
                 ctypes.addressof(self._ev_table),
                 ctypes.addressof(self._ev_dt),
@@ -304,16 +300,13 @@ class _CoreStates:
         :attr:`n_active`)."""
         return self.n_active == 0
 
-    def next_event(self, horizon: float) -> Tuple[int, float, int]:
+    def next_event(self, horizon: float) -> Tuple[int, float]:
         """One wave-loop event: pick the next boundary and advance to it.
 
-        Returns ``(b, dt, wave)``: the boundary core, the wall-clock step
-        to its boundary and the size of the boundary wave (every core
-        whose boundary lands within ``dt``; the members are
-        ``_dts <= dt``, left in the scratch for the caller).  With a
-        compiler this is one ``wave_event`` call — a finish-adjacent
-        event returns with no core state touched and takes
-        :func:`advance_cores_wave`'s reference path — and
+        Returns ``(b, dt)``: the boundary core and the wall-clock step to
+        its boundary.  With a compiler this is one ``wave_event`` call —
+        a finish-adjacent event returns with no core state touched and
+        takes :func:`advance_cores_wave`'s reference path — and
         :meth:`_next_event_numpy` otherwise; the two are bit-identical
         (differentially tested).
         """
@@ -321,12 +314,11 @@ class _CoreStates:
         if lib is None:
             return self._next_event_numpy(horizon)
         dt = self._ev_dt
-        out = self._ev_out
         if lib.wave_event(horizon, self.n, *self._ev_args):
             advance_cores_wave(self, dt[0], horizon)
-        return out[0], dt[0], out[1]
+        return self._ev_out[0], dt[0]
 
-    def _next_event_numpy(self, horizon: float) -> Tuple[int, float, int]:
+    def _next_event_numpy(self, horizon: float) -> Tuple[int, float]:
         """:meth:`next_event` in NumPy: the arithmetic of
         :func:`~repro.simulator.events.next_boundary_arrays` over the
         scratch buffers (``np.argmin`` keeps the first minimum — the
@@ -337,9 +329,8 @@ class _CoreStates:
         dts += self.stall_s
         b = int(dts.argmin())
         dt = float(dts[b])
-        wave = int(np.count_nonzero(dts <= dt))
         advance_cores_wave(self, dt, horizon)
-        return b, dt, wave
+        return b, dt
 
     def energy_breakdowns(self) -> List[EnergyBreakdown]:
         return [
@@ -772,14 +763,14 @@ class MulticoreRMSimulator:
         max_events: int,
         history: Optional[List[SettingChange]],
     ) -> Tuple[float, int, int, List[float], int, float]:
-        """The wave-batched event loop (see module docstring).
+        """The wave event loop (see module docstring).
 
         Sequencing is the scalar loop's — one boundary per event, scalar
         visit order — so every decision sees exactly the state it would
         have seen there; the differences are execution-strategy only:
-        speculative wave batching into the memo, scratch-buffered
-        advance, memoized rate refreshes and the vectorised settings
-        diff.  Differentially tested bit-identical on full runs.
+        the compiled per-event step, memoized rate refreshes, the
+        vectorised settings diff and the manager's reduction-combine
+        reuse.  Differentially tested bit-identical on full runs.
         """
         rm = self.rm
         db = self.db
@@ -789,13 +780,9 @@ class MulticoreRMSimulator:
         mem_latency_s = self.system.memory.base_latency_s
         mem_access_j = self.system.memory.access_energy_nj * 1e-9
         alphas = [self._alpha_for(i) for i in range(n_cores)]
-        speculate = bool(getattr(rm, "wants_wave_precompute", False))
         #: Per-record baseline interval time (records recur every
         #: interval; the db keeps them alive, so ids are stable).
         base_time_of: Dict[int, float] = {}
-        #: Last interval index speculated per core — each boundary is
-        #: batched at most once no matter how many events the wave spans.
-        spec_mark = [-1] * n_cores
         # Hot-loop locals: the boundary pick is the arithmetic of
         # :func:`next_boundary_arrays` over preallocated scratch
         # (:meth:`_CoreStates.next_event`; float addition commutes, so
@@ -811,7 +798,6 @@ class MulticoreRMSimulator:
         intervals = st.intervals
         interval_elapsed = st.interval_elapsed_s
         apps_list = st.apps
-        dts = st._dts
         next_event = st.next_event
         record_for_interval = db.record_for_interval
         observe = rm.observe
@@ -829,35 +815,8 @@ class MulticoreRMSimulator:
         for _ in range(max_events):
             if st.finished_all():
                 break
-            b, dt, wave = next_event(horizon)
+            b, dt = next_event(horizon)
             t += dt
-
-            if speculate and wave > 1:
-                # The boundary wave: every core tied with the next
-                # boundary in wall-clock time.  Speculation reads only
-                # records, settings and intervals, none of which the
-                # advance touches, so it may follow it.
-                wave_inputs = []
-                for i in np.flatnonzero(dts <= dt).tolist():
-                    iv = intervals[i]
-                    if spec_mark[i] == iv:
-                        continue
-                    spec_mark[i] = iv
-                    rec = records[i]
-                    wave_inputs.append(
-                        (
-                            i,
-                            ModelInputs(
-                                counters=rec.counters_at(settings_list[i]),
-                                atd=rec.atd_report(),
-                                next_record=record_for_interval(
-                                    apps_list[i], iv + 1
-                                ),
-                            ),
-                        )
-                    )
-                if wave_inputs:
-                    rm.precompute_wave(wave_inputs)
 
             elapsed = float(interval_elapsed[b])
             record = records[b]

@@ -181,8 +181,9 @@ class TestStore:
     )
     def test_suite_fingerprints_are_pinned(self, n_cores, seed, key):
         """Result-store keys and cached ``.npz`` names rest on these
-        values: memoising the suite's serialisation must not move them."""
-        for _ in range(2):  # the second call is served by the memo
+        values: no change to how the fingerprint serialises the suite
+        may move them."""
+        for _ in range(2):  # a repeated call hashes the same content
             assert database_fingerprint(
                 spec_suite(), default_system(n_cores), seed
             ) == key

@@ -408,9 +408,8 @@ class TestEventKernelDifferential:
         dts += st_.stall_s
         b = int(dts.argmin())
         dt = float(dts[b])
-        wave = int((dts <= dt).sum())
         advance_cores_wave(st_, dt, horizon)
-        return b, dt, wave
+        return b, dt
 
     @needs_native
     @given(
@@ -441,8 +440,7 @@ class TestEventKernelDifferential:
         for name in _STATE:
             assert _bits(getattr(st_, name)) == before[name], name
         ref_st, _ = _event_states(seed, n, ties, crossing=True)
-        b, dt, wave = self._reference(ref_st, horizon)
-        assert (st_._ev_out[0], st_._ev_dt[0], st_._ev_out[1]) == (b, dt, wave)
+        assert (st_._ev_out[0], st_._ev_dt[0]) == self._reference(ref_st, horizon)
 
     def test_tied_boundaries_pick_lowest_core(self):
         st_ = _CoreStates(5)
@@ -451,15 +449,14 @@ class TestEventKernelDifferential:
         st_.instr_done[:] = [500.0, 0.0, 500.0, 500.0, 2000.0]
         st_.stall_s[:] = [1e-7, 0.0, 1e-7, 0.0, 0.0]
         # core 4 is past its end: rem clamps to 0, so it is the boundary
-        b, dt, wave = st_.next_event(1e12)
-        assert (b, dt, wave) == (4, 0.0, 1)
+        assert st_.next_event(1e12) == (4, 0.0)
         st_.instr_done[4] = 500.0
-        b, dt, wave = st_.next_event(1e12)
-        assert (b, wave) == (3, 2)  # cores 3 and 4 tie exactly
+        b, _ = st_.next_event(1e12)
+        assert b == 3  # cores 3 and 4 tie exactly
         st_.instr_done[:] = 0.0
         st_.stall_s[:] = 0.0
-        b, _, wave = st_.next_event(1e12)
-        assert (b, wave) == (0, 5)
+        b, _ = st_.next_event(1e12)
+        assert b == 0  # all five tie
 
 
 def _tree_curves(rng, n, leaf_lo, leaf_hi, ties):

@@ -238,16 +238,19 @@ class TestCLI:
 
     def test_bench_help_lists_every_baseline(self):
         """The ``bench --emit``/``--check`` help names exactly the
-        registered baselines, so a new one cannot go undocumented."""
+        registered baselines, so a new one cannot go undocumented; and
+        every root ``BENCH_*.json`` has an emitter and a check."""
         import re
 
-        from repro.bench import CHECKS, EMITTERS
+        from repro.bench import CHECKS, EMITTERS, REPO_ROOT
         from repro.cli import build_parser
 
         helps = {a.dest: a.help for a in build_parser()._actions}
         for dest, names in (("emit", EMITTERS), ("check", CHECKS)):
             listed = re.search(r"\(([a-z|]+)\)", helps[dest]).group(1)
             assert sorted(listed.split("|")) == sorted(names), dest
+        stems = {p.stem[len("BENCH_"):] for p in REPO_ROOT.glob("BENCH_*.json")}
+        assert stems == set(EMITTERS) == set(CHECKS)
 
     def test_csv_dir_written(self, tmp_path, capsys):
         from repro.cli import main

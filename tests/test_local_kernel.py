@@ -1,8 +1,7 @@
 """Local-decision kernel differential tests.
 
-The fused grid pipeline (:class:`LocalOptKernel`), the batched tensor
-path (:func:`optimize_local_batch`) and the phase-level memo
-(``local_mode="memoized"``) must be bit-identical to the unfused
+The fused grid pipeline (:class:`LocalOptKernel`) and the phase-level
+memo (``local_mode="memoized"``) must be bit-identical to the unfused
 reference :func:`optimize_local` and to ``"always_recompute"`` —
 settings, energies, violation histories *and* operation accounting.
 These tests are the contract; the unfused function is kept in-tree as
@@ -13,18 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.model_error import local_decision_sweep
 from repro.config import SystemConfig
 from repro.core.energy_curve import EnergyCurve
 from repro.core.energy_model import OnlineEnergyModel
-from repro.core.global_opt import ReductionTree, partition_ways
+from repro.core.global_opt import ReductionTree
 from repro.core.local_cache import LocalOptMemo, local_memo_key
-from repro.core.local_opt import (
-    LocalOptKernel,
-    RMCapabilities,
-    optimize_local,
-    optimize_local_batch,
-)
+from repro.core.local_opt import LocalOptKernel, RMCapabilities, optimize_local
 from repro.core.managers import IdleRM, make_rm
 from repro.core.perf_models import (
     Model1,
@@ -111,80 +104,6 @@ class TestFusedKernelDifferential:
         )
         with pytest.raises(ValueError):
             kernel.run(bad)
-
-
-# ---------------------------------------------------------------------------
-# batched tensor path vs scalar loop
-# ---------------------------------------------------------------------------
-class TestBatchDifferential:
-    @pytest.mark.parametrize("caps", ALL_CAPS, ids=lambda c: c.label)
-    @pytest.mark.parametrize("model_cls", [Model2, Model3, PerfectModel])
-    def test_batch_matches_scalar_loop(self, mini_db, system2, caps, model_cls):
-        model = model_cls()
-        em = _energy_model(system2)
-        base = system2.baseline_setting()
-        batch, policies = [], []
-        for app in mini_db.app_names():
-            for phase in range(len(mini_db.records[app])):
-                for setting, alpha in (
-                    (base, 1.0),
-                    (base.replace(f_ghz=2.5), 1.1),
-                ):
-                    batch.append(
-                        _inputs(mini_db, system2, app, phase, setting)
-                    )
-                    policies.append(QoSPolicy(alpha))
-        got = optimize_local_batch(batch, model, em, system2, caps, policies)
-        assert len(got) == len(batch)
-        for inp, qos, g in zip(batch, policies, got):
-            ref = optimize_local(inp, model, em, system2, caps, qos)
-            _assert_results_identical(g, ref)
-
-    def test_single_shared_policy_and_empty(self, mini_db, system2):
-        model = Model3()
-        em = _energy_model(system2)
-        caps = ALL_CAPS[2]
-        batch = [_inputs(mini_db, system2, "mini_csps")]
-        got = optimize_local_batch(
-            batch, model, em, system2, caps, QoSPolicy(1.05)
-        )
-        ref = optimize_local(
-            batch[0], model, em, system2, caps, QoSPolicy(1.05)
-        )
-        _assert_results_identical(got[0], ref)
-        assert optimize_local_batch([], model, em, system2, caps) == []
-
-    def test_qos_length_mismatch_rejected(self, mini_db, system2):
-        batch = [_inputs(mini_db, system2, "mini_csps")] * 2
-        with pytest.raises(ValueError):
-            optimize_local_batch(
-                batch,
-                Model3(),
-                _energy_model(system2),
-                system2,
-                ALL_CAPS[2],
-                [QoSPolicy(1.0)],
-            )
-
-    def test_local_decision_sweep_is_batched_reference(self, mini_db, system2):
-        """The analysis/database-precompute entry point equals per-record
-        scalar optimisation (for the oracle too: a phase predicts its own
-        recurrence)."""
-        records = [recs[0] for recs in mini_db.records.values()]
-        em = _energy_model(system2)
-        for model in (Model3(), PerfectModel()):
-            got = local_decision_sweep(
-                records, model, em, system2, ALL_CAPS[2]
-            )
-            base = system2.baseline_setting()
-            for rec, g in zip(records, got):
-                inp = ModelInputs(
-                    counters=rec.counters_at(base),
-                    atd=rec.atd_report(),
-                    next_record=rec,
-                )
-                ref = optimize_local(inp, model, em, system2, ALL_CAPS[2])
-                _assert_results_identical(g, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +320,7 @@ class TestPlumbing:
 
 
 # ---------------------------------------------------------------------------
-# ReductionTree pinned-first build order
+# ReductionTree bills and way totals
 # ---------------------------------------------------------------------------
 def _real_curve(rng, width=15, w_min=2):
     return EnergyCurve(
@@ -410,54 +329,7 @@ def _real_curve(rng, width=15, w_min=2):
 
 
 class TestPinnedFirstOrder:
-    @given(
-        n=st.integers(2, 16),
-        n_real=st.integers(0, 2),
-        seed=st.integers(0, 10_000),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_bit_identical_with_up_to_two_real_curves(self, n, n_real, seed):
-        """Pinned curves are exact identity elements of the combine, so
-        any placement is bit-identical while at most two real curves fix
-        the float association — the manager's warm-up regime."""
-        rng = np.random.default_rng(seed)
-        curves = [EnergyCurve.pinned(8) for _ in range(n)]
-        for i in rng.choice(n, size=min(n_real, n), replace=False):
-            curves[i] = _real_curve(rng)
-        budget = 8 * n
-        ref = partition_ways(curves, budget)
-        got = ReductionTree(curves, order="pinned_first").solve(budget)
-        assert got.ways == ref.ways
-        assert got.total_energy == ref.total_energy
-
-    def test_update_maps_through_permutation(self):
-        rng = np.random.default_rng(3)
-        curves = [EnergyCurve.pinned(8) for _ in range(6)]
-        curves[2] = _real_curve(rng)
-        tree = ReductionTree(curves, order="pinned_first")
-        new = _real_curve(rng)
-        curves[2] = new
-        tree.update(2, new)
-        assert tree.leaf_curve(2) is new
-        ref = partition_ways(curves, 48)
-        got = tree.solve(48)
-        assert got.ways == ref.ways
-        assert got.total_energy == ref.total_energy
-
-    def test_build_cells_saved_in_warmup_state(self):
-        rng = np.random.default_rng(9)
-        for n in (8, 16, 32):
-            curves = [EnergyCurve.pinned(8) for _ in range(n)]
-            curves[n // 2] = _real_curve(rng)
-            natural = ReductionTree(curves).build_operations
-            reordered = ReductionTree(
-                curves, order="pinned_first"
-            ).build_operations
-            assert reordered <= natural
-
-    def test_unknown_order_rejected(self):
-        with pytest.raises(ValueError):
-            ReductionTree([EnergyCurve.pinned(8)], order="sorted")
+    """The tree's cell bills and way totals."""
 
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=40, deadline=None)

@@ -19,7 +19,13 @@ from repro.atd.mlp import MLPCounterArray
 from repro.atd.monitor import RecencyMonitor
 from repro.cache import _native
 from repro.cache.lru import LRUStack
-from repro.cache.replay import prewarm_tags, resolve_engine, vector_replay
+from repro.cache import replay as replay_mod
+from repro.cache.replay import (
+    prewarm_tags,
+    replay_access_stream,
+    resolve_engine,
+    vector_replay,
+)
 from repro.cache.setassoc import SetAssociativeLRU
 from repro.trace.stream import FRESH
 
@@ -295,3 +301,38 @@ def test_resolve_engine_contract(monkeypatch):
     assert resolve_engine(None) == "vector"
     with pytest.raises(ValueError):
         resolve_engine("warp-drive")
+
+
+def test_front_door_oracle_runs_the_lrustack_loop(monkeypatch):
+    """``engine="oracle"`` (passed, or from ``REPRO_REPLAY_ENGINE``) runs
+    the per-access LRUStack loop, never a batched engine."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batched engine ran for the oracle")
+
+    monkeypatch.setattr(replay_mod, "vector_replay", refuse)
+    monkeypatch.setattr(_native, "native_replay", refuse)
+    monkeypatch.setenv("REPRO_REPLAY_ENGINE", "oracle")
+    settings.resolve()
+    rng = np.random.default_rng(5)
+    for depth in DEPTHS:
+        for engine in ("oracle", None):
+            n, n_sets, sets, tags = random_case(rng, depth)
+            initial = [prewarm_tags(s, depth) for s in range(n_sets)]
+            order = rng.permutation(n)
+            want, want_state = oracle_replay(
+                sets, tags, n_sets, depth, order, initial
+            )
+            got, state = replay_access_stream(
+                sets,
+                tags,
+                n_sets=n_sets,
+                depth=depth,
+                order=order,
+                initial=initial,
+                want_state=True,
+                engine=engine,
+            )
+            assert got.dtype == np.int16
+            assert np.array_equal(got, want)
+            assert state == want_state

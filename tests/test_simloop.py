@@ -1,15 +1,14 @@
-"""Wave-batched event loop + local memo tests.
+"""Wave event loop tests.
 
 The contract under test:
 
-* the wave-batched ``step`` loop is bit-identical to the ``scalar``
+* the wave ``step`` loop is bit-identical to the ``scalar``
   oracle on full runs — settings history, energies, violations,
   operation accounting — across RMs x models x overheads x
   reduction/local modes (the replay engine's differential pattern);
+* both loops make the same local-decision memo traffic;
 * the accelerated reduction path (budget windows, native kernel, lazy
   back-track choices) is bit-identical to the plain tree;
-* speculative memo probes (``peek``/``seed``) never skew the hit/miss
-  accounting;
 * waves replaying a settings map by identity skip every non-boundary
   rate refresh (the ``rate_refreshes`` accounting).
 """
@@ -22,27 +21,11 @@ from repro.campaign.results import result_to_json
 from repro.core import _native_opt
 from repro.core.energy_curve import EnergyCurve
 from repro.core.global_opt import ReductionTree, partition_ways
-from repro.core.local_cache import LocalOptMemo, local_memo_key
-from repro.core.local_opt import RMCapabilities, optimize_local
 from repro.core.managers import IdleRM, make_rm
-from repro.core.energy_model import OnlineEnergyModel
-from repro.core.perf_models import Model1, Model3, ModelInputs, PerfectModel
-from repro.power.model import PowerModel
+from repro.core.perf_models import Model1, Model3, PerfectModel
 from repro.simulator.rmsim import WAVE_MODES, MulticoreRMSimulator
 
 MODELS = {"Model1": Model1, "Model3": Model3, "Perfect": PerfectModel}
-
-
-def _energy_model(system):
-    return OnlineEnergyModel(PowerModel(system.power, system.dvfs, system.memory))
-
-
-def _inputs(db, system, app, phase=0, setting=None):
-    rec = db.records[app][phase]
-    setting = setting or system.baseline_setting()
-    return ModelInputs(
-        counters=rec.counters_at(setting), atd=rec.atd_report(), next_record=rec
-    )
 
 
 def _run_json(db, system, kind, model, wave, **kw):
@@ -102,9 +85,12 @@ class TestWaveDifferential:
         _assert_all_modes_equal(texts)
 
     def test_tied_boundaries_bit_identical(self, mini_db4, system4):
-        """Same app on every core: every boundary is a full wave."""
+        """Same app on every core: every boundary ties with the others.
+        RM3's memo sees the same hits and misses under either loop, so
+        the wave loop does no local-decision work the scalar loop skips."""
         for kind in ("idle", "rm3"):
             texts = {}
+            memo_traffic = {}
             for wave in WAVE_MODES:
                 rm = (
                     make_rm("idle", system4)
@@ -117,7 +103,11 @@ class TestWaveDifferential:
                 texts[wave] = result_to_json(
                     sim.run(["mini_csps"] * 4, horizon_intervals=10)
                 )
+                if rm.local_memo is not None:
+                    memo_traffic[wave] = (rm.local_memo.hits, rm.local_memo.misses)
             _assert_all_modes_equal(texts)
+            if kind == "rm3":
+                assert memo_traffic["step"] == memo_traffic["scalar"]
 
     def test_no_overheads_bit_identical(self, mini_db4, system4):
         texts = {}
@@ -145,41 +135,6 @@ class TestWaveDifferential:
         for removed in ("batched", "epsilon", "native"):
             with pytest.raises(ValueError):
                 MulticoreRMSimulator(mini_db, IdleRM(system2), wave=removed)
-
-    def test_precompute_wave_seeds_memo(self, mini_db, system2):
-        rm = make_rm("rm3", system2, Model3())
-        wave = [
-            (0, _inputs(mini_db, system2, "mini_csps")),
-            (1, _inputs(mini_db, system2, "mini_cips")),
-            (0, _inputs(mini_db, system2, "mini_csps")),  # duplicate key
-        ]
-        batched = rm.precompute_wave(wave)
-        assert batched == 2
-        assert rm.local_memo.seeds == 2
-        # The seeded results replay on observe (hits, not misses) and
-        # equal the scalar reference bit for bit.
-        d0 = rm.observe(0, wave[0][1])
-        assert rm.local_memo.hits == 1
-        ref = optimize_local(
-            wave[0][1],
-            rm.perf_model,
-            rm.energy_model,
-            system2,
-            rm.capabilities,
-            rm.qos_for(0),
-        )
-        curve0 = rm._cores[0].result.curve
-        assert np.all(
-            (curve0.energy == ref.curve.energy)
-            | (np.isinf(curve0.energy) & np.isinf(ref.curve.energy))
-        )
-        assert rm.precompute_wave(wave) == 0  # everything already memoized
-        assert d0.settings is not None
-
-    def test_idle_rm_skips_wave_precompute(self, mini_db, system2):
-        rm = IdleRM(system2)
-        assert rm.wants_wave_precompute is False
-        assert rm.precompute_wave([(0, _inputs(mini_db, system2, "mini_csps"))]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -397,41 +352,3 @@ class TestAcceleratedTree:
         assert second.ways == ref.ways
         assert second.total_energy == ref.total_energy
         assert first.dp_operations == second.dp_operations  # window size
-
-
-# ---------------------------------------------------------------------------
-# the local-decision memo
-# ---------------------------------------------------------------------------
-def _result_for(db, system, app="mini_csps"):
-    inputs = _inputs(db, system, app)
-    caps = RMCapabilities(adapt_frequency=True, adapt_core=True)
-    model = Model3()
-    result = optimize_local(
-        inputs, model, _energy_model(system), system, caps
-    )
-    key = local_memo_key(inputs, model, QoSPolicy_1())
-    return key, result
-
-
-def QoSPolicy_1():
-    from repro.core.qos import QoSPolicy
-
-    return QoSPolicy(1.0)
-
-
-class TestPersistentMemo:
-    """The per-manager memo that persists local results across RM
-    invocations, for the manager's lifetime."""
-
-    def test_peek_counts_nothing(self, mini_db, system2):
-        """Speculative ``peek``s leave hit/miss accounting untouched and
-        a wave ``seed`` counts once, so the hit rate stays a property of
-        the observe stream alone."""
-        key, result = _result_for(mini_db, system2)
-        memo = LocalOptMemo()
-        assert memo.peek(key) is None
-        memo.seed(key, result)
-        assert memo.peek(key) is result
-        assert (memo.hits, memo.misses, memo.seeds) == (0, 0, 1)
-        assert memo.get(key) is result
-        assert (memo.hits, memo.misses, memo.seeds) == (1, 0, 1)

@@ -81,18 +81,34 @@ class LocalOptResult:
     evaluations: int
 
     def setting_for(self, ways: int) -> Setting:
-        """The (c*, f*, w) setting for an allocation chosen globally."""
+        """The (c*, f*, w) setting for an allocation chosen globally.
+
+        Memoized per way on the (immutable) result: the phase memo hands
+        a recurring phase the same result object, so its decisions hand
+        the simulator the very ``Setting`` objects they handed it last
+        time — which is what keeps the simulator's identity diff exact.
+        An infeasible allocation yields the baseline (c, f) at ``ways``.
+        """
+        cache = self.__dict__.setdefault("_settings", {})
+        setting = cache.get(ways)
+        if setting is None:
+            idx = self._index(ways)
+            setting = Setting(
+                core=CoreSize(int(self.c_star[idx])),
+                f_ghz=float(self.f_star[idx]),
+                ways=int(ways),
+            )
+            cache[ways] = setting
+        return setting
+
+    def is_feasible(self, ways: int) -> bool:
+        return bool(np.isfinite(self.curve.energy[self._index(ways)]))
+
+    def _index(self, ways: int) -> int:
         idx = ways - self.curve.w_min
         if not 0 <= idx < self.curve.ways.size:
             raise ValueError(f"ways {ways} outside optimised domain")
-        return Setting(
-            core=CoreSize(int(self.c_star[idx])),
-            f_ghz=float(self.f_star[idx]),
-            ways=int(ways),
-        )
-
-    def is_feasible(self, ways: int) -> bool:
-        return np.isfinite(self.curve.energy[ways - self.curve.w_min])
+        return idx
 
 
 def optimize_local(

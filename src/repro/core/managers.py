@@ -38,7 +38,18 @@ The *local* step likewise runs in one of two modes:
 
 Both event loops of the simulator drive the local step the same way:
 one observe per interval boundary, so the memo sees the same gets in
-the same order under either loop.
+the same order under either loop.  Under the wave loop the memo key of
+each boundary input is derived once per run: the loop interns its
+inputs, so a recurring boundary hands over the object it handed over
+before.
+
+Decisions read each core's setting from its local result, which
+memoizes its per-way ``Setting``
+(:meth:`~repro.core.local_opt.LocalOptResult.setting_for`).  The phase
+memo hands a recurring phase the same result object, so a recurring
+decision hands the simulator the very ``Setting`` objects it handed
+over last time, and the simulator's settings diff proves most cores
+unchanged by identity.  IdleRM hands back one decision per reset.
 
 Accounting is mode-invariant by construction: a memo hit charges the
 same ``local_evaluations`` the replayed run paid and the same
@@ -185,12 +196,6 @@ class ResourceManager:
         #: Persistent reduction tree (incremental mode; built lazily on
         #: the first observe, dropped on reset).
         self._tree: ReductionTree | None = None
-        #: Per-core ways -> Setting memo; a core's entry is dropped when
-        #: its local result changes, so every invocation can hand back
-        #: the full settings map without re-deriving unchanged cores.
-        self._settings_memo: List[Dict[int, Setting]] = [
-            {} for _ in range(system.n_cores)
-        ]
         #: Fused local-optimisation kernel (scratch buffers + hoisted
         #: constants); one per manager, reused by every invocation.
         self._kernel = LocalOptKernel(
@@ -222,11 +227,18 @@ class ResourceManager:
         #: parameters are the run-invariant bounds every leaf curve obeys:
         #: the candidate-way range plus the pinned baseline point.
         self._accelerate = False
-        #: The run-invariant baseline setting (hot-path constant).
+        #: The run-invariant baseline setting and way budget (hot-path
+        #: constants).
         self._baseline = system.baseline_setting()
+        self._total_ways = system.total_ways
+        #: Wave-only memo keys of the simulator's per-run interned inputs:
+        #: ``id(inputs) -> (inputs, alpha, key)``.  The entry holds the
+        #: inputs, so its id stays unique while the entry lives; bounded
+        #: by the run's distinct boundary inputs and dropped on reset.
+        self._memo_keys: Dict[int, tuple] = {}
         candidates = system.candidate_ways()
         self._accel_params = (
-            system.total_ways,
+            self._total_ways,
             min(min(candidates), self._baseline.ways),
             max(max(candidates), self._baseline.ways),
         )
@@ -260,7 +272,10 @@ class ResourceManager:
         qos = self.qos_for(core_id)
         memo = self.local_memo
         if memo is not None:
-            key = local_memo_key(inputs, self.perf_model, qos)
+            if self._accelerate:
+                key = self._interned_memo_key(inputs, qos)
+            else:
+                key = local_memo_key(inputs, self.perf_model, qos)
             result = memo.get(key)
             if result is None:
                 result = self._kernel.run(inputs, qos)
@@ -268,6 +283,21 @@ class ResourceManager:
         else:
             result = self._kernel.run(inputs, qos)
         return self._reoptimize(core_id, result)
+
+    def _interned_memo_key(self, inputs: ModelInputs, qos: QoSPolicy):
+        """:func:`local_memo_key`, derived once per interned inputs.
+
+        The wave loop interns its boundary inputs per run, so a recurring
+        boundary hands over the very object it handed over before and
+        the key is a table read.  (The scalar loop builds fresh inputs
+        at every boundary; :meth:`observe` derives its keys directly.)
+        """
+        hit = self._memo_keys.get(id(inputs))
+        if hit is not None and hit[1] == qos.alpha:
+            return hit[2]
+        key = local_memo_key(inputs, self.perf_model, qos)
+        self._memo_keys[id(inputs)] = (inputs, qos.alpha, key)
+        return key
 
     def qos_for(self, core_id: int) -> QoSPolicy:
         """The QoS policy governing one core's application."""
@@ -312,7 +342,6 @@ class ResourceManager:
                 self._curves[changed_core] = EnergyCurve.pinned(baseline.ways)
             else:
                 self._curves[changed_core] = result.curve
-            self._settings_memo[changed_core].clear()
             self._energy_at_current[changed_core] = self._curve_energy_at(
                 self._curves[changed_core], self._current_ways[changed_core]
             )
@@ -390,8 +419,8 @@ class ResourceManager:
         else:
             # Accelerated rebuild from the previous map: a core whose
             # allocation did not move keeps its (value-correct) entry —
-            # only moved cores and the invoking core (whose per-way memo
-            # was just invalidated) re-derive their setting.
+            # only moved cores and the invoking core (whose local result
+            # may be fresh) re-derive their setting.
             settings = dict(last)
             for i, w in enumerate(ways):
                 w = int(w)
@@ -413,19 +442,17 @@ class ResourceManager:
         )
 
     def _setting_for(self, i: int, w: int, baseline: Setting) -> Setting:
-        """The memoized per-way setting of one core (see ``_settings_memo``)."""
-        memo = self._settings_memo[i]
-        setting = memo.get(w)
-        if setting is None:
-            core_result = self._cores[i].result
-            if core_result is None or not core_result.is_feasible(w):
-                # No observations yet (pinned curve) or a defensive
-                # fallback for an infeasible pick: baseline (c, f) at w.
-                setting = baseline.replace(ways=w)
-            else:
-                setting = core_result.setting_for(w)
-            memo[w] = setting
-        return setting
+        """One core's setting at allocation ``w``.
+
+        An observed core reads its local result's per-way setting, which
+        the result memoizes (an infeasible allocation there already holds
+        the baseline (c, f)).  A core with no observations yet runs its
+        pinned curve, so ``w`` is the baseline allocation.
+        """
+        result = self._cores[i].result
+        if result is not None:
+            return result.setting_for(w)
+        return baseline if w == baseline.ways else baseline.replace(ways=w)
 
     def _partition(self, changed_core: int, leaf_unchanged: bool = False):
         """Run the global reduction in the configured mode.
@@ -443,7 +470,7 @@ class ResourceManager:
         today's accounting, kept for the Section III-E overheads table.
         """
         if self.reduction == "full_rebuild":
-            result = partition_ways(self._curves, self.system.total_ways)
+            result = partition_ways(self._curves, self._total_ways)
             return (
                 result.total_energy,
                 result.dp_operations,
@@ -459,7 +486,7 @@ class ResourceManager:
             ops = self._tree.path_operations(changed_core)
         else:
             ops = self._tree.update(changed_core, self._curves[changed_core])
-        total, eval_ops, extract = self._tree.evaluate(self.system.total_ways)
+        total, eval_ops, extract = self._tree.evaluate(self._total_ways)
         return total, ops + eval_ops, extract
 
     def _energy_at_partition(self) -> float | None:
@@ -493,14 +520,13 @@ class ResourceManager:
             self._current_ways[i] = baseline.ways
         self._curves = self._pinned_curves()
         self._tree = None
-        for memo in self._settings_memo:
-            memo.clear()
         self._energy_at_current = [
             self._curve_energy_at(c, self._current_ways[i])
             for i, c in enumerate(self._curves)
         ]
         self._keep_energy = False
         self._last_settings = None
+        self._memo_keys.clear()
         if self.local_memo is not None:
             self.local_memo.clear()
 
@@ -516,28 +542,29 @@ class IdleRM(ResourceManager):
             perf_model or _NullModel(),
             RMCapabilities(adapt_frequency=False, adapt_core=False),
         )
-        self._idle_settings: Optional[Dict[int, Setting]] = None
+        self._idle_decision: Optional[RMDecision] = None
 
     def observe(self, core_id: int, inputs: ModelInputs) -> RMDecision:
         self._core_state(core_id)  # validate the id
-        # The map is invariant between resets: build it once and hand the
-        # same object back every boundary — the simulator recognises the
-        # identity and skips its per-core setting diff outright.
-        settings = self._idle_settings
-        if settings is None:
+        # The decision is invariant between resets: build it once and
+        # hand the same object back every boundary — the simulator
+        # recognises its settings map by identity and skips its per-core
+        # setting diff outright.
+        decision = self._idle_decision
+        if decision is None:
             baseline = self.system.baseline_setting()
-            settings = {i: baseline for i in range(self.system.n_cores)}
-            self._idle_settings = settings
-        return RMDecision(
-            settings=settings,
-            local_evaluations=0,
-            dp_operations=0,
-            total_predicted_energy=float("nan"),
-        )
+            decision = RMDecision(
+                settings={i: baseline for i in range(self.system.n_cores)},
+                local_evaluations=0,
+                dp_operations=0,
+                total_predicted_energy=float("nan"),
+            )
+            self._idle_decision = decision
+        return decision
 
     def reset(self) -> None:
         super().reset()
-        self._idle_settings = None
+        self._idle_decision = None
 
 
 class _NullModel(PerformanceModel):

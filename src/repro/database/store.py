@@ -83,10 +83,9 @@ def _stable_json(obj) -> str:
             return [normalise(v) for v in o]
         return o
 
-    try:
-        raw = json.loads(json.dumps(obj, default=default))
-    except TypeError:
-        raw = repr(obj)
+    # An unserialisable field raises: a ``repr`` fallback would key a
+    # database on text that can hide content (NumPy elides long arrays).
+    raw = json.loads(json.dumps(obj, default=default))
     return json.dumps(normalise(raw), sort_keys=True)
 
 

@@ -33,8 +33,12 @@ The event loop itself runs in one of two *wave modes*:
   boundary core's observe, as the scalar loop does, replays
   progress/energy rates from the per-record memo
   (:meth:`~repro.database.records.PhaseRecord.rates_at`) and applies
-  decisions via one vectorised settings-diff against the
-  struct-of-arrays state.  Event *sequencing* is untouched — boundaries
+  decisions via one settings diff against the struct-of-arrays state.
+  What recurs at every boundary is interned per run: the model inputs,
+  baseline time and next rates per (record, setting, next record), and
+  the RM instructions per operation bill.  The diff adopts each
+  unchanged core's object from the decision, so its identity pre-pass
+  holds from then on.  Event *sequencing* is untouched — boundaries
   drain one at a time in the scalar order — so full runs are bit-identical
   to the scalar oracle (differentially tested across RMs × models ×
   overheads × reduction/local modes), and so is the manager's memo
@@ -218,17 +222,21 @@ class _CoreStates:
         self.ipc[i] = max(float(counters_ipc), 1e-3)
         self.rate_refreshes += 1
 
-    def refresh_rates_memo(self, i: int) -> None:
+    def refresh_rates_memo(self, i: int, rates: Optional[tuple] = None) -> None:
         """:meth:`refresh_rates` through the per-record rates memo.
 
         :meth:`PhaseRecord.rates_at` performs the identical float
         operations, so the assigned values are bit-equal; recurring
         (record, setting) pairs — every steady-state boundary — replay a
         cached tuple instead of re-deriving five grid reads and a ladder
-        argmin.  Finished cores keep their energy rates pinned at zero
-        (they still make progress — tpi and ipc stay real — but accrue
-        no energy, the reference's ``active`` mask semantics).
+        argmin.  ``rates``, when given, is that tuple for core ``i``'s
+        current (record, setting), already looked up by the caller.
+        Finished cores keep their energy rates pinned at zero (they still
+        make progress — tpi and ipc stay real — but accrue no energy, the
+        reference's ``active`` mask semantics).
         """
+        if rates is None:
+            rates = self.records[i].rates_at(self.settings[i])
         (
             self.tpi_s[i],
             self.n_instructions[i],
@@ -236,7 +244,7 @@ class _CoreStates:
             work,
             static,
             self.ipc[i],
-        ) = self.records[i].rates_at(self.settings[i])
+        ) = rates
         if self.finished[i]:
             self.epi_j[i] = 0.0
             self.work_j_per_inst[i] = 0.0
@@ -268,32 +276,44 @@ class _CoreStates:
     def diff_settings(self, settings_map: Dict[int, Setting]) -> List[int]:
         """Value-diff a decision map against the current settings.
 
-        Identity pre-pass first: a core whose setting did not move almost
-        always receives the very object already applied (the managers'
-        per-way setting memo), so one pointer compare per core prunes the
-        candidate set to the handful of fresh objects; those few are
-        value-compared directly.  A large surviving candidate set (a real
-        re-partition) falls back to one vectorised triple-compare against
-        the struct-of-arrays settings mirror — ``!=`` on
-        :class:`Setting` is exactly this (core, f, ways) comparison.
-        Returns the changed core ids ascending (the scalar loop's visit
-        order); the caller syncs the mirror as it applies each change.
+        Identity pre-pass first: a core whose setting did not move
+        receives the very object already applied (the managers hand out
+        per-result memoized settings), so one pointer compare per core
+        prunes the candidate set to the fresh objects.  A candidate whose
+        value is unchanged is *adopted*: the container keeps the map's
+        object, so the pre-pass holds for that core at every later map
+        (the first map swaps the run's own baseline objects out this
+        way).  A changed core is left to the caller, which prices its
+        transition from the old setting before applying the new one.  A
+        few candidates are value-compared directly; a large set (a real
+        re-partition) takes one vectorised triple-compare against the
+        struct-of-arrays settings mirror — ``!=`` on :class:`Setting` is
+        exactly this (core, f, ways) comparison.  Returns the changed core
+        ids ascending (the scalar loop's visit order); the caller syncs
+        the mirror as it applies each change.
         """
         n = self.n
         settings = self.settings
         vals = [settings_map[i] for i in range(n)]
         cand = [i for i in range(n) if vals[i] is not settings[i]]
         if len(cand) <= 8:
-            return [i for i in cand if vals[i] != settings[i]]
+            changed = []
+            for i in cand:
+                if vals[i] == settings[i]:
+                    settings[i] = vals[i]
+                else:
+                    changed.append(i)
+            return changed
         new_f = np.fromiter((s.f_ghz for s in vals), dtype=float, count=n)
         new_w = np.fromiter((s.ways for s in vals), dtype=np.int64, count=n)
         new_c = np.fromiter((s.core for s in vals), dtype=np.int64, count=n)
-        changed = (new_f != self.set_f) | (new_w != self.set_w) | (
-            new_c != self.set_c
-        )
-        if not changed.any():
-            return []
-        return np.nonzero(changed)[0].tolist()
+        moved = (
+            (new_f != self.set_f) | (new_w != self.set_w) | (new_c != self.set_c)
+        ).tolist()
+        for i in cand:
+            if not moved[i]:
+                settings[i] = vals[i]
+        return [i for i in cand if moved[i]]
 
     def finished_all(self) -> bool:
         """Every core reached the horizon (wave loop: the advance keeps
@@ -768,9 +788,10 @@ class MulticoreRMSimulator:
         Sequencing is the scalar loop's — one boundary per event, scalar
         visit order — so every decision sees exactly the state it would
         have seen there; the differences are execution-strategy only:
-        the compiled per-event step, memoized rate refreshes, the
-        vectorised settings diff and the manager's reduction-combine
-        reuse.  Differentially tested bit-identical on full runs.
+        the compiled per-event step, the per-run interned boundary
+        values, memoized rate refreshes, the identity-first settings
+        diff and the manager's reduction-combine reuse.  Differentially
+        tested bit-identical on full runs.
         """
         rm = self.rm
         db = self.db
@@ -780,9 +801,6 @@ class MulticoreRMSimulator:
         mem_latency_s = self.system.memory.base_latency_s
         mem_access_j = self.system.memory.access_energy_nj * 1e-9
         alphas = [self._alpha_for(i) for i in range(n_cores)]
-        #: Per-record baseline interval time (records recur every
-        #: interval; the db keeps them alive, so ids are stable).
-        base_time_of: Dict[int, float] = {}
         # Hot-loop locals: the boundary pick is the arithmetic of
         # :func:`next_boundary_arrays` over preallocated scratch
         # (:meth:`_CoreStates.next_event`; float addition commutes, so
@@ -797,10 +815,26 @@ class MulticoreRMSimulator:
         settings_list = st.settings
         intervals = st.intervals
         interval_elapsed = st.interval_elapsed_s
-        apps_list = st.apps
         next_event = st.next_event
-        record_for_interval = db.record_for_interval
         observe = rm.observe
+        #: Each core's records over one pass of its app's phase pattern:
+        #: interval ``k`` runs ``cycle[k % len(cycle)]``, which is
+        #: :meth:`SimDatabase.record_for_interval` (the pattern repeats).
+        cycles = [
+            [
+                db.record_for_interval(app, k)
+                for k in range(len(db.apps[app].phase_pattern))
+            ]
+            for app in st.apps
+        ]
+        #: Per-run interning of what recurs at every boundary.  Per
+        #: (record, setting, next record), keyed by identity (records
+        #: live in the db; each entry holds its setting, so the ids stay
+        #: unique for the run): the model inputs, the record's baseline
+        #: interval time and the next record's rates at the setting.  Per
+        #: (local_evaluations, dp_operations) bill: its RM instructions.
+        boundary_of: Dict[Tuple[int, int, int], tuple] = {}
+        instructions_of: Dict[Tuple[int, int], float] = {}
         if stall_s.min() < 0 or tpi_s.min() <= 0:
             raise ValueError("invalid progress state")
 
@@ -821,11 +855,24 @@ class MulticoreRMSimulator:
             elapsed = float(interval_elapsed[b])
             record = records[b]
             setting = settings_list[b]
-            rid = id(record)
-            base_time = base_time_of.get(rid)
-            if base_time is None:
-                base_time = record.time_at(baseline)
-                base_time_of[rid] = base_time
+            intervals[b] += 1
+            cycle = cycles[b]
+            next_record = cycle[intervals[b] % len(cycle)]
+            key = (id(record), id(setting), id(next_record))
+            entry = boundary_of.get(key)
+            if entry is None:
+                entry = boundary_of[key] = (
+                    ModelInputs(
+                        counters=record.counters_at(setting),
+                        atd=record.atd_report(),
+                        next_record=next_record,
+                    ),
+                    record.time_at(baseline),
+                    next_record.rates_at(setting),
+                    setting,
+                )
+            inputs, base_time, next_rates, _ = entry
+
             if not finished[b]:
                 qos_checks += 1
                 rel = (elapsed - base_time * alphas[b]) / base_time
@@ -833,27 +880,20 @@ class MulticoreRMSimulator:
                     violations.append(rel)
             intervals_completed += 1
 
-            counters = record.counters_at(setting)
-            atd = record.atd_report()
-            intervals[b] += 1
             instr_done[b] = 0.0
             interval_elapsed[b] = 0.0
-            records[b] = record_for_interval(apps_list[b], intervals[b])
-
-            inputs = ModelInputs(
-                counters=counters, atd=atd, next_record=records[b]
-            )
+            records[b] = next_record
             decision = observe(b, inputs)
             rm_invocations += 1
 
             if charge and (
                 decision.local_evaluations or decision.dp_operations
             ):
-                instr = cost_model.instructions(
-                    n_cores,
-                    decision.local_evaluations,
-                    decision.dp_operations,
-                )
+                bill = (decision.local_evaluations, decision.dp_operations)
+                instr = instructions_of.get(bill)
+                if instr is None:
+                    instr = cost_model.instructions(n_cores, *bill)
+                    instructions_of[bill] = instr
                 rm_instructions += instr
                 stall_s[b] += cost_model.time_overhead_s(
                     instr, float(st.ipc[b]), setting.f_ghz
@@ -864,8 +904,9 @@ class MulticoreRMSimulator:
             if decision.settings is applied_settings:
                 # Identity replay: by construction no setting moved, so
                 # the whole diff — and every non-boundary rate refresh —
-                # is skipped; only the boundary core's record changed.
-                st.refresh_rates_memo(b)
+                # is skipped; only the boundary core's record changed,
+                # and its rates at the kept setting are interned.
+                st.refresh_rates_memo(b, next_rates)
                 continue
             applied_settings = decision.settings
             changed = st.diff_settings(applied_settings)

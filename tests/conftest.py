@@ -9,6 +9,7 @@ cache when available.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings as hypothesis_settings
 
 from repro import settings
 from repro.config import SystemConfig, default_system
@@ -17,6 +18,11 @@ from repro.testing import make_phase, mini_suite, small_scale
 from repro.trace.generator import PhaseTraceGenerator
 from repro.trace.reuse import cliff_profile, small_ws_profile, streaming_profile
 from repro.trace.spec import PhaseSpec, uniform_ipc
+
+#: The wide generated-run sweep (``--hypothesis-profile=wide``, run in
+#: CI): randomized, many more examples, no deadline.  Without it the
+#: generated-run tests keep their bounded, derandomized tier-1 sweep.
+hypothesis_settings.register_profile("wide", max_examples=150, deadline=None)
 
 
 @pytest.fixture(autouse=True)

@@ -13,6 +13,7 @@ from repro.database.builder import (
     build_database,
 )
 from repro.database.store import (
+    _stable_json,
     database_fingerprint,
     load_cached_database,
     save_database_cache,
@@ -200,6 +201,23 @@ class TestStore:
         changed[3] = dataclasses.replace(app, phases=(phase,) + app.phases[1:])
         assert database_fingerprint(changed, system, 2020) != base
         assert database_fingerprint(spec_suite(), system, 2020) == base
+
+    def test_unfingerprintable_field_raises(self):
+        """No database is keyed on a ``repr``: two holders of 2,000-element
+        arrays that differ in one element have equal reprs (NumPy elides
+        the middle), so serialising one must raise, not fall back."""
+
+        @dataclasses.dataclass(frozen=True)
+        class Holder:
+            values: np.ndarray
+
+        a = np.zeros(2000)
+        b = a.copy()
+        b[1000] = 1.0
+        assert repr(Holder(a)) == repr(Holder(b))
+        for holder in (Holder(a), Holder(b)):
+            with pytest.raises(TypeError):
+                _stable_json(holder)
 
     def test_roundtrip(self, mini_db, system2, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

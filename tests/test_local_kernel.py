@@ -88,6 +88,28 @@ class TestFusedKernelDifferential:
                     got = kernel.run(inp, qos)
                     _assert_results_identical(got, ref)
 
+    def test_infeasible_ways_hold_the_baseline_setting(self, mini_db, system2):
+        """The managers read every allocation's setting from the result:
+        at an infeasible allocation both implementations yield the
+        baseline (c, f) at that allocation."""
+        em = _energy_model(system2)
+        base = system2.baseline_setting()
+        infeasible = 0
+        for caps in ALL_CAPS:
+            kernel = LocalOptKernel(Model3(), em, system2, caps)
+            for app in ("mini_csps", "mini_cips"):
+                for setting in (base, base.replace(ways=4)):
+                    inp = _inputs(mini_db, system2, app, setting=setting)
+                    for res in (
+                        kernel.run(inp),
+                        optimize_local(inp, Model3(), em, system2, caps),
+                    ):
+                        for w in system2.candidate_ways():
+                            if not res.is_feasible(w):
+                                infeasible += 1
+                                assert res.setting_for(w) == base.replace(ways=w)
+        assert infeasible
+
     def test_kernel_rejects_malformed_miss_curve(self, mini_db, system2):
         model = Model3()
         em = _energy_model(system2)
@@ -295,10 +317,10 @@ class TestPlumbing:
         inp = _inputs(mini_db, system2, "mini_csps")
         d1 = rm.observe(0, inp)
         d2 = rm.observe(1, inp)
-        assert d2.settings is d1.settings
+        assert d2 is d1
         rm.reset()
         d3 = rm.observe(0, inp)
-        assert d3.settings is not d1.settings
+        assert d3 is not d1 and d3.settings is not d1.settings
         assert d3.settings == d1.settings
 
     def test_counters_and_atd_memoized(self, mini_db, system2):

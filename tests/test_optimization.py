@@ -10,7 +10,7 @@ from repro.config import CoreSize
 from repro.core.energy_curve import EnergyCurve
 from repro.core.energy_model import OnlineEnergyModel
 from repro.core.global_opt import combine_pair, partition_ways
-from repro.core.local_opt import RMCapabilities, optimize_local
+from repro.core.local_opt import LocalOptResult, RMCapabilities, optimize_local
 from repro.core.perf_models import Model3, ModelInputs
 from repro.power.model import PowerModel
 
@@ -109,8 +109,31 @@ class TestLocalOpt:
         )
         s = res.setting_for(8)
         assert s.ways == 8
+        assert res.setting_for(8) is s  # memoized on the result
         with pytest.raises(ValueError):
             res.setting_for(99)
+
+    def test_is_feasible_checks_its_domain(self):
+        """A 2..16 curve feasible only at 16 ways: below the domain the
+        unchecked index wrapped round to 16 ways, above it raised
+        ``IndexError``; both sides raise ``ValueError``, as
+        :meth:`setting_for` does."""
+        energy = np.full(15, np.inf)
+        energy[-1] = 1.0
+        res = LocalOptResult(
+            curve=EnergyCurve(np.arange(2, 17), energy),
+            c_star=np.full(15, int(CoreSize.M)),
+            f_star=np.full(15, 2.0),
+            t_hat=np.full(15, np.inf),
+            predicted_baseline_time=1.0,
+            evaluations=0,
+        )
+        assert res.is_feasible(16) and not res.is_feasible(2)
+        for ways in (0, 1, 17):
+            with pytest.raises(ValueError):
+                res.is_feasible(ways)
+            with pytest.raises(ValueError):
+                res.setting_for(ways)
 
     def test_evaluation_count(self, opt_env, system2):
         em, inputs = opt_env

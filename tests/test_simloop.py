@@ -10,20 +10,36 @@ The contract under test:
 * the accelerated reduction path (budget windows, native kernel, lazy
   back-track choices) is bit-identical to the plain tree;
 * waves replaying a settings map by identity skip every non-boundary
-  rate refresh (the ``rate_refreshes`` accounting).
+  rate refresh (the ``rate_refreshes`` accounting);
+* generated full runs at 2-32 cores — past the settings diff's
+  vectorised path — agree between the loops, and the scalar oracle runs
+  none of the wave loop's fast paths.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import settings as hsettings
+from hypothesis import strategies as st
 
 from repro import settings
 from repro.campaign.results import result_to_json
+from repro.config import default_system
 from repro.core import _native_opt
 from repro.core.energy_curve import EnergyCurve
 from repro.core.global_opt import ReductionTree, partition_ways
-from repro.core.managers import IdleRM, make_rm
-from repro.core.perf_models import Model1, Model3, PerfectModel
+from repro.core.managers import (
+    LOCAL_MODES,
+    REDUCTION_MODES,
+    IdleRM,
+    ResourceManager,
+    make_rm,
+)
+from repro.core.perf_models import Model1, Model2, Model3, PerfectModel
+from repro.database.builder import SimDatabase
+from repro.simulator import rmsim
 from repro.simulator.rmsim import WAVE_MODES, MulticoreRMSimulator
+from repro.workloads.suite import spec_suite
 
 MODELS = {"Model1": Model1, "Model3": Model3, "Perfect": PerfectModel}
 
@@ -209,6 +225,29 @@ class TestRateRefreshSkipping:
 
 
 # ---------------------------------------------------------------------------
+# the settings diff adopts equal settings, never a changed one
+# ---------------------------------------------------------------------------
+class TestDiffSettings:
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_equal_adopted_changed_left_to_caller(self, system2, n):
+        """Equal-valued fresh objects are adopted, so the identity
+        pre-pass holds for them at the next map; a changed core keeps its
+        old setting for the caller to price.  ``n = 12`` takes the
+        vectorised path (more than 8 candidates)."""
+        base = system2.baseline_setting()
+        st_ = rmsim._CoreStates(n)
+        for i in range(n):
+            st_.settings[i] = base
+            st_.sync_setting_arrays(i)
+        fresh = {i: base.replace() for i in range(n)}
+        fresh[1] = base.replace(ways=4)
+        assert st_.diff_settings(fresh) == [1]
+        assert st_.settings[1] is base
+        assert all(st_.settings[i] is fresh[i] for i in range(n) if i != 1)
+        assert st_.diff_settings(fresh) == [1]
+
+
+# ---------------------------------------------------------------------------
 # the accelerated reduction tree
 # ---------------------------------------------------------------------------
 def _random_curves(rng, n, width=15, w_min=2):
@@ -352,3 +391,120 @@ class TestAcceleratedTree:
         assert second.ways == ref.ways
         assert second.total_energy == ref.total_energy
         assert first.dp_operations == second.dp_operations  # window size
+
+
+# ---------------------------------------------------------------------------
+# generated full runs: step vs scalar past the diff's vectorised path
+# ---------------------------------------------------------------------------
+SUITE_APPS = tuple(sorted(app.name for app in spec_suite()))
+GEN_MODELS = {
+    "Model1": Model1, "Model2": Model2, "Model3": Model3, "Perfect": PerfectModel,
+}
+
+#: Bounded and derandomized in tier-1; ``--hypothesis-profile=wide``
+#: (tests/conftest.py) runs the profile's wider randomized sweep instead.
+GENERATED_RUNS = (
+    hsettings(deadline=None)
+    if hsettings.get_current_profile_name() == "wide"
+    else hsettings(max_examples=12, derandomize=True, deadline=None)
+)
+
+#: One of paper-scale ``ext-scaling``'s 16-core mixes (seed 2020).
+MIX16 = (
+    "cactusADM", "gromacs", "perlbench", "leslie3d", "leslie3d", "soplex",
+    "wrf", "namd", "soplex", "sphinx3", "mcf", "sphinx3", "sphinx3",
+    "omnetpp", "soplex", "omnetpp",
+)
+
+
+@st.composite
+def full_runs(draw):
+    n_cores = draw(st.integers(2, 32))
+    return {
+        "apps": tuple(
+            draw(st.lists(
+                st.sampled_from(SUITE_APPS), min_size=n_cores, max_size=n_cores
+            ))
+        ),
+        "kind": draw(st.sampled_from(("idle", "rm1", "rm2", "rm3"))),
+        "model": draw(st.sampled_from(sorted(GEN_MODELS))),
+        "overheads": draw(st.booleans()),
+        "reduction": draw(st.sampled_from(REDUCTION_MODES)),
+        "local_mode": draw(st.sampled_from(LOCAL_MODES)),
+        "horizon": draw(st.integers(2, 6)),
+    }
+
+
+def _rebound(full_db, n_cores):
+    """``full_db``'s records bound to an ``n_cores`` system, the way
+    :func:`repro.campaign.database.get_database` rebinds them."""
+    return SimDatabase(
+        system=default_system(n_cores), apps=full_db.apps, records=full_db.records
+    )
+
+
+def _generated_run(db, run, wave):
+    if run["kind"] == "idle":
+        rm = make_rm("idle", db.system)
+    else:
+        rm = make_rm(
+            run["kind"],
+            db.system,
+            GEN_MODELS[run["model"]](),
+            reduction=run["reduction"],
+            local_mode=run["local_mode"],
+        )
+    sim = MulticoreRMSimulator(
+        db, rm, charge_overheads=run["overheads"], collect_history=True, wave=wave
+    )
+    result = sim.run(list(run["apps"]), horizon_intervals=run["horizon"])
+    memo = rm.local_memo
+    return result, (memo.hits, memo.misses) if memo is not None else None
+
+
+class TestGeneratedRuns:
+    @given(run=full_runs())
+    @example(run={
+        "apps": MIX16, "kind": "rm3", "model": "Model3", "overheads": True,
+        "reduction": "incremental", "local_mode": "memoized", "horizon": 2,
+    })
+    @GENERATED_RUNS
+    def test_step_matches_scalar(self, full_db, run):
+        db = _rebound(full_db, len(run["apps"]))
+        scalar, scalar_memo = _generated_run(db, run, "scalar")
+        step, step_memo = _generated_run(db, run, "step")
+        assert result_to_json(step) == result_to_json(scalar)
+        assert step_memo == scalar_memo
+        for energy in step.per_core_energy:
+            assert energy.core_dynamic_j >= 0 and energy.core_static_j >= 0
+            assert energy.memory_j >= 0 and energy.overhead_j >= 0
+        assert step.uncore_j >= 0
+        assert len(step.violations) <= step.qos_checks
+        assert step.rm_invocations == step.intervals_completed
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the scalar oracle ran a wave-loop fast path")
+
+
+def test_scalar_oracle_runs_no_wave_fast_path(full_db, monkeypatch):
+    """``wave="scalar"`` completes with every wave-only path patched to
+    raise — the compiled event, the scratch advance, the settings diff,
+    the rates memo, the compiled tree update, the wave loop with its
+    per-run tables and the manager's interned memo keys — and equals the
+    unpatched step result."""
+    db = _rebound(full_db, 16)
+    run = {
+        "apps": MIX16, "kind": "rm3", "model": "Model3", "overheads": True,
+        "reduction": "incremental", "local_mode": "memoized", "horizon": 3,
+    }
+    step, _ = _generated_run(db, run, "step")
+    monkeypatch.setattr(rmsim._CoreStates, "next_event", _raise)
+    monkeypatch.setattr(rmsim, "advance_cores_wave", _raise)
+    monkeypatch.setattr(rmsim._CoreStates, "diff_settings", _raise)
+    monkeypatch.setattr(rmsim._CoreStates, "refresh_rates_memo", _raise)
+    monkeypatch.setattr(ReductionTree, "_run_native", _raise)
+    monkeypatch.setattr(rmsim.MulticoreRMSimulator, "_loop_wave", _raise)
+    monkeypatch.setattr(ResourceManager, "_interned_memo_key", _raise)
+    scalar, _ = _generated_run(db, run, "scalar")
+    assert result_to_json(scalar) == result_to_json(step)

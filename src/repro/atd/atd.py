@@ -48,10 +48,6 @@ class ATDReport:
     mlp: MLPEstimate
     accesses: float
 
-    def leading_miss_curve(self, size_index: int) -> np.ndarray:
-        """LM(w) for one core size (nominal scale)."""
-        return self.mlp.leading_misses[size_index]
-
     @property
     def fingerprint(self) -> str:
         """Content hash of everything a model can read from this report.
@@ -92,6 +88,12 @@ class AuxiliaryTagDirectory:
     mlp_set_sample:
         Optional sampling for the MLP counters (default full coverage; see
         module docstring).
+    engine:
+        Replay engine of the shadow tag array (see
+        :class:`~repro.cache.setassoc.SetAssociativeLRU`): ``"native"``,
+        ``"oracle"``, or None for the compiled kernel when it is
+        available and the :class:`~repro.cache.lru.LRUStack` oracle
+        otherwise.
     """
 
     def __init__(
@@ -116,7 +118,7 @@ class AuxiliaryTagDirectory:
         """Replay one interval's stream and produce the RM-facing report.
 
         The tag array replays the stream in arrival order (exactly as the
-        hardware would observe requests) in one batched pass; both monitors
+        hardware would observe requests) in one replay call; both monitors
         then consume the precomputed recency array instead of re-touching
         the stacks access by access.  Each call replays its stream afresh:
         a database build replays every stream once, here, because the
@@ -133,7 +135,7 @@ class AuxiliaryTagDirectory:
         monitor = RecencyMonitor(self.max_ways, scale=scale * self.set_sample)
         counters = MLPCounterArray(max_ways=self.max_ways)
 
-        # One batched arrival-order replay; recencies indexed by stream
+        # One arrival-order replay call; recencies indexed by stream
         # position.  The directory state advances exactly as it would have
         # under per-access updates.
         recency = self._tags.replay(stream, "arrival")

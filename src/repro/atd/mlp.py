@@ -117,10 +117,6 @@ class MLPCounterArray:
         self._last_ov_dist = [[-1] * max_ways for _ in range(n)]
 
     # ------------------------------------------------------------------
-    def _distance(self, idx: int, last_idx: int) -> int:
-        """Modular forward distance between wrapped instruction indices."""
-        return (idx - last_idx) % self.index_window
-
     def observe(self, inst_index: int, predicted_miss_ways: int) -> None:
         """Process one ATD access that misses at allocations 1..k.
 

@@ -88,7 +88,3 @@ class RecencyMonitor:
         curve = tail_hits[2:].tolist() + [0]  # positions > w for w = 1..max
         raw = (np.array(curve, dtype=float) + self._misses) * self.scale
         return enforce_nonincreasing(raw)
-
-    def hit_histogram(self) -> np.ndarray:
-        """Scaled hit counts per recency position ``1..max_ways``."""
-        return self._hits[1:].astype(float) * self.scale

@@ -1,13 +1,9 @@
-"""Cache substrate: LRU stacks, the batched stack-distance replay engine,
+"""Cache substrate: LRU stacks, the stack-distance replay front door,
 way-partitioned set-associative LLC model, partition bitmask bookkeeping
 and the private-hierarchy stall model."""
 
 from repro.cache.lru import LRUStack
-from repro.cache.replay import (
-    replay_access_stream,
-    resolve_engine,
-    vector_replay,
-)
+from repro.cache.replay import replay_access_stream, resolve_engine
 from repro.cache.setassoc import SetAssociativeLRU, prewarm_tags
 from repro.cache.partition import WayPartition, allocation_to_masks
 from repro.cache.hierarchy import PrivateHierarchyModel
@@ -16,7 +12,6 @@ __all__ = [
     "LRUStack",
     "SetAssociativeLRU",
     "prewarm_tags",
-    "vector_replay",
     "replay_access_stream",
     "resolve_engine",
     "WayPartition",

@@ -7,8 +7,8 @@ compiler and loaded through :mod:`ctypes`.  Each of its four kernels
 transcribes a Python loop bit for bit (asserted by the differential tests):
 
 * ``replay`` — :meth:`repro.cache.lru.LRUStack.access` over a whole
-  stream (see :mod:`repro.cache.replay`), every set's stack packed in one
-  flat ``int64`` array;
+  stream, every set's stack packed in one flat ``int64`` array: the fast
+  path of :func:`repro.cache.replay.replay_access_stream`;
 * ``mlp_lanes`` — the Fig. 4 counter lanes of
   :meth:`repro.atd.mlp.MLPCounterArray.observe_many`;
 * ``leading_lanes`` — the leading-miss oracle of
@@ -16,8 +16,10 @@ transcribes a Python loop bit for bit (asserted by the differential tests):
 * ``realise`` — the trace generator's per-set LRU realisation of target
   recencies (:mod:`repro.trace.generator`).
 
-The wrappers pass only C-contiguous buffers and check with NumPy every
-index the C dereferences.  Compilation happens at most once per source
+The wrappers pass only C-contiguous buffers, and every index the C
+dereferences is checked with NumPy first: by the replay front door,
+which validates its arguments once for both engines, and by the other
+wrappers themselves.  Compilation happens at most once per source
 revision: the shared object is cached under ``$REPRO_CACHE_DIR`` (default
 ``.cache/repro-db``) keyed by a hash of the source, and written atomically
 so concurrent builder workers cannot race.
@@ -25,8 +27,9 @@ so concurrent builder workers cannot race.
 Everything degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NO_NATIVE`` set true (:mod:`repro.settings`) simply make
 :func:`available` return ``False``, and every caller falls back to its
-NumPy or Python path.  No exception escapes from here during normal
-engine resolution.
+NumPy or Python path (replay falls back to the
+:class:`~repro.cache.lru.LRUStack` oracle).  No exception escapes from
+here during normal engine resolution.
 """
 
 from __future__ import annotations
@@ -212,18 +215,14 @@ def native_replay(
     initial: Optional[List[List[int]]] = None,
     want_state: bool = False,
 ) -> Tuple[np.ndarray, Optional[List[List[int]]]]:
-    """Drop-in equivalent of :func:`repro.cache.replay.vector_replay`."""
+    """The compiled ``"native"`` engine of
+    :func:`repro.cache.replay.replay_access_stream`, which checks every
+    argument first; this wrapper checks none."""
     lib = _require()
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if n_sets < 1:
-        raise ValueError("n_sets must be >= 1")
     n = len(set_index)
     stacks = np.zeros(n_sets * depth, dtype=np.int64)
     lens = np.zeros(n_sets, dtype=np.int32)
     if initial is not None:
-        if len(initial) != n_sets:
-            raise ValueError("initial must hold one contents list per set")
         for s, contents in enumerate(initial):
             lens[s] = len(contents)
             stacks[s * depth : s * depth + len(contents)] = contents
@@ -235,8 +234,6 @@ def native_replay(
             order_ptr = None
         else:
             order64 = np.ascontiguousarray(order, dtype=np.int64)
-            if len(order64) != n:
-                raise ValueError("order length mismatch")
             order_ptr = order64.ctypes.data
         lib.replay(
             sets32.ctypes.data,

@@ -6,16 +6,17 @@ tags whose *lookup position* is the recency (stack distance) used everywhere
 in the paper — an access at recency ``r`` hits in any allocation of at least
 ``r`` ways.
 
-Since the batched engines of :mod:`repro.cache.replay` took over the hot
-path, this class is the oracle the engines are differentially tested
-against: clarity beats speed here.  Every operation is a linear scan or
-shift over a Python list of at most ``depth`` entries — ``access`` pays a
-``list.index`` plus an ``insert(0, ...)`` (each O(depth)), and
-``__contains__``/``peek_recency`` pay one scan.  Fine at depth 16 for
-single probes; replaying whole streams through it is O(n * depth) Python
-work, which is exactly what the vectorized engines exist to avoid.  Misses
-are reported as :data:`~repro.trace.stream.FRESH` (the integer 0, never a
-valid 1-based recency).
+Since the compiled kernel of :mod:`repro.cache.replay` took over the hot
+path, this class is the oracle it is differentially tested against, and
+the replay fallback when no C compiler exists: clarity beats speed here.
+Every operation is a linear scan or shift over a Python list of at most
+``depth`` entries — ``access`` pays a ``list.index`` plus an
+``insert(0, ...)`` (each O(depth)), and ``__contains__``/``peek_recency``
+pay one scan.  Fine at depth 16 for single probes; replaying whole
+streams through it is O(n * depth) Python work, which is exactly what the
+compiled kernel exists to avoid.  Misses are reported as
+:data:`~repro.trace.stream.FRESH` (the integer 0, never a valid 1-based
+recency).
 """
 
 from __future__ import annotations

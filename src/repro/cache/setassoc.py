@@ -10,14 +10,12 @@ It serves two roles:
 * as the tag-array core of the **ATD** (``repro.atd``), which replays the
   same stream in arrival order.
 
-Replays run through :func:`~repro.cache.replay.replay_access_stream` on
-one of its interchangeable engines (default: ``REPRO_REPLAY_ENGINE``,
-itself ``auto`` — the compiled kernel when a C compiler is available,
-NumPy otherwise); ``engine="oracle"`` is the per-access
-:class:`~repro.cache.lru.LRUStack` loop, the reference path.  All engines
-are bit-for-bit equivalent, including the directory state left behind
-after a replay, so engines can be switched mid-stream and results
-compared exactly.
+Replays run through :func:`~repro.cache.replay.replay_access_stream`:
+on the compiled kernel when a C compiler is available, else (or with
+``engine="oracle"``) on the per-access :class:`~repro.cache.lru.LRUStack`
+loop, the reference path.  The two are bit-for-bit equivalent, including
+the directory state left behind after a replay, so engines can be
+switched mid-stream and results compared exactly.
 
 :func:`prewarm_tags` reproduces the deterministic warm-up contents the
 trace generator installs, standing in for the paper's 100M-instruction
@@ -50,9 +48,9 @@ class SetAssociativeLRU:
         Install the generator's warm-up contents (default True).  Without
         warm-up, early deep-recency accesses degrade to compulsory misses.
     engine:
-        Replay engine: ``"auto"``, ``"native"``, ``"vector"``, or
-        ``"oracle"`` for the reference per-access :class:`LRUStack` loop
-        (None: ``REPRO_REPLAY_ENGINE``, default ``"auto"``).
+        Replay engine: ``"native"``, or ``"oracle"`` for the reference
+        per-access :class:`LRUStack` loop (None: ``native`` when the
+        compiled kernel is available, else the oracle).
     """
 
     def __init__(

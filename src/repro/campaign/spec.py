@@ -11,7 +11,7 @@ system configuration, seed) and a result-format version, so cached
 results can never leak across code or calibration changes.
 
 Every field reaches the fingerprint.  How a run is executed — event-loop
-mode, replay engine, workers, stores — is not an input and lives in
+mode, compiled kernels, workers, stores — is not an input and lives in
 :mod:`repro.settings`; every execution mode produces the same bytes.
 """
 

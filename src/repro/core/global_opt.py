@@ -420,9 +420,6 @@ class ReductionTree:
     def w_max_total(self) -> int:
         return self._w_max_total
 
-    def leaf_curve(self, index: int) -> EnergyCurve:
-        return self._leaves[index].curve
-
     def _accelerated_leaf(self, curve: EnergyCurve) -> EnergyCurve:
         """Validate and, if needed, repack a leaf curve for the fast path.
 

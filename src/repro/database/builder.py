@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,14 +84,6 @@ class SimDatabase:
             weights = spec.phase_weights()
             for idx, record in enumerate(self.records[name]):
                 yield spec, idx, weights[idx], record
-
-    def baseline_times(self) -> Mapping[str, np.ndarray]:
-        """Per-app vector of baseline interval times (per phase)."""
-        base = self.system.baseline_setting()
-        return {
-            name: np.array([r.time_at(base) for r in recs])
-            for name, recs in self.records.items()
-        }
 
 
 def build_phase_record(

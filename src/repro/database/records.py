@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.atd.atd import ATDReport
 from repro.atd.mlp import MLPEstimate
-from repro.config import CoreSize, Setting, SystemConfig
+from repro.config import CoreSize, Setting
 
 __all__ = ["PhaseRecord", "IntervalCounters"]
 
@@ -381,9 +381,6 @@ class PhaseRecord:
         return cached
 
     # ------------------------------------------------------------------
-    def baseline_time(self, system: SystemConfig) -> float:
-        return self.time_at(system.baseline_setting())
-
     def shape_check(self) -> Tuple[int, int, int]:
         """Validate grid shapes; returns (n_sizes, n_freqs, n_ways)."""
         n_sizes, n_freqs, n_ways = self.time_grid.shape

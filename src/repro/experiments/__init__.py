@@ -14,11 +14,11 @@
 
 Every module is a declarative plan over the campaign engine
 (:mod:`repro.campaign`): ``specs(cfg) -> list[RunSpec]`` names the
-simulations it needs, ``render(cfg, results) -> ExperimentResult`` turns
-campaign results into the artefact, and ``run(cfg, n_workers=...)``
-wires the two through one campaign.  ``python -m repro <name>`` invokes
-a single module; ``python -m repro all`` merges every module's specs
-into one deduped campaign first.
+simulations it needs and ``render(cfg, results) -> ExperimentResult``
+turns campaign results into the artefact.  ``python -m repro <name>``
+(:func:`repro.experiments.runner.run_experiment`) wires one module's two
+through its own campaign; ``python -m repro all`` merges every module's
+specs into one deduped campaign first.
 """
 
 from repro.experiments.common import ExperimentConfig, ExperimentResult, get_database

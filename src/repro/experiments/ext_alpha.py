@@ -17,11 +17,10 @@ from repro.campaign import ResultSet, RunSpec
 from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
-    run_declarative,
 )
 from repro.simulator.metrics import energy_savings
 
-__all__ = ["run", "specs", "render", "ALPHA_LADDER", "SWEEP_WORKLOADS"]
+__all__ = ["specs", "render", "ALPHA_LADDER", "SWEEP_WORKLOADS"]
 
 ALPHA_LADDER = (1.0, 1.05, 1.10, 1.20)
 
@@ -97,12 +96,3 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         data=data,
     )
 
-
-def run(
-    cfg: ExperimentConfig | None = None, n_workers: int | None = None
-) -> ExperimentResult:
-    return run_declarative(specs, render, cfg, n_workers)
-
-
-if __name__ == "__main__":
-    print(run().rendered())

@@ -23,13 +23,12 @@ from repro.campaign import ResultSet, RunSpec
 from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
-    run_declarative,
 )
 from repro.experiments.ext_scaling import mix_spec, scaling_mixes
 from repro.simulator.metrics import energy_savings
 from repro.workloads.mixes import WorkloadMix
 
-__all__ = ["run", "specs", "render", "ALPHA_LADDER", "plane_core_counts"]
+__all__ = ["specs", "render", "ALPHA_LADDER", "plane_core_counts"]
 
 #: Relaxations swept at every core count (1.0 is the paper's setting and
 #: dedupes against the scaling sweep's RM3 runs).
@@ -126,12 +125,3 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         data={"plane": data},
     )
 
-
-def run(
-    cfg: ExperimentConfig | None = None, n_workers: int | None = None
-) -> ExperimentResult:
-    return run_declarative(specs, render, cfg, n_workers)
-
-
-if __name__ == "__main__":
-    print(run().rendered())

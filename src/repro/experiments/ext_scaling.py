@@ -34,14 +34,13 @@ from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
     get_database,
-    run_declarative,
 )
 from repro.experiments.overheads_table import measure_invocation
 from repro.simulator.metrics import energy_savings
 from repro.workloads.categories import classify_suite
 from repro.workloads.mixes import WorkloadMix, generate_workloads
 
-__all__ = ["run", "specs", "render", "scaling_mixes", "mix_spec"]
+__all__ = ["specs", "render", "scaling_mixes", "mix_spec"]
 
 _SCENARIOS = (1, 2, 3, 4)
 
@@ -170,12 +169,3 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         data={"summary": summary},
     )
 
-
-def run(
-    cfg: ExperimentConfig | None = None, n_workers: int | None = None
-) -> ExperimentResult:
-    return run_declarative(specs, render, cfg, n_workers)
-
-
-if __name__ == "__main__":
-    print(run().rendered())

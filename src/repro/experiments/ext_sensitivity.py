@@ -35,7 +35,6 @@ from repro.config import CORE_PARAMS, CoreSize
 from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
-    run_declarative,
 )
 from repro.microarch.leading import leading_miss_matrix
 from repro.trace.generator import PhaseTraceGenerator
@@ -43,7 +42,6 @@ from repro.trace.stream import FRESH
 from repro.workloads.suite import app_by_name
 
 __all__ = [
-    "run",
     "specs",
     "render",
     "lm_error_for_window",
@@ -155,12 +153,3 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         data=data,
     )
 
-
-def run(
-    cfg: ExperimentConfig | None = None, n_workers: int | None = None
-) -> ExperimentResult:
-    return run_declarative(specs, render, cfg, n_workers)
-
-
-if __name__ == "__main__":
-    print(run().rendered())

@@ -13,7 +13,6 @@ from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
     get_database,
-    run_declarative,
 )
 from repro.workloads.categories import classify_suite
 from repro.workloads.scenarios import (
@@ -22,7 +21,7 @@ from repro.workloads.scenarios import (
     scenario_weights,
 )
 
-__all__ = ["run", "specs", "render"]
+__all__ = ["specs", "render"]
 
 
 def specs(cfg: ExperimentConfig) -> List[RunSpec]:
@@ -65,12 +64,3 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         data={"counts": counts, "weights": weights, "cells": cells},
     )
 
-
-def run(
-    cfg: ExperimentConfig | None = None, n_workers: int | None = None
-) -> ExperimentResult:
-    return run_declarative(specs, render, cfg, n_workers)
-
-
-if __name__ == "__main__":
-    print(run().rendered())

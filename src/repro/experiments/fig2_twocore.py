@@ -19,11 +19,10 @@ from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
     RM_KINDS,
-    run_declarative,
 )
 from repro.simulator.metrics import energy_savings
 
-__all__ = ["run", "specs", "render", "REPRESENTATIVE_MIXES"]
+__all__ = ["specs", "render", "REPRESENTATIVE_MIXES"]
 
 #: One representative mix per scenario (category structure per Fig. 1).
 REPRESENTATIVE_MIXES: Dict[int, Tuple[str, str]] = {
@@ -90,12 +89,3 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         data={"savings": savings},
     )
 
-
-def run(
-    cfg: ExperimentConfig | None = None, n_workers: int | None = None
-) -> ExperimentResult:
-    return run_declarative(specs, render, cfg, n_workers)
-
-
-if __name__ == "__main__":
-    print(run().rendered())

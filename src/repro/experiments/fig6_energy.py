@@ -22,14 +22,13 @@ from repro.experiments.common import (
     ExperimentResult,
     RM_KINDS,
     get_database,
-    run_declarative,
 )
 from repro.simulator.metrics import energy_savings, weighted_scenario_average
 from repro.workloads.categories import classify_suite
 from repro.workloads.mixes import WorkloadMix, generate_workloads
 from repro.workloads.scenarios import PAPER_SCENARIO_WEIGHTS
 
-__all__ = ["run", "specs", "render", "scenario_mixes", "mix_spec"]
+__all__ = ["specs", "render", "scenario_mixes", "mix_spec"]
 
 
 @lru_cache(maxsize=None)
@@ -129,12 +128,3 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         data={"summary": summary},
     )
 
-
-def run(
-    cfg: ExperimentConfig | None = None, n_workers: int | None = None
-) -> ExperimentResult:
-    return run_declarative(specs, render, cfg, n_workers)
-
-
-if __name__ == "__main__":
-    print(run().rendered())

@@ -14,10 +14,9 @@ from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
     get_database,
-    run_declarative,
 )
 
-__all__ = ["run", "specs", "render"]
+__all__ = ["specs", "render"]
 
 #: The paper's reported relative improvements of Model3.
 PAPER_REDUCTIONS = {
@@ -74,12 +73,3 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         data={"results": studies, "reductions": reductions},
     )
 
-
-def run(
-    cfg: ExperimentConfig | None = None, n_workers: int | None = None
-) -> ExperimentResult:
-    return run_declarative(specs, render, cfg, n_workers)
-
-
-if __name__ == "__main__":
-    print(run().rendered())

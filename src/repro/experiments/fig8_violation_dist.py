@@ -20,10 +20,9 @@ from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
     get_database,
-    run_declarative,
 )
 
-__all__ = ["run", "specs", "render"]
+__all__ = ["specs", "render"]
 
 
 def specs(cfg: ExperimentConfig) -> List[RunSpec]:
@@ -67,12 +66,3 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         data={"results": studies, "bins": bins, "tails": tails},
     )
 
-
-def run(
-    cfg: ExperimentConfig | None = None, n_workers: int | None = None
-) -> ExperimentResult:
-    return run_declarative(specs, render, cfg, n_workers)
-
-
-if __name__ == "__main__":
-    print(run().rendered())

@@ -18,12 +18,11 @@ from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
     MODEL_NAMES,
-    run_declarative,
 )
 from repro.experiments.fig6_energy import mix_spec, scenario_mixes
 from repro.simulator.metrics import energy_savings
 
-__all__ = ["run", "specs", "render"]
+__all__ = ["specs", "render"]
 
 
 def specs(cfg: ExperimentConfig) -> List[RunSpec]:
@@ -88,12 +87,3 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         data={"summary": summary},
     )
 
-
-def run(
-    cfg: ExperimentConfig | None = None, n_workers: int | None = None
-) -> ExperimentResult:
-    return run_declarative(specs, render, cfg, n_workers)
-
-
-if __name__ == "__main__":
-    print(run().rendered())

@@ -34,10 +34,9 @@ from repro.experiments.common import (
     ExperimentResult,
     get_database,
     make_model,
-    run_declarative,
 )
 
-__all__ = ["run", "specs", "render", "measure_invocation"]
+__all__ = ["specs", "render", "measure_invocation"]
 
 
 def measure_invocation(db, rm_kind: str) -> Tuple[int, int, int]:
@@ -125,12 +124,3 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         data=data,
     )
 
-
-def run(
-    cfg: ExperimentConfig | None = None, n_workers: int | None = None
-) -> ExperimentResult:
-    return run_declarative(specs, render, cfg, n_workers)
-
-
-if __name__ == "__main__":
-    print(run().rendered())

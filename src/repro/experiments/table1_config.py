@@ -14,10 +14,9 @@ from repro.config import CORE_PARAMS, CoreSize, default_system
 from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
-    run_declarative,
 )
 
-__all__ = ["run", "specs", "render"]
+__all__ = ["specs", "render"]
 
 
 def specs(cfg: ExperimentConfig) -> List[RunSpec]:
@@ -81,12 +80,3 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         data={"system": system},
     )
 
-
-def run(
-    cfg: ExperimentConfig | None = None, n_workers: int | None = None
-) -> ExperimentResult:
-    return run_declarative(specs, render, cfg, n_workers)
-
-
-if __name__ == "__main__":
-    print(run().rendered())

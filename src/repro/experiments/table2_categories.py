@@ -18,12 +18,11 @@ from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
     get_database,
-    run_declarative,
 )
 from repro.workloads.categories import classify_suite
 from repro.workloads.suite import TABLE2_CATEGORIES
 
-__all__ = ["run", "specs", "render"]
+__all__ = ["specs", "render"]
 
 
 def specs(cfg: ExperimentConfig) -> List[RunSpec]:
@@ -90,12 +89,3 @@ def render(cfg: ExperimentConfig, results: ResultSet) -> ExperimentResult:
         data={"categories": cats, "mismatches": mismatches},
     )
 
-
-def run(
-    cfg: ExperimentConfig | None = None, n_workers: int | None = None
-) -> ExperimentResult:
-    return run_declarative(specs, render, cfg, n_workers)
-
-
-if __name__ == "__main__":
-    print(run().rendered())

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import CoreSize, MemoryConfig, SystemConfig
+from repro.config import CoreSize, SystemConfig
 
 __all__ = ["IntervalModel", "bandwidth_latency_factor", "solve_contention_time"]
 
@@ -124,17 +124,6 @@ class IntervalModel:
 
     system: SystemConfig
     contention: bool = True
-
-    def memory_latency_s(self, misses: float, time_s_estimate: float) -> float:
-        """Effective per-access DRAM latency under the contention model."""
-        mem: MemoryConfig = self.system.memory
-        base = mem.base_latency_s
-        if not self.contention or time_s_estimate <= 0:
-            return base
-        traffic = misses * self.system.cache.block_bytes / time_s_estimate
-        return base * bandwidth_latency_factor(
-            traffic, mem.bandwidth_gbps_per_core * 1e9
-        )
 
     def time_s(
         self,

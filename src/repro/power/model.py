@@ -61,15 +61,6 @@ class PowerModel:
             * 1e-9
         )
 
-    def dynamic_power_w(
-        self, core: CoreSize, v: float, f_ghz: float, ipc: float
-    ) -> float:
-        """Dynamic power while executing at the given rate (V^2 * f form)."""
-        if f_ghz <= 0 or ipc <= 0:
-            raise ValueError("frequency and ipc must be positive")
-        inst_per_s = ipc * f_ghz * 1e9
-        return self.dynamic_energy_per_instruction_j(core, v) * inst_per_s
-
     def static_power_w(self, core: CoreSize, v: float) -> float:
         """Static (leakage) power of one core."""
         if v <= 0:

@@ -2,9 +2,9 @@
 
 Results depend only on the fingerprinted :class:`~repro.campaign.spec.RunSpec`;
 :class:`Settings` holds everything else — stores, worker counts, event
-loop, engines, the fault harness — one field per knob, each declaring
-its environment variable, default and parser.  No knob changes a result
-byte.
+loop, compiled kernels, the fault harness — one field per knob, each
+declaring its environment variable, default and parser.  No knob changes
+a result byte.
 
 Resolution is per process: CLI flags (applied with :func:`override`),
 then the environment, then the default.  The entry points — the CLI
@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, Iterator, Optional
 __all__ = [
     "ENV",
     "EXEMPT",
-    "REPLAY_ENGINES",
     "Settings",
     "WAVE_MODES",
     "current",
@@ -42,10 +41,6 @@ __all__ = [
 #: Simulator event-loop modes: ``scalar`` is the differential oracle,
 #: ``step`` the wave loop, the fast path; results are bit-identical.
 WAVE_MODES = ("scalar", "step")
-
-#: Replay engines (see :mod:`repro.cache.replay`); ``auto`` picks
-#: ``native`` when the compiled kernel is available, else ``vector``.
-REPLAY_ENGINES = ("auto", "native", "vector", "oracle")
 
 #: ``REPRO_*`` names used in this repository that are not program knobs.
 EXEMPT = {"REPRO_BENCH_NO_PRIME": "benchmarks/conftest.py: skip the prime"}
@@ -126,9 +121,6 @@ class Settings:
         "REPRO_SPEC_TIMEOUT", None, _positive_or_none
     )
     wave: str = _knob("REPRO_SIM_WAVE", "step", _choice(WAVE_MODES))
-    replay_engine: str = _knob(
-        "REPRO_REPLAY_ENGINE", "auto", _choice(REPLAY_ENGINES)
-    )
     no_native: bool = _knob("REPRO_NO_NATIVE", False, parse_bool)
     verify_reads: bool = _knob("REPRO_VERIFY_READS", True, parse_bool)
     fault_plan: Optional[str] = _knob("REPRO_FAULT_PLAN", None, _fault_plan)

@@ -100,11 +100,10 @@ class _CoreStates:
     (record, setting) pair actually changed — the refreshed values are a
     pure function of the pair, so skipping untouched cores is exact.
 
-    For the wave loop the container additionally mirrors the current
-    settings as three plain arrays (``set_c``/``set_f``/``set_w``) so a
-    decision diffs against the whole system in a handful of vector
-    compares, and owns the preallocated scratch buffers and the compiled
-    kernel's state table of :meth:`next_event`.  ``rate_refreshes``
+    For the wave loop the container additionally diffs a decision's
+    settings against the current ones (:meth:`diff_settings`) and owns
+    the preallocated scratch buffers and the compiled kernel's state
+    table of :meth:`next_event`.  ``rate_refreshes``
     counts every rate derivation (memoized or not) — the wave tests
     assert that replayed settings maps trigger exactly one refresh per
     boundary.
@@ -131,9 +130,6 @@ class _CoreStates:
         "settings",
         "intervals",
         "apps",
-        "set_c",
-        "set_f",
-        "set_w",
         "rate_refreshes",
         "n_active",
         "_active",
@@ -170,10 +166,6 @@ class _CoreStates:
         self.settings: List[Setting] = [None] * n  # type: ignore[list-item]
         self.intervals: List[int] = [0] * n
         self.apps: List[str] = [""] * n
-        # Settings mirror for the vectorised diff (wave loop).
-        self.set_c = np.zeros(n, dtype=np.int64)
-        self.set_f = np.zeros(n)
-        self.set_w = np.zeros(n, dtype=np.int64)
         self.rate_refreshes = 0
         #: ``~finished`` maintained as its own array (wave-loop guard
         #: reductions read it every event), and its count.
@@ -266,13 +258,6 @@ class _CoreStates:
         self.work_j_per_inst[mask] = 0.0
         self.static_w[mask] = 0.0
 
-    def sync_setting_arrays(self, i: int) -> None:
-        """Mirror ``settings[i]`` into the vector-diff arrays."""
-        s = self.settings[i]
-        self.set_c[i] = s.core
-        self.set_f[i] = s.f_ghz
-        self.set_w[i] = s.ways
-
     def diff_settings(self, settings_map: Dict[int, Setting]) -> List[int]:
         """Value-diff a decision map against the current settings.
 
@@ -284,36 +269,21 @@ class _CoreStates:
         object, so the pre-pass holds for that core at every later map
         (the first map swaps the run's own baseline objects out this
         way).  A changed core is left to the caller, which prices its
-        transition from the old setting before applying the new one.  A
-        few candidates are value-compared directly; a large set (a real
-        re-partition) takes one vectorised triple-compare against the
-        struct-of-arrays settings mirror — ``!=`` on :class:`Setting` is
-        exactly this (core, f, ways) comparison.  Returns the changed core
-        ids ascending (the scalar loop's visit order); the caller syncs
-        the mirror as it applies each change.
+        transition from the old setting before applying the new one.
+        Every candidate is value-compared (``==`` on :class:`Setting`
+        compares core, frequency and ways).  Returns the changed core ids
+        ascending (the scalar loop's visit order).
         """
-        n = self.n
         settings = self.settings
-        vals = [settings_map[i] for i in range(n)]
-        cand = [i for i in range(n) if vals[i] is not settings[i]]
-        if len(cand) <= 8:
-            changed = []
-            for i in cand:
-                if vals[i] == settings[i]:
-                    settings[i] = vals[i]
+        changed = []
+        for i in range(self.n):
+            new = settings_map[i]
+            if new is not settings[i]:
+                if new == settings[i]:
+                    settings[i] = new
                 else:
                     changed.append(i)
-            return changed
-        new_f = np.fromiter((s.f_ghz for s in vals), dtype=float, count=n)
-        new_w = np.fromiter((s.ways for s in vals), dtype=np.int64, count=n)
-        new_c = np.fromiter((s.core for s in vals), dtype=np.int64, count=n)
-        moved = (
-            (new_f != self.set_f) | (new_w != self.set_w) | (new_c != self.set_c)
-        ).tolist()
-        for i in cand:
-            if not moved[i]:
-                settings[i] = vals[i]
-        return [i for i in cand if moved[i]]
+        return changed
 
     def finished_all(self) -> bool:
         """Every core reached the horizon (wave loop: the advance keeps
@@ -611,7 +581,6 @@ class MulticoreRMSimulator:
             st.records[cid] = self.db.record_for_interval(name, 0)
             st.settings[cid] = baseline
             st.refresh_rates(cid)
-            st.sync_setting_arrays(cid)
 
         history: Optional[List[SettingChange]] = [] if self.collect_history else None
         self._configure_rm_for_mode()
@@ -925,7 +894,6 @@ class MulticoreRMSimulator:
                     if not finished[i]:
                         st.overhead_j[i] += cost.energy_j + energy_j
                 settings_list[i] = new_setting
-                st.sync_setting_arrays(i)
                 if history is not None:
                     history.append(SettingChange(t, i, new_setting))
                 if i != b:

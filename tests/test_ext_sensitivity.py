@@ -12,9 +12,9 @@ from repro.experiments.ext_sensitivity import (
     PROBE_APPS,
     lm_error_for_window,
     lm_undercount_for_counter_bits,
-    run,
 )
 from repro.experiments.common import ExperimentConfig
+from repro.experiments.runner import run_experiment
 
 #: ``ext-sensitivity --quick --seed 2020`` rows, pinned before its render
 #: moved to batched counter passes.
@@ -88,7 +88,7 @@ def test_render_work_counts(tmp_path):
 @pytest.mark.slow
 class TestSensitivityExperiment:
     def test_run_shape(self, full_db):
-        res = run(ExperimentConfig(quick=True))
+        res = run_experiment("ext-sensitivity", ExperimentConfig(quick=True))
         assert len(res.rows) == 8  # 3 window rows + 5 counter rows
         assert res.rows == ROWS_SEED_2020
         # paper budget row: zero saturation everywhere

@@ -87,7 +87,6 @@ MALFORMED = [
     ("REPRO_BUILD_WORKERS", "two"),
     ("REPRO_SPEC_TIMEOUT", "forever"),
     ("REPRO_SIM_WAVE", "stepp"),
-    ("REPRO_REPLAY_ENGINE", "warp"),
     ("REPRO_NO_NATIVE", "nope"),
     ("REPRO_VERIFY_READS", "sometimes"),
     ("REPRO_FAULT_PLAN", "explode:fp=ab"),

@@ -11,9 +11,8 @@ The contract under test:
   back-track choices) is bit-identical to the plain tree;
 * waves replaying a settings map by identity skip every non-boundary
   rate refresh (the ``rate_refreshes`` accounting);
-* generated full runs at 2-32 cores — past the settings diff's
-  vectorised path — agree between the loops, and the scalar oracle runs
-  none of the wave loop's fast paths.
+* generated full runs at 2-32 cores agree between the loops, and the
+  scalar oracle runs none of the wave loop's fast paths.
 """
 
 import numpy as np
@@ -232,13 +231,12 @@ class TestDiffSettings:
     def test_equal_adopted_changed_left_to_caller(self, system2, n):
         """Equal-valued fresh objects are adopted, so the identity
         pre-pass holds for them at the next map; a changed core keeps its
-        old setting for the caller to price.  ``n = 12`` takes the
-        vectorised path (more than 8 candidates)."""
+        old setting for the caller to price.  A narrow (``n = 4``) and a
+        wide (``n = 12``) system take the same per-candidate compare."""
         base = system2.baseline_setting()
         st_ = rmsim._CoreStates(n)
         for i in range(n):
             st_.settings[i] = base
-            st_.sync_setting_arrays(i)
         fresh = {i: base.replace() for i in range(n)}
         fresh[1] = base.replace(ways=4)
         assert st_.diff_settings(fresh) == [1]
@@ -394,7 +392,7 @@ class TestAcceleratedTree:
 
 
 # ---------------------------------------------------------------------------
-# generated full runs: step vs scalar past the diff's vectorised path
+# generated full runs: step vs scalar at 2-32 cores
 # ---------------------------------------------------------------------------
 SUITE_APPS = tuple(sorted(app.name for app in spec_suite()))
 GEN_MODELS = {

@@ -16,8 +16,7 @@ import pytest
 
 from repro.atd.atd import AuxiliaryTagDirectory
 from repro.cache import _native
-from repro.cache.replay import prewarm_tags
-from repro.cache.setassoc import SetAssociativeLRU
+from repro.cache.replay import prewarm_tags, replay_access_stream
 from repro.config import ScaleConfig, default_system
 from repro.core.energy_curve import EnergyCurve
 from repro.core.energy_model import OnlineEnergyModel
@@ -53,6 +52,15 @@ def _replay_fixture():
     return gen, stream, stream.in_arrival_order()
 
 
+def _oracle_replay(gen, stream, order):
+    """The per-access oracle through the front door, from the warm-up."""
+    return replay_access_stream(
+        stream.set_index, stream.tag, n_sets=gen.n_sets, depth=16,
+        order=order, initial=[prewarm_tags(s, 16) for s in range(gen.n_sets)],
+        engine="oracle",
+    )[0]
+
+
 def _bench_replay_engine(benchmark, engine):
     """Arrival-order replay of a full-scale stream on one engine.
 
@@ -65,8 +73,7 @@ def _bench_replay_engine(benchmark, engine):
     if engine == "oracle":
 
         def run():
-            model = SetAssociativeLRU(gen.n_sets, engine="oracle")
-            return model.replay(stream, order)
+            return _oracle_replay(gen, stream, order)
 
     else:
 
@@ -77,10 +84,7 @@ def _bench_replay_engine(benchmark, engine):
             )[0]
 
     recency = benchmark(run)
-    assert np.array_equal(
-        recency,
-        SetAssociativeLRU(gen.n_sets, engine="oracle").replay(stream, order),
-    )
+    assert np.array_equal(recency, _oracle_replay(gen, stream, order))
     if benchmark.stats:  # absent under --benchmark-disable
         benchmark.extra_info["accesses_per_sec"] = (
             stream.n_accesses / benchmark.stats["mean"]
@@ -117,12 +121,7 @@ def test_replay_speedup_over_oracle():
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    t_oracle = best_of(
-        lambda: SetAssociativeLRU(gen.n_sets, engine="oracle").replay(
-            stream, order
-        ),
-        3,
-    )
+    t_oracle = best_of(lambda: _oracle_replay(gen, stream, order), 3)
     t_fast = best_of(
         lambda: _native.native_replay(
             stream.set_index, stream.tag, n_sets=gen.n_sets, depth=16,

@@ -1,7 +1,9 @@
 """The per-core Auxiliary Tag Directory.
 
 Replays the core's LLC access stream *in arrival order* (the order requests
-reach the cache after out-of-order execution) through a shadow tag array,
+reach the cache after out-of-order execution) through a shadow tag array —
+one :func:`~repro.cache.replay.replay_access_stream` call from the
+generator's warm-up contents (:func:`~repro.cache.replay.prewarm_tags`) —
 feeding:
 
 * a :class:`~repro.atd.monitor.RecencyMonitor` — miss counts for every
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.atd.mlp import MLPCounterArray, MLPEstimate
 from repro.atd.monitor import RecencyMonitor
-from repro.cache.setassoc import SetAssociativeLRU
+from repro.cache.replay import prewarm_tags, replay_access_stream
 from repro.trace.stream import FRESH, AccessStream
 
 __all__ = ["AuxiliaryTagDirectory", "ATDReport"]
@@ -88,12 +90,6 @@ class AuxiliaryTagDirectory:
     mlp_set_sample:
         Optional sampling for the MLP counters (default full coverage; see
         module docstring).
-    engine:
-        Replay engine of the shadow tag array (see
-        :class:`~repro.cache.setassoc.SetAssociativeLRU`): ``"native"``,
-        ``"oracle"``, or None for the compiled kernel when it is
-        available and the :class:`~repro.cache.lru.LRUStack` oracle
-        otherwise.
     """
 
     def __init__(
@@ -102,17 +98,17 @@ class AuxiliaryTagDirectory:
         max_ways: int = 16,
         set_sample: int = 1,
         mlp_set_sample: int = 1,
-        engine: str | None = None,
     ):
+        if n_sets < 1 or max_ways < 1:
+            raise ValueError("n_sets and max_ways must be >= 1")
         if set_sample < 1 or mlp_set_sample < 1:
             raise ValueError("sampling factors must be >= 1")
         self.n_sets = n_sets
         self.max_ways = max_ways
         self.set_sample = set_sample
         self.mlp_set_sample = mlp_set_sample
-        self._tags = SetAssociativeLRU(
-            n_sets, depth=max_ways, prewarm=True, engine=engine
-        )
+        #: The shadow tag array's contents at the start of every replay.
+        self._warm = [prewarm_tags(s, max_ways) for s in range(n_sets)]
 
     def process(self, stream: AccessStream, scale: float = 1.0) -> ATDReport:
         """Replay one interval's stream and produce the RM-facing report.
@@ -120,10 +116,10 @@ class AuxiliaryTagDirectory:
         The tag array replays the stream in arrival order (exactly as the
         hardware would observe requests) in one replay call; both monitors
         then consume the precomputed recency array instead of re-touching
-        the stacks access by access.  Each call replays its stream afresh:
-        a database build replays every stream once, here, because the
-        main tag directory's miss curve comes from the generator's
-        realised recencies.
+        the stacks access by access.  Each call replays its stream afresh
+        from the warm-up contents: a database build replays every stream
+        once, here, because the main tag directory's miss curve comes from
+        the generator's realised recencies.
 
         Parameters
         ----------
@@ -136,11 +132,14 @@ class AuxiliaryTagDirectory:
         counters = MLPCounterArray(max_ways=self.max_ways)
 
         # One arrival-order replay call; recencies indexed by stream
-        # position.  The directory state advances exactly as it would have
-        # under per-access updates.
-        recency = self._tags.replay(stream, "arrival")
-
+        # position, exactly as per-access stack updates would report them.
         sets = stream.set_index
+        arrival = stream.in_arrival_order()
+        recency, _ = replay_access_stream(
+            sets, stream.tag, n_sets=self.n_sets, depth=self.max_ways,
+            order=arrival, initial=self._warm,
+        )
+
         if self.set_sample == 1:
             monitor.record_many(recency)
         else:
@@ -148,7 +147,6 @@ class AuxiliaryTagDirectory:
 
         # The MLP counters are order-sensitive: feed them the arrival-order
         # view of the same recency array.
-        arrival = stream.in_arrival_order()
         rec_seq = recency[arrival].astype(np.int64)
         # predicted to miss at allocations 1..(recency-1); a fresh access
         # misses everywhere.

@@ -1,20 +1,16 @@
-"""Cache substrate: LRU stacks, the stack-distance replay front door,
-way-partitioned set-associative LLC model, partition bitmask bookkeeping
-and the private-hierarchy stall model."""
+"""Cache substrate: the LRU stack oracle, the stack-distance replay front
+door (which the ATD calls directly) and the warm-up contents every replay
+starts from, the repartition transient (:mod:`repro.cache.partition`) and
+the private-hierarchy stall model."""
 
 from repro.cache.lru import LRUStack
-from repro.cache.replay import replay_access_stream, resolve_engine
-from repro.cache.setassoc import SetAssociativeLRU, prewarm_tags
-from repro.cache.partition import WayPartition, allocation_to_masks
+from repro.cache.replay import prewarm_tags, replay_access_stream, resolve_engine
 from repro.cache.hierarchy import PrivateHierarchyModel
 
 __all__ = [
     "LRUStack",
-    "SetAssociativeLRU",
     "prewarm_tags",
     "replay_access_stream",
     "resolve_engine",
-    "WayPartition",
-    "allocation_to_masks",
     "PrivateHierarchyModel",
 ]

@@ -1,95 +1,18 @@
-"""LLC way-partition bitmask bookkeeping.
+"""The cost of moving LLC ways between cores.
 
-The RM's global optimiser produces a per-core way *count*; hardware enforces
-it through per-core way bitmasks ("LLC Partitioning Bit-masks" in Fig. 3,
-Intel CAT style).  :class:`WayPartition` owns the mapping between counts and
-non-overlapping masks and validates every reconfiguration, so the simulator
-can charge reconfiguration events only when a mask actually changes.
+The RM's global optimiser produces a per-core way *count*; hardware
+enforces it through per-core way bitmasks ("LLC Partitioning Bit-masks" in
+Fig. 3, Intel CAT style).  Rewriting a mask is a register write, so the
+simulator prices a repartition from each core's way delta alone, through
+:class:`RepartitionTransient`: the refills the moved ways cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
-__all__ = ["WayPartition", "allocation_to_masks", "RepartitionTransient"]
-
-
-def allocation_to_masks(ways: Sequence[int], total_ways: int) -> List[int]:
-    """Pack per-core way counts into disjoint contiguous bitmasks.
-
-    Cores receive contiguous way ranges in core order; the masks always
-    cover exactly ``sum(ways)`` ways and never overlap.
-
-    Returns
-    -------
-    One integer bitmask per core (bit ``i`` = way ``i``).
-    """
-    if sum(ways) > total_ways:
-        raise ValueError(f"allocation {list(ways)} exceeds {total_ways} ways")
-    if any(w < 0 for w in ways):
-        raise ValueError("way counts must be non-negative")
-    masks = []
-    base = 0
-    for w in ways:
-        masks.append(((1 << w) - 1) << base)
-        base += w
-    return masks
-
-
-@dataclass
-class WayPartition:
-    """Mutable partition state for an ``n_cores`` system.
-
-    Attributes
-    ----------
-    total_ways:
-        Total LLC associativity ``A``.
-    ways:
-        Current per-core way counts (must sum to ``total_ways``).
-    """
-
-    total_ways: int
-    ways: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        self._validate(self.ways)
-
-    def _validate(self, ways: Sequence[int]) -> None:
-        if sum(ways) != self.total_ways:
-            raise ValueError(
-                f"allocation {list(ways)} must sum to {self.total_ways} ways"
-            )
-        if any(w < 1 for w in ways):
-            raise ValueError("each core needs at least one way")
-
-    @property
-    def n_cores(self) -> int:
-        return len(self.ways)
-
-    def masks(self) -> List[int]:
-        """Current non-overlapping per-core bitmasks."""
-        return allocation_to_masks(self.ways, self.total_ways)
-
-    def apply(self, new_ways: Sequence[int]) -> Tuple[int, ...]:
-        """Install a new allocation; return the cores whose mask changed.
-
-        The returned tuple of core ids is what the simulator charges the
-        (small) repartitioning overhead to.
-        """
-        self._validate(new_ways)
-        changed = tuple(
-            i for i, (old, new) in enumerate(zip(self.ways, new_ways)) if old != new
-        )
-        self.ways = tuple(int(w) for w in new_ways)
-        return changed
-
-    def even_split(self) -> Tuple[int, ...]:
-        """The baseline allocation: ``total_ways / n_cores`` each."""
-        if self.total_ways % self.n_cores:
-            raise ValueError("total ways not divisible by core count")
-        per = self.total_ways // self.n_cores
-        return tuple(per for _ in range(self.n_cores))
+__all__ = ["RepartitionTransient"]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """LRU stack-distance replay: one oracle, one compiled fast path.
 
 Replaying an access stream through per-set LRU stacks is the substrate of
-the whole reproduction: the main tag directory, the per-core ATD and every
-database build funnel through it.  :func:`replay_access_stream` is the
-front door to two engines:
+the ATD: every database build replays each phase record's stream once,
+through :meth:`~repro.atd.atd.AuxiliaryTagDirectory.process`, which calls
+:func:`replay_access_stream` itself.  That function is the front door to
+two engines (pass ``engine="oracle"`` to force the reference at a call
+site):
 
 ``native``
     A ~30-line C kernel (the per-set stacks packed into one flat int64
@@ -81,7 +83,7 @@ def replay_access_stream(
     set's starting contents, MRU first: ``n_sets`` lists of at most
     ``depth`` unique tags, e.g. :func:`prewarm_tags` output or the state
     a previous replay returned.  ``want_state`` also returns the final
-    per-set contents, so a stateful wrapper can continue where this call
+    per-set contents, so a later call can continue where this one
     stopped.  Returns ``(recency, state)``: ``int16[n]`` recencies and
     the final :data:`SetState` (``None`` unless ``want_state``).  Every
     argument is checked here, before either engine runs.

@@ -3,8 +3,10 @@
 Phase records do not depend on the core count (grids span the full
 per-core setting space; the way budget only matters to the optimiser), so
 one build per seed is re-bound to every requested system.  The first
-request for a seed pays the build (or the on-disk ``.npz`` load); any
-later core count — larger or smaller — reuses those records.
+request for a seed pays the build (or the load of the seed's one on-disk
+``.npz``, which every core count shares — see
+:mod:`repro.database.store`); any later core count — larger or smaller —
+reuses those records.
 
 This cache serves the *canonical* calibrated suite only (the suite
 :class:`~repro.campaign.spec.RunSpec` fingerprints assert); custom suites
@@ -42,31 +44,10 @@ def get_database(n_cores: int, seed: int = 2020) -> SimDatabase:
         db = SimDatabase(
             system=default_system(n_cores), apps=base.apps, records=base.records
         )
-        _persist_rebinding(db, seed)
     else:
         db = build_database(spec_suite(), default_system(n_cores), seed=seed)
     _DB_CACHE[key] = db
     return db
-
-
-def _persist_rebinding(db: SimDatabase, seed: int) -> None:
-    """Write a rebound database to the on-disk cache (once per system).
-
-    The disk key includes the core count, so a binding produced purely
-    in memory would otherwise be invisible to processes that cannot
-    inherit this cache — spawn-start-method pool workers, later CLI
-    invocations — forcing them into a full rebuild.
-    """
-    from repro.database.store import (
-        cache_dir,
-        database_fingerprint,
-        save_database_cache,
-    )
-
-    suite = spec_suite()
-    fp = database_fingerprint(suite, db.system, seed)
-    if not (cache_dir() / f"{fp}.npz").exists():
-        save_database_cache(db, suite, seed)
 
 
 def clear_database_cache() -> None:

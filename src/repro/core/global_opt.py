@@ -106,15 +106,17 @@ class _Node:
         #: Width the *unwindowed* combine would have — the accounting
         #: basis: ``dp_operations`` always charges nominal ``la * lb``
         #: cells, whether or not the accelerated path narrowed the
-        #: columns it actually materialised.
-        self.nom_size: int = 0
+        #: columns it actually materialised.  A leaf's is its curve's.
+        self.nom_size: int = 0 if curve is None else curve.energy.size
         #: Budget window (absolute way counts) this node's curve can ever
         #: be read at; None until acceleration derives it.
         self.win_lo: Optional[int] = None
         self.win_hi: Optional[int] = None
 
 
-def combine_pair(a: EnergyCurve, b: EnergyCurve) -> tuple[EnergyCurve, np.ndarray, int]:
+def combine_pair(
+    a: EnergyCurve, b: EnergyCurve, window: Optional[tuple] = None
+) -> tuple[EnergyCurve, np.ndarray, int]:
     """Reduce two curves; returns (combined, left-choice table, op count).
 
     ``choice[i]`` is the left-child allocation for combined way count
@@ -129,6 +131,10 @@ def combine_pair(a: EnergyCurve, b: EnergyCurve) -> tuple[EnergyCurve, np.ndarra
     re-viewing the buffer with row stride ``width`` shifts row ``ia``
     right by ``ia`` columns and the off-band positions land on the
     ``inf`` padding — which avoids a scattered fancy-index assignment.
+
+    ``window=(lo, hi)`` keeps only the combined way counts in
+    ``[lo, hi]``: column minima are mutually independent, so every kept
+    value and choice is bit-identical to the full combine's.
     """
     la, lb = a.energy.size, b.energy.size
     lo = a.w_min + b.w_min
@@ -137,8 +143,15 @@ def combine_pair(a: EnergyCurve, b: EnergyCurve) -> tuple[EnergyCurve, np.ndarra
     buf[:, lb:] = np.inf
     np.add(a.energy[:, None], b.energy[None, :], out=buf[:, :lb])
     sums = buf.reshape(-1)[: la * width].reshape(la, width)
+    if window is not None:
+        win_lo = max(lo, window[0])
+        win_hi = min(a.w_max + b.w_max, window[1])
+        if win_lo > win_hi:  # pragma: no cover - guarded by budget validation
+            raise ValueError("empty budget window; budget outside domain")
+        sums = sums[:, win_lo - lo : win_hi - lo + 1]
+        lo = win_lo
     idx = sums.argmin(axis=0)
-    best = sums[idx, np.arange(width)]
+    best = sums[idx, np.arange(idx.size)]
     return EnergyCurve.from_reduction(lo, best), a.w_min + idx, la * lb
 
 
@@ -197,52 +210,24 @@ def _pair_up(nodes: List[_Node]) -> _Node:
 
 
 def _combine_node(node: _Node) -> int:
-    node.curve, choice, ops = combine_pair(node.left.curve, node.right.curve)
+    """Combine a node's children; return the *nominal* cells charged.
+
+    A node with a budget window (the accelerated tree without a compiler)
+    materialises only the columns inside it; the skipped columns are
+    those no feasible full-budget split can ever read (see
+    :meth:`ReductionTree._derive_windows`), and the compiled kernel's
+    ``tree_update`` computes the same values.  Either way the charge is
+    the nominal ``la * lb`` of the children's unwindowed widths, the bill
+    the plain tree reports (the :meth:`ReductionTree.path_operations`
+    invariance pattern).
+    """
+    left, right = node.left, node.right
+    window = None if node.win_lo is None else (node.win_lo, node.win_hi)
+    node.curve, choice, _ = combine_pair(left.curve, right.curve, window)
     node.choice = choice.tolist()
     node.w_lo = node.curve.w_min
-    node.nom_size = node.curve.energy.size
-    return ops
-
-
-def _combine_node_accel(node: _Node) -> int:
-    """:func:`_combine_node` restricted to the node's budget window.
-
-    Only the columns inside ``[win_lo, win_hi]`` are materialised —
-    column minima of the (min,+) band are mutually independent, so every
-    produced value (and its first-minimum choice) is bit-identical to the
-    full combine's; the skipped columns are exactly those no feasible
-    full-budget split can ever read (see
-    :meth:`ReductionTree._derive_windows`).  This is the NumPy path,
-    slicing the same columns out of the full banded view; the compiled
-    kernel's ``tree_update`` computes the same values.  Either way the
-    charged cells stay the *nominal* ``la * lb`` — the accounting the
-    unwindowed plain tree reports (the
-    :meth:`ReductionTree.path_operations` invariance pattern).
-    """
-    a, b = node.left.curve, node.right.curve
-    nom_la = node.left.nom_size
-    nom_lb = node.right.nom_size
-    node.nom_size = nom_la + nom_lb - 1
-    lo = a.w_min + b.w_min
-    hi = a.w_max + b.w_max
-    win_lo = max(lo, node.win_lo)
-    win_hi = min(hi, node.win_hi)
-    if win_lo > win_hi:  # pragma: no cover - guarded by budget validation
-        raise ValueError("empty budget window; budget outside domain")
-    la, lb = a.energy.size, b.energy.size
-    width = la + lb - 1
-    buf = np.empty((la, width + 1))
-    buf[:, lb:] = np.inf
-    np.add(a.energy[:, None], b.energy[None, :], out=buf[:, :lb])
-    sums = buf.reshape(-1)[: la * width].reshape(la, width)
-    seg = sums[:, win_lo - lo : win_hi - lo + 1]
-    arg = seg.argmin(axis=0)
-    best = seg[arg, np.arange(arg.size)]
-    node.curve = EnergyCurve.from_reduction(win_lo, best)
-    arg = arg + a.w_min
-    node.choice = arg.tolist()
-    node.w_lo = win_lo
-    return nom_la * nom_lb
+    node.nom_size = left.nom_size + right.nom_size - 1
+    return left.nom_size * right.nom_size
 
 
 def _energy_addr(curve: EnergyCurve) -> int:
@@ -366,13 +351,11 @@ class ReductionTree:
             if budget < 1:
                 raise ValueError("budget must be >= 1")
             self.acceleration = (budget, leaf_lo, leaf_hi)
+        if self.acceleration is not None:
+            curves = [self._accelerated_leaf(curve) for curve in curves]
         self._leaves = [_Node(curve=curve) for curve in curves]
         self._root = _pair_up(list(self._leaves))
         self._internal = _internal_bottom_up(self._root)
-        for leaf in self._leaves:
-            if self.acceleration is not None:
-                leaf.curve = self._accelerated_leaf(leaf.curve)
-            leaf.nom_size = leaf.curve.energy.size
         for node in self._internal:
             node.n_leaves = node.left.n_leaves + node.right.n_leaves
         self._w_min_total = sum(c.w_min for c in curves)
@@ -396,15 +379,10 @@ class ReductionTree:
         if self._lib is not None:
             ops = self._stage_native()
         else:
-            combine = (
-                _combine_node_accel
-                if self.acceleration is not None
-                else _combine_node
-            )
             ops = 0
             for node in self._internal:
                 if node is not self._root:
-                    ops += combine(node)
+                    ops += _combine_node(node)
         #: Cells touched building every non-root combine once.
         self.build_operations = ops
 
@@ -593,12 +571,9 @@ class ReductionTree:
             self._install_native(index, curve)
             self._run_native(self._plan_addrs[index], self._paths[index])
             return ops
-        combine = (
-            _combine_node_accel if self.acceleration is not None else _combine_node
-        )
         node = leaf.parent
         while node is not None and node is not self._root:
-            combine(node)
+            _combine_node(node)
             node = node.parent
         return ops
 

@@ -224,8 +224,9 @@ def build_database(
 ) -> SimDatabase:
     """Build (or load from cache) the database for a suite.
 
-    The cache key covers the suite specs, the system configuration and the
-    seed, so stale results can never be returned for changed inputs.
+    The cache key covers the suite specs, the seed and every system field
+    but ``n_cores`` (which no record reads), so stale results can never be
+    returned for changed inputs, and every core count shares one file.
 
     Each (application, phase) record derives its seed from the path
     ``(seed, "trace", app, phase_index)`` alone, so the build is

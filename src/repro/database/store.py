@@ -1,11 +1,12 @@
 """Disk cache for simulation databases.
 
-Database builds are deterministic but take tens of seconds for the full
-27-application suite, so records are cached as a single ``.npz`` per
-(suite, system, seed) fingerprint under ``.cache/repro-db`` (or
-``REPRO_CACHE_DIR``).  The
-fingerprint hashes the *content* of the specs and configuration — any change
-to a phase parameter, a power constant or the seed produces a new key.
+Database builds are deterministic, and a cold build of the full
+27-application suite takes under a second on the compiled stream kernels.
+Each seed's records are cached as one ``.npz`` under ``.cache/repro-db``
+(or ``REPRO_CACHE_DIR``), keyed on the *content* of the suite specs, the
+seed and every system field but ``n_cores``, which no record reads: every
+core count of a seed loads the same file, and any change to a phase
+parameter, a power constant or the seed produces a new key.
 """
 
 from __future__ import annotations
@@ -102,15 +103,24 @@ def database_fingerprint(
     return h.hexdigest()
 
 
+def _cache_file(
+    suite: Sequence[AppSpec], system: SystemConfig, seed: int
+) -> Path:
+    """The seed's ``.npz``: keyed like :func:`database_fingerprint` on the
+    system's field dict (which is how that serialises the system) less
+    ``n_cores``, so every core count of a seed shares one file."""
+    fields = asdict(system)
+    del fields["n_cores"]
+    return cache_dir() / f"{database_fingerprint(suite, fields, seed)}.npz"
+
+
 def save_database_cache(db, suite: Sequence[AppSpec], seed: int) -> Optional[Path]:
     """Persist all records of a database; returns the file path or None."""
-    path = cache_dir()
+    file = _cache_file(suite, db.system, seed)
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        file.parent.mkdir(parents=True, exist_ok=True)
     except OSError:
         return None
-    key = database_fingerprint(suite, db.system, seed)
-    file = path / f"{key}.npz"
     payload = {}
     meta = {}
     for app, records in db.records.items():
@@ -138,11 +148,11 @@ def save_database_cache(db, suite: Sequence[AppSpec], seed: int) -> Optional[Pat
 def load_cached_database(
     suite: Sequence[AppSpec], system: SystemConfig, seed: int
 ):
-    """Load a cached database if present; None on any miss or error."""
+    """Load the seed's cached records bound to ``system`` if present;
+    None on any miss or error."""
     from repro.database.builder import SimDatabase
 
-    key = database_fingerprint(suite, system, seed)
-    file = cache_dir() / f"{key}.npz"
+    file = _cache_file(suite, system, seed)
     if not file.exists():
         return None
     try:

@@ -36,11 +36,18 @@ MODELS = ("Model1", "Model2", "Model3")
 PATHS = (["native"] if _native_opt.available() else []) + ["fallback"]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the compiled qos_sweep ran on the fallback path")
+
+
 def on_path(path: str):
-    """Run the enclosed sweeps on the compiled kernel or its fallback."""
+    """Run the enclosed sweeps on the compiled kernel or its fallback; on
+    the fallback, the compiled ``qos_sweep`` raises if called."""
     if path == "native":
         return contextlib.nullcontext()
-    return mock.patch.object(_native_opt, "available", return_value=False)
+    return mock.patch.multiple(
+        _native_opt, available=lambda: False, qos_sweep=_refuse
+    )
 
 
 def uncached(db: SimDatabase) -> SimDatabase:

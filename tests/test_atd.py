@@ -178,3 +178,17 @@ class TestAuxiliaryTagDirectory:
     def test_invalid_sampling(self):
         with pytest.raises(ValueError):
             AuxiliaryTagDirectory(8, set_sample=0)
+
+    def test_invalid_geometry(self):
+        for n_sets, max_ways in ((0, 16), (8, 0)):
+            with pytest.raises(ValueError):
+                AuxiliaryTagDirectory(n_sets, max_ways=max_ways)
+
+    def test_each_process_replays_afresh(self, cs_trace, chain_trace, generator):
+        """A second stream is not replayed from the first one's end state:
+        it reports what a fresh directory reports."""
+        atd = AuxiliaryTagDirectory(generator.n_sets)
+        atd.process(cs_trace.stream)
+        again = atd.process(chain_trace.stream)
+        fresh = AuxiliaryTagDirectory(generator.n_sets).process(chain_trace.stream)
+        assert again.fingerprint == fresh.fingerprint

@@ -195,8 +195,8 @@ class TestDatabaseRebinding:
         monkeypatch.setattr(
             campaign_database, "build_database", self._fake_build(calls)
         )
-        # rebindings persist to the disk cache; point it away from the
-        # real one so the fake (empty) databases cannot pollute it
+        # keep the real disk cache out of reach of the fake (empty)
+        # databases
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         campaign_database.clear_database_cache()
         try:

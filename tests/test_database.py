@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro import settings
+from repro.campaign import database as campaign_database
 from repro.config import CoreSize, Setting, default_system
+from repro.database import builder
 from repro.database.builder import (
     SimDatabase,
     baseline_feasibility_check,
@@ -235,3 +237,41 @@ class TestStore:
     def test_miss_returns_none(self, system2, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert load_cached_database(mini_suite(), system2, 99) is None
+
+    def test_every_core_count_of_a_seed_shares_one_file(
+        self, tmp_path, monkeypatch
+    ):
+        """Core counts 2-64 of one seed build once and leave one ``.npz``;
+        a fresh cache asking for 64 cores first loads it and builds
+        nothing."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_BUILD_WORKERS", "1")
+        settings.resolve()
+        monkeypatch.setattr(campaign_database, "spec_suite", mini_suite)
+        monkeypatch.setattr(campaign_database, "_DB_CACHE", {})
+        built = []
+        build = builder.build_phase_record
+
+        def counted(*args, **kwargs):
+            built.append(args[1])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(builder, "build_phase_record", counted)
+        first = {
+            n: campaign_database.get_database(n, 7) for n in (2, 4, 8, 16, 64)
+        }
+        assert len(built) == sum(len(app.phases) for app in mini_suite())
+        assert len(list(tmp_path.glob("*.npz"))) == 1
+        assert {n: db.system.n_cores for n, db in first.items()} == {
+            n: n for n in first
+        }
+
+        monkeypatch.setattr(campaign_database, "_DB_CACHE", {})
+        built.clear()
+        db64 = campaign_database.get_database(64, 7)
+        assert built == [] and db64.system == default_system(64)
+        for app, records in first[2].records.items():
+            for a, b in zip(records, db64.records[app], strict=True):
+                assert np.array_equal(a.time_grid, b.time_grid)
+                assert np.array_equal(a.lm_heur, b.lm_heur)
+        assert len(list(tmp_path.glob("*.npz"))) == 1

@@ -61,6 +61,15 @@ class TestCombineDifferential:
         assert np.all((got.energy == ref.energy) | (np.isinf(got.energy) & np.isinf(ref.energy)))
         assert np.array_equal(got_choice, ref_choice)
         assert got_ops == ref_ops
+        # a budget window keeps exactly its columns of the full combine
+        lo, hi = ref.w_min, ref.w_max
+        win_lo = int(rng.integers(lo - 2, hi + 1))
+        win_hi = int(rng.integers(max(win_lo, lo), hi + 3))
+        win, win_choice, _ = combine_pair(a, b, (win_lo, win_hi))
+        cols = slice(max(win_lo, lo) - lo, min(win_hi, hi) - lo + 1)
+        assert np.array_equal(win.ways, ref.ways[cols])
+        assert win.energy.tobytes() == ref.energy[cols].tobytes()
+        assert np.array_equal(win_choice, ref_choice[cols])
 
     def test_all_infeasible_left_keeps_w_min_choice(self):
         a = EnergyCurve(np.arange(2, 5), np.full(3, np.inf))
@@ -425,6 +434,28 @@ class TestEventKernelDifferential:
         got = got_st.next_event(horizon)
         ref = self._reference(ref_st, horizon)
         assert got == ref
+        assert got_st.n_active == ref_st.n_active
+        for name in _STATE:
+            assert _bits(getattr(got_st, name)) == _bits(getattr(ref_st, name)), name
+
+    @needs_native
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+        ties=st.integers(0, 6),
+        crossing=st.booleans(),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_next_event_without_kernel_matches_compiled(
+        self, n, seed, ties, crossing
+    ):
+        """:meth:`_CoreStates.next_event` with ``_evlib`` cleared (a host
+        without a compiler) takes its NumPy path, and matches the
+        compiled ``wave_event`` path event for event."""
+        got_st, horizon = _event_states(seed, n, ties, crossing)
+        ref_st, _ = _event_states(seed, n, ties, crossing)
+        got_st._evlib = None
+        assert got_st.next_event(horizon) == ref_st.next_event(horizon)
         assert got_st.n_active == ref_st.n_active
         for name in _STATE:
             assert _bits(getattr(got_st, name)) == _bits(getattr(ref_st, name)), name

@@ -17,6 +17,10 @@ from repro.microarch.leading import count_leading_misses, leading_miss_matrix
 from repro.trace.stream import AccessStream
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the compiled leading_lanes ran on the fallback path")
+
+
 def make_stream(inst, recency, dep=None, arrival=None, n_sets=4):
     inst = np.asarray(inst, dtype=np.int64)
     n = len(inst)
@@ -102,7 +106,9 @@ class TestLeadingMisses:
         s = make_stream(np.cumsum(gaps), recency, dep)
         expected = every_cell(s, rob_sizes, max_ways)
         assert leading_miss_matrix(s, rob_sizes, max_ways).tolist() == expected
-        with mock.patch.object(_native, "available", return_value=False):
+        with mock.patch.multiple(
+            _native, available=lambda: False, leading_lanes=_refuse
+        ):
             assert leading_miss_matrix(s, rob_sizes, max_ways).tolist() == expected
 
     def test_lm_decreases_with_window(self, cs_trace):

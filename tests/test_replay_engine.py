@@ -4,10 +4,10 @@ The compiled engine and the front door's oracle loop must be bit-for-bit
 equivalent to driving :class:`repro.cache.lru.LRUStack` one access at a
 time — same recency for every access and same final stack state — across
 random streams, random replay orders, warm and cold starts, and depths
-{1, 4, 16}.  These tests are the contract that lets every consumer (main
-tag directory, ATD, database builder) switch engines freely.  The front
-door must also reject, on every engine, each argument that would send
-the compiled kernel outside its buffers.
+{1, 4, 16}.  These tests are the contract that lets every consumer (the
+ATD and so every database build) switch engines freely.  The front door
+must also reject, on every engine, each argument that would send the
+compiled kernel outside its buffers.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.cache.replay import (
     replay_access_stream,
     resolve_engine,
 )
-from repro.cache.setassoc import SetAssociativeLRU
 from repro.trace.stream import FRESH
 
 DEPTHS = (1, 4, 16)
@@ -47,16 +46,31 @@ def oracle_replay(sets, tags, n_sets, depth, order=None, initial=None):
     return rec, [s.contents() for s in stacks]
 
 
-def per_access(model, stream, order):
-    """Reference: one :meth:`SetAssociativeLRU.access` per access."""
+def warm_stacks(n_sets, depth=16):
+    """Per-set LRUStacks holding the generator's warm-up contents."""
+    return [LRUStack(depth, prewarm_tags(s, depth)) for s in range(n_sets)]
+
+
+def per_access(stacks, stream, order):
+    """Reference: one :meth:`LRUStack.access` per access of a stream."""
     rec = np.empty(stream.n_accesses, dtype=np.int16)
     if order == "arrival":
         positions = stream.in_arrival_order()
     else:
         positions = range(stream.n_accesses)
     for k in positions:
-        rec[k] = model.access(int(stream.set_index[k]), int(stream.tag[k]))
+        rec[k] = stacks[stream.set_index[k]].access(int(stream.tag[k]))
     return rec
+
+
+def front_door(stream, n_sets, order, engine, initial=None):
+    """One replay of a whole stream; ``(recency, final state)``."""
+    return replay_access_stream(
+        stream.set_index, stream.tag, n_sets=n_sets, depth=16,
+        order=stream.in_arrival_order() if order == "arrival" else None,
+        initial=initial or [prewarm_tags(s, 16) for s in range(n_sets)],
+        want_state=True, engine=engine,
+    )
 
 
 def random_case(rng, depth):
@@ -219,49 +233,63 @@ class TestNativeEngine:
 
 
 class TestSetAssociativeEngines:
+    """Generated streams through the front door from the generator's
+    warm-up contents (the class keeps the name of the deleted
+    set-associative wrapper so the cases keep their test IDs)."""
+
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("order", ["program", "arrival"])
     def test_stream_replay_matches_oracle(self, cs_trace, generator, engine, order):
         stream = cs_trace.stream
-        fast = SetAssociativeLRU(generator.n_sets, engine=engine)
-        ref = SetAssociativeLRU(generator.n_sets)
-        assert np.array_equal(
-            fast.replay(stream, order), per_access(ref, stream, order)
-        )
-        assert fast.contents() == ref.contents()
+        ref = warm_stacks(generator.n_sets)
+        got, state = front_door(stream, generator.n_sets, order, engine)
+        assert np.array_equal(got, per_access(ref, stream, order))
+        assert state == [s.contents() for s in ref]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_sequential_replays_carry_state(self, cs_trace, chain_trace, generator, engine):
-        fast = SetAssociativeLRU(generator.n_sets, engine=engine)
-        ref = SetAssociativeLRU(generator.n_sets)
+        ref = warm_stacks(generator.n_sets)
+        state = None
         for trace, order in (
             (cs_trace, "arrival"),
             (chain_trace, "program"),
         ):
-            assert np.array_equal(
-                fast.replay(trace.stream, order),
-                per_access(ref, trace.stream, order),
+            got, state = front_door(
+                trace.stream, generator.n_sets, order, engine, state
             )
-        assert fast.contents() == ref.contents()
+            assert np.array_equal(got, per_access(ref, trace.stream, order))
+        assert state == [s.contents() for s in ref]
 
     def test_access_after_replay_continues_exactly(self, cs_trace, generator):
         for engine in ENGINES:
-            fast = SetAssociativeLRU(generator.n_sets, engine=engine)
-            ref = SetAssociativeLRU(generator.n_sets)
-            fast.replay(cs_trace.stream)
+            ref = warm_stacks(generator.n_sets)
             per_access(ref, cs_trace.stream, "program")
+            _, state = front_door(cs_trace.stream, generator.n_sets, "program", engine)
             for tag in (10**6, 10**6 + 1, 10**6):
-                assert fast.access(0, tag) == ref.access(0, tag)
+                got, state = replay_access_stream(
+                    np.zeros(1, np.int32), np.array([tag]),
+                    n_sets=generator.n_sets, depth=16, initial=state,
+                    want_state=True, engine=engine,
+                )
+                assert got[0] == ref[0].access(tag)
 
     def test_unknown_engine_rejected(self):
         for name in ("warp-drive", "auto", "vector"):
             with pytest.raises(ValueError):
-                SetAssociativeLRU(4, engine=name)
+                replay_access_stream(
+                    np.zeros(1, np.int32), np.zeros(1), n_sets=4, depth=16,
+                    engine=name,
+                )
 
     def test_unknown_order_rejected(self, cs_trace, generator):
-        model = SetAssociativeLRU(generator.n_sets)
+        """An order must permute the stream positions: the instruction
+        indices the stream also carries are not one."""
+        stream = cs_trace.stream
         with pytest.raises(ValueError):
-            model.replay(cs_trace.stream, "sideways")
+            replay_access_stream(
+                stream.set_index, stream.tag, n_sets=generator.n_sets,
+                depth=16, order=stream.inst_index,
+            )
 
 
 class TestATDEquivalence:
@@ -269,14 +297,14 @@ class TestATDEquivalence:
 
     def _legacy_process(self, stream, n_sets, max_ways=16, set_sample=1,
                         mlp_set_sample=1, scale=1.0):
-        """The seed implementation, verbatim: per-access stack updates."""
-        tags_dir = SetAssociativeLRU(n_sets, depth=max_ways, engine="oracle")
+        """The seed implementation: per-access stack updates."""
+        tags_dir = warm_stacks(n_sets, max_ways)
         monitor = RecencyMonitor(max_ways, scale=scale * set_sample)
         counters = MLPCounterArray(max_ways=max_ways)
         sets, tags, inst = stream.set_index, stream.tag, stream.inst_index
         for k in stream.in_arrival_order():
             s = int(sets[k])
-            recency = tags_dir.access(s, int(tags[k]))
+            recency = tags_dir[s].access(int(tags[k]))
             if s % set_sample == 0:
                 monitor.record(recency)
             if s % mlp_set_sample == 0:

@@ -35,11 +35,23 @@ from repro.workloads.suite import app_by_name
 PATHS = ["fallback"] + (["native"] if _native.available() else [])
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a compiled stream kernel ran on the fallback path")
+
+
 def on_path(path: str):
-    """Run the enclosed calls on the compiled kernels or their fallbacks."""
+    """Run the enclosed calls on the compiled kernels or their fallbacks;
+    on the fallback, every compiled entry point raises if called."""
     if path == "native":
         return contextlib.nullcontext()
-    return mock.patch.object(_native, "available", return_value=False)
+    return mock.patch.multiple(
+        _native,
+        available=lambda: False,
+        native_replay=_refuse,
+        mlp_lanes=_refuse,
+        leading_lanes=_refuse,
+        realise_recencies=_refuse,
+    )
 
 
 # ---------------------------------------------------------------------------

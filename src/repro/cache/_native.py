@@ -165,8 +165,15 @@ def _cache_dir() -> Path:
     return cache_dir() / "native"
 
 
+#: ``(name prefix, source, flag sets)``: :func:`build_shared`'s inputs,
+#: from which ``repro cache`` tells this module's current object from
+#: stale ones.
+BUILD = ("stream", _SOURCE, (("-O3",),))
+
+
 def _compile() -> Optional[Path]:
-    return build_shared(_SOURCE, _cache_dir(), "stream", (("-O3",),))
+    prefix, source, flag_sets = BUILD
+    return build_shared(source, _cache_dir(), prefix, flag_sets)
 
 
 def _load() -> Optional[ctypes.CDLL]:

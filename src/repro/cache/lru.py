@@ -11,10 +11,9 @@ path, this class is the oracle it is differentially tested against, and
 the replay fallback when no C compiler exists: clarity beats speed here.
 Every operation is a linear scan or shift over a Python list of at most
 ``depth`` entries — ``access`` pays a ``list.index`` plus an
-``insert(0, ...)`` (each O(depth)), and ``__contains__``/``peek_recency``
-pay one scan.  Fine at depth 16 for single probes; replaying whole
-streams through it is O(n * depth) Python work, which is exactly what the
-compiled kernel exists to avoid.  Misses are reported as
+``insert(0, ...)`` (each O(depth)).  Fine at depth 16 for single probes;
+replaying whole streams through it is O(n * depth) Python work, which is
+exactly what the compiled kernel exists to avoid.  Misses are reported as
 :data:`~repro.trace.stream.FRESH` (the integer 0, never a valid 1-based
 recency).
 """
@@ -55,13 +54,6 @@ class LRUStack:
             if len(set(self._stack)) != len(self._stack):
                 raise ValueError("initial contents contain duplicate tags")
 
-    def __len__(self) -> int:
-        return len(self._stack)
-
-    def __contains__(self, tag: int) -> bool:
-        """Residency test (linear scan, O(depth))."""
-        return tag in self._stack
-
     def contents(self) -> List[int]:
         """Snapshot of tags, most-recently-used first."""
         return list(self._stack)
@@ -88,11 +80,3 @@ class LRUStack:
         stack.pop(pos)
         stack.insert(0, tag)
         return pos + 1
-
-    def peek_recency(self, tag: int) -> int:
-        """Recency of ``tag`` without touching the stack (``FRESH`` if
-        absent; linear scan, O(depth))."""
-        try:
-            return self._stack.index(tag) + 1
-        except ValueError:
-            return FRESH

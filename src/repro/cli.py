@@ -11,8 +11,8 @@ Usage::
     python -m repro fig6 --seed 7 --workloads 3 --cores 4
     python -m repro ext-scaling --scaling-cores 16 64   # kernel sweep
     python -m repro ext-scaling --wave scalar    # event-loop oracle mode
-    python -m repro cache                  # result-store stats
-    python -m repro cache --prune --max-mb 256   # LRU-evict to 256 MiB
+    python -m repro cache                  # database cache + result-store stats
+    python -m repro cache --prune --max-mb 256   # ... stale objects, LRU to 256 MiB
     python -m repro verify                 # attestation coverage + digests
     python -m repro verify --sample 8      # ... plus re-execution audit
     python -m repro campaign --status      # journaled campaign progress
@@ -27,7 +27,9 @@ over a process pool — results are bit-identical for any worker count.
 Every ``REPRO_*`` knob is declared and validated in :mod:`repro.settings`;
 ``--wave`` overrides its knob for this process, and a malformed knob
 fails before anything runs.
-The ``cache`` subcommand manages the on-disk result store named by
+The ``cache`` subcommand reports the database cache (``REPRO_CACHE_DIR``:
+database files and compiled kernel objects; ``--prune`` deletes the stale
+objects) and manages the on-disk result store named by
 ``REPRO_RESULT_CACHE`` (cap: ``REPRO_RESULT_CACHE_MAX_MB``); ``bench``
 emits and checks the ``BENCH_*.json`` baselines; ``campaign --status``
 reports progress, retries and failure tallies from the crash-safe run
@@ -119,7 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--prune",
         action="store_true",
-        help="with 'cache': LRU-evict results down to the size cap",
+        help=(
+            "with 'cache': delete stale kernel objects and LRU-evict "
+            "results down to the size cap"
+        ),
     )
     parser.add_argument(
         "--max-mb",
@@ -199,13 +204,31 @@ def _emit(result, csv_dir: Path | None) -> None:
 
 
 def _cache_command(prune: bool, max_mb: float | None) -> int:
-    """Report on, or prune, the on-disk result store."""
+    """Report on, or prune, the database cache and the result store.
+
+    Pruning the database cache deletes stale kernel objects only: whether
+    a database file is stale cannot be read from the file.
+    """
     from repro.campaign.results import (
         cache_stats,
         prune_result_cache,
         result_cache_dir,
     )
+    from repro.database.store import cache_dir, kernel_objects
 
+    current, stale = kernel_objects()
+    if prune:
+        for path in stale:
+            path.unlink(missing_ok=True)
+        print(f"database cache: removed {len(stale)} stale kernel objects")
+        stale = []
+    databases = sorted(cache_dir().glob("*.npz"))
+    mib = sum(path.stat().st_size for path in databases) / 1048576
+    print(
+        f"database cache @ {cache_dir()}: databases {len(databases)} "
+        f"({mib:.1f} MiB); kernel objects {len(current) + len(stale)} "
+        f"({len(stale)} stale)"
+    )
     root = result_cache_dir()
     if root is None:
         print("no on-disk results store (REPRO_RESULT_CACHE is unset)")

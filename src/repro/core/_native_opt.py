@@ -13,8 +13,9 @@ Three hot loops cross into C here, one :mod:`ctypes` call each:
   internal node.
 * ``wave_event`` — the simulator.  One call per wave-loop event computes
   every core's time to its boundary, picks the next boundary and
-  advances every core to it, through a pointer table built once per
-  state container.
+  advances every core to it.  Its one argument is a slot table built
+  once per state container: a pointer per per-core array, then the
+  horizon and core count in and the step ``dt`` out.
 * ``qos_sweep`` — the Figs. 7-8 QoS-violation study.  One call scores
   every (current, slower target) setting pair of one phase record under
   one model: a per-current table of Eq. 1's compute term, hoisted out of
@@ -29,14 +30,17 @@ All three are built on demand with the system C compiler and loaded through
 
 Bit-identity is structural.  Each combine cell is the single addition
 ``a[ia] + b[w - ia]`` (no fusion or reassociation is possible) and a
-column's value is its minimum — the same values the NumPy combine's
-argmin selects.  The root split and the boundary pick keep the first
-minimum, and the first NaN if any, exactly as :func:`numpy.argmin`.  The
-advance performs NumPy's elementwise operations in the same per-element
-order, and the sweep's prediction is NumPy's one multiply and one add;
-``-ffp-contract=off`` keeps the compiler from fusing any of them.
-The differential tests assert equality against the NumPy paths, which
-are themselves pinned to the scalar references.
+column's value is its first minimum in ascending ``ia``, the sign of a
+zero included — the value the NumPy combine's argmin selects (a NaN sum
+never wins here; energy curves hold none).  The row blocks change only
+which columns a pass visits, never a column's order of compares.  The
+root split and the boundary pick keep the first minimum, and the first
+NaN if any, exactly as :func:`numpy.argmin`.  The advance performs
+NumPy's elementwise operations in the same per-element order, and the
+sweep's prediction is NumPy's one multiply and one add;
+``-ffp-contract=off`` keeps the compiler from fusing any of them.  The
+differential tests assert equality against the NumPy paths, which are
+themselves pinned to the scalar references.
 
 Everything degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NO_NATIVE`` set true (:mod:`repro.settings`) make
@@ -56,14 +60,26 @@ import numpy as np
 from repro import settings
 from repro.util.nativebuild import build_shared
 
-__all__ = ["EVENT_SLOTS", "NODE_FIELDS", "available", "qos_sweep", "raw_lib"]
+__all__ = [
+    "COMBINE_ROWS", "EVENT_SLOTS", "NODE_FIELDS", "SCRATCH_PAD", "available",
+    "qos_sweep", "raw_lib",
+]
 
 #: Int64 fields per reduction-tree node in ``tree_update``'s node table:
 #: energy buffer address, lowest way count, width.
 NODE_FIELDS = 3
 
+#: Left-operand rows per block of ``tree_update``'s combine.  The
+#: kernel stages the right operand between ``COMBINE_ROWS - 1`` +inf
+#: entries on each side, so its scratch holds the widest operand plus
+#: :data:`SCRATCH_PAD` doubles.
+COMBINE_ROWS = 8
+SCRATCH_PAD = 2 * (COMBINE_ROWS - 1)
+
 #: Pointer slots of ``wave_event``'s state table, in table order (the
-#: simulator's ``_CoreStates`` attribute names).
+#: simulator's ``_CoreStates`` attribute names).  Three 8-byte scalar
+#: slots follow them: the horizon (double) and core count (int64) the
+#: caller writes, and the step ``dt`` (double) the kernel writes.
 EVENT_SLOTS = (
     "stall_s",
     "tpi_s",
@@ -83,7 +99,7 @@ EVENT_SLOTS = (
     "_dts",
 )
 
-_SOURCE = r"""
+_SOURCE = f"#define ROWS {COMBINE_ROWS}\n" + r"""
 #include <stdint.h>
 #include <math.h>
 
@@ -98,32 +114,49 @@ enum { N_ADDR, N_LO, N_LEN, N_FIELDS };
 
 /* Output columns [lo, hi] (absolute way counts) of the (min,+) band of
  * one node's two children, VALUES ONLY (back-tracks recover a visited
- * column's choice lazily).  The right operand is consumed REVERSED
- * (scratch[j] == b[lb-1-j]) so each column's band is the elementwise
- * sum of two forward contiguous streams, which the compiler vectorises.
- * min is exactly associative and commutative (inf included), so the
- * SIMD reduction is bit-identical to the sequential scan; the adds are
- * untouched.  The pragma is inert without -fopenmp-simd. */
+ * column's choice lazily).  Column w is the minimum of the single-add
+ * sums a[ia] + b[w - ia] over its band, compared in ascending ia with
+ * `v < best` from +inf: a scalar loop over those sums in that order is
+ * the spec, ties (+-0 included) keep the first and NaN never wins.
+ *
+ * The left operand is taken ROWS entries at a time.  Each block loads
+ * its rows into registers and sweeps the run of columns they reach,
+ * updating each column once from a fixed-trip row loop; consecutive
+ * columns are independent, so the sweep vectorises across them.  The
+ * right operand is staged once in scratch with ROWS - 1 +inf entries on
+ * both sides (pad[ROWS - 1 + j] == b[j]), and rows past the window's
+ * last row read +inf, so every off-band term is +inf or NaN and never
+ * passes `<`: each column still sees exactly its band, in order. */
 static void combine_window(const int64_t* left, const int64_t* right,
                            int64_t lo, int64_t hi, double* restrict out,
-                           double* restrict scratch)
+                           double* restrict pad)
 {
-    const double* restrict a = (const double*)(intptr_t)left[N_ADDR];
+    const double* a = (const double*)(intptr_t)left[N_ADDR];
     const double* b = (const double*)(intptr_t)right[N_ADDR];
     int64_t la = left[N_LEN], lb = right[N_LEN];
     int64_t base = left[N_LO] + right[N_LO];
-    for (int64_t j = 0; j < lb; j++) scratch[j] = b[lb - 1 - j];
-    for (int64_t w = lo - base; w <= hi - base; w++) {
-        int64_t s = w - (lb - 1); if (s < 0) s = 0;
-        int64_t e = w < la - 1 ? w : la - 1;
-        int64_t off = lb - 1 - w;
-        double bst = INFINITY;
-        #pragma omp simd reduction(min:bst)
-        for (int64_t ia = s; ia <= e; ia++) {
-            double v = a[ia] + scratch[ia + off];
-            bst = v < bst ? v : bst;
+    int64_t w0 = lo - base, w1 = hi - base;
+    for (int64_t j = 0; j < ROWS - 1; j++)
+        pad[j] = pad[lb + ROWS - 1 + j] = INFINITY;
+    for (int64_t j = 0; j < lb; j++) pad[ROWS - 1 + j] = b[j];
+    for (int64_t w = w0; w <= w1; w++) out[w - w0] = INFINITY;
+    int64_t first = w0 - (lb - 1) > 0 ? w0 - (lb - 1) : 0;
+    int64_t last = w1 < la - 1 ? w1 : la - 1;
+    for (int64_t ia = first; ia <= last; ia += ROWS) {
+        double rows[ROWS];
+        for (int r = 0; r < ROWS; r++)
+            rows[r] = ia + r <= last ? a[ia + r] : INFINITY;
+        int64_t c0 = ia > w0 ? ia : w0;
+        int64_t c1 = ia + ROWS + lb - 2 < w1 ? ia + ROWS + lb - 2 : w1;
+        for (int64_t w = c0; w <= c1; w++) {
+            int64_t k = w - ia + ROWS - 1;  /* pad[k - r]: b[w - ia - r] */
+            double best = out[w - w0];
+            for (int r = 0; r < ROWS; r++) {
+                double v = rows[r] + pad[k - r];
+                best = v < best ? v : best;
+            }
+            out[w - w0] = best;
         }
-        out[w - (lo - base)] = bst;
     }
 }
 
@@ -136,6 +169,7 @@ static void combine_window(const int64_t* left, const int64_t* right,
  * right child read descending, first minimum (first NaN) kept; it
  * writes the total to total_out and (left ways, candidates) to
  * eval_out, candidates 0 when the budget misses the children's domain.
+ * scratch holds the widest right operand plus its 2 * (ROWS - 1) pads.
  * Returns 1 if some step's output shape (low end or width) changed, 0
  * if none did, and -1 on an empty window. */
 int64_t tree_update(const int64_t* plan, int64_t* nodes, double* scratch,
@@ -191,41 +225,46 @@ int64_t tree_update(const int64_t* plan, int64_t* nodes, double* scratch,
 
 /* ---- simulator --------------------------------------------------------
  *
- * One wave-loop event.  Table slots follow EVENT_SLOTS on the Python
- * side.  The boundary pick is numpy's: rem = max(n - done, 0) and
- * dts = rem * tpi + stall land in the REM/DTS scratch, and the argmin
- * keeps the first minimum (the first NaN, if any).  b and dt are
- * written out.
+ * One wave-loop event, through ONE pointer: an 8-byte slot table whose
+ * first slots point at the per-core arrays (EVENT_SLOTS on the Python
+ * side) and whose last three hold the scalars: the horizon and the
+ * core count in, dt out.  The boundary pick is numpy's:
+ * rem = max(n_instr - done, 0) and dts = rem * tpi + stall land in the
+ * REM/DTS scratch, and the argmin keeps the first minimum (the first
+ * NaN, if any).
  *
  * The advance then derives each core's instruction delta (numpy's
  * elementwise min/div/clamp arithmetic, reusing rem for the clamp) and
  * the maximum of total+delta over active cores.  If any active core
  * would reach the horizon — or dt is negative or NaN — the call returns
- * 1 WITHOUT mutating any core state and the caller runs the reference
- * NumPy advance.  Otherwise it applies the unmasked NumPy fast path's
- * per-element operations in the same order and returns 0. */
+ * -1 - b WITHOUT mutating any core state and the caller runs the
+ * reference NumPy advance.  Otherwise it applies the unmasked NumPy fast
+ * path's per-element operations in the same order and returns b. */
+typedef union { void* p; double d; int64_t i; } slot_t;
 enum { E_STALL, E_TPI, E_DONE, E_TOTAL, E_ELAPSED, E_NINSTR, E_EPI, E_WORK,
-       E_STAT, E_ACTIVE, E_DYN, E_STATIC, E_MEM, E_DINSTR, E_REM, E_DTS };
+       E_STAT, E_ACTIVE, E_DYN, E_STATIC, E_MEM, E_DINSTR, E_REM, E_DTS,
+       E_HORIZON, E_N, E_DT };
 
-int64_t wave_event(double horizon, int64_t n, void* const* t,
-                   double* dt_out, int64_t* b_out)
+int64_t wave_event(slot_t* t)
 {
-    double* stall = t[E_STALL];
-    const double* tpi = t[E_TPI];
-    double* done = t[E_DONE];
-    double* total = t[E_TOTAL];
-    double* elapsed = t[E_ELAPSED];
-    const double* n_instr = t[E_NINSTR];
-    const double* epi = t[E_EPI];
-    const double* work = t[E_WORK];
-    const double* stat = t[E_STAT];
-    const uint8_t* active = t[E_ACTIVE];
-    double* core_dyn = t[E_DYN];
-    double* core_static = t[E_STATIC];
-    double* mem_j = t[E_MEM];
-    double* d_out = t[E_DINSTR];
-    double* rem = t[E_REM];
-    double* dts = t[E_DTS];
+    double* stall = t[E_STALL].p;
+    const double* tpi = t[E_TPI].p;
+    double* done = t[E_DONE].p;
+    double* total = t[E_TOTAL].p;
+    double* elapsed = t[E_ELAPSED].p;
+    const double* n_instr = t[E_NINSTR].p;
+    const double* epi = t[E_EPI].p;
+    const double* work = t[E_WORK].p;
+    const double* stat = t[E_STAT].p;
+    const uint8_t* active = t[E_ACTIVE].p;
+    double* core_dyn = t[E_DYN].p;
+    double* core_static = t[E_STATIC].p;
+    double* mem_j = t[E_MEM].p;
+    double* d_out = t[E_DINSTR].p;
+    double* rem = t[E_REM].p;
+    double* dts = t[E_DTS].p;
+    double horizon = t[E_HORIZON].d;
+    int64_t n = t[E_N].i;
 
     for (int64_t i = 0; i < n; i++) {
         double r = n_instr[i] - done[i];
@@ -242,9 +281,8 @@ int64_t wave_event(double horizon, int64_t n, void* const* t,
             else if (v != v) { dt = v; b = i; break; }
         }
     }
-    *dt_out = dt;
-    *b_out = b;
-    if (!(dt >= 0.0)) return 1;
+    t[E_DT].d = dt;
+    if (!(dt >= 0.0)) return -1 - b;
 
     double mx = -INFINITY;
     for (int64_t i = 0; i < n; i++) {
@@ -258,7 +296,7 @@ int64_t wave_event(double horizon, int64_t n, void* const* t,
             if (tm > mx) mx = tm;
         }
     }
-    if (mx >= horizon) return 1;
+    if (mx >= horizon) return -1 - b;
     for (int64_t i = 0; i < n; i++) {
         double served = stall[i] < dt ? stall[i] : dt;
         stall[i] -= served;
@@ -270,7 +308,7 @@ int64_t wave_event(double horizon, int64_t n, void* const* t,
         total[i] += d;
         elapsed[i] += dt;
     }
-    return 0;
+    return b;
 }
 
 /* ---- QoS-violation sweep ----------------------------------------------
@@ -323,21 +361,24 @@ def _cache_dir() -> Path:
 
 
 #: Candidate flag sets, best first; degrade gracefully for compilers
-#: that reject -march=native or -fopenmp-simd (the pragma is inert
-#: without it — results identical, just slower).  -ffp-contract=off is
-#: non-negotiable in every set: a contracted a + b*c FMA rounds once
-#: where NumPy rounds twice, which would break bit-identity in the
-#: event kernel and the sweep's ``a + u*v`` — no set without it is
-#: ever attempted.
+#: that reject -march=native.  -ffp-contract=off is non-negotiable in
+#: every set: a contracted a + b*c FMA rounds once where NumPy rounds
+#: twice, which would break bit-identity in the event kernel and the
+#: sweep's ``a + u*v`` — no set without it is ever attempted.
 _FLAG_SETS = (
-    ("-O3", "-march=native", "-fopenmp-simd", "-ffp-contract=off"),
-    ("-O3", "-fopenmp-simd", "-ffp-contract=off"),
+    ("-O3", "-march=native", "-ffp-contract=off"),
     ("-O3", "-ffp-contract=off"),
 )
 
+#: ``(name prefix, source, flag sets)``: :func:`build_shared`'s inputs,
+#: from which ``repro cache`` tells this module's current object from
+#: stale ones.
+BUILD = ("combine", _SOURCE, _FLAG_SETS)
+
 
 def _compile() -> Optional[Path]:
-    return build_shared(_SOURCE, _cache_dir(), "combine", _FLAG_SETS)
+    prefix, source, flag_sets = BUILD
+    return build_shared(source, _cache_dir(), prefix, flag_sets)
 
 
 def _load() -> Optional[ctypes.CDLL]:
@@ -357,17 +398,13 @@ def _load() -> Optional[ctypes.CDLL]:
         lib.tree_update.argtypes = [
             ctypes.c_void_p,  # plan (int64*)
             ctypes.c_void_p,  # node table (int64*)
-            ctypes.c_void_p,  # scratch (double*, >= widest operand)
+            ctypes.c_void_p,  # scratch (double*, widest operand + SCRATCH_PAD)
             ctypes.c_void_p,  # root total out (double*)
             ctypes.c_void_p,  # root split out (int64[2])
         ]
         lib.wave_event.restype = ctypes.c_int64
         lib.wave_event.argtypes = [
-            ctypes.c_double,  # horizon
-            ctypes.c_int64,  # n
-            ctypes.c_void_p,  # state table (void*[len(EVENT_SLOTS)])
-            ctypes.c_void_p,  # dt out (double*)
-            ctypes.c_void_p,  # b out (int64*)
+            ctypes.c_void_p,  # slot table (EVENT_SLOTS, horizon, n, dt)
         ]
         lib.qos_sweep.restype = ctypes.c_int64
         lib.qos_sweep.argtypes = [

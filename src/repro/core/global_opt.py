@@ -447,8 +447,10 @@ class ReductionTree:
         a fixed buffer sized for its window — at most ``k * (leaf_hi -
         leaf_lo) + 1`` wide for ``k`` leaves), and one plan per leaf
         listing its path's (node, children, window) steps and the root
-        split.  An update then writes the leaf's row and makes one call.
-        Returns the build's nominal cells.
+        split, plus the kernel's scratch: the widest operand and its +inf
+        pads (:data:`~repro.core._native_opt.SCRATCH_PAD`).  An update
+        then writes the leaf's row and makes one call.  Returns the
+        build's nominal cells.
         """
         budget, leaf_lo, leaf_hi = self.acceleration
         spread = leaf_hi - leaf_lo
@@ -470,7 +472,7 @@ class ReductionTree:
             node.out_buf = np.empty(cap)
             self._tab[fields * node.idx] = node.out_buf.ctypes.data
             widest = max(widest, cap)
-        self._scratch = np.empty(widest)
+        self._scratch = np.empty(widest + _native_opt.SCRATCH_PAD)
         self._total = (ctypes.c_double * 1)()
         self._split = (ctypes.c_int64 * 2)()
         self._args = (

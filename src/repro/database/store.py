@@ -16,7 +16,7 @@ import json
 import os
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,10 +24,12 @@ from repro import settings
 from repro.config import SystemConfig
 from repro.database.records import PhaseRecord
 from repro.trace.spec import AppSpec
+from repro.util.nativebuild import object_name
 
 __all__ = [
     "cache_dir",
     "database_fingerprint",
+    "kernel_objects",
     "load_cached_database",
     "save_database_cache",
 ]
@@ -61,6 +63,27 @@ def cache_dir() -> Path:
     if root is not None:
         return root
     return Path(__file__).resolve().parents[3] / ".cache" / "repro-db"
+
+
+def kernel_objects() -> Tuple[List[Path], List[Path]]:
+    """``(current, stale)`` compiled kernel objects under ``native/``.
+
+    Each kernel module publishes ``<prefix>_<digest>.so``, the digest
+    covering its source and flag sets; an object of a known prefix whose
+    name today's source and flags would not produce is stale (an edited
+    kernel leaves its old object behind).
+    """
+    from repro.cache import _native
+    from repro.core import _native_opt
+
+    native = cache_dir() / "native"
+    current: List[Path] = []
+    stale: List[Path] = []
+    for prefix, source, flag_sets in (_native.BUILD, _native_opt.BUILD):
+        name = object_name(prefix, source, flag_sets)
+        for path in sorted(native.glob(f"{prefix}_*.so")):
+            (current if path.name == name else stale).append(path)
+    return current, stale
 
 
 def _stable_json(obj) -> str:

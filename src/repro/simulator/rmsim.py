@@ -56,6 +56,7 @@ default.
 from __future__ import annotations
 
 import ctypes
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,6 +91,23 @@ _VIOLATION_EPS = 1e-6
 #: report the mode a process resolves.
 WAVE_ENV = settings.ENV["wave"]
 
+#: The per-core arrays the wave loop reads and writes one core at a time,
+#: each viewed in :attr:`_CoreStates.scalars`.
+_SCALAR_VIEWS = (
+    "stall_s", "tpi_s", "instr_done", "interval_elapsed_s", "n_instructions",
+    "epi_j", "work_j_per_inst", "static_w", "ipc", "finished", "overhead_j",
+)
+
+#: ``wave_event``'s scalar slots after its pointers: horizon, n, dt.
+_EV_HORIZON = len(_native_opt.EVENT_SLOTS)
+_EV_DT = _EV_HORIZON + 2
+
+
+def _scalar_view(buf, fmt: Optional[str] = None) -> memoryview:
+    """A flat memoryview of ``buf``'s own memory as ``fmt`` elements
+    (a NumPy array's dtype by default)."""
+    return memoryview(buf).cast("B").cast(fmt or buf.dtype.char)
+
 
 class _CoreStates:
     """Struct-of-arrays execution state for all cores.
@@ -102,11 +120,15 @@ class _CoreStates:
 
     For the wave loop the container additionally diffs a decision's
     settings against the current ones (:meth:`diff_settings`) and owns
-    the preallocated scratch buffers and the compiled kernel's state
-    table of :meth:`next_event`.  ``rate_refreshes``
-    counts every rate derivation (memoized or not) — the wave tests
-    assert that replayed settings maps trigger exactly one refresh per
-    boundary.
+    the preallocated scratch buffers and the compiled kernel's slot
+    table of :meth:`next_event`.  :attr:`scalars` holds a memoryview of
+    each array the wave loop touches one core at a time (same buffers,
+    named like the arrays): an element read or write through it skips
+    NumPy's scalar boxing, and reads return the same doubles as Python
+    floats.  The arrays stay the storage of the vectorised and compiled
+    paths.  ``rate_refreshes`` counts every rate derivation (memoized or
+    not) — the wave tests assert that replayed settings maps trigger
+    exactly one refresh per boundary.
     """
 
     __slots__ = (
@@ -133,10 +155,10 @@ class _CoreStates:
         "rate_refreshes",
         "n_active",
         "_active",
+        "scalars",
         "_evlib",
-        "_ev_args",
-        "_ev_dt",
-        "_ev_out",
+        "_ev_addr",
+        "_ev_slots",
         "_ev_table",
         "_dts",
         "_remaining",
@@ -177,22 +199,22 @@ class _CoreStates:
         self._served = np.empty(n)
         self._dinstr = np.empty(n)
         self._tmp = np.empty(n)
-        #: Compiled per-event kernel (None when no compiler).  Its state
-        #: table holds one pointer per array above, built once: every
+        self.scalars = SimpleNamespace(
+            **{name: _scalar_view(getattr(self, name)) for name in _SCALAR_VIEWS}
+        )
+        #: Compiled per-event kernel (None when no compiler).  Its slot
+        #: table holds one pointer per array above, built once (every
         #: array lives for the container's lifetime and is only ever
-        #: updated in place.
+        #: updated in place), then the horizon, ``n`` and ``dt`` slots;
+        #: :attr:`_ev_slots` views the table's doubles.
         self._evlib = _native_opt.raw_lib()
         if self._evlib is not None:
-            self._ev_table = (ctypes.c_void_p * len(_native_opt.EVENT_SLOTS))(
+            self._ev_table = (ctypes.c_uint64 * (_EV_DT + 1))(
                 *(getattr(self, name).ctypes.data for name in _native_opt.EVENT_SLOTS)
             )
-            self._ev_dt = (ctypes.c_double * 1)()
-            self._ev_out = (ctypes.c_int64 * 1)()
-            self._ev_args = (
-                ctypes.addressof(self._ev_table),
-                ctypes.addressof(self._ev_dt),
-                ctypes.addressof(self._ev_out),
-            )
+            self._ev_table[_EV_HORIZON + 1] = n
+            self._ev_addr = ctypes.addressof(self._ev_table)
+            self._ev_slots = _scalar_view(self._ev_table, "d")
 
     @property
     def remaining_instr(self) -> np.ndarray:
@@ -225,26 +247,18 @@ class _CoreStates:
         current (record, setting), already looked up by the caller.
         Finished cores keep their energy rates pinned at zero (they still
         make progress — tpi and ipc stay real — but accrue no energy, the
-        reference's ``active`` mask semantics).
+        reference's ``active`` mask semantics).  Reads and writes go
+        through :attr:`scalars`, the arrays' own buffers.
         """
         if rates is None:
             rates = self.records[i].rates_at(self.settings[i])
-        (
-            self.tpi_s[i],
-            self.n_instructions[i],
-            epi,
-            work,
-            static,
-            self.ipc[i],
-        ) = rates
-        if self.finished[i]:
-            self.epi_j[i] = 0.0
-            self.work_j_per_inst[i] = 0.0
-            self.static_w[i] = 0.0
-        else:
-            self.epi_j[i] = epi
-            self.work_j_per_inst[i] = work
-            self.static_w[i] = static
+        v = self.scalars
+        v.tpi_s[i], v.n_instructions[i], epi, work, static, v.ipc[i] = rates
+        if v.finished[i]:
+            epi = work = static = 0.0
+        v.epi_j[i] = epi
+        v.work_j_per_inst[i] = work
+        v.static_w[i] = static
         self.rate_refreshes += 1
 
     def zero_finished_rates(self, mask: np.ndarray) -> None:
@@ -294,19 +308,24 @@ class _CoreStates:
         """One wave-loop event: pick the next boundary and advance to it.
 
         Returns ``(b, dt)``: the boundary core and the wall-clock step to
-        its boundary.  With a compiler this is one ``wave_event`` call —
-        a finish-adjacent event returns with no core state touched and
-        takes :func:`advance_cores_wave`'s reference path — and
-        :meth:`_next_event_numpy` otherwise; the two are bit-identical
-        (differentially tested).
+        its boundary.  With a compiler this is one ``wave_event`` call on
+        the slot table, after one memoryview write of ``horizon`` into
+        it; the kernel writes ``dt`` back there and returns ``b``.  A
+        finish-adjacent event returns ``-1 - b`` with no core state
+        touched and takes :func:`advance_cores_wave`'s reference path.
+        Without a compiler it is :meth:`_next_event_numpy`; the two are
+        bit-identical (differentially tested).
         """
         lib = self._evlib
         if lib is None:
             return self._next_event_numpy(horizon)
-        dt = self._ev_dt
-        if lib.wave_event(horizon, self.n, *self._ev_args):
-            advance_cores_wave(self, dt[0], horizon)
-        return self._ev_out[0], dt[0]
+        slots = self._ev_slots
+        slots[_EV_HORIZON] = horizon
+        b = lib.wave_event(self._ev_addr)
+        if b < 0:
+            b = -1 - b
+            advance_cores_wave(self, slots[_EV_DT], horizon)
+        return b, slots[_EV_DT]
 
     def _next_event_numpy(self, horizon: float) -> Tuple[int, float]:
         """:meth:`next_event` in NumPy: the arithmetic of
@@ -775,15 +794,19 @@ class MulticoreRMSimulator:
         # (:meth:`_CoreStates.next_event`; float addition commutes, so
         # the pick is bit-equal; progress-state validation moves to the
         # loop entry + the rates memo, which revalidates every new
-        # (record, setting) pair).
-        stall_s = st.stall_s
-        tpi_s = st.tpi_s
-        instr_done = st.instr_done
-        finished = st.finished
+        # (record, setting) pair).  Per-core scalars go through the
+        # arrays' memoryviews.
+        if st.stall_s.min() < 0 or st.tpi_s.min() <= 0:
+            raise ValueError("invalid progress state")
+        v = st.scalars
+        stall_s = v.stall_s
+        instr_done = v.instr_done
+        finished = v.finished
+        interval_elapsed = v.interval_elapsed_s
+        overhead_j = v.overhead_j
         records = st.records
         settings_list = st.settings
         intervals = st.intervals
-        interval_elapsed = st.interval_elapsed_s
         next_event = st.next_event
         observe = rm.observe
         #: Each core's records over one pass of its app's phase pattern:
@@ -804,8 +827,6 @@ class MulticoreRMSimulator:
         #: (local_evaluations, dp_operations) bill: its RM instructions.
         boundary_of: Dict[Tuple[int, int, int], tuple] = {}
         instructions_of: Dict[Tuple[int, int], float] = {}
-        if stall_s.min() < 0 or tpi_s.min() <= 0:
-            raise ValueError("invalid progress state")
 
         t = 0.0
         intervals_completed = 0
@@ -821,7 +842,7 @@ class MulticoreRMSimulator:
             b, dt = next_event(horizon)
             t += dt
 
-            elapsed = float(interval_elapsed[b])
+            elapsed = interval_elapsed[b]
             record = records[b]
             setting = settings_list[b]
             intervals[b] += 1
@@ -865,10 +886,10 @@ class MulticoreRMSimulator:
                     instructions_of[bill] = instr
                 rm_instructions += instr
                 stall_s[b] += cost_model.time_overhead_s(
-                    instr, float(st.ipc[b]), setting.f_ghz
+                    instr, v.ipc[b], setting.f_ghz
                 )
                 if not finished[b]:
-                    st.overhead_j[b] += instr * float(st.epi_j[b])
+                    overhead_j[b] += instr * v.epi_j[b]
 
             if decision.settings is applied_settings:
                 # Identity replay: by construction no setting moved, so
@@ -892,7 +913,7 @@ class MulticoreRMSimulator:
                     )
                     stall_s[i] += cost.time_s + stall_add_s
                     if not finished[i]:
-                        st.overhead_j[i] += cost.energy_j + energy_j
+                        overhead_j[i] += cost.energy_j + energy_j
                 settings_list[i] = new_setting
                 if history is not None:
                     history.append(SettingChange(t, i, new_setting))

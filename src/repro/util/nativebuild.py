@@ -28,7 +28,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-__all__ = ["build_digest", "build_shared", "find_compiler"]
+__all__ = ["build_digest", "build_shared", "find_compiler", "object_name"]
 
 
 def find_compiler() -> Optional[str]:
@@ -42,6 +42,13 @@ def build_digest(source: str, flag_sets: Sequence[Sequence[str]]) -> str:
     return hashlib.sha256(
         (source + repr(tuple(tuple(f) for f in flag_sets))).encode()
     ).hexdigest()[:16]
+
+
+def object_name(
+    name_prefix: str, source: str, flag_sets: Sequence[Sequence[str]]
+) -> str:
+    """The file name :func:`build_shared` publishes the object under."""
+    return f"{name_prefix}_{build_digest(source, flag_sets)}.so"
 
 
 def build_shared(
@@ -66,8 +73,7 @@ def build_shared(
     compiler = find_compiler()
     if compiler is None:
         return None
-    digest = build_digest(source, flag_sets)
-    so_path = cache / f"{name_prefix}_{digest}.so"
+    so_path = cache / object_name(name_prefix, source, flag_sets)
     if so_path.exists():
         return so_path
     try:

@@ -24,6 +24,45 @@ from repro.trace.spec import PhaseSpec, uniform_ipc
 #: generated-run tests keep their bounded, derandomized tier-1 sweep.
 hypothesis_settings.register_profile("wide", max_examples=150, deadline=None)
 
+#: Appended to every flag set of both kernel sources under ``--sanitize``.
+SANITIZE_FLAGS = (
+    "-g",
+    "-fno-omit-frame-pointer",
+    "-fsanitize=address,undefined",
+    "-fno-sanitize-recover=all",
+)
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--sanitize",
+        action="store_true",
+        help=(
+            "build the C kernels with AddressSanitizer and UBSan; preload "
+            "both runtimes, e.g. LD_PRELOAD=\"$(gcc -print-file-name="
+            "libasan.so) $(gcc -print-file-name=libubsan.so)\" "
+            "ASAN_OPTIONS=detect_leaks=0"
+        ),
+    )
+
+
+def pytest_configure(config):
+    """Under ``--sanitize``, both kernel modules build through a
+    wrapper that appends :data:`SANITIZE_FLAGS` to each flag set.  The
+    object's digest covers the flags, so sanitized objects never
+    collide with normal ones in the kernel cache."""
+    if not config.getoption("--sanitize"):
+        return
+    from repro.cache import _native
+    from repro.core import _native_opt
+
+    for module in (_native, _native_opt):
+        def sanitized(source, cache, prefix, flag_sets, build=module.build_shared):
+            flag_sets = [(*flags, *SANITIZE_FLAGS) for flags in flag_sets]
+            return build(source, cache, prefix, flag_sets)
+
+        module.build_shared = sanitized
+
 
 @pytest.fixture(autouse=True)
 def _fresh_settings():

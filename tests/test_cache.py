@@ -42,14 +42,6 @@ class TestLRUStack:
         s.access(3)  # evicts 1
         assert s.access(1) == FRESH
 
-    def test_peek_does_not_touch(self):
-        s = LRUStack(4)
-        s.access(1)
-        s.access(2)
-        assert s.peek_recency(1) == 2
-        assert s.peek_recency(1) == 2  # unchanged
-        assert s.peek_recency(99) == FRESH
-
     def test_initial_contents(self):
         s = LRUStack(3, initial=[5, 6, 7])
         assert s.access(7) == 3

@@ -17,6 +17,7 @@ from repro.database.builder import (
 from repro.database.store import (
     _stable_json,
     database_fingerprint,
+    kernel_objects,
     load_cached_database,
     save_database_cache,
 )
@@ -274,4 +275,41 @@ class TestStore:
             for a, b in zip(records, db64.records[app], strict=True):
                 assert np.array_equal(a.time_grid, b.time_grid)
                 assert np.array_equal(a.lm_heur, b.lm_heur)
+        assert len(list(tmp_path.glob("*.npz"))) == 1
+
+    def test_cli_reports_and_prunes_stale_kernel_objects(
+        self, mini_db, tmp_path, monkeypatch, capsys
+    ):
+        """``repro cache`` reports the database cache; ``--prune``
+        deletes each kernel object today's source and flags would not
+        build, and keeps the current objects, foreign files and the
+        database files (their staleness cannot be read from them)."""
+        from repro.cache import _native
+        from repro.cli import main
+        from repro.core import _native_opt
+        from repro.util.nativebuild import object_name
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        save_database_cache(mini_db, mini_suite(), 7)
+        native = tmp_path / "native"
+        native.mkdir()
+        current = [native / object_name(*m.BUILD) for m in (_native, _native_opt)]
+        stale = [native / "stream_0.so", native / "combine_0123456789abcdef.so"]
+        foreign = native / "other_0123456789abcdef.so"
+        for path in current + stale + [foreign]:
+            path.write_bytes(b"")
+        assert kernel_objects() == (current, stale)
+
+        assert main(["cache"]) == 0
+        out = capsys.readouterr().out
+        assert "databases 1 (" in out and "kernel objects 4 (2 stale)" in out
+        assert all(path.exists() for path in stale)
+
+        assert main(["cache", "--prune"]) == 0
+        out = capsys.readouterr().out
+        assert "removed 2 stale kernel objects" in out
+        assert "kernel objects 2 (0 stale)" in out
+        assert not any(path.exists() for path in stale)
+        assert all(path.exists() for path in current + [foreign])
         assert len(list(tmp_path.glob("*.npz"))) == 1

@@ -9,6 +9,9 @@ loop, the stateless :func:`partition_ways` and the scalar advance loop
 are kept in-tree as oracles (the replay engine's ``LRUStack`` pattern).
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +26,7 @@ from repro.core.global_opt import (
 )
 from repro.core.managers import make_rm
 from repro.core.perf_models import Model1, Model3, ModelInputs, PerfectModel
+from repro.simulator import rmsim
 from repro.simulator.rmsim import (
     MulticoreRMSimulator,
     _CoreStates,
@@ -429,9 +433,18 @@ class TestEventKernelDifferential:
     )
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_event_matches_numpy_pick_and_advance(self, n, seed, ties, crossing):
+        """A non-crossing event never leaves the compiled path (the
+        NumPy advance is patched to raise); a crossing one hands off to
+        it exactly once."""
         got_st, horizon = _event_states(seed, n, ties, crossing)
         ref_st, _ = _event_states(seed, n, ties, crossing)
-        got = got_st.next_event(horizon)
+        with mock.patch.object(
+            rmsim, "advance_cores_wave", wraps=advance_cores_wave
+        ) as numpy_advance:
+            if not crossing:
+                numpy_advance.side_effect = AssertionError("left the kernel")
+            got = got_st.next_event(horizon)
+        assert numpy_advance.call_count == crossing
         ref = self._reference(ref_st, horizon)
         assert got == ref
         assert got_st.n_active == ref_st.n_active
@@ -464,14 +477,22 @@ class TestEventKernelDifferential:
     @given(n=st.integers(1, 40), seed=st.integers(0, 10_000), ties=st.integers(0, 6))
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_horizon_crossing_event_mutates_nothing(self, n, seed, ties):
+        """The kernel's one argument is the slot table: the horizon goes
+        in its horizon slot, and a crossing event returns ``-1 - b`` with
+        ``dt`` in the dt slot and every core's state untouched."""
         st_, horizon = _event_states(seed, n, ties, crossing=True)
         before = {name: _bits(getattr(st_, name)) for name in _STATE}
-        lib = _native_opt.raw_lib()
-        assert lib.wave_event(horizon, n, *st_._ev_args) == 1
+        slots = len(_native_opt.EVENT_SLOTS)
+        st_._ev_slots[slots] = horizon
+        assert st_._ev_table[slots + 1] == n
+        got = _native_opt.raw_lib().wave_event(st_._ev_addr)
+        assert got < 0
         for name in _STATE:
             assert _bits(getattr(st_, name)) == before[name], name
         ref_st, _ = _event_states(seed, n, ties, crossing=True)
-        assert (st_._ev_out[0], st_._ev_dt[0]) == self._reference(ref_st, horizon)
+        assert (-1 - got, st_._ev_slots[slots + 2]) == self._reference(
+            ref_st, horizon
+        )
 
     def test_tied_boundaries_pick_lowest_core(self):
         st_ = _CoreStates(5)
@@ -590,3 +611,139 @@ class TestFusedRootEvaluation:
             tree.update(0, EnergyCurve(np.arange(10, 18), np.zeros(8)))
         with pytest.raises(ValueError, match="bounds"):
             ReductionTree([EnergyCurve.pinned(1)] * 4, acceleration=(32, 2, 16))
+
+
+def _scalar_spec(a, b, lo, hi):
+    """The combine's spec: each column's single-add sums in ascending
+    left allocation, kept by ``v < best`` from +inf."""
+    out = []
+    for w in range(lo, hi + 1):
+        best = math.inf
+        for wa in range(max(a.w_min, w - b.w_max), min(a.w_max, w - b.w_min) + 1):
+            v = float(a.energy[wa - a.w_min]) + float(b.energy[w - wa - b.w_min])
+            if v < best:
+                best = v
+        out.append(best)
+    return np.array(out)
+
+
+def _combined_nodes(tree):
+    """The accelerated tree's materialised (non-root) internal nodes."""
+    return [node for node in tree._internal if node is not tree._root]
+
+
+def _assert_nodes_match_windowed_combine(tree):
+    for node in _combined_nodes(tree):
+        ref, _, _ = combine_pair(
+            node.left.curve, node.right.curve, (node.win_lo, node.win_hi)
+        )
+        assert node.curve.w_min == ref.w_min
+        assert node.curve.energy.tobytes() == ref.energy.tobytes()
+
+
+class TestBlockedCombine:
+    """``tree_update``'s row-blocked combine: every internal node's
+    values against :func:`combine_pair` over the same operands and
+    window, after the build and after every update."""
+
+    @needs_native
+    @given(
+        n=st.integers(2, 64),
+        seed=st.integers(0, 10_000),
+        ties=st.booleans(),
+        pinned=st.floats(0.0, 0.5),
+        n_updates=st.integers(0, 6),
+    )
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_node_values_match_windowed_combine(
+        self, n, seed, ties, pinned, n_updates
+    ):
+        rng = np.random.default_rng(seed)
+        leaf_lo, leaf_hi = 2, 16
+
+        def leaves(k):
+            curves = _tree_curves(rng, k, leaf_lo, leaf_hi, ties)
+            return [
+                EnergyCurve.pinned(8) if rng.random() < pinned else c
+                for c in curves
+            ]
+
+        curves = leaves(n)
+        budget = int(
+            rng.integers(
+                sum(c.w_min for c in curves), sum(c.w_max for c in curves) + 1
+            )
+        )
+        tree = ReductionTree(curves, acceleration=(budget, leaf_lo, leaf_hi))
+        _assert_nodes_match_windowed_combine(tree)
+        for _ in range(n_updates):
+            i = int(rng.integers(n))
+            fresh = leaves(1)[0]
+            old = curves[i]
+            if not (
+                tree.w_min_total - old.w_min + fresh.w_min
+                <= budget
+                <= tree.w_max_total - old.w_max + fresh.w_max
+            ):
+                continue
+            curves[i] = fresh
+            tree.update(i, fresh)
+            _assert_nodes_match_windowed_combine(tree)
+
+    @needs_native
+    @pytest.mark.parametrize("lb", [1, 3, 8, 13])
+    def test_every_block_tail(self, lb):
+        """Left operands of 1 to two blocks' rows, so the padded tail
+        takes every residue mod :data:`COMBINE_ROWS`; the windows cover
+        each combine's whole domain, so every row is read."""
+        rows = _native_opt.COMBINE_ROWS
+        rng = np.random.default_rng(lb)
+        tails = set()
+        for la in range(1, 2 * rows + 1):
+            a = random_curve(rng, la, w_min=1)
+            b = random_curve(rng, lb, w_min=1)
+            tree = ReductionTree(
+                [a, b, EnergyCurve.pinned(40)], acceleration=(42, 1, 40)
+            )
+            (node,) = _combined_nodes(tree)
+            assert node.left.curve is a and node.right.curve is b
+            full, _, _ = combine_pair(a, b)
+            assert node.curve.w_min == full.w_min
+            assert node.curve.energy.tobytes() == full.energy.tobytes()
+            tails.add(la % rows)
+        assert tails == set(range(rows))
+
+    @needs_native
+    def test_signed_zeros_and_nan_follow_the_ascending_spec(self):
+        """Negative values and ties between -0.0 and +0.0: each column
+        keeps its first minimum in ascending left allocation, sign of
+        zero included, and a NaN sum never wins — the scalar spec, and
+        (NaN aside) :func:`combine_pair`."""
+        rng = np.random.default_rng(5)
+        zeros = np.array([-0.0, 0.0, 2.0])
+        negative = np.array([-0.0, 0.0, -1.0, 1.0, -2.5])
+        curves = [
+            EnergyCurve(np.arange(2, 2 + w), rng.choice(values, w))
+            for w, values in zip(
+                (9, 15, 7, 12, 1, 16, 10, 8), [zeros] * 4 + [negative] * 4
+            )
+        ]
+        tree = ReductionTree(curves, acceleration=(70, 2, 17))
+        signs = set()
+        for node in _combined_nodes(tree):
+            spec = _scalar_spec(
+                node.left.curve, node.right.curve, node.curve.w_min,
+                node.curve.w_max,
+            )
+            assert node.curve.energy.tobytes() == spec.tobytes()
+            signs.update(np.signbit(spec[spec == 0.0]))
+        assert signs == {False, True}
+        _assert_nodes_match_windowed_combine(tree)
+        with_nan = curves[0].energy.copy()
+        with_nan[[0, 4]] = np.nan
+        tree.update(0, EnergyCurve(curves[0].ways, with_nan))
+        node = tree._leaves[0].parent
+        spec = _scalar_spec(
+            node.left.curve, node.right.curve, node.curve.w_min, node.curve.w_max
+        )
+        assert node.curve.energy.tobytes() == spec.tobytes()

@@ -12,7 +12,9 @@ The contract under test:
 * waves replaying a settings map by identity skip every non-boundary
   rate refresh (the ``rate_refreshes`` accounting);
 * generated full runs at 2-32 cores agree between the loops, and the
-  scalar oracle runs none of the wave loop's fast paths.
+  scalar oracle runs none of the wave loop's fast paths; nor do the
+  manager-mode oracles (``always_recompute``, ``full_rebuild``) run
+  theirs.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.config import default_system
 from repro.core import _native_opt
 from repro.core.energy_curve import EnergyCurve
 from repro.core.global_opt import ReductionTree, partition_ways
+from repro.core.local_cache import LocalOptMemo
 from repro.core.managers import (
     LOCAL_MODES,
     REDUCTION_MODES,
@@ -510,3 +513,37 @@ def test_scalar_oracle_runs_no_wave_fast_path(full_db, monkeypatch):
     monkeypatch.setattr(ResourceManager, "_interned_memo_key", _raise)
     scalar, _ = _generated_run(db, run, "scalar")
     assert result_to_json(scalar) == result_to_json(step)
+
+
+@pytest.mark.parametrize(
+    "mode,fast_path,overheads",
+    [
+        (("local_mode", "always_recompute"), (LocalOptMemo, ("get", "put")), True),
+        (
+            ("reduction", "full_rebuild"),
+            (ReductionTree, ("__init__", "update")),
+            False,
+        ),
+    ],
+    ids=["always_recompute", "full_rebuild"],
+)
+def test_manager_mode_oracle_runs_no_fast_path(
+    full_db, monkeypatch, mode, fast_path, overheads
+):
+    """Each manager-mode oracle completes a 4-core RM3/Model3 run with
+    its switch's fast path patched to raise — the local-result memo, or
+    the persistent reduction tree — and equals the default run.  A full
+    rebuild bills every combine, so that pair runs without overheads."""
+    db = _rebound(full_db, 4)
+    run = {
+        "apps": ("h264ref", "cactusADM", "bzip2", "hmmer"), "kind": "rm3",
+        "model": "Model3", "overheads": overheads, "reduction": "incremental",
+        "local_mode": "memoized", "horizon": None,
+    }
+    default, _ = _generated_run(db, run, "step")
+    owner, names = fast_path
+    for name in names:
+        monkeypatch.setattr(owner, name, _raise)
+    oracle, _ = _generated_run(db, {**run, mode[0]: mode[1]}, "step")
+    assert oracle.intervals_completed > 0
+    assert result_to_json(oracle) == result_to_json(default)

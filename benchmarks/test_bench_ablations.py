@@ -8,6 +8,8 @@
   MLP benefits for streaming workloads.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from repro.atd.atd import AuxiliaryTagDirectory
 from repro.config import ScaleConfig, SystemConfig
 from repro.core.managers import make_rm
 from repro.core.perf_models import Model3
-from repro.core.qos import QoSPolicy
 from repro.database.builder import SimDatabase, build_database
 from repro.experiments.common import get_database
 from repro.microarch.leading import leading_miss_matrix
@@ -68,7 +69,7 @@ def test_bench_ablation_qos_alpha(benchmark):
         ).run(wl, horizon_intervals=12)
         out = {}
         for alpha in (1.0, 1.05, 1.10):
-            rm = make_rm("rm3", db.system, Model3(), qos=QoSPolicy(alpha))
+            rm = make_rm("rm3", replace(db.system, qos_alpha=alpha), Model3())
             res = MulticoreRMSimulator(db, rm).run(wl, horizon_intervals=12)
             out[alpha] = energy_savings(res, idle)
         return out

@@ -10,9 +10,6 @@ The package builds the paper's entire stack in Python:
 * a mechanistic interval core model and parametric power model
   (``repro.microarch``, ``repro.power``),
 * a per-phase simulation database (``repro.database``),
-* SimPoint-style phase analysis (``repro.phases``), which stands alone:
-  synthetic applications carry their true phase pattern, so the database
-  build never calls it (its tests recover that pattern),
 * the coordinated resource managers RM1/RM2/RM3 with the online
   performance/energy models of Eqs. 1-5 (``repro.core``),
 * the multi-core RM simulator and evaluation metrics (``repro.simulator``),

@@ -73,10 +73,6 @@ class RecencyMonitor:
     def accesses(self) -> float:
         return self._accesses * self.scale
 
-    @property
-    def atd_misses(self) -> float:
-        return self._misses * self.scale
-
     def miss_curve(self) -> np.ndarray:
         """Estimated misses for allocations ``1..max_ways`` (scaled).
 

@@ -67,7 +67,6 @@ from repro.campaign.results import (
 )
 from repro.campaign.spec import MODEL_NAMES, RunSpec
 from repro.core.managers import ResourceManager, make_rm
-from repro.core.qos import QoSPolicy
 from repro.simulator.metrics import SimResult
 from repro.simulator.rmsim import MulticoreRMSimulator
 from repro.util import faults
@@ -156,10 +155,7 @@ def _simulate(spec: RunSpec, wave: Optional[str] = None) -> SimResult:
         # Eq. 3's relaxation knob: the RM optimises against the relaxed
         # budget and the simulator checks violations against the same one.
         relaxed = replace(system, qos_alpha=spec.alpha)
-        rm = make_rm(
-            spec.rm_kind, relaxed, make_model(spec.model),
-            qos=QoSPolicy(spec.alpha),
-        )
+        rm = make_rm(spec.rm_kind, relaxed, make_model(spec.model))
     sim = MulticoreRMSimulator(
         db, rm, charge_overheads=spec.charge_overheads, wave=wave
     )

@@ -26,7 +26,7 @@ from repro.core.perf_models import (
     PerformanceModel,
 )
 from repro.core.energy_model import OnlineEnergyModel
-from repro.core.qos import QoSPolicy, violation_magnitude
+from repro.core.qos import QoSPolicy
 from repro.core.local_cache import LocalOptMemo
 from repro.core.local_opt import (
     LocalOptKernel,
@@ -57,7 +57,6 @@ __all__ = [
     "ModelInputs",
     "OnlineEnergyModel",
     "QoSPolicy",
-    "violation_magnitude",
     "RMCapabilities",
     "LocalOptKernel",
     "LocalOptMemo",

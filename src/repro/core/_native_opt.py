@@ -32,7 +32,8 @@ Bit-identity is structural.  Each combine cell is the single addition
 ``a[ia] + b[w - ia]`` (no fusion or reassociation is possible) and a
 column's value is its first minimum in ascending ``ia``, the sign of a
 zero included — the value the NumPy combine's argmin selects (a NaN sum
-never wins here; energy curves hold none).  The row blocks change only
+never wins here; :class:`~repro.core.energy_curve.EnergyCurve` rejects
+NaN, so energy curves hold none).  The row blocks change only
 which columns a pass visits, never a column's order of compares.  The
 root split and the boundary pick keep the first minimum, and the first
 NaN if any, exactly as :func:`numpy.argmin`.  The advance performs

@@ -26,7 +26,8 @@ class EnergyCurve:
         ``int[k]`` ascending, contiguous candidate way counts.
     energy:
         ``float[k]`` predicted energy (J); ``+inf`` marks QoS-infeasible
-        allocations.
+        allocations.  NaN is rejected: the reduction's compiled and NumPy
+        combines order a NaN sum differently.
     """
 
     ways: np.ndarray
@@ -39,6 +40,8 @@ class EnergyCurve:
             raise ValueError("ways and energy must be equal-length 1-D arrays")
         if np.any(np.diff(ways) != 1):
             raise ValueError("ways must be contiguous ascending integers")
+        if np.isnan(energy).any():
+            raise ValueError("energy must not hold NaN (infeasible is +inf)")
         object.__setattr__(self, "ways", ways)
         object.__setattr__(self, "energy", energy)
         # Domain bounds as plain ints: the optimiser hot paths read these

@@ -65,7 +65,7 @@ differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -130,6 +130,9 @@ class ResourceManager:
         The online performance model (Model1/2/3 or Perfect).
     capabilities:
         Which local resources may be throttled.
+
+    Every core's application shares the one QoS constraint of Eq. 3,
+    ``system.qos_alpha``.
     """
 
     name = "RM"
@@ -139,8 +142,6 @@ class ResourceManager:
         system: SystemConfig,
         perf_model: PerformanceModel,
         capabilities: RMCapabilities,
-        energy_model: OnlineEnergyModel | None = None,
-        qos: QoSPolicy | Mapping[int, QoSPolicy] | None = None,
         switch_threshold: float = 0.02,
         reduction: str = "incremental",
         local_mode: str = "memoized",
@@ -161,21 +162,10 @@ class ResourceManager:
         self.system = system
         self.perf_model = perf_model
         self.capabilities = capabilities
-        self.energy_model = energy_model or OnlineEnergyModel(
+        self.energy_model = OnlineEnergyModel(
             PowerModel(system.power, system.dvfs, system.memory)
         )
-        # QoS may be a single policy (the paper's setup: every application
-        # shares alpha) or a per-core mapping — services with different
-        # latency slack are the natural deployment of Eq. 3's knob.
-        if qos is None:
-            self._qos = {i: QoSPolicy(system.qos_alpha) for i in range(system.n_cores)}
-        elif isinstance(qos, QoSPolicy):
-            self._qos = {i: qos for i in range(system.n_cores)}
-        else:
-            self._qos = {
-                i: qos.get(i, QoSPolicy(system.qos_alpha))
-                for i in range(system.n_cores)
-            }
+        self._qos = QoSPolicy(system.qos_alpha)
         #: Re-partition hysteresis: a new global way assignment is adopted
         #: only when its predicted energy beats re-optimising *at the
         #: current partition* by this relative margin.  Without damping,
@@ -232,7 +222,7 @@ class ResourceManager:
         self._baseline = system.baseline_setting()
         self._total_ways = system.total_ways
         #: Wave-only memo keys of the simulator's per-run interned inputs:
-        #: ``id(inputs) -> (inputs, alpha, key)``.  The entry holds the
+        #: ``id(inputs) -> (inputs, key)``.  The entry holds the
         #: inputs, so its id stays unique while the entry lives; bounded
         #: by the run's distinct boundary inputs and dropped on reset.
         self._memo_keys: Dict[int, tuple] = {}
@@ -269,7 +259,7 @@ class ResourceManager:
         Returns the new per-core settings for the whole system.
         """
         self._core_state(core_id)
-        qos = self.qos_for(core_id)
+        qos = self._qos
         memo = self.local_memo
         if memo is not None:
             if self._accelerate:
@@ -293,17 +283,11 @@ class ResourceManager:
         at every boundary; :meth:`observe` derives its keys directly.)
         """
         hit = self._memo_keys.get(id(inputs))
-        if hit is not None and hit[1] == qos.alpha:
-            return hit[2]
+        if hit is not None:
+            return hit[1]
         key = local_memo_key(inputs, self.perf_model, qos)
-        self._memo_keys[id(inputs)] = (inputs, qos.alpha, key)
+        self._memo_keys[id(inputs)] = (inputs, key)
         return key
-
-    def qos_for(self, core_id: int) -> QoSPolicy:
-        """The QoS policy governing one core's application."""
-        if core_id not in self._qos:
-            raise KeyError(f"unknown core {core_id}")
-        return self._qos[core_id]
 
     def set_wave_acceleration(self, enabled: bool) -> None:
         """Toggle the accelerated reduction path for future trees.

@@ -5,7 +5,7 @@ algorithm: 51K/73K/100K instructions for 2/4/8-core systems with RM3 and
 18K/40K/67K with RM2.  We count the *abstract operations* our optimisers
 perform (model-grid evaluations in the local step, cell updates in the
 curve reduction) and convert them to instruction estimates with per-RM
-calibration constants fitted once against those six published points.
+calibration constants set once against those six published points.
 
 The conversion is deliberately simple (affine in evaluations and DP cells
 plus a per-core term for bookkeeping) — the experiment reports both raw
@@ -33,14 +33,15 @@ class RMCostModel:
     ``instructions = fixed + per_core * n_cores + per_eval * local_evals
     + per_dp * dp_cells`` (floored at ``min_instructions``).
 
-    The default constants are a constrained least-squares fit against the
-    paper's six published points with ``per_eval`` pinned by the exact
-    RM3-RM2 difference (300 extra grid evaluations cost 33K instructions at
-    every core count) and ``per_dp`` held at a small positive value; the
-    unconstrained exact fit would need negative marginal DP cost because
-    the paper's totals grow sublinearly in core count while reduction work
-    grows superlinearly.  Worst-case residual of the constrained fit is
-    about 16% (RM2, 4 cores).
+    The default constants are calibrated against the paper's six
+    published points: ``per_eval`` is pinned by the exact RM3-RM2
+    difference (300 extra grid evaluations cost 33K instructions at every
+    core count), ``per_dp`` is held at a small positive value, and
+    ``fixed``/``per_core`` pass, to rounding, through the 2- and 8-core
+    points.  A least-squares fit of all four terms would need a negative
+    marginal DP cost because the paper's totals grow sublinearly in core
+    count while reduction work grows superlinearly.  The worst residual is
+    16.1% (RM2 at 4 cores: 33,551 against 40,000).
     """
 
     fixed: float = -13_200.0
@@ -77,28 +78,3 @@ class RMCostModel:
         if interval_instructions <= 0:
             raise ValueError("interval_instructions must be positive")
         return instructions / interval_instructions
-
-
-def fit_cost_model(
-    samples: list[tuple[int, int, int, float]],
-) -> RMCostModel:
-    """Least-squares fit of the affine cost model.
-
-    Parameters
-    ----------
-    samples:
-        Tuples ``(n_cores, local_evaluations, dp_operations, instructions)``.
-    """
-    import numpy as np
-
-    if len(samples) < 4:
-        raise ValueError("need at least four samples to fit four coefficients")
-    a = np.array([[1.0, s[0], s[1], s[2]] for s in samples])
-    y = np.array([s[3] for s in samples])
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    return RMCostModel(
-        fixed=float(coef[0]),
-        per_core=float(coef[1]),
-        per_eval=float(coef[2]),
-        per_dp=float(coef[3]),
-    )

@@ -1,4 +1,4 @@
-"""The QoS predicate (Eq. 3) and violation metric (Eq. 6).
+"""The QoS predicate (Eq. 3).
 
 QoS is satisfied for a candidate setting iff its predicted execution time
 does not exceed the predicted baseline time scaled by the relaxation
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QoSPolicy", "violation_magnitude"]
+__all__ = ["QoSPolicy"]
 
 #: Relative tolerance for the feasibility comparison.
 _RTOL = 1e-9
@@ -45,13 +45,3 @@ class QoSPolicy:
             raise ValueError("baseline prediction must be positive")
         bound = predicted_baseline * self.alpha
         return np.asarray(time_grid) <= bound * (1.0 + _RTOL)
-
-
-def violation_magnitude(actual_target: float, actual_baseline: float) -> float:
-    """Eq. 6: relative slowdown of the chosen setting versus baseline.
-
-    Positive values are violations; callers filter on ``> 0``.
-    """
-    if actual_baseline <= 0:
-        raise ValueError("baseline time must be positive")
-    return (actual_target - actual_baseline) / actual_baseline

@@ -11,9 +11,6 @@ refinement.
 """
 
 from repro.microarch.leading import leading_miss_matrix
-from repro.microarch.interval_model import (
-    IntervalModel,
-    bandwidth_latency_factor,
-)
+from repro.microarch.interval_model import IntervalModel
 
-__all__ = ["leading_miss_matrix", "IntervalModel", "bandwidth_latency_factor"]
+__all__ = ["leading_miss_matrix", "IntervalModel"]

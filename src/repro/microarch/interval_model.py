@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.config import CoreSize, SystemConfig
 
-__all__ = ["IntervalModel", "bandwidth_latency_factor", "solve_contention_time"]
+__all__ = ["IntervalModel", "solve_contention_time"]
 
 #: Default queueing gain of the contention model; mild on purpose — the
 #: paper's evaluation is not bandwidth-saturated.
@@ -44,24 +44,6 @@ RHO_MAX = 0.95
 #: Bisection iterations (halves the bracket each step; 60 is exhaustive for
 #: float64).
 _BISECT_ITERS = 60
-
-
-def bandwidth_latency_factor(
-    miss_bytes_per_s: float,
-    bandwidth_bytes_per_s: float,
-    queue_gain: float = QUEUE_GAIN,
-    max_utilisation: float = RHO_MAX,
-) -> float:
-    """Queueing-delay multiplier for the DRAM latency.
-
-    An M/D/1-flavoured factor ``1 + g * rho^2 / (1 - rho)`` with utilisation
-    capped below 1; modest by design — the paper's evaluation is not
-    bandwidth-saturated.
-    """
-    if bandwidth_bytes_per_s <= 0:
-        raise ValueError("bandwidth must be positive")
-    rho = min(max(miss_bytes_per_s, 0.0) / bandwidth_bytes_per_s, max_utilisation)
-    return 1.0 + queue_gain * rho * rho / (1.0 - rho)
 
 
 def solve_contention_time(

@@ -84,36 +84,3 @@ class PowerModel:
         if n_cores < 1:
             raise ValueError("n_cores must be >= 1")
         return self.power.uncore_w_per_core * n_cores
-
-    # ------------------------------------------------------------------
-    # composite
-    # ------------------------------------------------------------------
-    def interval_core_energy_j(
-        self,
-        core: CoreSize,
-        f_ghz: float,
-        n_instructions: float,
-        time_s: float,
-    ) -> tuple[float, float]:
-        """(dynamic, static) core energy for one interval.
-
-        Dynamic energy is work-proportional (independent of how long the
-        interval stretches); static energy accrues over wall-clock time.
-        """
-        if time_s < 0:
-            raise ValueError("time must be non-negative")
-        v = self.dvfs.voltage(f_ghz)
-        dyn = self.dynamic_energy_per_instruction_j(core, v) * n_instructions
-        static = self.static_power_w(core, v) * time_s
-        return dyn, static
-
-    def interval_memory_energy_j(
-        self, misses: float, llc_accesses: float
-    ) -> float:
-        """DRAM + LLC dynamic energy for one interval."""
-        if misses < 0 or llc_accesses < 0:
-            raise ValueError("event counts must be non-negative")
-        return (
-            misses * self.dram_access_energy_j()
-            + llc_accesses * self.llc_access_energy_j()
-        )

@@ -75,36 +75,6 @@ class SimResult:
             "uncore_j": self.uncore_j,
         }
 
-    def timeline_csv(self) -> str:
-        """Setting-change history as CSV (requires ``collect_history``).
-
-        Columns: time in milliseconds, core id, application, core size,
-        frequency in GHz, ways.  Useful for plotting the Fig. 5-style
-        reconfiguration timeline of a run.
-        """
-        if self.history is None:
-            raise ValueError(
-                "run the simulator with collect_history=True to export a timeline"
-            )
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["time_ms", "core", "app", "size", "f_ghz", "ways"])
-        for change in self.history:
-            writer.writerow(
-                [
-                    f"{change.time_s * 1e3:.3f}",
-                    change.core_id,
-                    self.apps[change.core_id],
-                    change.setting.core.name,
-                    change.setting.f_ghz,
-                    change.setting.ways,
-                ]
-            )
-        return buf.getvalue()
-
 
 def energy_savings(result: SimResult, baseline: SimResult) -> float:
     """Relative energy saving of ``result`` versus the idle-RM ``baseline``.

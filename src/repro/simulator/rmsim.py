@@ -518,9 +518,9 @@ class MulticoreRMSimulator:
     db:
         Simulation database (must cover every workload application).
     rm:
-        The resource manager (Idle, RM1, RM2 or RM3 with any model).
-    cost_model:
-        Converts optimiser operation counts to RM instruction overhead.
+        The resource manager (Idle, RM1, RM2 or RM3 with any model).  QoS
+        is checked against its ``system.qos_alpha``, the budget it
+        optimises for.
     charge_overheads:
         Disable to reproduce the paper's "perfect ... overheads" studies
         (Fig. 2 uses perfect models *and* no overheads).
@@ -534,8 +534,6 @@ class MulticoreRMSimulator:
         self,
         db: SimDatabase,
         rm: ResourceManager,
-        cost_model: RMCostModel | None = None,
-        dvfs_controller: DVFSController | None = None,
         repartition_transient: RepartitionTransient | None = None,
         charge_overheads: bool = True,
         collect_history: bool = False,
@@ -544,8 +542,8 @@ class MulticoreRMSimulator:
         self.db = db
         self.system: SystemConfig = db.system
         self.rm = rm
-        self.cost_model = cost_model or RMCostModel()
-        self.dvfs = dvfs_controller or DVFSController(self.system.dvfs)
+        self.cost_model = RMCostModel()
+        self.dvfs = DVFSController(self.system.dvfs)
         self.repartition = repartition_transient or RepartitionTransient(
             way_kb=self.system.cache.way_kb(),
             block_bytes=self.system.cache.block_bytes,
@@ -656,6 +654,7 @@ class MulticoreRMSimulator:
     ) -> Tuple[float, int, int, List[float], int, float]:
         """The PR-4 event loop, preserved verbatim (differential oracle)."""
         n_cores = st.n
+        alpha = self.rm.system.qos_alpha
         t = 0.0
         intervals_completed = 0
         qos_checks = 0
@@ -686,7 +685,6 @@ class MulticoreRMSimulator:
             base_time = record.time_at(baseline)
             if not st.finished[b]:
                 qos_checks += 1
-                alpha = self._alpha_for(b)
                 rel = (elapsed - base_time * alpha) / base_time
                 if rel > _VIOLATION_EPS:
                     violations.append(rel)
@@ -788,7 +786,7 @@ class MulticoreRMSimulator:
         cost_model = self.cost_model
         mem_latency_s = self.system.memory.base_latency_s
         mem_access_j = self.system.memory.access_energy_nj * 1e-9
-        alphas = [self._alpha_for(i) for i in range(n_cores)]
+        alpha = rm.system.qos_alpha
         # Hot-loop locals: the boundary pick is the arithmetic of
         # :func:`next_boundary_arrays` over preallocated scratch
         # (:meth:`_CoreStates.next_event`; float addition commutes, so
@@ -865,7 +863,7 @@ class MulticoreRMSimulator:
 
             if not finished[b]:
                 qos_checks += 1
-                rel = (elapsed - base_time * alphas[b]) / base_time
+                rel = (elapsed - base_time * alpha) / base_time
                 if rel > _VIOLATION_EPS:
                     violations.append(rel)
             intervals_completed += 1
@@ -930,12 +928,3 @@ class MulticoreRMSimulator:
             rm_invocations,
             rm_instructions,
         )
-
-    # ------------------------------------------------------------------
-    def _alpha_for(self, core_id: int) -> float:
-        """Violation threshold for one core (per-core QoS when the RM
-        defines it, the system default otherwise)."""
-        qos_for = getattr(self.rm, "qos_for", None)
-        if qos_for is None:
-            return self.system.qos_alpha
-        return qos_for(core_id).alpha

@@ -21,7 +21,6 @@ from repro.trace.reuse import (
     ReuseProfile,
     cliff_profile,
     flat_profile,
-    mixture_profile,
     small_ws_profile,
     streaming_profile,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "ReuseProfile",
     "cliff_profile",
     "flat_profile",
-    "mixture_profile",
     "small_ws_profile",
     "streaming_profile",
     "FRESH",

@@ -74,10 +74,6 @@ class IntervalTrace:
         """Nominal per-interval miss counts for allocations ``1..max_ways``."""
         return self.stream.miss_counts(max_ways) * self.sample_scale
 
-    def mpki_curve(self, interval_instructions: int, max_ways: int = STACK_DEPTH) -> np.ndarray:
-        """Misses-per-kilo-instruction curve at nominal scale."""
-        return self.nominal_miss_curve(max_ways) / (interval_instructions / 1000.0)
-
 
 class PhaseTraceGenerator:
     """Deterministic generator of :class:`IntervalTrace` objects.

@@ -16,14 +16,12 @@ Section IV-C definition:
 * :func:`streaming_profile` — mass at FRESH: cache *insensitive* with a high
   MPKI (lbm/libquantum-like streaming),
 * :func:`cliff_profile` — mass concentrated around a recency cliff inside
-  the 2..16-way control range: cache *sensitive* (mcf/omnetpp-like),
-* :func:`mixture_profile` — weighted combination of the above.
+  the 2..16-way control range: cache *sensitive* (mcf/omnetpp-like).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +34,6 @@ __all__ = [
     "small_ws_profile",
     "streaming_profile",
     "cliff_profile",
-    "mixture_profile",
 ]
 
 #: Number of distinct recency positions tracked (the maximum way allocation).
@@ -150,19 +147,3 @@ def cliff_profile(
     w = np.exp(-0.5 * ((r - center) / width) ** 2)
     w = w / w.sum() * (1.0 - fresh_frac)
     return _normalised(np.concatenate([w, [fresh_frac]]))
-
-
-def mixture_profile(
-    components: Sequence[ReuseProfile], weights: Sequence[float]
-) -> ReuseProfile:
-    """Convex combination of reuse profiles."""
-    if len(components) != len(weights) or not components:
-        raise ValueError("components and weights must be equal-length, non-empty")
-    ws = np.asarray(weights, dtype=float)
-    if np.any(ws < 0) or ws.sum() <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
-    ws = ws / ws.sum()
-    pmf = np.zeros(MAX_RECENCY + 1)
-    for comp, weight in zip(components, ws):
-        pmf += weight * comp.as_array()
-    return _normalised(pmf)

@@ -119,9 +119,6 @@ class PhaseSpec:
         """Mean instructions between consecutive LLC accesses."""
         return 1000.0 / self.llc_apki
 
-    def ipc_tuple(self) -> Tuple[float, float, float]:
-        return tuple(self.ipc[s] for s in CoreSize.all())
-
 
 @dataclass(frozen=True)
 class AppSpec:

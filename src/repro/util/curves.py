@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "enforce_nonincreasing",
-    "enforce_nondecreasing",
-    "is_monotone_nonincreasing",
-]
+__all__ = ["enforce_nonincreasing", "is_monotone_nonincreasing"]
 
 
 def enforce_nonincreasing(values: np.ndarray) -> np.ndarray:
@@ -26,14 +22,6 @@ def enforce_nonincreasing(values: np.ndarray) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("expected a 1-D curve")
     return np.minimum.accumulate(arr)
-
-
-def enforce_nondecreasing(values: np.ndarray) -> np.ndarray:
-    """Largest pointwise-dominated non-decreasing curve (running max)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-D curve")
-    return np.maximum.accumulate(arr)
 
 
 def is_monotone_nonincreasing(values: np.ndarray, atol: float = 1e-9) -> bool:

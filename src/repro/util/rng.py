@@ -10,7 +10,6 @@ of sharing one generator).
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 import numpy as np
 
@@ -55,16 +54,3 @@ class RngFactory:
     def stream(self, *names: str | int) -> np.random.Generator:
         """A fresh generator for the given name path (always the same seed)."""
         return np.random.default_rng(self.seed(*names))
-
-    def py_choice(self, items: Iterable, *names: str | int):
-        """``random.choice``-style selection used by the workload generator.
-
-        The paper states that Python's ``random.choice`` is used to pick
-        benchmark applications; we reproduce that uniform-choice semantics
-        with a named stream.
-        """
-        seq = list(items)
-        if not seq:
-            raise ValueError("cannot choose from an empty sequence")
-        g = self.stream(*names)
-        return seq[int(g.integers(0, len(seq)))]

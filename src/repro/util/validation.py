@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["check_positive", "check_fraction", "check_probability_vector"]
+__all__ = ["check_positive", "check_fraction"]
 
 
 def check_positive(name: str, value: float) -> float:
@@ -22,16 +20,3 @@ def check_fraction(name: str, value: float, *, inclusive: bool = True) -> float:
         bounds = "[0, 1]" if inclusive else "(0, 1)"
         raise ValueError(f"{name} must be in {bounds}, got {value!r}")
     return value
-
-
-def check_probability_vector(name: str, values) -> np.ndarray:
-    """Validate a non-negative vector summing to 1 (within tolerance)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D vector")
-    if np.any(arr < -1e-12):
-        raise ValueError(f"{name} must be non-negative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"{name} must sum to 1, got {total}")
-    return arr / total

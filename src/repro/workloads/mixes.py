@@ -9,9 +9,11 @@ additionally, the second half can be CS-PI if the first half is CI-PS"); a
 template is drawn per workload, weighted by the probability mass of the
 cells it covers.
 
-Generation is repeated with distinct seeds until every suite application has
-appeared at least once across the generated workloads, mirroring the paper's
-"process is repeated until each application is selected at least once".
+:func:`generate_covering_workloads` repeats generation with distinct seeds
+until every suite application has appeared at least once across the
+generated workloads, mirroring the paper's "process is repeated until each
+application is selected at least once".  The experiments call
+:func:`generate_workloads` once per scenario and skip that rule.
 
 The construction generalises to *arbitrary* core counts >= 2 (the paper
 evaluates 4 and 8; the scaling extension sweeps 16 and 32 and nothing

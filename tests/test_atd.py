@@ -36,7 +36,6 @@ class TestRecencyMonitor:
         m = RecencyMonitor(4, scale=10.0)
         m.record(FRESH)
         assert m.miss_curve()[0] == 10.0
-        assert m.atd_misses == 10.0
 
     def test_rejects_out_of_range(self):
         m = RecencyMonitor(4)

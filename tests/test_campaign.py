@@ -256,13 +256,12 @@ class TestEngineDifferential:
 
         from repro.core.managers import make_rm
         from repro.core.perf_models import Model3
-        from repro.core.qos import QoSPolicy
         from repro.simulator.rmsim import MulticoreRMSimulator
 
         db = get_database(4, SEED)
         spec = _spec(alpha=1.1)
         system = replace(db.system, qos_alpha=1.1)
-        rm = make_rm("rm3", system, Model3(), qos=QoSPolicy(1.1))
+        rm = make_rm("rm3", system, Model3())
         want = MulticoreRMSimulator(db, rm).run(
             list(spec.apps), horizon_intervals=spec.horizon_intervals
         )

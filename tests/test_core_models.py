@@ -6,7 +6,7 @@ import pytest
 from repro.config import CoreSize, DVFSConfig, MemoryConfig, PowerConfig
 from repro.core.energy_model import OnlineEnergyModel
 from repro.core.perf_models import Model3, ModelInputs
-from repro.core.qos import QoSPolicy, violation_magnitude
+from repro.core.qos import QoSPolicy
 from repro.power.model import PowerModel
 
 
@@ -95,12 +95,6 @@ class TestQoS:
     def test_float_noise_tolerated(self):
         q = QoSPolicy(1.0)
         assert q.feasible(1.0 + 1e-12, 1.0)
-
-    def test_violation_magnitude(self):
-        assert violation_magnitude(1.2, 1.0) == pytest.approx(0.2)
-        assert violation_magnitude(0.8, 1.0) == pytest.approx(-0.2)
-        with pytest.raises(ValueError):
-            violation_magnitude(1.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

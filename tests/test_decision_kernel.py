@@ -84,6 +84,13 @@ class TestCombineDifferential:
         assert np.array_equal(choice, ref_choice)
         assert np.all(choice == a.w_min)
 
+    def test_nan_energy_rejected(self):
+        """Infeasible points are +inf.  A NaN would be ordered one way
+        by the compiled combine and another by :func:`combine_pair`, so
+        no curve may hold one."""
+        with pytest.raises(ValueError, match="NaN"):
+            EnergyCurve(np.arange(2, 6), np.array([1.0, np.nan, 2.0, np.inf]))
+
     def test_tie_breaks_to_smallest_left_allocation(self):
         a = EnergyCurve(np.array([1, 2]), np.array([1.0, 1.0]))
         b = EnergyCurve(np.array([1, 2]), np.array([1.0, 1.0]))
@@ -739,9 +746,10 @@ class TestBlockedCombine:
             signs.update(np.signbit(spec[spec == 0.0]))
         assert signs == {False, True}
         _assert_nodes_match_windowed_combine(tree)
+        # EnergyCurve rejects NaN, so the leaf bypasses its validation.
         with_nan = curves[0].energy.copy()
         with_nan[[0, 4]] = np.nan
-        tree.update(0, EnergyCurve(curves[0].ways, with_nan))
+        tree.update(0, EnergyCurve.from_reduction(curves[0].w_min, with_nan))
         node = tree._leaves[0].parent
         spec = _scalar_spec(
             node.left.curve, node.right.curve, node.curve.w_min, node.curve.w_max

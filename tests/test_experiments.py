@@ -68,6 +68,17 @@ class TestStaticArtefacts:
             assert (
                 data[("rm3", n)]["instructions"] > data[("rm2", n)]["instructions"]
             )
+        # RMCostModel's defaults: every estimate within 16.2% of the
+        # paper's count, the worst being RM2 at 4 cores
+        residual = {
+            key: abs(row["instructions"] - row["paper_instructions"])
+            / row["paper_instructions"]
+            for key, row in data.items()
+        }
+        assert max(residual.values()) < 0.162
+        assert max(residual, key=residual.get) == ("rm2", 4)
+        assert data[("rm2", 4)]["instructions"] == 33_551
+        assert any("282 bytes per core" in note for note in res.notes)
 
 
 class TestDynamicArtefacts:

@@ -39,6 +39,7 @@ from repro.campaign.results import (
     store_result,
 )
 from repro.cli import main as cli_main
+from repro.simulator.rmsim import MulticoreRMSimulator
 from repro.testing import serial_oracle
 from repro.util import faults
 
@@ -337,15 +338,31 @@ class TestVerifyAudit:
         )
 
     def test_cross_mode_witnesses(self, full_db, monkeypatch, tmp_path):
+        """The one sampled spec is re-executed once on each event loop,
+        not only reported under both mode names."""
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
         spec = ISPECS[0]
         execute_spec(spec)
         clear_result_memo()
+        calls = {"_loop_scalar": 0, "_loop_wave": 0}
+
+        def spy(name):
+            loop = getattr(MulticoreRMSimulator, name)
+
+            def counted(self, *args):
+                calls[name] += 1
+                return loop(self, *args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(MulticoreRMSimulator, name, spy(name))
         report = verify_store(
             tmp_path, sample=1, cross_mode=True, out=lambda _: None
         )
         assert report["divergences"] == 0
         assert set(report["modes"]) == {"step", "scalar"}
+        assert calls == {"_loop_scalar": 1, "_loop_wave": 1}
 
     def test_sidecar_spec_with_wave_still_reexecutes(
         self, full_db, monkeypatch, tmp_path

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import CoreSize
 from repro.core.managers import RM1, RM2, RM3, IdleRM, make_rm
-from repro.core.overheads import PAPER_RM_INSTRUCTIONS, RMCostModel, fit_cost_model
+from repro.core.overheads import PAPER_RM_INSTRUCTIONS, RMCostModel
 from repro.core.perf_models import Model3, ModelInputs
 
 
@@ -140,19 +140,6 @@ class TestCostModel:
         with pytest.raises(ValueError):
             cost.time_overhead_s(1, 0.0, 2.0)
 
-    def test_fit_cost_model(self):
-        samples = [
-            (2, 150, 225, 18000.0),
-            (4, 150, 1291, 40000.0),
-            (8, 150, 5831, 67000.0),
-            (2, 450, 225, 51000.0),
-        ]
-        fitted = fit_cost_model(samples)
-        for n, evals, dp, y in samples:
-            assert fitted.instructions(n, evals, dp) == pytest.approx(y, rel=0.05)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RMCostModel().instructions(0, 1, 1)
-        with pytest.raises(ValueError):
-            fit_cost_model([(2, 1, 1, 1.0)])

@@ -8,11 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import _native
 from repro.config import CoreSize, default_system
-from repro.microarch.interval_model import (
-    IntervalModel,
-    bandwidth_latency_factor,
-    solve_contention_time,
-)
+from repro.microarch.interval_model import IntervalModel, solve_contention_time
 from repro.microarch.leading import count_leading_misses, leading_miss_matrix
 from repro.trace.stream import AccessStream
 
@@ -150,17 +146,6 @@ class TestLeadingMisses:
 
 
 class TestContention:
-    def test_factor_one_at_zero_load(self):
-        assert bandwidth_latency_factor(0.0, 5e9) == 1.0
-
-    def test_factor_monotone(self):
-        loads = np.linspace(0, 6e9, 20)
-        factors = [bandwidth_latency_factor(x, 5e9) for x in loads]
-        assert all(a <= b for a, b in zip(factors, factors[1:]))
-
-    def test_factor_capped(self):
-        assert bandwidth_latency_factor(1e12, 5e9) == bandwidth_latency_factor(6e9, 5e9)
-
     def test_fixed_point_is_consistent(self):
         """The solved time satisfies its own equation."""
         t = solve_contention_time(0.02, 0.03, 200e6 * 64, 5e9)

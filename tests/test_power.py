@@ -37,23 +37,9 @@ class TestPowerModel:
             CoreSize.M, 1.25
         )
 
-    def test_interval_energy_split(self, power):
-        dyn, static = power.interval_core_energy_j(CoreSize.M, 2.0, 1e8, 0.05)
-        assert dyn == pytest.approx(
-            1e8 * power.dynamic_energy_per_instruction_j(CoreSize.M, DVFSConfig().voltage(2.0))
-        )
-        assert static == pytest.approx(0.05 * power.static_power_w(CoreSize.M, 1.0))
-
-    def test_dynamic_energy_frequency_free_at_fixed_v(self, power):
-        """Work energy depends on V, not on how fast the work ran."""
-        d1, _ = power.interval_core_energy_j(CoreSize.M, 2.0, 1e8, 0.1)
-        d2, _ = power.interval_core_energy_j(CoreSize.M, 2.0, 1e8, 0.2)
-        assert d1 == d2
-
     def test_memory_energy(self, power):
-        e = power.interval_memory_energy_j(misses=1e6, llc_accesses=2e6)
-        expected = 1e6 * 20e-9 + 2e6 * 1.1e-9
-        assert e == pytest.approx(expected)
+        assert power.dram_access_energy_j() == pytest.approx(20e-9)
+        assert power.llc_access_energy_j() == pytest.approx(1.1e-9)
 
     def test_uncore_power_scales_with_cores(self, power):
         assert power.uncore_power_w(8) == pytest.approx(2 * power.uncore_power_w(4))
@@ -63,8 +49,6 @@ class TestPowerModel:
             power.dynamic_energy_per_instruction_j(CoreSize.M, 0.0)
         with pytest.raises(ValueError):
             power.uncore_power_w(0)
-        with pytest.raises(ValueError):
-            power.interval_memory_energy_j(-1, 0)
 
     @given(f=st.sampled_from(DVFSConfig().frequencies_ghz()))
     def test_dvfs_energy_cost_quadratic_shape(self, f):

@@ -1,5 +1,8 @@
 """Multi-core RM simulator tests: events, metrics, end-to-end runs."""
 
+from dataclasses import replace
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from repro.simulator.metrics import (
     energy_savings,
     weighted_scenario_average,
 )
-from repro.simulator.rmsim import MulticoreRMSimulator
+from repro.simulator.rmsim import WAVE_MODES, MulticoreRMSimulator
 from repro.power.energy import EnergyBreakdown
 
 
@@ -144,25 +147,6 @@ class TestSimulation:
         assert res.history is not None
         assert all(h.time_s <= res.t_end_s for h in res.history)
 
-    def test_timeline_csv(self, mini_db, system2):
-        sim = MulticoreRMSimulator(
-            mini_db, RM3(system2, PerfectModel()), collect_history=True
-        )
-        res = sim.run(["mini_cips", "mini_csps"], horizon_intervals=3)
-        csv_text = res.timeline_csv()
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "time_ms,core,app,size,f_ghz,ways"
-        assert len(lines) == len(res.history) + 1
-        if len(lines) > 1:
-            assert "mini_" in lines[1]
-
-    def test_timeline_requires_history(self, mini_db, system2):
-        res = MulticoreRMSimulator(mini_db, IdleRM(system2)).run(
-            ["mini_cips", "mini_csps"], horizon_intervals=2
-        )
-        with pytest.raises(ValueError):
-            res.timeline_csv()
-
     def test_workload_arity_checked(self, mini_db, system2):
         sim = MulticoreRMSimulator(mini_db, IdleRM(system2))
         with pytest.raises(ValueError):
@@ -215,3 +199,40 @@ class TestSimulation:
         assert a.total_energy_j == pytest.approx(b.total_energy_j)
         assert a.t_end_s == pytest.approx(b.t_end_s)
         assert np.allclose(a.violations, b.violations)
+
+
+class TestPerfectWithoutOverheads:
+    """Perfect predicts every interval's time exactly, so with no
+    overhead charged the RM never runs a core past its budget: no QoS
+    check records a violation, for any manager, alpha or event loop.
+    Under a relaxed alpha the RM slows applications down inside the
+    budget it was granted, and that is not a violation."""
+
+    @pytest.mark.parametrize("wave", WAVE_MODES)
+    @pytest.mark.parametrize("alpha", [1.0, 1.1, 1.3])
+    @pytest.mark.parametrize("kind", ["rm1", "rm2", "rm3"])
+    def test_no_violations_on_mini_databases(
+        self, mini_db, mini_db4, kind, alpha, wave
+    ):
+        for db in (mini_db, mini_db4):
+            system = replace(db.system, qos_alpha=alpha)
+            for pair in combinations_with_replacement(db.app_names(), 2):
+                apps = list(pair) * (system.n_cores // 2)
+                rm = make_rm(kind, system, PerfectModel())
+                res = MulticoreRMSimulator(
+                    db, rm, charge_overheads=False, wave=wave
+                ).run(apps)
+                assert res.qos_checks > 0
+                assert res.violations == [], (apps, res.violations)
+
+    @pytest.mark.parametrize("wave", WAVE_MODES)
+    def test_no_violations_at_paper_scale(self, full_db, wave):
+        for kind in ("rm1", "rm2", "rm3"):
+            for alpha in (1.0, 1.1, 1.3):
+                system = replace(full_db.system, qos_alpha=alpha)
+                rm = make_rm(kind, system, PerfectModel())
+                res = MulticoreRMSimulator(
+                    full_db, rm, charge_overheads=False, wave=wave
+                ).run(["mcf", "omnetpp", "libquantum", "gamess"])
+                assert res.qos_checks > 0
+                assert res.violations == [], (kind, alpha, res.violations)

@@ -36,10 +36,6 @@ class TestPhaseSpecValidation:
     def test_mean_access_gap(self):
         assert make_phase(apki=25.0).mean_access_gap == pytest.approx(40.0)
 
-    def test_ipc_tuple_order(self):
-        p = make_phase(ipc=uniform_ipc(1.0, 1.5, 2.0))
-        assert p.ipc_tuple() == (1.0, 1.5, 2.0)
-
 
 class TestAppSpecValidation:
     def _phases(self):

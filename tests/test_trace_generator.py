@@ -121,12 +121,6 @@ class TestScaling:
         nominal = gen.scale.interval_instructions * 10.0 / 1000.0
         assert trace.nominal_accesses == pytest.approx(nominal, rel=1e-6)
 
-    def test_mpki_curve_consistency(self, cs_trace):
-        interval = small_scale().interval_instructions
-        mpki = cs_trace.mpki_curve(interval)
-        miss = cs_trace.nominal_miss_curve()
-        assert np.allclose(mpki, miss / (interval / 1000.0))
-
 
 class TestBurstChain:
     def test_burst_chain_adds_lead_dependences(self, gen):

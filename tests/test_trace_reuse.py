@@ -9,7 +9,6 @@ from repro.trace.reuse import (
     ReuseProfile,
     cliff_profile,
     flat_profile,
-    mixture_profile,
     small_ws_profile,
     streaming_profile,
 )
@@ -56,17 +55,6 @@ class TestShapes:
         p = flat_profile(0.0)
         hist = p.as_array()
         assert np.allclose(hist[:16], 1.0 / 16)
-
-    def test_mixture_is_convex(self):
-        a, b = small_ws_profile(2), streaming_profile(0.9)
-        m = mixture_profile([a, b], [0.5, 0.5])
-        assert np.allclose(m.as_array(), 0.5 * a.as_array() + 0.5 * b.as_array())
-
-    def test_mixture_validation(self):
-        with pytest.raises(ValueError):
-            mixture_profile([], [])
-        with pytest.raises(ValueError):
-            mixture_profile([flat_profile()], [-1.0])
 
 
 class TestSampling:

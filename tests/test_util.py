@@ -7,18 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util import nativebuild
-from repro.util.curves import (
-    enforce_nondecreasing,
-    enforce_nonincreasing,
-    is_monotone_nonincreasing,
-)
+from repro.util.curves import enforce_nonincreasing, is_monotone_nonincreasing
 from repro.util.rng import RngFactory, derive_seed
 from repro.util.tables import format_table
-from repro.util.validation import (
-    check_fraction,
-    check_positive,
-    check_probability_vector,
-)
+from repro.util.validation import check_fraction, check_positive
 
 
 class TestRng:
@@ -44,16 +36,6 @@ class TestRng:
         f = RngFactory(99)
         assert not np.allclose(f.stream("x").random(5), f.stream("y").random(5))
 
-    def test_py_choice_uniform_and_seeded(self):
-        f = RngFactory(5)
-        picks = {f.py_choice("abcdef", "sel", i) for i in range(100)}
-        assert picks == set("abcdef")
-        assert f.py_choice("abcdef", "sel", 0) == RngFactory(5).py_choice("abcdef", "sel", 0)
-
-    def test_py_choice_empty_rejected(self):
-        with pytest.raises(ValueError):
-            RngFactory(1).py_choice([], "x")
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RngFactory(-1)
@@ -63,10 +45,6 @@ class TestCurves:
     def test_enforce_nonincreasing(self):
         out = enforce_nonincreasing(np.array([5.0, 6.0, 4.0, 4.5]))
         assert np.allclose(out, [5.0, 5.0, 4.0, 4.0])
-
-    def test_enforce_nondecreasing(self):
-        out = enforce_nondecreasing(np.array([1.0, 0.5, 2.0]))
-        assert np.allclose(out, [1.0, 1.0, 2.0])
 
     def test_is_monotone(self):
         assert is_monotone_nonincreasing(np.array([3.0, 2.0, 2.0]))
@@ -118,14 +96,6 @@ class TestValidation:
             check_fraction("x", 0.0, inclusive=False)
         with pytest.raises(ValueError):
             check_fraction("x", 1.2)
-
-    def test_probability_vector(self):
-        out = check_probability_vector("p", [0.25, 0.75])
-        assert np.allclose(out, [0.25, 0.75])
-        with pytest.raises(ValueError):
-            check_probability_vector("p", [0.5, 0.6])
-        with pytest.raises(ValueError):
-            check_probability_vector("p", [-0.1, 1.1])
 
 
 class TestConcurrentBuild:

@@ -2,13 +2,14 @@
 
 Times the merged, deduped campaign behind ``run_all`` — serially, across
 a 2-worker pool and with a warm result store — and records the plan
-shape (planned vs unique runs) as ``extra_info``.  ``BENCH_campaign.json``
-at the repo root keeps the current baseline so future PRs have a perf
-trajectory (regenerate with ``python -m repro bench --emit campaign``).
+shape (planned vs unique runs) as ``extra_info``.  No committed baseline
+reads these timings: run the file with pytest-benchmark to compare two
+trees.  ``python -m repro bench --check campaign`` gates what verifying
+reads costs, and perfbench times the reference workloads end to end.
 
 The pool only beats serial when the host has more than one CPU; the
 assertions therefore bound the pool overhead instead of demanding a
-speedup, and the baseline records ``cpu_count`` so numbers are read in
+speedup, and the pool row records ``cpu_count`` so numbers are read in
 context.
 """
 
@@ -87,37 +88,15 @@ def test_bench_campaign_all_quick_warm(benchmark, quick_cfg):
     assert len(results) == N_EXPERIMENTS
 
 
-def _warm_disk_store(cfg: ExperimentConfig, monkeypatch, store) -> None:
-    """Prime an on-disk result store; rounds then replay from *disk*
-    (the memo is cleared per round), exercising the read path."""
-    monkeypatch.setenv("REPRO_RESULT_CACHE", str(store))
-    clear_result_memo()
-    run_all(cfg, n_workers=1)
-
-
 def test_bench_campaign_all_quick_warm_disk(
     benchmark, quick_cfg, tmp_path, monkeypatch
 ):
-    """Disk-replay cost with read verification *off*: the pre-integrity
-    read path (parse-and-serve), the denominator of
-    ``verified_read_overhead``."""
-    _warm_disk_store(quick_cfg, monkeypatch, tmp_path / "store")
-    monkeypatch.setenv("REPRO_VERIFY_READS", "0")
-    results = benchmark.pedantic(
-        _cold_run_all, args=(quick_cfg, 1), rounds=1, iterations=1
-    )
-    assert len(results) == N_EXPERIMENTS
-
-
-def test_bench_campaign_all_quick_warm_disk_verified(
-    benchmark, quick_cfg, tmp_path, monkeypatch
-):
-    """Disk-replay cost with read verification *on* (the default): every
-    served entry is digest-checked against its attestation sidecar.
-    ``BENCH_campaign.json`` commits the ratio to the row above as
-    ``verified_read_overhead``; `bench --check campaign` guards it."""
-    _warm_disk_store(quick_cfg, monkeypatch, tmp_path / "store")
-    monkeypatch.setenv("REPRO_VERIFY_READS", "1")
+    """Disk-replay cost: an on-disk store primed, then every round reads
+    each result back from *disk* (the memo is cleared per round) and
+    checks it against its attestation digest."""
+    monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "store"))
+    clear_result_memo()
+    run_all(quick_cfg, n_workers=1)  # prime
     results = benchmark.pedantic(
         _cold_run_all, args=(quick_cfg, 1), rounds=1, iterations=1
     )

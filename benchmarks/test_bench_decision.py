@@ -18,30 +18,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign.executor import make_model
-from repro.core.perf_models import ModelInputs
-from repro.core.managers import make_rm
-from repro.experiments.common import get_database
+from repro.bench import primed_rm
 
 CORE_COUNTS = (4, 8, 16, 32)
-SEED = 2020
-
-
-def _primed_rm(n_cores: int, reduction: str):
-    """A warm RM3/Model3 at ``n_cores`` plus per-core steady-state inputs."""
-    db = get_database(n_cores, SEED)
-    system = db.system
-    rm = make_rm("rm3", system, make_model("Model3"), reduction=reduction)
-    base = system.baseline_setting()
-    names = db.app_names()
-    inputs = []
-    for core in range(n_cores):
-        record = db.records[names[core % len(names)]][0]
-        inputs.append(
-            ModelInputs(counters=record.counters_at(base), atd=record.atd_report())
-        )
-        rm.observe(core, inputs[core])
-    return rm, inputs
 
 
 def _observe_round(rm, inputs):
@@ -53,7 +32,7 @@ def _observe_round(rm, inputs):
 @pytest.mark.parametrize("reduction", ["full_rebuild", "incremental"])
 @pytest.mark.parametrize("n_cores", CORE_COUNTS)
 def test_bench_observe(benchmark, n_cores, reduction):
-    rm, inputs = _primed_rm(n_cores, reduction)
+    rm, inputs = primed_rm(n_cores, "memoized", reduction)
     decision = benchmark.pedantic(
         _observe_round, args=(rm, inputs), rounds=5, iterations=5, warmup_rounds=1
     )
@@ -73,8 +52,8 @@ def test_bench_observe(benchmark, n_cores, reduction):
 def test_kernel_work_scales(n_cores):
     """Deterministic sanity next to the timings: the incremental kernel
     touches far fewer DP cells than the rebuild at every core count."""
-    rm_full, inputs = _primed_rm(n_cores, "full_rebuild")
-    rm_incr, _ = _primed_rm(n_cores, "incremental")
+    rm_full, inputs = primed_rm(n_cores, "memoized", "full_rebuild")
+    rm_incr, _ = primed_rm(n_cores, "memoized", "incremental")
     d_full = rm_full.observe(0, inputs[0])
     d_incr = rm_incr.observe(0, inputs[0])
     assert d_incr.settings == d_full.settings

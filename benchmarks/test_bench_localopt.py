@@ -12,10 +12,10 @@ both local modes:
 
 Steady-state inputs recur by construction (that is the workload property
 the memo exploits: phases repeat), so the memoized rows run at their hit
-rate ceiling; ``BENCH_localopt.json`` at the repo root keeps the current
-baseline (regenerate with ``python -m repro bench --emit localopt``).
-The memo hit rate and the (mode-invariant) operation accounting ride
-along as ``extra_info``.
+rate ceiling.  The memo hit rate and the (mode-invariant) operation
+accounting ride along as ``extra_info``.  No committed baseline reads
+these timings; ``python -m repro bench --check localopt`` re-measures
+the 4- and 16-core speedups in-process against fixed floors.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ This module is what turns that assumption into a checked contract:
   post-mortem evidence, not cache content), and the caller fails the
   spec loudly via :class:`ResultDivergenceError` instead of silently
   keeping either version.
-* reads re-verify the stored bytes against the sidecar digest, so bit
-  rot that still parses as valid JSON no longer slips through
-  (``REPRO_VERIFY_READS=0`` opts out, for A/B overhead measurement).
+* every read re-verifies the stored bytes against the sidecar digest
+  (:func:`contradicts_attestation`), so bit rot that still parses as
+  valid JSON no longer slips through.
 * :func:`verify_store` is the audit engine behind ``repro verify``: a
   full digest sweep of the store plus deterministic-sample re-execution
   (optionally cross-mode: wave vs scalar) diffed byte-for-byte
@@ -49,6 +49,7 @@ __all__ = [
     "ResultDivergenceError",
     "attestation_payload",
     "attestation_stats",
+    "contradicts_attestation",
     "digest_text",
     "divergence_stats",
     "provenance_block",
@@ -197,6 +198,17 @@ def read_attestation(root: Path, fingerprint: str) -> Optional[Dict]:
     except json.JSONDecodeError:
         return None
     return data if isinstance(data, dict) else None
+
+
+def contradicts_attestation(root: Path, fingerprint: str, text: str) -> bool:
+    """True when ``text`` is not what the entry's own sidecar says was
+    published: bit rot (or in-place tampering) that may still parse as
+    valid JSON.  An entry without a readable sidecar contradicts
+    nothing."""
+    attestation = read_attestation(root, fingerprint)
+    if attestation is None:
+        return False
+    return attestation.get("digest") != digest_text(text)
 
 
 def quarantine_attestation(root: Path, fingerprint: str) -> None:

@@ -24,8 +24,10 @@ writes a digest + provenance sidecar under ``<store>/attest/``, a write
 to an occupied fingerprint byte-compares before touching anything
 (identical bytes are the normal duplicate-execution merge; different
 bytes are a divergence event — both versions quarantined under
-``<store>/divergence/``, the spec failed loudly), and reads re-verify
-the digest so valid-JSON bit rot is caught instead of served.
+``<store>/divergence/``, the spec failed loudly), and every disk read
+re-verifies the digest
+(:func:`~repro.campaign.attest.contradicts_attestation`) so valid-JSON
+bit rot is caught instead of served.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.campaign.attest import (
     ResultDivergenceError,
     attestation_payload,
     attestation_stats,
+    contradicts_attestation,
     digest_text,
     divergence_stats,
     quarantine_attestation,
@@ -159,7 +162,10 @@ def result_cache_dir() -> Optional[Path]:
 
 
 def cached_result(fingerprint: str) -> Optional[SimResult]:
-    """Memo hit, then disk hit (promoted to the memo), else None."""
+    """Memo hit, then disk hit (promoted to the memo), else None.
+
+    A disk hit whose bytes contradict their attestation sidecar is
+    quarantined and reads as a miss."""
     root = result_cache_dir()
     hit = _MEMO.get(fingerprint)
     if hit is not None:
@@ -175,18 +181,12 @@ def cached_result(fingerprint: str) -> Optional[SimResult]:
     text = read_text_guarded(file)
     if text is None:
         return None
-    if settings.current().verify_reads:
-        attestation = read_attestation(root, fingerprint)
-        if attestation is not None and attestation.get("digest") != digest_text(
-            text
-        ):
-            # The bytes no longer match what their own attestation says
-            # was published — bit rot (or in-place tampering) that may
-            # still parse as perfectly valid JSON.  Quarantine entry and
-            # sidecar together and let the caller resimulate.
-            quarantine_entry(file, root)
-            quarantine_attestation(root, fingerprint)
-            return None
+    if contradicts_attestation(root, fingerprint, text):
+        # Quarantine entry and sidecar together and let the caller
+        # resimulate.
+        quarantine_entry(file, root)
+        quarantine_attestation(root, fingerprint)
+        return None
     try:
         result = result_from_json(text)
     except (KeyError, TypeError, ValueError, json.JSONDecodeError):
@@ -234,10 +234,7 @@ def store_result(
         path = root / f"{fingerprint}.json"
         existing = read_text_guarded(path)
         if existing is not None and existing != text:
-            attestation = read_attestation(root, fingerprint)
-            if attestation is not None and attestation.get(
-                "digest"
-            ) != digest_text(existing):
+            if contradicts_attestation(root, fingerprint, existing):
                 # Rot superseded: the occupant cannot even vouch for
                 # itself, so this is corruption evidence, not a rival
                 # computation.
@@ -248,7 +245,11 @@ def store_result(
                     root,
                     fingerprint,
                     versions=[
-                        ("stored", existing, attestation),
+                        (
+                            "stored",
+                            existing,
+                            read_attestation(root, fingerprint),
+                        ),
                         (
                             "incoming",
                             text,

@@ -16,8 +16,6 @@ Usage::
     python -m repro verify                 # attestation coverage + digests
     python -m repro verify --sample 8      # ... plus re-execution audit
     python -m repro campaign --status      # journaled campaign progress
-    python -m repro bench --emit localopt  # regenerate one BENCH_*.json
-    python -m repro bench --emit all       # ... or every baseline
     python -m repro bench --check simloop  # CI smoke: no perf collapse
 
 Every experiment plans its simulations through the campaign engine;
@@ -30,15 +28,16 @@ fails before anything runs.
 The ``cache`` subcommand reports the database cache (``REPRO_CACHE_DIR``:
 database files and compiled kernel objects; ``--prune`` deletes the stale
 objects) and manages the on-disk result store named by
-``REPRO_RESULT_CACHE`` (cap: ``REPRO_RESULT_CACHE_MAX_MB``); ``bench``
-emits and checks the ``BENCH_*.json`` baselines; ``campaign --status``
-reports progress, retries and failure tallies from the crash-safe run
-journals kept under the result store (interrupted campaigns resume by
-re-running the same command).  ``verify`` audits the result store's
-integrity layer (:mod:`repro.campaign.attest`): attestation coverage, a
-digest sweep of every entry, and — with ``--sample N`` — deterministic
-re-execution of N stored fingerprints whose bytes must match the store
-(``--cross-mode`` re-executes each sampled spec in both event-loop modes).
+``REPRO_RESULT_CACHE`` (cap: ``REPRO_RESULT_CACHE_MAX_MB``); ``bench
+--check`` runs one of the CI perf-collapse checks (:mod:`repro.bench`);
+``campaign --status`` reports progress, retries and failure tallies from
+the crash-safe run journals kept under the result store (interrupted
+campaigns resume by re-running the same command).  ``verify`` audits the
+result store's integrity layer (:mod:`repro.campaign.attest`):
+attestation coverage, a digest sweep of every entry, and — with
+``--sample N`` — deterministic re-execution of N stored fingerprints
+whose bytes must match the store (``--cross-mode`` re-executes each
+sampled spec in both event-loop modes).
 """
 
 from __future__ import annotations
@@ -159,21 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--emit",
-        default=None,
-        metavar="NAME",
-        help=(
-            "with 'bench': regenerate one BENCH_*.json baseline "
-            "(campaign|localopt|simloop) or 'all'"
-        ),
-    )
-    parser.add_argument(
         "--check",
         default=None,
         metavar="NAME",
         help=(
-            "with 'bench': verify a baseline has not regressed beyond a "
-            "generous threshold (localopt|campaign|simloop)"
+            "with 'bench': re-measure one perf headline and fail only "
+            "on a collapse (campaign|localopt|simloop)"
         ),
     )
     parser.add_argument(
@@ -356,12 +346,12 @@ def _run(args) -> int:
     if args.experiment == "bench":
         from repro.bench import main as bench_main
 
-        return bench_main(args.emit, args.check)
-    if args.emit is not None or args.check is not None:
-        # Fail fast instead of silently dropping the bench flags on the
+        return bench_main(args.check)
+    if args.check is not None:
+        # Fail fast instead of silently dropping the bench flag on the
         # floor (worst case: launching a full experiment run instead).
         print(
-            "--emit/--check require the 'bench' subcommand "
+            "--check requires the 'bench' subcommand "
             f"(got {args.experiment!r})",
             file=sys.stderr,
         )

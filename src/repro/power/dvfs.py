@@ -28,10 +28,6 @@ class TransitionCost:
             self.time_s + other.time_s, self.energy_j + other.energy_j
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return self.time_s == 0.0 and self.energy_j == 0.0
-
 
 class DVFSController:
     """Tracks per-core settings and prices their transitions.

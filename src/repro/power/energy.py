@@ -28,10 +28,6 @@ class EnergyBreakdown:
         """Per-application energy (the per-app part of Eq. 4/5)."""
         return self.core_dynamic_j + self.core_static_j + self.memory_j + self.overhead_j
 
-    @property
-    def total_j(self) -> float:
-        return self.app_total_j + self.uncore_j
-
     def add(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
         """In-place accumulation; returns self for chaining."""
         self.core_dynamic_j += other.core_dynamic_j
@@ -40,18 +36,3 @@ class EnergyBreakdown:
         self.uncore_j += other.uncore_j
         self.overhead_j += other.overhead_j
         return self
-
-    def scaled(self, factor: float) -> "EnergyBreakdown":
-        """A copy with every component multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        return EnergyBreakdown(
-            core_dynamic_j=self.core_dynamic_j * factor,
-            core_static_j=self.core_static_j * factor,
-            memory_j=self.memory_j * factor,
-            uncore_j=self.uncore_j * factor,
-            overhead_j=self.overhead_j * factor,
-        )
-
-    def copy(self) -> "EnergyBreakdown":
-        return self.scaled(1.0)

@@ -122,7 +122,6 @@ class Settings:
     )
     wave: str = _knob("REPRO_SIM_WAVE", "step", _choice(WAVE_MODES))
     no_native: bool = _knob("REPRO_NO_NATIVE", False, parse_bool)
-    verify_reads: bool = _knob("REPRO_VERIFY_READS", True, parse_bool)
     fault_plan: Optional[str] = _knob("REPRO_FAULT_PLAN", None, _fault_plan)
     fault_ledger: Optional[Path] = _knob("REPRO_FAULT_LEDGER", None, Path)
 

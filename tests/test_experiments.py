@@ -247,21 +247,32 @@ class TestCLI:
             assert exit_info.value.code == 2, flag
         capsys.readouterr()
 
-    def test_bench_help_lists_every_baseline(self):
-        """The ``bench --emit``/``--check`` help names exactly the
-        registered baselines, so a new one cannot go undocumented; and
-        every root ``BENCH_*.json`` has an emitter and a check."""
+    def test_bench_check_help_lists_every_check(self):
+        """``--check``'s help names exactly the registered checks, so a
+        new one cannot go undocumented."""
         import re
 
-        from repro.bench import CHECKS, EMITTERS, REPO_ROOT
+        from repro.bench import CHECKS
         from repro.cli import build_parser
 
         helps = {a.dest: a.help for a in build_parser()._actions}
-        for dest, names in (("emit", EMITTERS), ("check", CHECKS)):
-            listed = re.search(r"\(([a-z|]+)\)", helps[dest]).group(1)
-            assert sorted(listed.split("|")) == sorted(names), dest
-        stems = {p.stem[len("BENCH_"):] for p in REPO_ROOT.glob("BENCH_*.json")}
-        assert stems == set(EMITTERS) == set(CHECKS)
+        listed = re.search(r"\(([a-z|]+)\)", helps["check"]).group(1)
+        assert sorted(listed.split("|")) == sorted(CHECKS)
+
+    def test_bench_emit_is_a_parse_error(self, capsys):
+        """The baseline emitters are deleted: ``--emit`` is no option."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--emit", "campaign"])
+        assert exit_info.value.code == 2
+        assert "--emit" in capsys.readouterr().err
+
+    def test_bench_without_check_exits_2(self, capsys):
+        from repro.cli import main
+
+        assert main(["bench"]) == 2
+        assert "--check" in capsys.readouterr().err
 
     def test_csv_dir_written(self, tmp_path, capsys):
         from repro.cli import main

@@ -88,7 +88,6 @@ MALFORMED = [
     ("REPRO_SPEC_TIMEOUT", "forever"),
     ("REPRO_SIM_WAVE", "stepp"),
     ("REPRO_NO_NATIVE", "nope"),
-    ("REPRO_VERIFY_READS", "sometimes"),
     ("REPRO_FAULT_PLAN", "explode:fp=ab"),
 ]
 

@@ -21,6 +21,7 @@ import pytest
 from repro import settings
 from repro.campaign import RunSpec, clear_result_memo
 from repro.campaign.attest import (
+    ATTEST_DIRNAME,
     ResultDivergenceError,
     attestation_stats,
     digest_text,
@@ -72,11 +73,7 @@ def _integrity_env(monkeypatch):
         k: os.environ.pop(k, None)
         for k in ("REPRO_FAULT_PLAN", "REPRO_FAULT_LEDGER")
     }
-    for k in (
-        "REPRO_RESULT_CACHE",
-        "REPRO_CAMPAIGN_WORKERS",
-        "REPRO_VERIFY_READS",
-    ):
+    for k in ("REPRO_RESULT_CACHE", "REPRO_CAMPAIGN_WORKERS"):
         monkeypatch.delenv(k, raising=False)
     yield
     for k, v in saved.items():
@@ -257,19 +254,27 @@ class TestReadVerification:
         # Re-execution repopulates the slot cleanly.
         assert execute_spec(spec) == result
 
-    def test_verify_reads_opt_out(self, full_db, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        spec = ISPECS[0]
-        result = execute_spec(spec)
-        fp = spec.fingerprint
-        entry = tmp_path / f"{fp}.json"
-        skewed = dataclasses.replace(result, uncore_j=result.uncore_j + 1.0)
-        entry.write_text(result_to_json(skewed))
-        clear_result_memo()
-        monkeypatch.setenv("REPRO_VERIFY_READS", "0")
-        settings.resolve()
-        served = cached_result(fp)  # knob off: served unverified
-        assert served is not None and served != result
+    def test_campaign_check_fails_on_a_per_read_store_sweep(
+        self, full_db, monkeypatch
+    ):
+        """``bench --check campaign`` catches an O(entries) verification:
+        with every read also re-reading every sidecar, one warm run's
+        verification overhead exceeds the ceiling.  (Only the failing
+        side is tested; the passing side is a timing.)"""
+        from repro.bench import CAMPAIGN_CEILING, measure_verify_overhead
+        from repro.campaign import results
+
+        verify = results.contradicts_attestation
+
+        def every_sidecar(root, fingerprint, text):
+            for sidecar in (root / ATTEST_DIRNAME).glob("*.json"):
+                read_attestation(root, sidecar.stem)
+            return verify(root, fingerprint, text)
+
+        monkeypatch.setattr(results, "contradicts_attestation", every_sidecar)
+        (overhead,) = measure_verify_overhead(rounds=1)
+        assert overhead > CAMPAIGN_CEILING
+        assert results.contradicts_attestation is every_sidecar  # restored
 
 
 class TestVerifyAudit:

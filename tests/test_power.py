@@ -68,14 +68,14 @@ class TestDVFSController:
 
     def test_no_change_free(self):
         ctl = DVFSController(DVFSConfig())
-        assert ctl.vf_transition_cost(2.0, 2.0).is_zero
+        assert ctl.vf_transition_cost(2.0, 2.0) == TransitionCost()
 
     def test_resize_drain(self):
         ctl = DVFSController(DVFSConfig(), resize_drain_ipc=2.0)
         cost = ctl.resize_cost(CoreSize.L, CoreSize.M, f_ghz=2.0)
         assert cost.time_s == pytest.approx(256 / 2.0 / 2e9)
         assert cost.energy_j == 0.0
-        assert ctl.resize_cost(CoreSize.M, CoreSize.M, 2.0).is_zero
+        assert ctl.resize_cost(CoreSize.M, CoreSize.M, 2.0) == TransitionCost()
 
     def test_combined_transition(self):
         ctl = DVFSController(DVFSConfig())
@@ -84,7 +84,7 @@ class TestDVFSController:
         cost = ctl.transition_cost(a, b)
         assert cost.time_s > 15e-6  # DVFS + drain
         # mask-only change is free
-        assert ctl.transition_cost(a, a.replace(ways=4)).is_zero
+        assert ctl.transition_cost(a, a.replace(ways=4)) == TransitionCost()
 
     def test_cost_addition(self):
         c = TransitionCost(1e-6, 2e-6) + TransitionCost(2e-6, 1e-6)
@@ -96,16 +96,8 @@ class TestEnergyBreakdown:
     def test_totals(self):
         e = EnergyBreakdown(1.0, 2.0, 3.0, 4.0, 0.5)
         assert e.app_total_j == pytest.approx(6.5)
-        assert e.total_j == pytest.approx(10.5)
 
-    def test_add_and_scale(self):
+    def test_add(self):
         a = EnergyBreakdown(1, 1, 1, 1, 1)
         a.add(EnergyBreakdown(1, 2, 3, 4, 5))
         assert a.core_static_j == 3
-        half = a.scaled(0.5)
-        assert half.memory_j == pytest.approx(2.0)
-        assert a.memory_j == 4  # original untouched
-
-    def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            EnergyBreakdown().scaled(-1)

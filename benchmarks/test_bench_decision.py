@@ -1,12 +1,15 @@
 """Decision-kernel benchmarks: RM ``observe`` latency across core counts.
 
-Times one warm resource-manager invocation — local optimisation plus the
-global curve reduction — at 4/8/16/32 cores in both reduction modes:
+Times a round of warm resource-manager invocations, one per core —
+local optimisation plus the global curve reduction — at 4/8/16/32 cores
+in both reduction modes:
 
-* ``full_rebuild`` — the whole tree recombines every invocation (the
-  prior-work cost profile, preserved for the overheads table), and
+* ``full_rebuild`` — the whole tree recombines and every core's setting
+  is derived afresh every invocation (the prior-work cost profile the
+  overheads table bills, and the manager's oracle), and
 * ``incremental`` — the persistent tree re-runs only the invoker's
-  leaf-to-root path combines plus the root window evaluation.
+  leaf-to-root path combines plus the root window evaluation, and the
+  last settings map is replayed.
 
 No committed baseline reads these timings: run the file with
 pytest-benchmark to compare two trees.  Their deterministic counterpart

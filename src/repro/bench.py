@@ -43,7 +43,8 @@ LOCALOPT_FLOORS = {4: 2.87, 16: 4.02}
 LOCALOPT_HIT_FLOOR = 0.90
 
 #: Wave-loop speedup floor over the scalar loop on the 16-core run
-#: (3.4x measured on a 2-vCPU x86_64 VM).
+#: (3.0-3.1x measured on a 2-vCPU x86_64 VM; both loops run the
+#: manager's fast path, so this is the event loop's own win).
 SIMLOOP_FLOOR = 1.2
 #: Fresh-memo hit rate floor on that run (0.873 measured).
 SIMLOOP_HIT_FLOOR = 0.78

@@ -18,21 +18,20 @@ Two entry points share the same combine kernel:
   tree for one budget query.  This is what the prior-work framework pays
   on *every* RM invocation, and it is preserved verbatim as the
   ``full_rebuild`` accounting mode of the managers.
-* :class:`ReductionTree` — the persistent kernel: the tree survives
-  across invocations, and when one core's curve changes only the
-  O(log n) combines on the leaf-to-root path re-run.  The root curve is
-  never materialised at all — the budget is fixed, so the root is
-  evaluated at the single way count ``A`` with a windowed min instead of
-  a full (min,+) convolution, which removes the single most expensive
-  combine from every update.  The simulator wave loop's accelerated
-  tree also restricts every combine to the columns the budget can read,
-  and with a C compiler an update is one compiled call
-  (``tree_update`` in :mod:`repro.core._native_opt`): the leaf's whole
-  path is recombined and the root split evaluated from a node table and
-  a per-leaf plan staged once per tree.  Without a compiler the same
-  windowed combines and root window run in NumPy.
+* :class:`ReductionTree` — the persistent kernel for one budget: the
+  tree survives across invocations, and when one core's curve changes
+  only the O(log n) combines on the leaf-to-root path re-run.  The root
+  curve is never materialised at all — the root is evaluated at the
+  single way count ``A`` with a windowed min instead of a full (min,+)
+  convolution, which removes the single most expensive combine from
+  every update — and every other combine is restricted to the columns
+  the budget can read.  With a C compiler an update is one compiled
+  call (``tree_update`` in :mod:`repro.core._native_opt`): the leaf's
+  whole path is recombined and the root split evaluated from a node
+  table and a per-leaf plan staged once per tree.  Without a compiler
+  the same windowed combines and root window run in NumPy.
 
-Both paths are differentially tested bit-identical in their selected
+Both are differentially tested bit-identical in their selected
 allocations and energies (``tests/test_decision_kernel.py``); they differ
 only in the work performed, which is exactly what ``dp_operations``
 charges.
@@ -105,11 +104,11 @@ class _Node:
         self.idx: int = 0
         #: Width the *unwindowed* combine would have — the accounting
         #: basis: ``dp_operations`` always charges nominal ``la * lb``
-        #: cells, whether or not the accelerated path narrowed the
-        #: columns it actually materialised.  A leaf's is its curve's.
+        #: cells, whether or not a budget window narrowed the columns
+        #: actually materialised.  A leaf's is its curve's.
         self.nom_size: int = 0 if curve is None else curve.energy.size
         #: Budget window (absolute way counts) this node's curve can ever
-        #: be read at; None until acceleration derives it.
+        #: be read at; None in :func:`partition_ways`'s full combines.
         self.win_lo: Optional[int] = None
         self.win_hi: Optional[int] = None
 
@@ -212,14 +211,14 @@ def _pair_up(nodes: List[_Node]) -> _Node:
 def _combine_node(node: _Node) -> int:
     """Combine a node's children; return the *nominal* cells charged.
 
-    A node with a budget window (the accelerated tree without a compiler)
-    materialises only the columns inside it; the skipped columns are
-    those no feasible full-budget split can ever read (see
+    A node with a budget window (a :class:`ReductionTree` without a
+    compiler) materialises only the columns inside it; the skipped
+    columns are those no feasible full-budget split can ever read (see
     :meth:`ReductionTree._derive_windows`), and the compiled kernel's
     ``tree_update`` computes the same values.  Either way the charge is
     the nominal ``la * lb`` of the children's unwindowed widths, the bill
-    the plain tree reports (the :meth:`ReductionTree.path_operations`
-    invariance pattern).
+    :func:`partition_ways`'s full combine reports (the
+    :meth:`ReductionTree.path_operations` invariance pattern).
     """
     left, right = node.left, node.right
     window = None if node.win_lo is None else (node.win_lo, node.win_hi)
@@ -260,7 +259,7 @@ def _internal_bottom_up(root: _Node) -> List[_Node]:
 def _column_choice(node: _Node, w: int) -> int:
     """First-minimum left allocation of one combined column, on demand.
 
-    The accelerated path never materialises choice tables (the hot loop
+    The compiled path never materialises choice tables (the hot loop
     only needs combined *values*); a back-track query recomputes the one
     column it visits from the node's child curves — which are always the
     exact operands the node's values were combined from (path updates
@@ -282,7 +281,7 @@ def _backtrack(node: _Node, w: int, out: List[int]) -> None:
     """Walk choice tables down a (sub)tree, appending leaf allocations.
 
     Iterative pre-order (left subtree fully before right), so the output
-    order matches the leaf order.  Nodes combined by the accelerated
+    order matches the leaf order.  Nodes combined by the compiled
     values-only path hold no table (``choice`` is None) and answer
     through :func:`_column_choice`.
     """
@@ -301,81 +300,72 @@ def _backtrack(node: _Node, w: int, out: List[int]) -> None:
 
 
 class ReductionTree:
-    """Persistent reduction tree over one curve per core.
+    """Persistent reduction tree over one curve per core, for one budget.
 
     The tree is built once and owned across RM invocations; replacing one
     leaf's curve (:meth:`update`) re-runs only the combines on that leaf's
     path to the root.  The root itself is special: its full combined curve
     is never needed (it is nobody's combine input and the budget is a
-    single way count), so :meth:`solve` evaluates the root split with a
+    single way count), so :meth:`evaluate` finds the root split with a
     windowed min over the two child curves — the same candidate sums, the
-    same first-minimum tie-break, hence bit-identical allocations to the
-    full rebuild at a fraction of the work.
+    same first-minimum tie-break, hence bit-identical allocations to
+    :func:`partition_ways` at a fraction of the work.
+
+    ``budget`` and the leaf bounds ``[leaf_lo, leaf_hi]`` are fixed at
+    construction: every combine materialises only its budget window (see
+    :meth:`_derive_windows`), the tree accepts only leaf curves inside
+    the bounds, and it evaluates only at ``budget``.  With a C compiler
+    one ``tree_update`` call per :meth:`update` recombines the leaf's
+    whole path and evaluates the root split, which :meth:`evaluate` then
+    replays; without one the same windowed combines run in NumPy.
 
     Operation accounting: the constructor charges the initial build to
-    :attr:`build_operations`; :meth:`update` and :meth:`solve` return the
-    cells they actually touched.  Summed per invocation this is the
-    ``dp_operations`` of the incremental accounting mode.  When a caller
-    knows a leaf's curve is unchanged it may skip the recombine entirely
-    and charge :meth:`path_operations` instead — the exact cell count
+    :attr:`build_operations` and :meth:`update` returns its path's
+    cells, each combine billed at the nominal cells of its unwindowed
+    operands — the bill :func:`partition_ways` reports for the same
+    node — while :meth:`evaluate` returns the root window's candidate
+    count.  Summed per invocation this is the ``dp_operations`` of the
+    incremental accounting mode.  When a caller knows a leaf's curve is
+    unchanged it may skip the recombine entirely and charge
+    :meth:`path_operations` instead — the exact cell count
     :meth:`update` would have reported.
-
-    ``acceleration=(budget, leaf_lo, leaf_hi)`` enables the wave loop's
-    fast path: every combine materialises only its budget window (see
-    :meth:`_derive_windows`), and with a C compiler one ``tree_update``
-    call per :meth:`update` recombines the leaf's whole path and
-    evaluates the root split, which :meth:`evaluate` then replays.  The
-    tree then accepts only leaf curves inside ``[leaf_lo, leaf_hi]`` and
-    evaluates only at ``budget``.  Values, choices and charged cells are
-    bit-identical to the plain tree (differentially tested), which is
-    why the simulator's wave loop enables it while the scalar oracle
-    leaves it off.
     """
 
     def __init__(
         self,
         curves: Sequence[EnergyCurve],
-        acceleration: Optional[tuple] = None,
+        budget: int,
+        leaf_lo: int,
+        leaf_hi: int,
     ):
         if not curves:
             raise ValueError("need at least one curve")
-        #: ``(budget, leaf_lo, leaf_hi)`` of the accelerated path, or None
-        #: for the plain tree's full combines.
-        self.acceleration = None
-        if acceleration is not None:
-            budget, leaf_lo, leaf_hi = (int(v) for v in acceleration)
-            if leaf_lo < 1 or leaf_hi < leaf_lo:
-                raise ValueError(
-                    "leaf bounds must satisfy 1 <= leaf_lo <= leaf_hi"
-                )
-            if budget < 1:
-                raise ValueError("budget must be >= 1")
-            self.acceleration = (budget, leaf_lo, leaf_hi)
-        if self.acceleration is not None:
-            curves = [self._accelerated_leaf(curve) for curve in curves]
+        budget, leaf_lo, leaf_hi = int(budget), int(leaf_lo), int(leaf_hi)
+        if leaf_lo < 1 or leaf_hi < leaf_lo:
+            raise ValueError("leaf bounds must satisfy 1 <= leaf_lo <= leaf_hi")
+        if budget < 1:
+            raise ValueError("budget must be >= 1")
+        self.budget = budget
+        self.leaf_lo = leaf_lo
+        self.leaf_hi = leaf_hi
+        curves = [self._checked_leaf(curve) for curve in curves]
         self._leaves = [_Node(curve=curve) for curve in curves]
         self._root = _pair_up(list(self._leaves))
         self._internal = _internal_bottom_up(self._root)
-        for node in self._internal:
-            node.n_leaves = node.left.n_leaves + node.right.n_leaves
         self._w_min_total = sum(c.w_min for c in curves)
         self._w_max_total = sum(c.w_max for c in curves)
-        #: Accelerated-path evaluation memo: (budget, total, ops, extract)
-        #: valid while no update has touched the tree since it was
-        #: computed — a skipped-update invocation re-reads the identical
-        #: root state, so replaying the triple (including the charged
-        #: window size) is exact.  The compiled path fills it on every
-        #: recombine.
+        #: Evaluation memo: (total, ops, extract), valid while no update
+        #: has touched the tree since it was computed — a skipped-update
+        #: invocation re-reads the identical root state, so replaying the
+        #: triple (including the charged window size) is exact.  The
+        #: compiled path fills it on every recombine.
         self._eval_cache = None
         #: Leaf position -> cells of its path's combines (nominal widths
         #: change only when some leaf's width does; then it is cleared).
         self._path_ops: dict = {}
-        #: The compiled kernels (accelerated trees with a root split only).
-        self._lib = None
-        if self.acceleration is not None:
-            self._derive_windows()
-            if self._root.left is not None:
-                self._lib = _native_opt.raw_lib()
+        self._derive_windows()
+        #: The compiled kernels (trees with a root split only).
+        self._lib = None if self._root.left is None else _native_opt.raw_lib()
         if self._lib is not None:
             ops = self._stage_native()
         else:
@@ -387,10 +377,6 @@ class ReductionTree:
         self.build_operations = ops
 
     @property
-    def n_leaves(self) -> int:
-        return len(self._leaves)
-
-    @property
     def w_min_total(self) -> int:
         return self._w_min_total
 
@@ -398,8 +384,8 @@ class ReductionTree:
     def w_max_total(self) -> int:
         return self._w_max_total
 
-    def _accelerated_leaf(self, curve: EnergyCurve) -> EnergyCurve:
-        """Validate and, if needed, repack a leaf curve for the fast path.
+    def _checked_leaf(self, curve: EnergyCurve) -> EnergyCurve:
+        """Validate and, if needed, repack a leaf curve.
 
         The budget windows — and the compiled kernel's fixed node
         buffers — are sized from the leaf bounds, so a curve outside them
@@ -409,11 +395,10 @@ class ReductionTree:
         which callers rely on — while a caller-supplied strided view is
         repacked once at install.
         """
-        _, leaf_lo, leaf_hi = self.acceleration
-        if curve.w_min < leaf_lo or curve.w_max > leaf_hi:
+        if curve.w_min < self.leaf_lo or curve.w_max > self.leaf_hi:
             raise ValueError(
                 f"leaf curve ways [{curve.w_min}, {curve.w_max}] outside the "
-                f"accelerated tree's bounds [{leaf_lo}, {leaf_hi}]"
+                f"tree's bounds [{self.leaf_lo}, {self.leaf_hi}]"
             )
         if curve.energy.flags.c_contiguous:
             return curve
@@ -432,12 +417,12 @@ class ReductionTree:
         bounds depend on nothing that changes during a run, so windows
         are derived once and are never stale.
         """
-        budget, leaf_lo, leaf_hi = self.acceleration
         n = len(self._leaves)
         for node in self._internal:
+            node.n_leaves = node.left.n_leaves + node.right.n_leaves
             rest = n - node.n_leaves
-            node.win_lo = budget - leaf_hi * rest
-            node.win_hi = budget - leaf_lo * rest
+            node.win_lo = self.budget - self.leaf_hi * rest
+            node.win_hi = self.budget - self.leaf_lo * rest
 
     def _stage_native(self) -> int:
         """Stage the compiled kernel's state and build the tree with it.
@@ -452,8 +437,7 @@ class ReductionTree:
         then writes the leaf's row and makes one call.  Returns the
         build's nominal cells.
         """
-        budget, leaf_lo, leaf_hi = self.acceleration
-        spread = leaf_hi - leaf_lo
+        spread = self.leaf_hi - self.leaf_lo
         root = self._root
         combined = [node for node in self._internal if node is not root]
         nodes = self._leaves + self._internal
@@ -481,7 +465,7 @@ class ReductionTree:
             ctypes.addressof(self._total),
             ctypes.addressof(self._split),
         )
-        tail = (root.left.idx, root.right.idx, budget)
+        tail = (root.left.idx, root.right.idx, self.budget)
 
         def plan(steps: List[_Node]):
             flat = [len(steps)]
@@ -543,20 +527,13 @@ class ReductionTree:
         split = self._split
         total = self._total[0]
         if split[1] and math.isfinite(total):
-            budget = self.acceleration[0]
-            self._eval_cache = (
-                budget,
-                total,
-                split[1],
-                partial(self._extract, split[0], budget),
-            )
+            self._eval_cache = (total, split[1], partial(self._extract, split[0]))
 
     def update(self, index: int, curve: EnergyCurve) -> int:
         """Replace one leaf's curve; recombine its path; return ops."""
         leaf = self._leaves[index]
         old = leaf.curve
-        if self.acceleration is not None:
-            curve = self._accelerated_leaf(curve)
+        curve = self._checked_leaf(curve)
         leaf.curve = curve
         self._w_min_total += curve.w_min - old.w_min
         self._w_max_total += curve.w_max - old.w_max
@@ -583,8 +560,8 @@ class ReductionTree:
         """Cells :meth:`update` would charge for ``index`` — without work.
 
         The combine cost of a node is the product of its children's
-        current *nominal* curve widths (the accelerated path materialises
-        fewer columns but charges the same bill), so the whole
+        current *nominal* curve widths (the windowed combines materialise
+        fewer columns but charge the same bill), so the whole
         leaf-to-root cost is known without recombining anything.  Callers
         that can prove a leaf's curve is unchanged (e.g. a memoized local
         result feeding the same curve object back) charge this instead of
@@ -602,8 +579,8 @@ class ReductionTree:
             self._path_ops[index] = ops
         return ops
 
-    def evaluate(self, total_ways: int):
-        """Root evaluation with deferred way extraction.
+    def evaluate(self):
+        """Root evaluation at the budget, with deferred way extraction.
 
         Returns ``(total_energy, dp_operations, extract)`` where
         ``extract()`` walks the choice tables and returns the per-leaf
@@ -612,61 +589,53 @@ class ReductionTree:
         which case the walk never happens (it was computed and discarded
         before).  ``dp_operations`` covers only this evaluation (the root
         window); the caller adds the build/update combine work it
-        already charged.
+        already charged.  The triple is memoized until the next
+        :meth:`update`.
         """
-        if not self.w_min_total <= total_ways <= self.w_max_total:
+        budget = self.budget
+        if not self._w_min_total <= budget <= self._w_max_total:
             raise ValueError(
-                f"budget {total_ways} outside combined domain "
-                f"[{self.w_min_total}, {self.w_max_total}]"
-            )
-        if self.acceleration is not None and total_ways != self.acceleration[0]:
-            raise ValueError(
-                f"accelerated tree is windowed for budget "
-                f"{self.acceleration[0]}; cannot evaluate {total_ways}"
+                f"budget {budget} outside combined domain "
+                f"[{self._w_min_total}, {self._w_max_total}]"
             )
         cache = self._eval_cache
-        if cache is not None and cache[0] == total_ways:
-            return cache[1], cache[2], cache[3]
+        if cache is not None:
+            return cache
         root = self._root
         if root.left is None:
-            total = root.curve.energy_at(total_ways)
+            total = root.curve.energy_at(budget)
             if not np.isfinite(total):
                 raise ValueError("no feasible partition for the given curves")
-            return float(total), 0, lambda: [int(total_ways)]
+            return float(total), 0, lambda: [budget]
         left, right = root.left.curve, root.right.curve
-        lo = max(left.w_min, total_ways - right.w_max)
-        hi = min(left.w_max, total_ways - right.w_min)
+        lo = max(left.w_min, budget - right.w_max)
+        hi = min(left.w_max, budget - right.w_min)
         # Candidate left allocations ascending; the right slice is the
         # matching descending window.  Same sums, same first-min
-        # tie-break as the full root combine's column ``total_ways``.
+        # tie-break as the full root combine's column ``budget``.
         left_seg = left.energy[lo - left.w_min : hi - left.w_min + 1]
         right_seg = right.energy[
-            total_ways - hi - right.w_min : total_ways - lo - right.w_min + 1
+            budget - hi - right.w_min : budget - lo - right.w_min + 1
         ][::-1]
         sums = left_seg + right_seg
         wa = lo + int(sums.argmin())
         total = sums[wa - lo]
         if not np.isfinite(total):
             raise ValueError("no feasible partition for the given curves")
-        result = (float(total), int(sums.size), partial(self._extract, wa, total_ways))
-        if self.acceleration is not None:
-            # Memoize only on the accelerated path — the PR-4 cost
-            # profile (one window evaluation per invocation) stays
-            # measurable on the plain tree.
-            self._eval_cache = (total_ways, *result)
-        return result
+        self._eval_cache = (float(total), int(sums.size), partial(self._extract, wa))
+        return self._eval_cache
 
-    def _extract(self, wa: int, total_ways: int) -> List[int]:
-        """Per-leaf allocation of the root split ``(wa, total_ways - wa)``."""
+    def _extract(self, wa: int) -> List[int]:
+        """Per-leaf allocation of the root split ``(wa, budget - wa)``."""
         root = self._root
         out: List[int] = []
         _backtrack(root.left, wa, out)
-        _backtrack(root.right, total_ways - wa, out)
+        _backtrack(root.right, self.budget - wa, out)
         return out
 
-    def solve(self, total_ways: int) -> GlobalOptResult:
+    def solve(self) -> GlobalOptResult:
         """Optimal partition for the budget from the current curves."""
-        total, ops, extract = self.evaluate(total_ways)
+        total, ops, extract = self.evaluate()
         return GlobalOptResult(ways=extract(), total_energy=total, dp_operations=ops)
 
 

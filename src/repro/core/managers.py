@@ -14,14 +14,16 @@ exactly allocated from the first invocation.
 The global step runs in one of two *reduction modes*:
 
 * ``"incremental"`` (default) — the manager owns a persistent
-  :class:`~repro.core.global_opt.ReductionTree`; each observe re-runs only
-  the O(log n) combines on the invoking core's leaf-to-root path and
-  ``dp_operations`` charges exactly that incremental work.
-* ``"full_rebuild"`` — every observe rebuilds the whole tree through the
-  stateless :func:`~repro.core.global_opt.partition_ways`, preserving the
-  per-invocation cost profile of the prior-work framework (and of this
-  repo before the persistent kernel) for the Section III-E overheads
-  comparison.
+  :class:`~repro.core.global_opt.ReductionTree`, windowed for the way
+  budget; each observe re-runs only the O(log n) combines on the
+  invoking core's leaf-to-root path and ``dp_operations`` charges
+  exactly that incremental work.  The decision's settings map replays
+  the last one, re-deriving only the entries that can have moved.
+* ``"full_rebuild"`` — the stateless oracle: every observe rebuilds the
+  whole tree through :func:`~repro.core.global_opt.partition_ways`, the
+  per-invocation cost profile of the prior-work framework that the
+  Section III-E overheads comparison bills, and derives every core's
+  setting afresh.
 
 The *local* step likewise runs in one of two modes:
 
@@ -36,12 +38,9 @@ The *local* step likewise runs in one of two modes:
   stores its result.
 * ``"always_recompute"`` — every observe runs the fused grid kernel.
 
-Both event loops of the simulator drive the local step the same way:
-one observe per interval boundary, so the memo sees the same gets in
-the same order under either loop.  Under the wave loop the memo key of
-each boundary input is derived once per run: the loop interns its
-inputs, so a recurring boundary hands over the object it handed over
-before.
+Both event loops of the simulator drive the manager the same way: one
+observe per interval boundary, through the same path, so the memo sees
+the same gets in the same order under either loop.
 
 Decisions read each core's setting from its local result, which
 memoizes its per-way ``Setting``
@@ -137,18 +136,23 @@ class ResourceManager:
 
     name = "RM"
 
+    #: Re-partition hysteresis: a new global way assignment is adopted
+    #: only when its predicted energy beats re-optimising *at the current
+    #: partition* by this relative margin.  Without damping, symmetric
+    #: workloads make the pairwise reduction flip between mirror-image
+    #: near-equal optima on every invocation (each core's fresh curve vs
+    #: the others' stale ones), dragging cores through transient
+    #: mis-configurations.
+    switch_threshold = 0.02
+
     def __init__(
         self,
         system: SystemConfig,
         perf_model: PerformanceModel,
         capabilities: RMCapabilities,
-        switch_threshold: float = 0.02,
         reduction: str = "incremental",
         local_mode: str = "memoized",
-        local_memo_capacity: int = DEFAULT_CAPACITY,
     ):
-        if switch_threshold < 0:
-            raise ValueError("switch_threshold must be non-negative")
         if reduction not in REDUCTION_MODES:
             raise ValueError(
                 f"unknown reduction mode {reduction!r}; options: {REDUCTION_MODES}"
@@ -166,14 +170,6 @@ class ResourceManager:
             PowerModel(system.power, system.dvfs, system.memory)
         )
         self._qos = QoSPolicy(system.qos_alpha)
-        #: Re-partition hysteresis: a new global way assignment is adopted
-        #: only when its predicted energy beats re-optimising *at the
-        #: current partition* by this relative margin.  Without damping,
-        #: symmetric workloads make the pairwise reduction flip between
-        #: mirror-image near-equal optima on every invocation (each core's
-        #: fresh curve vs the others' stale ones), dragging cores through
-        #: transient mis-configurations.
-        self.switch_threshold = switch_threshold
         self._cores: Dict[int, _CoreState] = {
             i: _CoreState() for i in range(system.n_cores)
         }
@@ -193,7 +189,7 @@ class ResourceManager:
         )
         #: Phase-level result memo (None in ``always_recompute`` mode).
         self.local_memo: Optional[LocalOptMemo] = (
-            LocalOptMemo(local_memo_capacity) if local_mode == "memoized" else None
+            LocalOptMemo(DEFAULT_CAPACITY) if local_mode == "memoized" else None
         )
         #: Per-core predicted energy at (its curve, its current ways) —
         #: the summands of the hysteresis keep-energy check, refreshed
@@ -203,31 +199,22 @@ class ResourceManager:
             self._curve_energy_at(c, self._current_ways[i])
             for i, c in enumerate(self._curves)
         ]
-        #: Memoized keep-energy sum (``False`` = dirty; wave-only).
+        #: Memoized keep-energy sum (``False`` = dirty).
         self._keep_energy: object = False
-        #: The settings map of the last decision; replayed as-is when an
-        #: invocation provably changes nothing (memo-hit invoker + the
-        #: hysteresis keep branch).  The simulator uses map *identity*
-        #: to skip its per-core setting diff entirely.
+        #: The settings map of the last decision; the incremental
+        #: reduction replays it as-is when an invocation provably changes
+        #: nothing (memo-hit invoker + the hysteresis keep branch).  The
+        #: simulator uses map *identity* to skip its per-core setting
+        #: diff entirely.
         self._last_settings: Optional[Dict[int, Setting]] = None
-        #: Wave acceleration of the reduction tree (budget-windowed +
-        #: native combines) — enabled by the simulator's wave loop;
-        #: results and accounting are bit-identical, only wall-clock
-        #: differs, so the scalar oracle leaves it off.  The window
-        #: parameters are the run-invariant bounds every leaf curve obeys:
-        #: the candidate-way range plus the pinned baseline point.
-        self._accelerate = False
         #: The run-invariant baseline setting and way budget (hot-path
         #: constants).
         self._baseline = system.baseline_setting()
         self._total_ways = system.total_ways
-        #: Wave-only memo keys of the simulator's per-run interned inputs:
-        #: ``id(inputs) -> (inputs, key)``.  The entry holds the
-        #: inputs, so its id stays unique while the entry lives; bounded
-        #: by the run's distinct boundary inputs and dropped on reset.
-        self._memo_keys: Dict[int, tuple] = {}
+        #: The reduction tree's budget and leaf bounds: every leaf curve
+        #: spans the candidate-way range plus the pinned baseline point.
         candidates = system.candidate_ways()
-        self._accel_params = (
+        self._tree_bounds = (
             self._total_ways,
             min(min(candidates), self._baseline.ways),
             max(max(candidates), self._baseline.ways),
@@ -262,10 +249,7 @@ class ResourceManager:
         qos = self._qos
         memo = self.local_memo
         if memo is not None:
-            if self._accelerate:
-                key = self._interned_memo_key(inputs, qos)
-            else:
-                key = local_memo_key(inputs, self.perf_model, qos)
+            key = local_memo_key(inputs, self.perf_model, qos)
             result = memo.get(key)
             if result is None:
                 result = self._kernel.run(inputs, qos)
@@ -274,42 +258,12 @@ class ResourceManager:
             result = self._kernel.run(inputs, qos)
         return self._reoptimize(core_id, result)
 
-    def _interned_memo_key(self, inputs: ModelInputs, qos: QoSPolicy):
-        """:func:`local_memo_key`, derived once per interned inputs.
-
-        The wave loop interns its boundary inputs per run, so a recurring
-        boundary hands over the very object it handed over before and
-        the key is a table read.  (The scalar loop builds fresh inputs
-        at every boundary; :meth:`observe` derives its keys directly.)
-        """
-        hit = self._memo_keys.get(id(inputs))
-        if hit is not None:
-            return hit[1]
-        key = local_memo_key(inputs, self.perf_model, qos)
-        self._memo_keys[id(inputs)] = (inputs, key)
-        return key
-
-    def set_wave_acceleration(self, enabled: bool) -> None:
-        """Toggle the accelerated reduction path for future trees.
-
-        The simulator's wave loop turns this on at run start (right
-        after ``reset``, while no tree exists); the next lazily built
-        tree then combines through the budget-windowed/native kernel.
-        Decisions and accounting are bit-identical either way — the
-        windowed combine materialises only columns no feasible split can
-        avoid touching and charges the nominal cell bill — so the knob
-        only moves wall-clock.  An already built tree keeps its mode (a
-        mid-run rebuild would re-charge build operations).
-        """
-        self._accelerate = bool(enabled)
-
     def _core_state(self, core_id: int) -> _CoreState:
         if core_id not in self._cores:
             raise KeyError(f"unknown core {core_id}")
         return self._cores[core_id]
 
     def _reoptimize(self, changed_core: int, result: LocalOptResult) -> RMDecision:
-        baseline = self._baseline
         state = self._cores[changed_core]
         #: A memo hit that replays the exact result object whose curve the
         #: reduction already holds leaves the whole global state
@@ -323,100 +277,33 @@ class ResourceManager:
         state.result = result
         if not unchanged:
             if not result.curve.has_feasible_point():
-                self._curves[changed_core] = EnergyCurve.pinned(baseline.ways)
+                self._curves[changed_core] = EnergyCurve.pinned(self._baseline.ways)
             else:
                 self._curves[changed_core] = result.curve
             self._energy_at_current[changed_core] = self._curve_energy_at(
                 self._curves[changed_core], self._current_ways[changed_core]
             )
             self._keep_energy = False
-        curves = self._curves
         total_energy, dp_operations, extract_ways = self._partition(
             changed_core, unchanged
         )
 
         keep_energy = self._energy_at_partition()
-        last = self._last_settings
         if keep_energy is not None and (
             keep_energy - total_energy < self.switch_threshold * abs(keep_energy)
         ):
             # Not worth re-partitioning: keep the current way split but
             # still refresh the per-way optimal (c, f) choices.  The
             # optimal allocation is never extracted in this branch.
-            if unchanged and last is not None:
-                # Nothing moved at all: replay the previous settings map
-                # (same object — the simulator skips its diff on it).
-                return RMDecision(
-                    settings=last,
-                    local_evaluations=result.evaluations,
-                    dp_operations=dp_operations,
-                    total_predicted_energy=keep_energy,
-                )
-            if last is not None and self._accelerate:
-                # Only the invoking core's local result is fresh and the
-                # way split is kept, so every other core's entry in the
-                # previous map is still value-correct for its allocation.
-                # If the invoker's (c*, f*) at its kept allocation comes
-                # out value-equal too, the previous map *is* this
-                # decision — replay it by identity and the simulator
-                # skips its whole settings diff.  (Wave-only, like every
-                # acceleration: the scalar oracle keeps the PR-4 cost
-                # profile; the decision *values* are identical either
-                # way.)
-                setting_b = self._setting_for(
-                    changed_core, self._current_ways[changed_core], baseline
-                )
-                if setting_b == last[changed_core]:
-                    return RMDecision(
-                        settings=last,
-                        local_evaluations=result.evaluations,
-                        dp_operations=dp_operations,
-                        total_predicted_energy=keep_energy,
-                    )
-                # The kept split leaves every other core's entry as-is;
-                # only the invoker's (c*, f*) moved.
-                settings = dict(last)
-                settings[changed_core] = setting_b
-                self._last_settings = settings
-                return RMDecision(
-                    settings=settings,
-                    local_evaluations=result.evaluations,
-                    dp_operations=dp_operations,
-                    total_predicted_energy=keep_energy,
-                )
-            ways = [self._current_ways[i] for i in range(self.system.n_cores)]
+            ways = None
             total_energy = keep_energy
         else:
             ways = extract_ways()
-
-        if last is None or not self._accelerate:
-            settings: Dict[int, Setting] = {}
-            for i, w in enumerate(ways):
-                w = int(w)
-                settings[i] = self._setting_for(i, w, baseline)
-                if w != self._current_ways[i]:
-                    self._current_ways[i] = w
-                    self._energy_at_current[i] = self._curve_energy_at(
-                        curves[i], w
-                    )
-                    self._keep_energy = False
+        last = self._last_settings
+        if last is None or self.reduction == "full_rebuild":
+            settings = self._rebuild_settings(ways)
         else:
-            # Accelerated rebuild from the previous map: a core whose
-            # allocation did not move keeps its (value-correct) entry —
-            # only moved cores and the invoking core (whose local result
-            # may be fresh) re-derive their setting.
-            settings = dict(last)
-            for i, w in enumerate(ways):
-                w = int(w)
-                if w != self._current_ways[i]:
-                    settings[i] = self._setting_for(i, w, baseline)
-                    self._current_ways[i] = w
-                    self._energy_at_current[i] = self._curve_energy_at(
-                        curves[i], w
-                    )
-                    self._keep_energy = False
-                elif i == changed_core:
-                    settings[i] = self._setting_for(i, w, baseline)
+            settings = self._replay_settings(changed_core, unchanged, ways, last)
         self._last_settings = settings
         return RMDecision(
             settings=settings,
@@ -424,6 +311,69 @@ class ResourceManager:
             dp_operations=dp_operations,
             total_predicted_energy=total_energy,
         )
+
+    def _rebuild_settings(self, ways: Optional[List[int]]) -> Dict[int, Setting]:
+        """Every core's setting derived afresh at ``ways`` (None: the
+        current split) — the ``full_rebuild`` oracle's only path, and the
+        reference :meth:`_replay_settings` is checked against."""
+        if ways is None:
+            ways = [self._current_ways[i] for i in range(self.system.n_cores)]
+        baseline = self._baseline
+        settings: Dict[int, Setting] = {}
+        for i, w in enumerate(ways):
+            w = int(w)
+            settings[i] = self._setting_for(i, w, baseline)
+            if w != self._current_ways[i]:
+                self._move(i, w)
+        return settings
+
+    def _replay_settings(
+        self,
+        changed_core: int,
+        unchanged: bool,
+        ways: Optional[List[int]],
+        last: Dict[int, Setting],
+    ) -> Dict[int, Setting]:
+        """The incremental settings replay: the last decision's map with
+        only the entries that can have moved re-derived.
+
+        Only the invoking core's local result is fresh, so every other
+        core's entry in ``last`` is still value-correct for an unmoved
+        allocation.  On the keep branch (``ways`` None) the split is
+        kept: when the invoker's curve is the one the reduction already
+        held, or its (c*, f*) at the kept allocation comes out
+        value-equal, ``last`` *is* this decision and is replayed by
+        identity (the simulator then skips its whole settings diff);
+        otherwise only the invoker's entry is replaced.  After a
+        re-partition the moved cores and the invoker re-derive theirs.
+        """
+        baseline = self._baseline
+        if ways is None:
+            if unchanged:
+                return last
+            setting_b = self._setting_for(
+                changed_core, self._current_ways[changed_core], baseline
+            )
+            if setting_b == last[changed_core]:
+                return last
+            settings = dict(last)
+            settings[changed_core] = setting_b
+            return settings
+        settings = dict(last)
+        for i, w in enumerate(ways):
+            w = int(w)
+            if w != self._current_ways[i]:
+                settings[i] = self._setting_for(i, w, baseline)
+                self._move(i, w)
+            elif i == changed_core:
+                settings[i] = self._setting_for(i, w, baseline)
+        return settings
+
+    def _move(self, i: int, w: int) -> None:
+        """Give core ``i`` ``w`` ways, refreshing its keep-energy summand."""
+        self._current_ways[i] = w
+        self._energy_at_current[i] = self._curve_energy_at(self._curves[i], w)
+        self._keep_energy = False
 
     def _setting_for(self, i: int, w: int, baseline: Setting) -> Setting:
         """One core's setting at allocation ``w``.
@@ -451,7 +401,8 @@ class ResourceManager:
         :meth:`~repro.core.global_opt.ReductionTree.path_operations`
         reports the identical bill.
         Full rebuild: the stateless reduction, charging every combine —
-        today's accounting, kept for the Section III-E overheads table.
+        the manager's oracle, and the bill of the Section III-E overheads
+        table.
         """
         if self.reduction == "full_rebuild":
             result = partition_ways(self._curves, self._total_ways)
@@ -461,16 +412,13 @@ class ResourceManager:
                 lambda: list(result.ways),
             )
         if self._tree is None:
-            self._tree = ReductionTree(
-                self._curves,
-                acceleration=self._accel_params if self._accelerate else None,
-            )
+            self._tree = ReductionTree(self._curves, *self._tree_bounds)
             ops = self._tree.build_operations
         elif leaf_unchanged:
             ops = self._tree.path_operations(changed_core)
         else:
             ops = self._tree.update(changed_core, self._curves[changed_core])
-        total, eval_ops, extract = self._tree.evaluate(self._total_ways)
+        total, eval_ops, extract = self._tree.evaluate()
         return total, ops + eval_ops, extract
 
     def _energy_at_partition(self) -> float | None:
@@ -479,13 +427,12 @@ class ResourceManager:
         None when any core's current allocation is infeasible or outside
         its fresh curve (forcing a re-partition).  Sums the per-core
         cached values left to right — the same floats in the same order
-        as reading each curve directly, hence bit-compatible.  Under
-        wave acceleration the sum is memoized until any summand changes
-        (``_keep_energy`` sentinel ``False`` = dirty): re-summing
-        unchanged floats in the same order reproduces the identical
-        total, so the replay is exact.
+        as reading each curve directly, hence bit-compatible.  The sum is
+        memoized until any summand changes (``_keep_energy`` sentinel
+        ``False`` = dirty): re-summing unchanged floats in the same order
+        reproduces the identical total, so the replay is exact.
         """
-        if self._accelerate and self._keep_energy is not False:
+        if self._keep_energy is not False:
             return self._keep_energy
         total = 0.0
         for e in self._energy_at_current:
@@ -510,7 +457,6 @@ class ResourceManager:
         ]
         self._keep_energy = False
         self._last_settings = None
-        self._memo_keys.clear()
         if self.local_memo is not None:
             self.local_memo.clear()
 

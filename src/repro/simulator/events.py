@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 __all__ = [
     "Boundary",
     "next_boundary",
-    "next_boundary_arrays",
 ]
 
 
@@ -42,7 +39,11 @@ def next_boundary(
     remaining: Sequence[float],
     tpis: Sequence[float],
 ) -> Boundary:
-    """Earliest interval completion across cores (ties -> lowest core id)."""
+    """Earliest interval completion across cores (ties -> lowest core id).
+
+    The scalar loop's pick; the wave loop's compiled and NumPy picks
+    perform the same per-core arithmetic over arrays.
+    """
     if not stalls or not (len(stalls) == len(remaining) == len(tpis)):
         raise ValueError("per-core sequences must be non-empty and aligned")
     best_id = 0
@@ -52,26 +53,3 @@ def next_boundary(
         if dt < best_dt:
             best_id, best_dt = i, dt
     return Boundary(core_id=best_id, dt_s=best_dt)
-
-
-def next_boundary_arrays(
-    stall_s: np.ndarray, remaining: np.ndarray, tpi_s: np.ndarray
-) -> Boundary:
-    """Array-path :func:`next_boundary` for the struct-of-arrays simulator.
-
-    One vector multiply-add plus an argmin instead of a per-core Python
-    loop; ``np.argmin`` returns the first minimum, preserving the scalar
-    path's lowest-core-id tie-break (and the identical per-element
-    arithmetic keeps the selected ``dt`` bit-equal).
-    """
-    if stall_s.size == 0 or not (stall_s.size == remaining.size == tpi_s.size):
-        raise ValueError("per-core arrays must be non-empty and aligned")
-    if stall_s.min() < 0 or remaining.min() < 0 or tpi_s.min() <= 0:
-        # Same contract as the scalar path: corrupt progress state (e.g. a
-        # degenerate time grid making tpi zero) must fail loudly, not spin
-        # the event loop on a zero-dt boundary.
-        raise ValueError("invalid progress state")
-    dts = stall_s + remaining * tpi_s
-    i = int(np.argmin(dts))
-    return Boundary(core_id=i, dt_s=float(dts[i]))
-

@@ -19,8 +19,8 @@ stops at the instruction horizon; simulation (and uncore energy) continues
 until every core reaches it (Section IV-D1).
 
 Per-core execution state lives in a struct-of-arrays container
-(:class:`_CoreStates`), so an event costs a handful of array operations
-instead of a Python loop over cores.
+(:class:`_CoreStates`), so a wave-loop event costs one compiled call (or
+a handful of array operations) instead of a Python loop over cores.
 
 The event loop itself runs in one of two *wave modes*:
 
@@ -43,10 +43,14 @@ The event loop itself runs in one of two *wave modes*:
   to the scalar oracle (differentially tested across RMs × models ×
   overheads × reduction/local modes), and so is the manager's memo
   traffic.
-* ``"scalar"`` — the PR-4-era loop, preserved verbatim as the
-  differential-testing oracle and perf baseline (the replay engine's
-  ``LRUStack`` pattern): single next boundary, one core's observe, scalar
-  per-core settings diff, no reduction-combine reuse.
+* ``"scalar"`` — the event loop's differential-testing oracle (the
+  replay engine's ``LRUStack`` pattern): the per-core boundary pick
+  (:func:`~repro.simulator.events.next_boundary`) and advance
+  (:func:`advance_cores_reference`), one core's observe, a value diff
+  of every core's setting and a rate refresh per stale core.
+
+Both loops drive the manager through the same path; only this module
+knows which loop runs.
 
 The mode resolves from the constructor argument, then ``REPRO_SIM_WAVE``
 (:mod:`repro.settings`; ``--wave`` on the CLI), then the ``"step"``
@@ -73,13 +77,12 @@ from repro.database.records import PhaseRecord
 from repro.power.dvfs import DVFSController
 from repro.power.energy import EnergyBreakdown
 from repro.settings import WAVE_MODES
-from repro.simulator.events import next_boundary_arrays
+from repro.simulator.events import next_boundary
 from repro.simulator.metrics import SettingChange, SimResult
 
 __all__ = [
     "MulticoreRMSimulator",
     "WAVE_MODES",
-    "advance_cores",
     "advance_cores_reference",
     "advance_cores_wave",
 ]
@@ -125,7 +128,7 @@ class _CoreStates:
     each array the wave loop touches one core at a time (same buffers,
     named like the arrays): an element read or write through it skips
     NumPy's scalar boxing, and reads return the same doubles as Python
-    floats.  The arrays stay the storage of the vectorised and compiled
+    floats.  The arrays stay the storage of the NumPy and compiled
     paths.  ``rate_refreshes`` counts every rate derivation (memoized or
     not) — the wave tests assert that replayed settings maps trigger
     exactly one refresh per boundary.
@@ -216,12 +219,6 @@ class _CoreStates:
             self._ev_addr = ctypes.addressof(self._ev_table)
             self._ev_slots = _scalar_view(self._ev_table, "d")
 
-    @property
-    def remaining_instr(self) -> np.ndarray:
-        # instr_done may overshoot by the advance clamp's epsilon; never
-        # report negative work.
-        return np.maximum(self.n_instructions - self.instr_done, 0.0)
-
     def refresh_rates(self, i: int) -> None:
         rec, s = self.records[i], self.settings[i]
         self.tpi_s[i] = rec.tpi_at(s)
@@ -246,8 +243,8 @@ class _CoreStates:
         argmin.  ``rates``, when given, is that tuple for core ``i``'s
         current (record, setting), already looked up by the caller.
         Finished cores keep their energy rates pinned at zero (they still
-        make progress — tpi and ipc stay real — but accrue no energy, the
-        reference's ``active`` mask semantics).  Reads and writes go
+        make progress — tpi and ipc stay real — but accrue no energy, as
+        in :func:`advance_cores_reference`).  Reads and writes go
         through :attr:`scalars`, the arrays' own buffers.
         """
         if rates is None:
@@ -329,9 +326,9 @@ class _CoreStates:
 
     def _next_event_numpy(self, horizon: float) -> Tuple[int, float]:
         """:meth:`next_event` in NumPy: the arithmetic of
-        :func:`~repro.simulator.events.next_boundary_arrays` over the
-        scratch buffers (``np.argmin`` keeps the first minimum — the
-        lowest core id on ties), then :func:`advance_cores_wave`."""
+        :func:`~repro.simulator.events.next_boundary` over the scratch
+        buffers (``np.argmin`` keeps the first minimum — the lowest core
+        id on ties), then :func:`advance_cores_wave`."""
         rem = np.subtract(self.n_instructions, self.instr_done, out=self._remaining)
         np.maximum(rem, 0.0, out=rem)
         dts = np.multiply(rem, self.tpi_s, out=self._dts)
@@ -353,60 +350,24 @@ class _CoreStates:
         ]
 
 
-def advance_cores(st: _CoreStates, dt: float, horizon: float) -> None:
-    """Advance every core by ``dt`` seconds of wall-clock time.
-
-    Vectorised over the core axis; element for element the arithmetic is
-    the scalar reference's (:func:`advance_cores_reference`), so results
-    are bit-identical (differentially tested).
-    """
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    served_stall = np.minimum(st.stall_s, dt)
-    run_time = dt - served_stall
-    st.stall_s -= served_stall
-    d_instr = run_time / st.tpi_s
-    # Clamp float drift at the boundary.
-    np.minimum(d_instr, st.remaining_instr + 1e-6, out=d_instr)
-
-    active = ~st.finished
-    crossing = active & (st.total_instr + d_instr >= horizon) & (d_instr > 0)
-    if np.any(crossing):
-        counted = np.maximum(horizon - st.total_instr[crossing], 0.0)
-        frac = counted / d_instr[crossing]
-        st.core_dynamic_j[crossing] += st.epi_j[crossing] * counted
-        st.memory_j[crossing] += (
-            st.work_j_per_inst[crossing] - st.epi_j[crossing]
-        ) * counted
-        st.core_static_j[crossing] += st.static_w[crossing] * dt * frac
-        st.finished[crossing] = True
-    running = active & ~crossing
-    st.core_dynamic_j[running] += st.epi_j[running] * d_instr[running]
-    st.memory_j[running] += (
-        st.work_j_per_inst[running] - st.epi_j[running]
-    ) * d_instr[running]
-    st.core_static_j[running] += st.static_w[running] * dt
-    st.finished[running & (d_instr == 0.0) & (st.total_instr >= horizon)] = True
-
-    st.instr_done += d_instr
-    st.total_instr += d_instr
-    st.interval_elapsed_s += dt
-
-
 def advance_cores_wave(st: _CoreStates, dt: float, horizon: float) -> None:
-    """:func:`advance_cores` through preallocated scratch buffers.
+    """Advance every core by ``dt`` seconds of wall-clock time, in NumPy.
 
-    Requires ``st._remaining`` to hold this event's pre-advance remaining
-    instructions (the boundary pick computes it — the advance clamp
-    reuses it, exactly the value :func:`advance_cores` would re-derive).
-    While no *active* core would reach the horizon this event, the
-    advance is the unmasked NumPy block below — exact because the
-    reference's masks then select every core, and finished cores carry
+    Element for element the arithmetic of :func:`advance_cores_reference`,
+    vectorised over the core axis through preallocated scratch buffers
+    (differentially tested bit-identical).  Requires ``st._remaining`` to
+    hold this event's pre-advance remaining instructions (the boundary
+    pick computes it — the advance clamp reuses it, exactly the value
+    the reference re-derives per core).  While no *active* core would
+    reach the horizon this event, the advance is the unmasked NumPy
+    block below — exact because the reference's branches then take
+    every unfinished core down the same path, and finished cores carry
     zeroed energy rates (each update adds ``+0.0``, the identity on
     their non-negative accumulators).  A horizon-reaching event (at most
-    one per core per run) takes the reference's masked path.  The
-    compiled ``wave_event`` performs the same fast block and hands
-    horizon-reaching events here (:meth:`_CoreStates.next_event`).
+    one per core per run) takes the reference's branches as masks
+    (:func:`_advance_finish_event`).  The compiled ``wave_event``
+    performs the same fast block and hands horizon-reaching events here
+    (:meth:`_CoreStates.next_event`).
     """
     if dt < 0:
         raise ValueError("dt must be non-negative")
@@ -423,11 +384,11 @@ def advance_cores_wave(st: _CoreStates, dt: float, horizon: float) -> None:
         _advance_finish_event(st, dt, horizon, d_instr, tmp)
     else:
         # No unfinished core reaches the horizon this event, so the
-        # reference's ``running`` mask selects every unfinished core —
-        # and finished cores' energy rates are pinned to exact zeros
-        # (:meth:`_CoreStates.zero_finished_rates`), making the unmasked
-        # in-place updates element-for-element identical (adding +0.0 to
-        # a non-negative accumulator is the identity).
+        # reference takes every unfinished core down its non-crossing
+        # branch — and finished cores' energy rates are pinned to exact
+        # zeros (:meth:`_CoreStates.zero_finished_rates`), making the
+        # unmasked in-place updates element-for-element identical
+        # (adding +0.0 to a non-negative accumulator is the identity).
         np.multiply(st.epi_j, d_instr, out=tmp)
         st.core_dynamic_j += tmp
         mem = np.subtract(st.work_j_per_inst, st.epi_j, out=st._served)
@@ -446,9 +407,10 @@ def _advance_finish_event(
     """The rare event where some unfinished core reaches the horizon.
 
     At most one such event per core per run, so this path is written for
-    clarity, not allocation count; the arithmetic is the reference's
-    masked block verbatim.  Every core that finishes here has its energy
-    rates zeroed so the fast path's unmasked updates stay exact.
+    clarity, not allocation count; the arithmetic is
+    :func:`advance_cores_reference`'s, its branches as boolean masks.
+    Every core that finishes here has its energy rates zeroed so the
+    fast path's unmasked updates stay exact.
     """
     active = st._active
     crossing = active & (tmp >= horizon) & (d_instr > 0)
@@ -476,7 +438,9 @@ def _advance_finish_event(
 
 
 def advance_cores_reference(st: _CoreStates, dt: float, horizon: float) -> None:
-    """Scalar per-core reference for :func:`advance_cores` (testing oracle)."""
+    """Advance every core by ``dt`` seconds of wall-clock time, one core
+    at a time: the scalar loop's advance, and the oracle of
+    :func:`advance_cores_wave` and the compiled ``wave_event``."""
     if dt < 0:
         raise ValueError("dt must be non-negative")
     for i in range(st.n):
@@ -600,7 +564,6 @@ class MulticoreRMSimulator:
             st.refresh_rates(cid)
 
         history: Optional[List[SettingChange]] = [] if self.collect_history else None
-        self._configure_rm_for_mode()
         if self.wave == "scalar":
             totals = self._loop_scalar(st, horizon, baseline, max_events, history)
         else:
@@ -631,19 +594,6 @@ class MulticoreRMSimulator:
         )
 
     # ------------------------------------------------------------------
-    def _configure_rm_for_mode(self) -> None:
-        """Engage (or disengage) the wave-only manager accelerations.
-
-        Wave runs turn on reduction-combine reuse; scalar runs turn it
-        off, keeping the oracle's cost profile at PR-4 parity.  The knob
-        is execution-strategy only — decisions, accounting and results
-        are bit-identical across modes.
-        """
-        set_accel = getattr(self.rm, "set_wave_acceleration", None)
-        if set_accel is not None:
-            set_accel(self.wave != "scalar")
-
-    # ------------------------------------------------------------------
     def _loop_scalar(
         self,
         st: _CoreStates,
@@ -652,7 +602,8 @@ class MulticoreRMSimulator:
         max_events: int,
         history: Optional[List[SettingChange]],
     ) -> Tuple[float, int, int, List[float], int, float]:
-        """The PR-4 event loop, preserved verbatim (differential oracle)."""
+        """The event loop's oracle: per-core boundary pick and advance,
+        one core's observe, a value diff of every core's setting."""
         n_cores = st.n
         alpha = self.rm.system.qos_alpha
         t = 0.0
@@ -670,11 +621,14 @@ class MulticoreRMSimulator:
         for _ in range(max_events):
             if np.all(st.finished):
                 break
-            boundary = next_boundary_arrays(
-                st.stall_s, st.remaining_instr, st.tpi_s
+            # instr_done may overshoot by the advance clamp's epsilon;
+            # never count negative work.
+            remaining = np.maximum(st.n_instructions - st.instr_done, 0.0)
+            boundary = next_boundary(
+                st.stall_s.tolist(), remaining.tolist(), st.tpi_s.tolist()
             )
             dt = boundary.dt_s
-            advance_cores(st, dt, horizon)
+            advance_cores_reference(st, dt, horizon)
             t += dt
 
             # Interval boundary on the triggering core.
@@ -775,9 +729,8 @@ class MulticoreRMSimulator:
         visit order — so every decision sees exactly the state it would
         have seen there; the differences are execution-strategy only:
         the compiled per-event step, the per-run interned boundary
-        values, memoized rate refreshes, the identity-first settings
-        diff and the manager's reduction-combine reuse.  Differentially
-        tested bit-identical on full runs.
+        values, memoized rate refreshes and the identity-first settings
+        diff.  Differentially tested bit-identical on full runs.
         """
         rm = self.rm
         db = self.db
@@ -788,7 +741,7 @@ class MulticoreRMSimulator:
         mem_access_j = self.system.memory.access_energy_nj * 1e-9
         alpha = rm.system.qos_alpha
         # Hot-loop locals: the boundary pick is the arithmetic of
-        # :func:`next_boundary_arrays` over preallocated scratch
+        # :func:`next_boundary` over preallocated scratch
         # (:meth:`_CoreStates.next_event`; float addition commutes, so
         # the pick is bit-equal; progress-state validation moves to the
         # loop entry + the rates memo, which revalidates every new

@@ -1,12 +1,13 @@
 """Decision-kernel differential tests.
 
 The incremental kernel (vectorised :func:`combine_pair`, persistent
-:class:`ReductionTree`, struct-of-arrays simulator advance) must be
+:class:`ReductionTree`, the wave loop's struct-of-arrays advance) must be
 bit-identical to the reference implementations it replaced — selected
 allocations, settings, predicted energies and (in ``full_rebuild`` mode)
 ``dp_operations``.  These tests are the contract: the scalar combine
-loop, the stateless :func:`partition_ways` and the scalar advance loop
-are kept in-tree as oracles (the replay engine's ``LRUStack`` pattern).
+loop, the stateless :func:`partition_ways` and the per-core advance
+(:func:`advance_cores_reference`, the scalar loop's) are kept in-tree as
+oracles (the replay engine's ``LRUStack`` pattern).
 """
 
 import math
@@ -30,7 +31,6 @@ from repro.simulator import rmsim
 from repro.simulator.rmsim import (
     MulticoreRMSimulator,
     _CoreStates,
-    advance_cores,
     advance_cores_reference,
     advance_cores_wave,
 )
@@ -112,16 +112,16 @@ class TestReductionTreeDifferential:
     def test_solve_matches_partition_ways(self, n, n_updates, seed):
         rng = np.random.default_rng(seed)
         curves = [random_curve(rng) for _ in range(n)]
-        tree = ReductionTree(curves)
         budget = 8 * n
+        tree = ReductionTree(curves, budget, 2, 16)
         for _ in range(n_updates + 1):
             try:
                 ref = partition_ways(curves, budget)
             except ValueError:
                 with pytest.raises(ValueError):
-                    tree.solve(budget)
+                    tree.solve()
             else:
-                got = tree.solve(budget)
+                got = tree.solve()
                 assert got.ways == ref.ways
                 assert got.total_energy == ref.total_energy  # bit-equal
             i = int(rng.integers(n))
@@ -132,11 +132,11 @@ class TestReductionTreeDifferential:
         rng = np.random.default_rng(7)
         n = 8
         curves = [random_curve(rng, inf_frac=0.0) for _ in range(n)]
-        tree = ReductionTree(curves)
+        tree = ReductionTree(curves, 8 * n, 2, 16)
         full = partition_ways(curves, 8 * n).dp_operations
         assert tree.build_operations < full  # root combine never runs
         update_ops = tree.update(3, random_curve(rng, inf_frac=0.0))
-        solve_ops = tree.solve(8 * n).dp_operations
+        solve_ops = tree.solve().dp_operations
         # O(log n) path combines + the root window: far below a rebuild
         assert update_ops + solve_ops < full / 2
 
@@ -148,10 +148,10 @@ class TestReductionTreeDifferential:
         ratios = {}
         for n in (4, 8, 16, 32):
             curves = [random_curve(rng, inf_frac=0.0) for _ in range(n)]
-            tree = ReductionTree(curves)
+            tree = ReductionTree(curves, 8 * n, 2, 16)
             full = partition_ways(curves, 8 * n).dp_operations
             incr = tree.update(0, random_curve(rng, inf_frac=0.0))
-            incr += tree.solve(8 * n).dp_operations
+            incr += tree.solve().dp_operations
             ratios[n] = full / incr
         assert ratios[32] > ratios[4]
         assert ratios[32] >= 5.0
@@ -162,20 +162,22 @@ class TestReductionTreeDifferential:
             EnergyCurve(np.arange(2, 17), np.linspace(5, 1, 15)),
             EnergyCurve.pinned(8),
         ]
-        tree = ReductionTree(curves)
-        got = tree.solve(24)
+        tree = ReductionTree(curves, 24, 2, 16)
+        got = tree.solve()
         ref = partition_ways(curves, 24)
         assert got.ways == ref.ways == [8, 8, 8]
 
     def test_single_leaf(self):
-        tree = ReductionTree([EnergyCurve(np.arange(2, 17), np.linspace(5, 1, 15))])
-        got = tree.solve(10)
+        tree = ReductionTree(
+            [EnergyCurve(np.arange(2, 17), np.linspace(5, 1, 15))], 10, 2, 16
+        )
+        got = tree.solve()
         assert got.ways == [10]
         assert got.dp_operations == 0
 
     def test_budget_out_of_domain(self):
         with pytest.raises(ValueError):
-            ReductionTree([EnergyCurve.pinned(8)]).solve(9)
+            ReductionTree([EnergyCurve.pinned(8)], 9, 2, 16).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +271,17 @@ def _snapshot(st_):
     }
 
 
+def _wave_ready(st_):
+    """The state the wave loop keeps beside the arrays: finished cores'
+    energy rates zeroed, ``_active`` and ``n_active``, and this event's
+    remaining instructions in ``_remaining`` (the boundary pick's)."""
+    st_.zero_finished_rates(st_.finished)
+    st_._active[:] = ~st_.finished
+    st_.n_active = int(st_._active.sum())
+    st_._remaining[:] = np.maximum(st_.n_instructions - st_.instr_done, 0.0)
+    return st_
+
+
 class TestAdvanceDifferential:
     @given(
         n=st.integers(1, 40),
@@ -277,23 +290,27 @@ class TestAdvanceDifferential:
     )
     @settings(max_examples=80, deadline=None)
     def test_vectorised_matches_scalar_reference(self, n, seed, dt_scale):
+        """:func:`advance_cores_wave` against the per-core reference on
+        the same generated state, horizon-crossing events included."""
         rng = np.random.default_rng(seed)
-        base = _random_states(rng, n)
+        base = _wave_ready(_random_states(rng, n))
         horizon = float(rng.integers(10_000, 200_000))
         dt = dt_scale * 2e-3
 
-        vec = _random_states(np.random.default_rng(seed), n)
-        advance_cores(vec, dt, horizon)
+        vec = _wave_ready(_random_states(np.random.default_rng(seed), n))
+        advance_cores_wave(vec, dt, horizon)
         advance_cores_reference(base, dt, horizon)
 
         got, ref = _snapshot(vec), _snapshot(base)
         for name in ref:
             assert np.array_equal(got[name], ref[name]), name
+        assert np.array_equal(vec._active, ~base.finished)
+        assert vec.n_active == int((~base.finished).sum())
 
     def test_negative_dt_rejected(self):
         st_ = _CoreStates(2)
         with pytest.raises(ValueError):
-            advance_cores(st_, -1.0, 1e6)
+            advance_cores_wave(st_, -1.0, 1e6)
 
 
 class TestSimulatorModeIdentity:
@@ -320,9 +337,10 @@ class TestSimulatorModeIdentity:
     def test_paper_scale_step_matches_scalar(
         self, full_db, kind, model, charge
     ):
-        """The wave loop's decision-kernel accelerations (windowed tree,
-        compiled path updates, identity replays) against the scalar
-        oracle on the full 27-app database, not just the mini suites."""
+        """The wave loop's per-event fast paths (compiled event step,
+        interned boundaries, identity-first settings diff) against the
+        scalar oracle on the full 27-app database, not just the mini
+        suites."""
         from repro.campaign.executor import _simulate
         from repro.campaign.results import result_to_json
         from repro.campaign.spec import RunSpec
@@ -539,11 +557,11 @@ class TestFusedRootEvaluation:
     NumPy window over the same tree, across leaf updates."""
 
     @staticmethod
-    def _numpy_evaluate(tree, budget):
+    def _numpy_evaluate(tree):
         cached = tree._eval_cache
         tree._eval_cache = None
         try:
-            total, ops, extract = tree.evaluate(budget)
+            total, ops, extract = tree.evaluate()
             return total, ops, extract()
         finally:
             tree._eval_cache = cached
@@ -565,7 +583,7 @@ class TestFusedRootEvaluation:
                 sum(c.w_min for c in curves), sum(c.w_max for c in curves) + 1
             )
         )
-        tree = ReductionTree(curves, acceleration=(budget, leaf_lo, leaf_hi))
+        tree = ReductionTree(curves, budget, leaf_lo, leaf_hi)
         for step in range(n_updates + 1):
             if step:
                 # Only updates that keep the budget inside the domain.
@@ -581,15 +599,14 @@ class TestFusedRootEvaluation:
                 curves[i] = fresh
                 tree.update(i, fresh)
             try:
-                ref = self._numpy_evaluate(tree, budget)
+                ref = self._numpy_evaluate(tree)
             except ValueError:
                 assert tree._eval_cache is None
                 with pytest.raises(ValueError):
-                    tree.evaluate(budget)
+                    tree.evaluate()
                 continue
-            cache = tree._eval_cache
-            assert cache is not None and cache[0] == budget
-            total, ops, extract = tree.evaluate(budget)
+            assert tree._eval_cache is not None
+            total, ops, extract = tree.evaluate()
             assert (total, ops, extract()) == ref
             stateless = partition_ways(curves, budget)
             assert ref[2] == stateless.ways
@@ -601,23 +618,23 @@ class TestFusedRootEvaluation:
         root split; single-point and +inf-run curves included."""
         a = EnergyCurve(np.arange(2, 7), np.array([np.inf, np.inf, 1.0, 1.0, 0.5]))
         b = EnergyCurve.pinned(8)
-        tree = ReductionTree([a, b], acceleration=(12, 2, 16))
+        tree = ReductionTree([a, b], 12, 2, 16)
         assert tree._plans[0][0] == 0 and tree._plans[1][0] == 0
-        assert tree.solve(12).ways == partition_ways([a, b], 12).ways
+        assert tree.solve().ways == partition_ways([a, b], 12).ways
         c = EnergyCurve(np.arange(4, 10), np.array([3.0, 2.0, 2.0, np.inf, 2.0, 9.0]))
         assert tree.update(1, c) == 0
-        got = tree.solve(12)
+        got = tree.solve()
         ref = partition_ways([a, c], 12)
         assert (got.ways, got.total_energy) == (ref.ways, ref.total_energy)
         assert got.dp_operations == 4  # candidate left allocations 3..6
 
     def test_curve_outside_leaf_bounds_rejected(self):
         curves = [EnergyCurve.pinned(8) for _ in range(4)]
-        tree = ReductionTree(curves, acceleration=(32, 2, 16))
+        tree = ReductionTree(curves, 32, 2, 16)
         with pytest.raises(ValueError, match="bounds"):
             tree.update(0, EnergyCurve(np.arange(10, 18), np.zeros(8)))
         with pytest.raises(ValueError, match="bounds"):
-            ReductionTree([EnergyCurve.pinned(1)] * 4, acceleration=(32, 2, 16))
+            ReductionTree([EnergyCurve.pinned(1)] * 4, 32, 2, 16)
 
 
 def _scalar_spec(a, b, lo, hi):
@@ -635,7 +652,7 @@ def _scalar_spec(a, b, lo, hi):
 
 
 def _combined_nodes(tree):
-    """The accelerated tree's materialised (non-root) internal nodes."""
+    """The tree's materialised (non-root) internal nodes."""
     return [node for node in tree._internal if node is not tree._root]
 
 
@@ -681,7 +698,7 @@ class TestBlockedCombine:
                 sum(c.w_min for c in curves), sum(c.w_max for c in curves) + 1
             )
         )
-        tree = ReductionTree(curves, acceleration=(budget, leaf_lo, leaf_hi))
+        tree = ReductionTree(curves, budget, leaf_lo, leaf_hi)
         _assert_nodes_match_windowed_combine(tree)
         for _ in range(n_updates):
             i = int(rng.integers(n))
@@ -709,9 +726,7 @@ class TestBlockedCombine:
         for la in range(1, 2 * rows + 1):
             a = random_curve(rng, la, w_min=1)
             b = random_curve(rng, lb, w_min=1)
-            tree = ReductionTree(
-                [a, b, EnergyCurve.pinned(40)], acceleration=(42, 1, 40)
-            )
+            tree = ReductionTree([a, b, EnergyCurve.pinned(40)], 42, 1, 40)
             (node,) = _combined_nodes(tree)
             assert node.left.curve is a and node.right.curve is b
             full, _, _ = combine_pair(a, b)
@@ -735,7 +750,7 @@ class TestBlockedCombine:
                 (9, 15, 7, 12, 1, 16, 10, 8), [zeros] * 4 + [negative] * 4
             )
         ]
-        tree = ReductionTree(curves, acceleration=(70, 2, 17))
+        tree = ReductionTree(curves, 70, 2, 17)
         signs = set()
         for node in _combined_nodes(tree):
             spec = _scalar_spec(

@@ -250,13 +250,8 @@ class TestLocalModeIdentity:
         wl = ["mini_csps", "mini_cips"]
         reference = None
         for capacity in (1, 2):
-            rm = make_rm(
-                "rm3",
-                system2,
-                Model3(),
-                local_mode="memoized",
-                local_memo_capacity=capacity,
-            )
+            rm = make_rm("rm3", system2, Model3(), local_mode="memoized")
+            rm.local_memo = LocalOptMemo(capacity)
             res = MulticoreRMSimulator(
                 mini_db, rm, collect_history=True
             ).run(wl, horizon_intervals=10)
@@ -359,7 +354,7 @@ class TestPinnedFirstOrder:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
         curves = [_real_curve(rng, width=int(rng.integers(1, 16))) for _ in range(n)]
-        tree = ReductionTree(curves)
+        tree = ReductionTree(curves, sum(c.w_min for c in curves), 2, 16)
         i = int(rng.integers(n))
         predicted = tree.path_operations(i)
         # Re-feeding the same curve must charge exactly what the caller
@@ -368,7 +363,7 @@ class TestPinnedFirstOrder:
 
     def test_totals_track_updates(self):
         curves = [EnergyCurve.pinned(8), EnergyCurve.pinned(8)]
-        tree = ReductionTree(curves)
+        tree = ReductionTree(curves, 16, 2, 16)
         assert (tree.w_min_total, tree.w_max_total) == (16, 16)
         tree.update(0, EnergyCurve(np.arange(2, 17), np.linspace(2, 1, 15)))
         assert (tree.w_min_total, tree.w_max_total) == (10, 24)

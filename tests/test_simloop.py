@@ -7,19 +7,22 @@ The contract under test:
   operation accounting — across RMs x models x overheads x
   reduction/local modes (the replay engine's differential pattern);
 * both loops make the same local-decision memo traffic;
-* the accelerated reduction path (budget windows, native kernel, lazy
-  back-track choices) is bit-identical to the plain tree;
+* the reduction tree (budget windows, native kernel, lazy back-track
+  choices) selects what the stateless :func:`partition_ways` selects
+  and bills the nominal cells of the unwindowed combines;
 * waves replaying a settings map by identity skip every non-boundary
   rate refresh (the ``rate_refreshes`` accounting);
-* generated full runs at 2-32 cores agree between the loops, and the
-  scalar oracle runs none of the wave loop's fast paths; nor do the
-  manager-mode oracles (``always_recompute``, ``full_rebuild``) run
+* generated full runs at 2-32 cores agree between the loops, and
+  between the default manager and its oracle modes (``full_rebuild``
+  with ``always_recompute``);
+* the scalar oracle runs none of the wave loop's fast paths, and the
+  manager-mode oracles (``always_recompute``, ``full_rebuild``) none of
   theirs.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import settings as hsettings
 from hypothesis import strategies as st
 
@@ -249,7 +252,7 @@ class TestDiffSettings:
 
 
 # ---------------------------------------------------------------------------
-# the accelerated reduction tree
+# the reduction tree against the stateless rebuild and the nominal bill
 # ---------------------------------------------------------------------------
 def _random_curves(rng, n, width=15, w_min=2):
     return [
@@ -260,42 +263,79 @@ def _random_curves(rng, n, width=15, w_min=2):
     ]
 
 
+def _nominal_bill(curves, budget):
+    """What the tree bills, from the leaves alone: the cells of every
+    unwindowed combine below the root, each leaf's path share of them,
+    and the root's candidate left allocations at ``budget``.  Nodes pair
+    level by level with an odd one carried up, as ``partition_ways``
+    pairs them, whose bill is the build plus the root's ``la * lb``."""
+    # (width, w_min, w_max, leaves) per node of the current level
+    level = [
+        (c.energy.size, c.w_min, c.w_max, {i}) for i, c in enumerate(curves)
+    ]
+    combines = []
+    while len(level) > 1:
+        pairs = list(zip(level[0::2], level[1::2]))
+        if len(level) == 2:
+            (_, l_min, l_max, _), (_, r_min, r_max, _) = pairs[0]
+            window = min(l_max, budget - r_min) - max(l_min, budget - r_max) + 1
+        nxt = []
+        for a, b in pairs:
+            combines.append((a[0] * b[0], a[3] | b[3]))
+            nxt.append((a[0] + b[0] - 1, a[1] + b[1], a[2] + b[2], a[3] | b[3]))
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+    root_cells, _ = combines.pop()  # evaluated, never combined
+    build = sum(cells for cells, _ in combines)
+    path = [
+        sum(cells for cells, leaves in combines if i in leaves)
+        for i in range(len(curves))
+    ]
+    assert build + root_cells == partition_ways(curves, budget).dp_operations
+    return build, path, window
+
+
 class TestAcceleratedTree:
+    """The budget-windowed tree on the native kernel (or its NumPy
+    path) against :func:`partition_ways` — ways and energy — and against
+    the nominal cell bill of :func:`_nominal_bill`."""
+
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
     def test_solve_bit_identical_to_plain(self, n):
+        """``plain``: the stateless full rebuild."""
         rng = np.random.default_rng(7)
         curves = _random_curves(rng, n)
         budget = 8 * n
-        plain = ReductionTree(curves)
-        accel = ReductionTree(curves, acceleration=(budget, 2, 16))
-        ref = plain.solve(budget)
-        got = accel.solve(budget)
+        tree = ReductionTree(curves, budget, 2, 16)
+        ref = partition_ways(curves, budget)
+        build, _, window = _nominal_bill(curves, budget)
+        got = tree.solve()
         assert got.ways == ref.ways
         assert got.total_energy == ref.total_energy
-        assert got.dp_operations == ref.dp_operations
-        assert accel.build_operations == plain.build_operations
+        assert got.dp_operations == window
+        assert tree.build_operations == build
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_updates_bit_identical_and_bill_invariant(self, n):
         rng = np.random.default_rng(11)
         curves = _random_curves(rng, n)
         budget = 8 * n
-        plain = ReductionTree(curves)
-        accel = ReductionTree(curves, acceleration=(budget, 2, 16))
+        tree = ReductionTree(curves, budget, 2, 16)
         for step in range(2 * n):
             i = int(rng.integers(n))
-            fresh = _random_curves(rng, 1)[0]
+            # Every third update narrows the leaf, so nominal widths move.
+            width = 15 if step % 3 else int(rng.integers(8, 15))
+            fresh = _random_curves(rng, 1, width=width)[0]
             curves[i] = fresh
-            ops_plain = plain.update(i, fresh)
-            ops_accel = accel.update(i, fresh)
-            assert ops_accel == ops_plain
-            assert accel.path_operations(i) == plain.path_operations(i)
-            ref = plain.solve(budget)
-            got = accel.solve(budget)
-            assert got.ways == ref.ways
-            assert got.total_energy == ref.total_energy
+            _, path, window = _nominal_bill(curves, budget)
+            assert tree.update(i, fresh) == path[i]
+            assert tree.path_operations(i) == path[i]
+            got = tree.solve()
             stateless = partition_ways(curves, budget)
             assert got.ways == stateless.ways
+            assert got.total_energy == stateless.total_energy
+            assert got.dp_operations == window
 
     def test_infeasible_points_handled(self):
         rng = np.random.default_rng(3)
@@ -303,10 +343,10 @@ class TestAcceleratedTree:
         for c in curves:
             c.energy[rng.random(c.energy.size) < 0.4] = np.inf
         budget = 32
-        plain = ReductionTree(curves).solve(budget)
-        accel = ReductionTree(curves, acceleration=(budget, 2, 16)).solve(budget)
-        assert accel.ways == plain.ways
-        assert accel.total_energy == plain.total_energy
+        ref = partition_ways(curves, budget)
+        got = ReductionTree(curves, budget, 2, 16).solve()
+        assert got.ways == ref.ways
+        assert got.total_energy == ref.total_energy
 
     def test_pinned_warmup_states(self):
         """The managers' actual build state: pinned leaves + one real."""
@@ -314,12 +354,12 @@ class TestAcceleratedTree:
             curves = [EnergyCurve.pinned(8) for _ in range(n)]
             curves[n // 2] = _random_curves(np.random.default_rng(5), 1)[0]
             budget = 8 * n
-            plain = ReductionTree(curves).solve(budget)
-            accel = ReductionTree(
-                curves, acceleration=(budget, 2, 16)
-            ).solve(budget)
-            assert accel.ways == plain.ways
-            assert accel.total_energy == plain.total_energy
+            ref = partition_ways(curves, budget)
+            tree = ReductionTree(curves, budget, 2, 16)
+            got = tree.solve()
+            assert got.ways == ref.ways
+            assert got.total_energy == ref.total_energy
+            assert tree.build_operations == _nominal_bill(curves, budget)[0]
 
     def test_numpy_fallback_matches_native(self, monkeypatch):
         """The fallback tree, with the compiled update patched to raise,
@@ -328,23 +368,23 @@ class TestAcceleratedTree:
         curves = _random_curves(rng, 8)
         budget = 64
         fresh = _random_curves(rng, 1)[0]
-        native = ReductionTree(curves, acceleration=(budget, 2, 16))
+        native = ReductionTree(curves, budget, 2, 16)
         ops_a = native.update(3, fresh)
-        a = native.solve(budget)
+        a = native.solve()
         monkeypatch.setattr(_native_opt, "_lib", None)
         monkeypatch.setattr(_native_opt, "_lib_failed", True)
         monkeypatch.setattr(ReductionTree, "_run_native", _raise)
-        fallback = ReductionTree(curves, acceleration=(budget, 2, 16))
+        fallback = ReductionTree(curves, budget, 2, 16)
         ops_b = fallback.update(3, fresh)
-        b = fallback.solve(budget)
+        b = fallback.solve()
         assert ops_a == ops_b
         assert a.ways == b.ways
         assert a.total_energy == b.total_energy
 
     def test_strided_leaf_curves_are_repacked(self):
         """Caller-supplied strided energy views must not feed the raw-
-        pointer kernels: the accelerated tree repacks them at install and
-        stays bit-identical to the plain tree."""
+        pointer kernels: the tree repacks them at install and stays
+        bit-identical to the stateless rebuild."""
         rng = np.random.default_rng(17)
         backing = rng.random(30) * 10.0
         strided = EnergyCurve(np.arange(2, 17), backing[::2])
@@ -352,46 +392,49 @@ class TestAcceleratedTree:
         curves = _random_curves(rng, 4)
         curves[1] = strided
         budget = 32
-        plain = ReductionTree(curves).solve(budget)
-        accel_tree = ReductionTree(curves, acceleration=(budget, 2, 16))
-        got = accel_tree.solve(budget)
-        assert got.ways == plain.ways
-        assert got.total_energy == plain.total_energy
+        ref = partition_ways(curves, budget)
+        got = ReductionTree(curves, budget, 2, 16).solve()
+        assert got.ways == ref.ways
+        assert got.total_energy == ref.total_energy
         # ... and through update() on an already-built tree too.
-        tree = ReductionTree(curves, acceleration=(budget, 2, 16))
+        tree = ReductionTree(curves, budget, 2, 16)
         strided2 = EnergyCurve(np.arange(2, 17), backing[::-2][::-1][:15])
         tree.update(2, strided2)
         curves[2] = strided2
         ref = partition_ways(curves, budget)
-        got2 = tree.solve(budget)
+        got2 = tree.solve()
         assert got2.ways == ref.ways
         assert got2.total_energy == ref.total_energy
 
     def test_accelerated_budget_guard(self):
+        """The budget is fixed at construction: leaves that can no
+        longer absorb it are rejected, on the update or the solve."""
         curves = _random_curves(np.random.default_rng(1), 4)
-        tree = ReductionTree(curves, acceleration=(32, 2, 16))
-        tree.solve(32)
+        tree = ReductionTree(curves, 32, 2, 16)
+        tree.solve()
         with pytest.raises(ValueError):
-            tree.solve(30)
+            for i in range(4):
+                tree.update(i, EnergyCurve.pinned(2))
+            tree.solve()
 
     def test_acceleration_validation(self):
         curves = _random_curves(np.random.default_rng(1), 2)
         with pytest.raises(ValueError):
-            ReductionTree(curves, acceleration=(16, 0, 16))
+            ReductionTree(curves, 16, 0, 16)
         with pytest.raises(ValueError):
-            ReductionTree(curves, acceleration=(16, 8, 4))
+            ReductionTree(curves, 16, 8, 4)
         with pytest.raises(ValueError):
-            ReductionTree(curves, acceleration=(0, 2, 16))
+            ReductionTree(curves, 0, 2, 16)
 
     def test_eval_cache_invalidated_by_update(self):
         rng = np.random.default_rng(2)
         curves = _random_curves(rng, 4)
-        tree = ReductionTree(curves, acceleration=(32, 2, 16))
-        first = tree.solve(32)
+        tree = ReductionTree(curves, 32, 2, 16)
+        first = tree.solve()
         fresh = _random_curves(rng, 1)[0]
         curves[0] = fresh
         tree.update(0, fresh)
-        second = tree.solve(32)
+        second = tree.solve()
         ref = partition_ways(curves, 32)
         assert second.ways == ref.ways
         assert second.total_energy == ref.total_energy
@@ -487,6 +530,34 @@ class TestGeneratedRuns:
         assert len(step.violations) <= step.qos_checks
         assert step.rm_invocations == step.intervals_completed
 
+    @given(run=full_runs())
+    @example(run={
+        "apps": MIX16, "kind": "rm3", "model": "Model3", "overheads": False,
+        "reduction": "incremental", "local_mode": "memoized", "horizon": 2,
+    })
+    @GENERATED_RUNS
+    def test_manager_matches_its_oracle(self, full_db, run):
+        """Each drawn non-Idle run under the default manager and under
+        its oracle modes — ``full_rebuild`` (the stateless reduction,
+        every core's setting derived afresh) with ``always_recompute`` —
+        without overheads, since a full rebuild bills every combine.
+        Both loops drive the same manager path, so this is the check on
+        its incremental fast paths: the windowed tree, the memo and the
+        settings replay."""
+        assume(run["kind"] != "idle")
+        db = _rebound(full_db, len(run["apps"]))
+        run = {**run, "overheads": False}
+        default, _ = _generated_run(
+            db, {**run, "reduction": "incremental", "local_mode": "memoized"},
+            "step",
+        )
+        oracle, _ = _generated_run(
+            db,
+            {**run, "reduction": "full_rebuild", "local_mode": "always_recompute"},
+            "step",
+        )
+        assert result_to_json(oracle) == result_to_json(default)
+
 
 def _raise(*args, **kwargs):
     raise AssertionError("an oracle ran a fast path patched out for it")
@@ -495,9 +566,9 @@ def _raise(*args, **kwargs):
 def test_scalar_oracle_runs_no_wave_fast_path(full_db, monkeypatch):
     """``wave="scalar"`` completes with every wave-only path patched to
     raise — the compiled event, the scratch advance, the settings diff,
-    the rates memo, the compiled tree update, the wave loop with its
-    per-run tables and the manager's interned memo keys — and equals the
-    unpatched step result."""
+    the rates memo and the wave loop with its per-run tables — and
+    equals the unpatched step result.  (The manager's path is the same
+    under both loops.)"""
     db = _rebound(full_db, 16)
     run = {
         "apps": MIX16, "kind": "rm3", "model": "Model3", "overheads": True,
@@ -508,32 +579,39 @@ def test_scalar_oracle_runs_no_wave_fast_path(full_db, monkeypatch):
     monkeypatch.setattr(rmsim, "advance_cores_wave", _raise)
     monkeypatch.setattr(rmsim._CoreStates, "diff_settings", _raise)
     monkeypatch.setattr(rmsim._CoreStates, "refresh_rates_memo", _raise)
-    monkeypatch.setattr(ReductionTree, "_run_native", _raise)
     monkeypatch.setattr(rmsim.MulticoreRMSimulator, "_loop_wave", _raise)
-    monkeypatch.setattr(ResourceManager, "_interned_memo_key", _raise)
     scalar, _ = _generated_run(db, run, "scalar")
     assert result_to_json(scalar) == result_to_json(step)
 
 
 @pytest.mark.parametrize(
-    "mode,fast_path,overheads",
+    "mode,fast_paths,overheads",
     [
-        (("local_mode", "always_recompute"), (LocalOptMemo, ("get", "put")), True),
+        (
+            ("local_mode", "always_recompute"),
+            [(LocalOptMemo, "get"), (LocalOptMemo, "put")],
+            True,
+        ),
         (
             ("reduction", "full_rebuild"),
-            (ReductionTree, ("__init__", "update")),
+            [
+                (ReductionTree, "__init__"),
+                (ReductionTree, "update"),
+                (ResourceManager, "_replay_settings"),
+            ],
             False,
         ),
     ],
     ids=["always_recompute", "full_rebuild"],
 )
 def test_manager_mode_oracle_runs_no_fast_path(
-    full_db, monkeypatch, mode, fast_path, overheads
+    full_db, monkeypatch, mode, fast_paths, overheads
 ):
     """Each manager-mode oracle completes a 4-core RM3/Model3 run with
-    its switch's fast path patched to raise — the local-result memo, or
-    the persistent reduction tree — and equals the default run.  A full
-    rebuild bills every combine, so that pair runs without overheads."""
+    its switch's fast paths patched to raise — the local-result memo, or
+    the persistent reduction tree and the incremental settings replay —
+    and equals the default run.  A full rebuild bills every combine, so
+    that pair runs without overheads."""
     db = _rebound(full_db, 4)
     run = {
         "apps": ("h264ref", "cactusADM", "bzip2", "hmmer"), "kind": "rm3",
@@ -541,8 +619,7 @@ def test_manager_mode_oracle_runs_no_fast_path(
         "local_mode": "memoized", "horizon": None,
     }
     default, _ = _generated_run(db, run, "step")
-    owner, names = fast_path
-    for name in names:
+    for owner, name in fast_paths:
         monkeypatch.setattr(owner, name, _raise)
     oracle, _ = _generated_run(db, {**run, mode[0]: mode[1]}, "step")
     assert oracle.intervals_completed > 0

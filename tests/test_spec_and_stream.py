@@ -133,18 +133,10 @@ class TestSimulatorRegressions:
         from repro.simulator.rmsim import MulticoreRMSimulator
 
         def switches(threshold):
-            rm = make_rm(
-                "rm3", system2, Model3(), switch_threshold=threshold
-            )
+            rm = make_rm("rm3", system2, Model3())
+            rm.switch_threshold = threshold
             sim = MulticoreRMSimulator(mini_db, rm, collect_history=True)
             res = sim.run(["mini_csps", "mini_csps"], horizon_intervals=12)
             return sum(1 for _ in res.history or [])
 
         assert switches(0.5) <= switches(0.0)
-
-    def test_negative_threshold_rejected(self, system2):
-        from repro.core.managers import make_rm
-        from repro.core.perf_models import Model3
-
-        with pytest.raises(ValueError):
-            make_rm("rm3", system2, Model3(), switch_threshold=-0.1)

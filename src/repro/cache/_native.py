@@ -22,7 +22,9 @@ which validates its arguments once for both engines, and by the other
 wrappers themselves.  Compilation happens at most once per source
 revision: the shared object is cached under ``$REPRO_CACHE_DIR`` (default
 ``.cache/repro-db``) keyed by a hash of the source, and written atomically
-so concurrent builder workers cannot race.
+so concurrent builder workers cannot race
+(:func:`repro.util.nativebuild.load_kernels`, shared with
+:mod:`repro.core._native_opt`).
 
 Everything degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NO_NATIVE`` set true (:mod:`repro.settings`) simply make
@@ -35,13 +37,11 @@ here during normal engine resolution.
 from __future__ import annotations
 
 import ctypes
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import settings
-from repro.util.nativebuild import build_shared
+from repro.util.nativebuild import load_kernels
 
 __all__ = [
     "available",
@@ -145,68 +145,27 @@ void realise(const int32_t* sets, const int16_t* target, int64_t n,
 """
 
 _P, _I32, _I64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
-#: ctypes prototypes: without them pointers would be truncated to int.
-_ARGTYPES = {
-    "replay": [_P, _P, _P, _I64, _I32, _P, _P, _P],
-    "mlp_lanes": [_P, _P, _I64, _P, _I32, _I32, _I64, _P, _P, _P],
-    "leading_lanes": [_P, _P, _P, _I64, _P, _I32, _I32, _P, _P, _P],
-    "realise": [_P, _P, _I64, _I32, _P, _P, _P],
+#: ``(restype, argtypes)`` per kernel, for :func:`load_kernels`.
+_PROTOTYPES = {
+    "replay": (None, [_P, _P, _P, _I64, _I32, _P, _P, _P]),
+    "mlp_lanes": (None, [_P, _P, _I64, _P, _I32, _I32, _I64, _P, _P, _P]),
+    "leading_lanes": (None, [_P, _P, _P, _I64, _P, _I32, _I32, _P, _P, _P]),
+    "realise": (None, [_P, _P, _I64, _I32, _P, _P, _P]),
 }
 
-_lib: Optional[ctypes.CDLL] = None
-_lib_failed = False
-
-
-def _cache_dir() -> Path:
-    # Deferred import: keeps this leaf module import-light and avoids any
-    # future cycle through the database package.
-    from repro.database.store import cache_dir
-
-    return cache_dir() / "native"
-
-
-#: ``(name prefix, source, flag sets)``: :func:`build_shared`'s inputs,
-#: from which ``repro cache`` tells this module's current object from
-#: stale ones.
+#: ``(name prefix, source, flag sets)``: the inputs of
+#: :func:`~repro.util.nativebuild.build_shared`, from which ``repro
+#: cache`` tells this module's current object from stale ones.
 BUILD = ("stream", _SOURCE, (("-O3",),))
-
-
-def _compile() -> Optional[Path]:
-    prefix, source, flag_sets = BUILD
-    return build_shared(source, _cache_dir(), prefix, flag_sets)
-
-
-def _load() -> Optional[ctypes.CDLL]:
-    global _lib, _lib_failed
-    if _lib is not None or _lib_failed:
-        return _lib
-    if settings.current().no_native:
-        _lib_failed = True
-        return None
-    so_path = _compile()
-    if so_path is None:
-        _lib_failed = True
-        return None
-    try:
-        lib = ctypes.CDLL(str(so_path))
-        for name, argtypes in _ARGTYPES.items():
-            fn = getattr(lib, name)
-            fn.restype = None
-            fn.argtypes = argtypes
-    except OSError:
-        _lib_failed = True
-        return None
-    _lib = lib
-    return _lib
 
 
 def available() -> bool:
     """Whether the compiled kernels can be used in this environment."""
-    return _load() is not None
+    return load_kernels(BUILD, _PROTOTYPES) is not None
 
 
 def _require() -> ctypes.CDLL:
-    lib = _load()
+    lib = load_kernels(BUILD, _PROTOTYPES)
     if lib is None:
         raise RuntimeError("native stream kernels unavailable")
     return lib

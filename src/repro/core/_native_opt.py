@@ -25,8 +25,8 @@ Three hot loops cross into C here, one :mod:`ctypes` call each:
   row-major order; :mod:`repro.analysis.stats` sums them in NumPy.
 
 All three are built on demand with the system C compiler and loaded through
-:mod:`ctypes`, exactly the pattern of the replay engine's
-:mod:`repro.cache._native`.
+:mod:`ctypes` by :func:`repro.util.nativebuild.load_kernels`, the loader
+the replay engine's :mod:`repro.cache._native` shares.
 
 Bit-identity is structural.  Each combine cell is the single addition
 ``a[ia] + b[w - ia]`` (no fusion or reassociation is possible) and a
@@ -35,31 +35,35 @@ zero included — the value the NumPy combine's argmin selects (a NaN sum
 never wins here; :class:`~repro.core.energy_curve.EnergyCurve` rejects
 NaN, so energy curves hold none).  The row blocks change only
 which columns a pass visits, never a column's order of compares.  The
-root split and the boundary pick keep the first minimum, and the first
-NaN if any, exactly as :func:`numpy.argmin`.  The advance performs
-NumPy's elementwise operations in the same per-element order, and the
+root split keeps the first minimum, and the first NaN if any, exactly as
+:func:`numpy.argmin`; the boundary pick keeps the first minimum, as the
+scalar loop's :func:`~repro.simulator.events.next_boundary` does.  While
+no active core reaches the horizon, the advance performs
+:func:`~repro.simulator.rmsim.advance_cores_reference`'s per-core
+operations in the same order, unmasked (finished cores carry zeroed
+energy rates); it hands every other event back to that reference.  The
 sweep's prediction is NumPy's one multiply and one add;
 ``-ffp-contract=off`` keeps the compiler from fusing any of them.  The
-differential tests assert equality against the NumPy paths, which are
+differential tests assert equality against the scalar loop's step (the
+event kernel) and the NumPy paths (the tree and the sweep), which are
 themselves pinned to the scalar references.
 
 Everything degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NO_NATIVE`` set true (:mod:`repro.settings`) make
 :func:`available` return ``False``; the tree then combines and evaluates
-through NumPy, the wave loop picks and advances through NumPy, and the
-QoS study gathers, adds and compares the same operands in NumPy.
+through NumPy, the wave loop runs the scalar loop's step (its oracle, as
+replay runs its ``LRUStack`` oracle), and the QoS study gathers, adds
+and compares the same operands in NumPy.
 """
 
 from __future__ import annotations
 
 import ctypes
-from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro import settings
-from repro.util.nativebuild import build_shared
+from repro.util.nativebuild import load_kernels
 
 __all__ = [
     "COMBINE_ROWS", "EVENT_SLOTS", "NODE_FIELDS", "SCRATCH_PAD", "available",
@@ -351,16 +355,6 @@ int64_t qos_sweep(int64_t n_cur, int64_t ncf, const double* comp,
 }
 """
 
-_lib: Optional[ctypes.CDLL] = None
-_lib_failed = False
-
-
-def _cache_dir() -> Path:
-    from repro.database.store import cache_dir
-
-    return cache_dir() / "native"
-
-
 #: Candidate flag sets, best first; degrade gracefully for compilers
 #: that reject -march=native.  -ffp-contract=off is non-negotiable in
 #: every set: a contracted a + b*c FMA rounds once where NumPy rounds
@@ -371,66 +365,43 @@ _FLAG_SETS = (
     ("-O3", "-ffp-contract=off"),
 )
 
-#: ``(name prefix, source, flag sets)``: :func:`build_shared`'s inputs,
-#: from which ``repro cache`` tells this module's current object from
-#: stale ones.
+#: ``(name prefix, source, flag sets)``: the inputs of
+#: :func:`~repro.util.nativebuild.build_shared`, from which ``repro
+#: cache`` tells this module's current object from stale ones.
 BUILD = ("combine", _SOURCE, _FLAG_SETS)
 
-
-def _compile() -> Optional[Path]:
-    prefix, source, flag_sets = BUILD
-    return build_shared(source, _cache_dir(), prefix, flag_sets)
-
-
-def _load() -> Optional[ctypes.CDLL]:
-    global _lib, _lib_failed
-    if _lib is not None or _lib_failed:
-        return _lib
-    if settings.current().no_native:
-        _lib_failed = True
-        return None
-    so_path = _compile()
-    if so_path is None:
-        _lib_failed = True
-        return None
-    try:
-        lib = ctypes.CDLL(str(so_path))
-        lib.tree_update.restype = ctypes.c_int64
-        lib.tree_update.argtypes = [
-            ctypes.c_void_p,  # plan (int64*)
-            ctypes.c_void_p,  # node table (int64*)
-            ctypes.c_void_p,  # scratch (double*, widest operand + SCRATCH_PAD)
-            ctypes.c_void_p,  # root total out (double*)
-            ctypes.c_void_p,  # root split out (int64[2])
-        ]
-        lib.wave_event.restype = ctypes.c_int64
-        lib.wave_event.argtypes = [
-            ctypes.c_void_p,  # slot table (EVENT_SLOTS, horizon, n, dt)
-        ]
-        lib.qos_sweep.restype = ctypes.c_int64
-        lib.qos_sweep.argtypes = [
-            ctypes.c_int64,  # n_cur
-            ctypes.c_int64,  # ncf
-            ctypes.c_void_p,  # compute table (double[n_cur * ncf])
-            ctypes.c_void_p,  # v (double[n_cur])
-            ctypes.c_void_p,  # thresholds (double[n_cur])
-            ctypes.c_int64,  # n_tgt
-            ctypes.c_void_p,  # compute column per target (int64[n_tgt])
-            ctypes.c_void_p,  # u (double[n_tgt])
-            ctypes.c_void_p,  # magnitude per target (double[n_tgt])
-            ctypes.c_void_p,  # counts out (int64[n_tgt])
-            ctypes.c_void_p,  # magnitudes out (double[n_cur * n_tgt])
-        ]
-    except OSError:
-        _lib_failed = True
-        return None
-    _lib = lib
-    return _lib
+_P, _I64 = ctypes.c_void_p, ctypes.c_int64
+#: ``(restype, argtypes)`` per kernel, for :func:`load_kernels`.
+_PROTOTYPES = {
+    "tree_update": (_I64, [
+        _P,  # plan (int64*)
+        _P,  # node table (int64*)
+        _P,  # scratch (double*, widest operand + SCRATCH_PAD)
+        _P,  # root total out (double*)
+        _P,  # root split out (int64[2])
+    ]),
+    "wave_event": (_I64, [
+        _P,  # slot table (EVENT_SLOTS, horizon, n, dt)
+    ]),
+    "qos_sweep": (_I64, [
+        _I64,  # n_cur
+        _I64,  # ncf
+        _P,  # compute table (double[n_cur * ncf])
+        _P,  # v (double[n_cur])
+        _P,  # thresholds (double[n_cur])
+        _I64,  # n_tgt
+        _P,  # compute column per target (int64[n_tgt])
+        _P,  # u (double[n_tgt])
+        _P,  # magnitude per target (double[n_tgt])
+        _P,  # counts out (int64[n_tgt])
+        _P,  # magnitudes out (double[n_cur * n_tgt])
+    ]),
+}
 
 
 def available() -> bool:
     """Whether the compiled kernels can be used in this environment."""
-    return _load() is not None
+    return raw_lib() is not None
 
 
 def raw_lib() -> Optional[ctypes.CDLL]:
@@ -441,7 +412,7 @@ def raw_lib() -> Optional[ctypes.CDLL]:
     exactly what :mod:`repro.core.global_opt` and
     :mod:`repro.simulator.rmsim` construct.
     """
-    return _load()
+    return load_kernels(BUILD, _PROTOTYPES)
 
 
 def qos_sweep(
@@ -459,7 +430,7 @@ def qos_sweep(
     currents and ``mags`` holds ``mag[j]`` once per violating pair, in
     row-major (current, target) order.
     """
-    lib = _load()
+    lib = raw_lib()
     if lib is None:
         raise RuntimeError("native decision kernels unavailable")
     comp, u, v, thr, mag = (

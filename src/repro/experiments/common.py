@@ -2,8 +2,8 @@
 
 ``ExperimentConfig`` carries the knobs every experiment respects — most
 importantly ``quick``, which shrinks workload counts and horizons so the
-benchmark suite stays fast while ``python -m repro --full`` reproduces the
-paper-scale runs.
+benchmark suite stays fast (``python -m repro <experiment> --quick``);
+without it, the default, every experiment runs at paper scale.
 
 Experiments are *declarative plans* over the campaign engine: each module
 exposes ``specs(cfg) -> list[RunSpec]`` naming every simulation it needs

@@ -19,17 +19,19 @@ stops at the instruction horizon; simulation (and uncore energy) continues
 until every core reaches it (Section IV-D1).
 
 Per-core execution state lives in a struct-of-arrays container
-(:class:`_CoreStates`), so a wave-loop event costs one compiled call (or
-a handful of array operations) instead of a Python loop over cores.
+(:class:`_CoreStates`), so a wave-loop event costs one compiled call
+instead of a Python loop over cores.
 
 The event loop itself runs in one of two *wave modes*:
 
 * ``"step"`` (default) — the wave loop.  Each event is one compiled
   call (:meth:`_CoreStates.next_event`, the ``wave_event`` kernel of
   :mod:`repro.core._native_opt`): it picks the next boundary and
-  advances every core to it; without a compiler the same steps run in
-  NumPy over scratch buffers (:func:`advance_cores_wave`), which also
-  serves the rare horizon-reaching event.  The loop then makes the
+  advances every core to it.  The rare finish-adjacent event (at most
+  one per core per run) advances through the scalar loop's
+  :func:`advance_cores_reference`, and without a compiler every event
+  is the scalar loop's step (the replay engine's no-compiler rule: the
+  oracle, not a third implementation).  The loop then makes the
   boundary core's observe, as the scalar loop does, replays
   progress/energy rates from the per-record memo
   (:meth:`~repro.database.records.PhaseRecord.rates_at`) and applies
@@ -84,7 +86,6 @@ __all__ = [
     "MulticoreRMSimulator",
     "WAVE_MODES",
     "advance_cores_reference",
-    "advance_cores_wave",
 ]
 
 #: Violations smaller than this relative slack are float noise, not QoS misses.
@@ -123,13 +124,13 @@ class _CoreStates:
 
     For the wave loop the container additionally diffs a decision's
     settings against the current ones (:meth:`diff_settings`) and owns
-    the preallocated scratch buffers and the compiled kernel's slot
-    table of :meth:`next_event`.  :attr:`scalars` holds a memoryview of
-    each array the wave loop touches one core at a time (same buffers,
-    named like the arrays): an element read or write through it skips
-    NumPy's scalar boxing, and reads return the same doubles as Python
-    floats.  The arrays stay the storage of the NumPy and compiled
-    paths.  ``rate_refreshes`` counts every rate derivation (memoized or
+    the compiled kernel's scratch buffers and slot table
+    (:meth:`next_event`).  :attr:`scalars` holds a memoryview of each
+    array the wave loop touches one core at a time (same buffers, named
+    like the arrays): an element read or write through it skips NumPy's
+    scalar boxing, and reads return the same doubles as Python floats.
+    The arrays stay the storage of the compiled and reference paths.
+    ``rate_refreshes`` counts every rate derivation (memoized or
     not) — the wave tests assert that replayed settings maps trigger
     exactly one refresh per boundary.
     """
@@ -165,9 +166,7 @@ class _CoreStates:
         "_ev_table",
         "_dts",
         "_remaining",
-        "_served",
         "_dinstr",
-        "_tmp",
     )
 
     def __init__(self, n: int):
@@ -196,12 +195,10 @@ class _CoreStates:
         #: reductions read it every event), and its count.
         self._active = np.ones(n, dtype=bool)
         self.n_active = n
-        # Scratch buffers of the zero-allocation event kernels.
+        # Scratch buffers of the compiled event kernel.
         self._dts = np.empty(n)
         self._remaining = np.empty(n)
-        self._served = np.empty(n)
         self._dinstr = np.empty(n)
-        self._tmp = np.empty(n)
         self.scalars = SimpleNamespace(
             **{name: _scalar_view(getattr(self, name)) for name in _SCALAR_VIEWS}
         )
@@ -261,7 +258,7 @@ class _CoreStates:
     def zero_finished_rates(self, mask: np.ndarray) -> None:
         """Pin just-finished cores' energy rates to exact zeros.
 
-        Lets the fast advance path update every core unmasked: finished
+        Lets the compiled advance update every core unmasked: finished
         cores then contribute ``+0.0`` per event — the bitwise identity
         on their (non-negative) accumulators.
         """
@@ -297,8 +294,8 @@ class _CoreStates:
         return changed
 
     def finished_all(self) -> bool:
-        """Every core reached the horizon (wave loop: the advance keeps
-        :attr:`n_active`)."""
+        """Every core reached the horizon (wave loop:
+        :meth:`_retire_finished` keeps :attr:`n_active`)."""
         return self.n_active == 0
 
     def next_event(self, horizon: float) -> Tuple[int, float]:
@@ -309,34 +306,42 @@ class _CoreStates:
         the slot table, after one memoryview write of ``horizon`` into
         it; the kernel writes ``dt`` back there and returns ``b``.  A
         finish-adjacent event returns ``-1 - b`` with no core state
-        touched and takes :func:`advance_cores_wave`'s reference path.
-        Without a compiler it is :meth:`_next_event_numpy`; the two are
-        bit-identical (differentially tested).
+        touched and advances through :func:`advance_cores_reference`.
+        Without a compiler every event is the scalar loop's own step:
+        :func:`~repro.simulator.events.next_boundary` over the arrays'
+        lists, then :func:`advance_cores_reference`.  Either way a
+        reference advance ends in :meth:`_retire_finished`; the two paths
+        are bit-identical (differentially tested).
         """
         lib = self._evlib
         if lib is None:
-            return self._next_event_numpy(horizon)
-        slots = self._ev_slots
-        slots[_EV_HORIZON] = horizon
-        b = lib.wave_event(self._ev_addr)
-        if b < 0:
+            remaining = np.maximum(self.n_instructions - self.instr_done, 0.0)
+            boundary = next_boundary(
+                self.stall_s.tolist(), remaining.tolist(), self.tpi_s.tolist()
+            )
+            b, dt = boundary.core_id, boundary.dt_s
+        else:
+            slots = self._ev_slots
+            slots[_EV_HORIZON] = horizon
+            b = lib.wave_event(self._ev_addr)
+            dt = slots[_EV_DT]
+            if b >= 0:
+                return b, dt
             b = -1 - b
-            advance_cores_wave(self, slots[_EV_DT], horizon)
-        return b, slots[_EV_DT]
-
-    def _next_event_numpy(self, horizon: float) -> Tuple[int, float]:
-        """:meth:`next_event` in NumPy: the arithmetic of
-        :func:`~repro.simulator.events.next_boundary` over the scratch
-        buffers (``np.argmin`` keeps the first minimum — the lowest core
-        id on ties), then :func:`advance_cores_wave`."""
-        rem = np.subtract(self.n_instructions, self.instr_done, out=self._remaining)
-        np.maximum(rem, 0.0, out=rem)
-        dts = np.multiply(rem, self.tpi_s, out=self._dts)
-        dts += self.stall_s
-        b = int(dts.argmin())
-        dt = float(dts[b])
-        advance_cores_wave(self, dt, horizon)
+        advance_cores_reference(self, dt, horizon)
+        self._retire_finished()
         return b, dt
+
+    def _retire_finished(self) -> None:
+        """Retire the cores a reference advance just finished: clear
+        their :attr:`_active` flags, lower :attr:`n_active` and pin their
+        energy rates to zero, so the kernel's unmasked advance stays
+        exact."""
+        newly = self.finished & self._active
+        if newly.any():
+            self._active[newly] = False
+            self.n_active -= int(np.count_nonzero(newly))
+            self.zero_finished_rates(newly)
 
     def energy_breakdowns(self) -> List[EnergyBreakdown]:
         return [
@@ -350,97 +355,11 @@ class _CoreStates:
         ]
 
 
-def advance_cores_wave(st: _CoreStates, dt: float, horizon: float) -> None:
-    """Advance every core by ``dt`` seconds of wall-clock time, in NumPy.
-
-    Element for element the arithmetic of :func:`advance_cores_reference`,
-    vectorised over the core axis through preallocated scratch buffers
-    (differentially tested bit-identical).  Requires ``st._remaining`` to
-    hold this event's pre-advance remaining instructions (the boundary
-    pick computes it — the advance clamp reuses it, exactly the value
-    the reference re-derives per core).  While no *active* core would
-    reach the horizon this event, the advance is the unmasked NumPy
-    block below — exact because the reference's branches then take
-    every unfinished core down the same path, and finished cores carry
-    zeroed energy rates (each update adds ``+0.0``, the identity on
-    their non-negative accumulators).  A horizon-reaching event (at most
-    one per core per run) takes the reference's branches as masks
-    (:func:`_advance_finish_event`).  The compiled ``wave_event``
-    performs the same fast block and hands horizon-reaching events here
-    (:meth:`_CoreStates.next_event`).
-    """
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    served = np.minimum(st.stall_s, dt, out=st._served)
-    d_instr = np.subtract(dt, served, out=st._dinstr)
-    np.divide(d_instr, st.tpi_s, out=d_instr)
-    limit = st._remaining
-    limit += 1e-6
-    np.minimum(d_instr, limit, out=d_instr)
-
-    tmp = np.add(st.total_instr, d_instr, out=st._tmp)
-    st.stall_s -= served
-    if np.max(tmp, initial=-np.inf, where=st._active) >= horizon:
-        _advance_finish_event(st, dt, horizon, d_instr, tmp)
-    else:
-        # No unfinished core reaches the horizon this event, so the
-        # reference takes every unfinished core down its non-crossing
-        # branch — and finished cores' energy rates are pinned to exact
-        # zeros (:meth:`_CoreStates.zero_finished_rates`), making the
-        # unmasked in-place updates element-for-element identical
-        # (adding +0.0 to a non-negative accumulator is the identity).
-        np.multiply(st.epi_j, d_instr, out=tmp)
-        st.core_dynamic_j += tmp
-        mem = np.subtract(st.work_j_per_inst, st.epi_j, out=st._served)
-        mem *= d_instr
-        st.memory_j += mem
-        np.multiply(st.static_w, dt, out=tmp)
-        st.core_static_j += tmp
-    st.instr_done += d_instr
-    st.total_instr += d_instr
-    st.interval_elapsed_s += dt
-
-
-def _advance_finish_event(
-    st: _CoreStates, dt: float, horizon: float, d_instr: np.ndarray, tmp: np.ndarray
-) -> None:
-    """The rare event where some unfinished core reaches the horizon.
-
-    At most one such event per core per run, so this path is written for
-    clarity, not allocation count; the arithmetic is
-    :func:`advance_cores_reference`'s, its branches as boolean masks.
-    Every core that finishes here has its energy rates zeroed so the
-    fast path's unmasked updates stay exact.
-    """
-    active = st._active
-    crossing = active & (tmp >= horizon) & (d_instr > 0)
-    if np.any(crossing):
-        counted = np.maximum(horizon - st.total_instr[crossing], 0.0)
-        frac = counted / d_instr[crossing]
-        st.core_dynamic_j[crossing] += st.epi_j[crossing] * counted
-        st.memory_j[crossing] += (
-            st.work_j_per_inst[crossing] - st.epi_j[crossing]
-        ) * counted
-        st.core_static_j[crossing] += st.static_w[crossing] * dt * frac
-    running = active & ~crossing
-    st.core_dynamic_j[running] += st.epi_j[running] * d_instr[running]
-    st.memory_j[running] += (
-        st.work_j_per_inst[running] - st.epi_j[running]
-    ) * d_instr[running]
-    st.core_static_j[running] += st.static_w[running] * dt
-    straggler = running & (d_instr == 0.0) & (st.total_instr >= horizon)
-    newly = crossing | straggler
-    if np.any(newly):
-        st.finished[newly] = True
-        active[newly] = False
-        st.n_active -= int(np.count_nonzero(newly))
-        st.zero_finished_rates(newly)
-
-
 def advance_cores_reference(st: _CoreStates, dt: float, horizon: float) -> None:
     """Advance every core by ``dt`` seconds of wall-clock time, one core
-    at a time: the scalar loop's advance, and the oracle of
-    :func:`advance_cores_wave` and the compiled ``wave_event``."""
+    at a time: the scalar loop's advance, the compiled ``wave_event``'s
+    oracle, and the wave loop's advance on finish-adjacent events and
+    without a compiler."""
     if dt < 0:
         raise ValueError("dt must be non-negative")
     for i in range(st.n):

@@ -33,15 +33,13 @@ __all__ = [
 PROTECTED_DIRS = ("journal", "quarantine", "attest", "divergence")
 
 
-def atomic_write_text(path: Path, text: str, fsync: bool = False) -> bool:
+def atomic_write_text(path: Path, text: str) -> bool:
     """Best-effort atomic publish: write a per-pid tmp, then rename.
 
     Concurrent writers of one entry (e.g. two CI jobs sharing a cache)
     must never interleave on an inode one of them then publishes, and a
     reader must only ever see a complete previous or complete new entry —
-    never a truncated in-progress write.  ``fsync`` additionally flushes
-    the data to stable storage before the rename, so a machine crash
-    cannot publish an empty inode under the final name.
+    never a truncated in-progress write.
     Returns False (without raising) when the filesystem refuses.
     """
     try:
@@ -49,9 +47,6 @@ def atomic_write_text(path: Path, text: str, fsync: bool = False) -> bool:
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with open(tmp, "w") as fh:
             fh.write(text)
-            if fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError:
         return False

@@ -1,11 +1,17 @@
-"""Shared on-demand C build helper for the native kernels.
+"""Shared on-demand C build and load helpers for the native kernels.
 
 Both compiled-kernel modules (:mod:`repro.cache._native`,
-:mod:`repro.core._native_opt`) follow the same discipline: find a system
-C compiler, build the source into a temporary directory, and publish the
-shared object into the kernel cache via ``os.replace`` — the
-write-temp-then-rename pattern of :func:`repro.util.diskcache.atomic_write_text`,
-so a half-written ``.so`` is never visible under the final name.
+:mod:`repro.core._native_opt`) load their library through
+:func:`load_kernels`: once per process it honours ``REPRO_NO_NATIVE``
+(:mod:`repro.settings`), builds the module's source with
+:func:`build_shared`, opens the object with :mod:`ctypes` and declares
+its prototypes, and remembers the outcome, a library or None.
+
+The build finds a system C compiler, builds the source into a temporary
+directory, and publishes the shared object into the kernel cache via
+``os.replace`` — the write-temp-then-rename pattern of
+:func:`repro.util.diskcache.atomic_write_text`, so a half-written ``.so``
+is never visible under the final name.
 
 This module centralises that discipline and closes the remaining
 concurrent-builder gap: when several pool workers race to build the same
@@ -20,15 +26,25 @@ concurrent builder got there first.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["build_digest", "build_shared", "find_compiler", "object_name"]
+from repro import settings
+
+__all__ = [
+    "build_digest", "build_shared", "find_compiler", "load_kernels", "object_name",
+]
+
+#: Each kernel source's load outcome, by name prefix: its library, or
+#: None when there is no compiler, the build or load failed, or
+#: ``REPRO_NO_NATIVE`` was set.  A source is loaded at most once.
+_loaded: Dict[str, Optional[ctypes.CDLL]] = {}
 
 
 def find_compiler() -> Optional[str]:
@@ -101,3 +117,37 @@ def build_shared(
         # A concurrently-published artifact is as good as our own: the
         # digest guarantees it was built from identical source and flags.
         return so_path if so_path.exists() else None
+
+
+def load_kernels(
+    build: Tuple[str, str, Sequence[Sequence[str]]],
+    prototypes: Mapping[str, Tuple[Any, List[Any]]],
+) -> Optional[ctypes.CDLL]:
+    """The library built from ``build`` (``(name prefix, source, flag
+    sets)``, :func:`build_shared`'s inputs) in the kernel cache's
+    ``native/`` directory, with each ``prototypes`` entry's
+    ``(restype, argtypes)`` declared on its function — without them
+    pointers would be truncated to int.  Returns None, and keeps
+    returning it, when ``REPRO_NO_NATIVE`` is set, there is no
+    compiler, or the build or load fails: callers fall back to their
+    Python or NumPy paths."""
+    prefix, source, flag_sets = build
+    if prefix in _loaded:
+        return _loaded[prefix]
+    lib = None
+    if not settings.current().no_native:
+        # Deferred import: the database store imports this module.
+        from repro.database.store import cache_dir
+
+        so_path = build_shared(source, cache_dir() / "native", prefix, flag_sets)
+        if so_path is not None:
+            try:
+                lib = ctypes.CDLL(str(so_path))
+                for name, (restype, argtypes) in prototypes.items():
+                    fn = getattr(lib, name)
+                    fn.restype = restype
+                    fn.argtypes = argtypes
+            except OSError:
+                lib = None
+    _loaded[prefix] = lib
+    return lib

@@ -53,15 +53,13 @@ def pytest_configure(config):
     collide with normal ones in the kernel cache."""
     if not config.getoption("--sanitize"):
         return
-    from repro.cache import _native
-    from repro.core import _native_opt
+    from repro.util import nativebuild
 
-    for module in (_native, _native_opt):
-        def sanitized(source, cache, prefix, flag_sets, build=module.build_shared):
-            flag_sets = [(*flags, *SANITIZE_FLAGS) for flags in flag_sets]
-            return build(source, cache, prefix, flag_sets)
+    def sanitized(source, cache, prefix, flag_sets, build=nativebuild.build_shared):
+        flag_sets = [(*flags, *SANITIZE_FLAGS) for flags in flag_sets]
+        return build(source, cache, prefix, flag_sets)
 
-        module.build_shared = sanitized
+    nativebuild.build_shared = sanitized
 
 
 @pytest.fixture(autouse=True)

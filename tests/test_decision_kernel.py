@@ -1,13 +1,13 @@
 """Decision-kernel differential tests.
 
 The incremental kernel (vectorised :func:`combine_pair`, persistent
-:class:`ReductionTree`, the wave loop's struct-of-arrays advance) must be
+:class:`ReductionTree`, the wave loop's compiled event step) must be
 bit-identical to the reference implementations it replaced — selected
 allocations, settings, predicted energies and (in ``full_rebuild`` mode)
 ``dp_operations``.  These tests are the contract: the scalar combine
-loop, the stateless :func:`partition_ways` and the per-core advance
-(:func:`advance_cores_reference`, the scalar loop's) are kept in-tree as
-oracles (the replay engine's ``LRUStack`` pattern).
+loop, the stateless :func:`partition_ways` and the scalar loop's event
+step (:func:`next_boundary`, then :func:`advance_cores_reference`) are
+kept in-tree as oracles (the replay engine's ``LRUStack`` pattern).
 """
 
 import math
@@ -28,11 +28,11 @@ from repro.core.global_opt import (
 from repro.core.managers import make_rm
 from repro.core.perf_models import Model1, Model3, ModelInputs, PerfectModel
 from repro.simulator import rmsim
+from repro.simulator.events import next_boundary
 from repro.simulator.rmsim import (
     MulticoreRMSimulator,
     _CoreStates,
     advance_cores_reference,
-    advance_cores_wave,
 )
 
 
@@ -241,76 +241,13 @@ class TestManagerModes:
 
 
 # ---------------------------------------------------------------------------
-# Simulator: SoA advance vs scalar reference, end-to-end mode identity
+# Simulator: the advance's guard, end-to-end mode identity
 # ---------------------------------------------------------------------------
-def _random_states(rng, n):
-    st_ = _CoreStates(n)
-    st_.stall_s[:] = rng.random(n) * 1e-3
-    st_.tpi_s[:] = rng.random(n) * 1e-8 + 1e-10
-    st_.n_instructions[:] = rng.integers(1_000, 100_000, n).astype(float)
-    st_.instr_done[:] = st_.n_instructions * rng.random(n)
-    st_.total_instr[:] = st_.instr_done + rng.random(n) * 1e5
-    st_.interval_elapsed_s[:] = rng.random(n) * 1e-2
-    st_.epi_j[:] = rng.random(n) * 1e-9
-    st_.work_j_per_inst[:] = st_.epi_j + rng.random(n) * 1e-9
-    st_.static_w[:] = rng.random(n)
-    st_.finished[:] = rng.random(n) < 0.2
-    st_.core_dynamic_j[:] = rng.random(n)
-    st_.core_static_j[:] = rng.random(n)
-    st_.memory_j[:] = rng.random(n)
-    return st_
-
-
-def _snapshot(st_):
-    return {
-        name: getattr(st_, name).copy()
-        for name in (
-            "stall_s", "instr_done", "total_instr", "interval_elapsed_s",
-            "finished", "core_dynamic_j", "core_static_j", "memory_j",
-        )
-    }
-
-
-def _wave_ready(st_):
-    """The state the wave loop keeps beside the arrays: finished cores'
-    energy rates zeroed, ``_active`` and ``n_active``, and this event's
-    remaining instructions in ``_remaining`` (the boundary pick's)."""
-    st_.zero_finished_rates(st_.finished)
-    st_._active[:] = ~st_.finished
-    st_.n_active = int(st_._active.sum())
-    st_._remaining[:] = np.maximum(st_.n_instructions - st_.instr_done, 0.0)
-    return st_
-
-
 class TestAdvanceDifferential:
-    @given(
-        n=st.integers(1, 40),
-        seed=st.integers(0, 10_000),
-        dt_scale=st.floats(0.0, 1.0),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_vectorised_matches_scalar_reference(self, n, seed, dt_scale):
-        """:func:`advance_cores_wave` against the per-core reference on
-        the same generated state, horizon-crossing events included."""
-        rng = np.random.default_rng(seed)
-        base = _wave_ready(_random_states(rng, n))
-        horizon = float(rng.integers(10_000, 200_000))
-        dt = dt_scale * 2e-3
-
-        vec = _wave_ready(_random_states(np.random.default_rng(seed), n))
-        advance_cores_wave(vec, dt, horizon)
-        advance_cores_reference(base, dt, horizon)
-
-        got, ref = _snapshot(vec), _snapshot(base)
-        for name in ref:
-            assert np.array_equal(got[name], ref[name]), name
-        assert np.array_equal(vec._active, ~base.finished)
-        assert vec.n_active == int((~base.finished).sum())
-
     def test_negative_dt_rejected(self):
         st_ = _CoreStates(2)
         with pytest.raises(ValueError):
-            advance_cores_wave(st_, -1.0, 1e6)
+            advance_cores_reference(st_, -1.0, 1e6)
 
 
 class TestSimulatorModeIdentity:
@@ -373,7 +310,7 @@ class TestSimulatorModeIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Compiled kernels vs their NumPy paths, on generated inputs
+# Compiled kernels vs their oracles and NumPy paths, on generated inputs
 # ---------------------------------------------------------------------------
 needs_native = pytest.mark.skipif(
     not _native_opt.available(), reason="compiled kernels unavailable"
@@ -435,19 +372,23 @@ def _event_states(seed, n, ties, crossing):
 
 
 class TestEventKernelDifferential:
-    """``wave_event`` (one call per event) against the wave loop's NumPy
-    boundary pick followed by :func:`advance_cores_wave`."""
+    """``wave_event`` (one call per event) against the scalar loop's
+    step: :func:`next_boundary`, then :func:`advance_cores_reference`."""
 
     @staticmethod
     def _reference(st_, horizon):
+        """The scalar loop's step, then what the wave loop keeps beside
+        the arrays: finished cores' energy rates zeroed, ``_active`` and
+        ``n_active``."""
         rem = np.maximum(st_.n_instructions - st_.instr_done, 0.0)
-        st_._remaining[:] = rem
-        dts = rem * st_.tpi_s
-        dts += st_.stall_s
-        b = int(dts.argmin())
-        dt = float(dts[b])
-        advance_cores_wave(st_, dt, horizon)
-        return b, dt
+        boundary = next_boundary(
+            st_.stall_s.tolist(), rem.tolist(), st_.tpi_s.tolist()
+        )
+        advance_cores_reference(st_, boundary.dt_s, horizon)
+        st_.zero_finished_rates(st_.finished)
+        np.logical_not(st_.finished, out=st_._active)
+        st_.n_active = int(st_._active.sum())
+        return boundary.core_id, boundary.dt_s
 
     @needs_native
     @given(
@@ -457,19 +398,19 @@ class TestEventKernelDifferential:
         crossing=st.booleans(),
     )
     @settings(max_examples=150, derandomize=True, deadline=None)
-    def test_event_matches_numpy_pick_and_advance(self, n, seed, ties, crossing):
+    def test_event_matches_oracle_step(self, n, seed, ties, crossing):
         """A non-crossing event never leaves the compiled path (the
-        NumPy advance is patched to raise); a crossing one hands off to
-        it exactly once."""
+        reference advance is patched to raise); a crossing one hands off
+        to it exactly once."""
         got_st, horizon = _event_states(seed, n, ties, crossing)
         ref_st, _ = _event_states(seed, n, ties, crossing)
         with mock.patch.object(
-            rmsim, "advance_cores_wave", wraps=advance_cores_wave
-        ) as numpy_advance:
+            rmsim, "advance_cores_reference", wraps=advance_cores_reference
+        ) as reference_advance:
             if not crossing:
-                numpy_advance.side_effect = AssertionError("left the kernel")
+                reference_advance.side_effect = AssertionError("left the kernel")
             got = got_st.next_event(horizon)
-        assert numpy_advance.call_count == crossing
+        assert reference_advance.call_count == crossing
         ref = self._reference(ref_st, horizon)
         assert got == ref
         assert got_st.n_active == ref_st.n_active
@@ -488,8 +429,8 @@ class TestEventKernelDifferential:
         self, n, seed, ties, crossing
     ):
         """:meth:`_CoreStates.next_event` with ``_evlib`` cleared (a host
-        without a compiler) takes its NumPy path, and matches the
-        compiled ``wave_event`` path event for event."""
+        without a compiler) takes the scalar loop's step, and matches
+        the compiled ``wave_event`` path event for event."""
         got_st, horizon = _event_states(seed, n, ties, crossing)
         ref_st, _ = _event_states(seed, n, ties, crossing)
         got_st._evlib = None

@@ -45,7 +45,6 @@ from repro.campaign.results import prune_result_cache
 from repro.testing import serial_oracle, write_entry_many
 from repro.util import faults
 from repro.util.diskcache import (
-    atomic_write_text,
     dir_stats,
     fsync_append_line,
     prune_lru,
@@ -846,8 +845,3 @@ class TestExecutorUnits:
             with _deadline(0.05):
                 time.sleep(5)
         time.sleep(0.06)  # a cancelled timer must not fire later
-
-    def test_atomic_write_fsync_path(self, tmp_path):
-        path = tmp_path / "x.json"
-        assert atomic_write_text(path, '{"a": 1}', fsync=True)
-        assert json.loads(path.read_text()) == {"a": 1}

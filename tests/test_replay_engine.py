@@ -27,6 +27,7 @@ from repro.cache.replay import (
     resolve_engine,
 )
 from repro.trace.stream import FRESH
+from repro.util import nativebuild
 
 DEPTHS = (1, 4, 16)
 
@@ -392,8 +393,7 @@ class TestObserveMany:
 
 def _without_kernels(monkeypatch):
     """Resolve as a host without a C compiler would."""
-    monkeypatch.setattr(_native, "_lib", None)
-    monkeypatch.setattr(_native, "_lib_failed", False)
+    monkeypatch.delitem(nativebuild._loaded, _native.BUILD[0], raising=False)
     monkeypatch.setenv("REPRO_NO_NATIVE", "1")
     settings.resolve()
 

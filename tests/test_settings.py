@@ -13,6 +13,7 @@ import pytest
 from repro import settings
 from repro.cache import _native as native_replay
 from repro.core import _native_opt as native_combine
+from repro.util import nativebuild
 from repro.util.nativebuild import find_compiler
 
 REPO = Path(__file__).resolve().parents[1]
@@ -68,8 +69,7 @@ def test_no_native_zero_leaves_kernels_available(monkeypatch, module):
     if find_compiler() is None:
         pytest.skip("no C compiler: the kernels are unavailable anyway")
     for raw, expected in (("0", True), ("1", False)):
-        monkeypatch.setattr(module, "_lib", None)
-        monkeypatch.setattr(module, "_lib_failed", False)
+        monkeypatch.delitem(nativebuild._loaded, module.BUILD[0], raising=False)
         monkeypatch.setenv("REPRO_NO_NATIVE", raw)
         settings.resolve()
         assert module.available() is expected, raw

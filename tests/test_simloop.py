@@ -17,7 +17,10 @@ The contract under test:
   with ``always_recompute``);
 * the scalar oracle runs none of the wave loop's fast paths, and the
   manager-mode oracles (``always_recompute``, ``full_rebuild``) none of
-  theirs.
+  theirs;
+* the wave loop without its compiled event step runs the scalar loop's
+  step and equals the scalar loop; with it, only finish-adjacent events
+  (at most one per core) take the reference advance.
 """
 
 import numpy as np
@@ -44,6 +47,7 @@ from repro.core.perf_models import Model1, Model2, Model3, PerfectModel
 from repro.database.builder import SimDatabase
 from repro.simulator import rmsim
 from repro.simulator.rmsim import WAVE_MODES, MulticoreRMSimulator
+from repro.util import nativebuild
 from repro.workloads.suite import spec_suite
 
 MODELS = {"Model1": Model1, "Model3": Model3, "Perfect": PerfectModel}
@@ -162,26 +166,10 @@ class TestWaveDifferential:
 # satellite: identity-replayed waves skip every non-boundary rate refresh
 # ---------------------------------------------------------------------------
 class TestRateRefreshSkipping:
-    def _refreshes(self, db, system, rm, wave, apps, horizon=8):
-        sim = MulticoreRMSimulator(db, rm, wave=wave)
-        # Count only in-run refreshes (setup refreshes each core once).
-        result = sim.run(apps, horizon_intervals=horizon)
-        return result
-
     def test_idle_wave_refreshes_boundary_core_only(self, mini_db, system2):
         """Idle replays its settings map by identity at every boundary:
         the wave path must refresh exactly one core per event (the
         boundary core, whose record changed) beyond the initial setup."""
-        rm = IdleRM(system2)
-        sim = MulticoreRMSimulator(mini_db, rm, wave="step")
-        # Intercept the state container to read the counter afterwards.
-        result = sim.run(["mini_csps", "mini_cips"], horizon_intervals=8)
-        # setup refreshes n cores; every boundary refreshes exactly 1.
-        # (intervals_completed == number of boundaries processed)
-        # The simulator discards the state container, so re-run with a
-        # probe: monkeypatching is avoided by re-deriving the invariant
-        # from a fresh, instrumented run below.
-        n = system2.n_cores
         import repro.simulator.rmsim as rmsim_mod
 
         captured = {}
@@ -194,14 +182,14 @@ class TestRateRefreshSkipping:
 
         rmsim_mod._CoreStates = Probe
         try:
-            rm2 = IdleRM(system2)
-            sim2 = MulticoreRMSimulator(mini_db, rm2, wave="step")
-            res2 = sim2.run(["mini_csps", "mini_cips"], horizon_intervals=8)
+            sim = MulticoreRMSimulator(mini_db, IdleRM(system2), wave="step")
+            result = sim.run(["mini_csps", "mini_cips"], horizon_intervals=8)
         finally:
             rmsim_mod._CoreStates = orig
-        st = captured["st"]
-        assert st.rate_refreshes == n + res2.intervals_completed
-        assert result.intervals_completed == res2.intervals_completed
+        # Setup refreshes each core once; every boundary (one per
+        # completed interval) refreshes exactly one.
+        n = system2.n_cores
+        assert captured["st"].rate_refreshes == n + result.intervals_completed
 
     def test_scalar_oracle_refresh_floor_matches(self, mini_db, system2):
         """The scalar path refreshes the same single core on identity
@@ -371,8 +359,7 @@ class TestAcceleratedTree:
         native = ReductionTree(curves, budget, 2, 16)
         ops_a = native.update(3, fresh)
         a = native.solve()
-        monkeypatch.setattr(_native_opt, "_lib", None)
-        monkeypatch.setattr(_native_opt, "_lib_failed", True)
+        monkeypatch.setitem(nativebuild._loaded, _native_opt.BUILD[0], None)
         monkeypatch.setattr(ReductionTree, "_run_native", _raise)
         fallback = ReductionTree(curves, budget, 2, 16)
         ops_b = fallback.update(3, fresh)
@@ -563,25 +550,77 @@ def _raise(*args, **kwargs):
     raise AssertionError("an oracle ran a fast path patched out for it")
 
 
+#: The 16-core RM3/Model3 run the loop-path tests below simulate.
+RUN16 = {
+    "apps": MIX16, "kind": "rm3", "model": "Model3", "overheads": True,
+    "reduction": "incremental", "local_mode": "memoized", "horizon": 3,
+}
+
+
 def test_scalar_oracle_runs_no_wave_fast_path(full_db, monkeypatch):
     """``wave="scalar"`` completes with every wave-only path patched to
-    raise — the compiled event, the scratch advance, the settings diff,
-    the rates memo and the wave loop with its per-run tables — and
-    equals the unpatched step result.  (The manager's path is the same
-    under both loops.)"""
+    raise — the event step, the settings diff, the rates memo and the
+    wave loop with its per-run tables — and equals the unpatched step
+    result.  (The manager's path is the same under both loops.)"""
     db = _rebound(full_db, 16)
-    run = {
-        "apps": MIX16, "kind": "rm3", "model": "Model3", "overheads": True,
-        "reduction": "incremental", "local_mode": "memoized", "horizon": 3,
-    }
-    step, _ = _generated_run(db, run, "step")
+    step, _ = _generated_run(db, RUN16, "step")
     monkeypatch.setattr(rmsim._CoreStates, "next_event", _raise)
-    monkeypatch.setattr(rmsim, "advance_cores_wave", _raise)
     monkeypatch.setattr(rmsim._CoreStates, "diff_settings", _raise)
     monkeypatch.setattr(rmsim._CoreStates, "refresh_rates_memo", _raise)
     monkeypatch.setattr(rmsim.MulticoreRMSimulator, "_loop_wave", _raise)
-    scalar, _ = _generated_run(db, run, "scalar")
+    scalar, _ = _generated_run(db, RUN16, "scalar")
     assert result_to_json(scalar) == result_to_json(step)
+
+
+def _count_reference_advances(monkeypatch):
+    """Wrap :func:`rmsim.advance_cores_reference`; the returned list
+    gets the number of cores each call finished."""
+    finished_per_call = []
+    reference = rmsim.advance_cores_reference
+
+    def counted(st_, dt, horizon):
+        before = int(np.count_nonzero(st_.finished))
+        reference(st_, dt, horizon)
+        finished_per_call.append(int(np.count_nonzero(st_.finished)) - before)
+
+    monkeypatch.setattr(rmsim, "advance_cores_reference", counted)
+    return finished_per_call
+
+
+def test_wave_loop_without_event_kernel_matches_scalar(full_db, monkeypatch):
+    """The wave loop on a state container without ``wave_event`` (a host
+    without a compiler; the manager's tree stays compiled when there is
+    one) runs the scalar loop's step at every event and equals the
+    scalar loop."""
+    db = _rebound(full_db, 16)
+    scalar, _ = _generated_run(db, RUN16, "scalar")
+
+    class WithoutKernel(rmsim._CoreStates):
+        def __init__(self, n):
+            super().__init__(n)
+            self._evlib = None
+
+    monkeypatch.setattr(rmsim, "_CoreStates", WithoutKernel)
+    advances = _count_reference_advances(monkeypatch)
+    step, _ = _generated_run(db, RUN16, "step")
+    assert len(advances) == step.intervals_completed
+    assert result_to_json(step) == result_to_json(scalar)
+
+
+@pytest.mark.skipif(
+    not _native_opt.available(), reason="compiled kernels unavailable"
+)
+def test_compiled_wave_loop_hands_off_once_per_core_at_most(full_db, monkeypatch):
+    """On the compiled event step only finish-adjacent events advance
+    through the reference: at most one per core per run, each finishing
+    at least one core, and together every core."""
+    db = _rebound(full_db, 16)
+    advances = _count_reference_advances(monkeypatch)
+    step, _ = _generated_run(db, RUN16, "step")
+    assert step.intervals_completed > 16
+    assert 1 <= len(advances) <= 16
+    assert min(advances) >= 1
+    assert sum(advances) == 16
 
 
 @pytest.mark.parametrize(

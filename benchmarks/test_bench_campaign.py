@@ -69,7 +69,7 @@ def test_bench_campaign_all_quick_serial_journaled(
 ):
     """Fault-tolerance overhead guard on the fault-free path: with a
     (cold) result store configured, every run also pays atomic
-    publication plus the fsynced campaign journal — this must stay
+    publication plus the campaign journal — this must stay
     within noise of the storeless serial run."""
     monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "store"))
     results = benchmark.pedantic(

@@ -1,12 +1,14 @@
 """Append-only campaign run journal: crash-safe progress + resume state.
 
 Every campaign with an on-disk result store (``REPRO_RESULT_CACHE``) also
-keeps a journal at ``<store>/journal/<campaign-id>.jsonl`` — one fsynced
-JSON line per event, so a ``kill -9`` at any instant loses at most a
-partial trailing line (which readers skip).  The campaign id is a content
-hash of the plan's sorted spec fingerprints: re-running the same plan
-(the resume case) appends to the same file, and ``repro campaign
---status`` reconstructs progress and failure tallies from it.
+keeps a journal at ``<store>/journal/<campaign-id>.jsonl`` — one JSON
+line per event, appended and flushed (not fsynced), so a ``kill -9`` at
+any instant loses at most a partial trailing line (which readers skip).
+An OS crash can lose flushed lines, as it can the result store's
+entries.  The campaign id is a content hash of the plan's sorted spec
+fingerprints: re-running the same plan (the resume case) appends to the
+same file, and ``repro campaign --status`` reconstructs progress and
+failure tallies from it.
 
 The journal is observability and accounting, not the source of truth for
 results: a resumed campaign re-probes the result store per spec, so specs
@@ -47,7 +49,7 @@ import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
-from repro.util.diskcache import fsync_append_line, read_text_guarded
+from repro.util.diskcache import append_line, read_text_guarded
 
 __all__ = [
     "CampaignJournal",
@@ -74,7 +76,7 @@ def journal_dir(store_root: Path) -> Path:
 
 
 class CampaignJournal:
-    """Appender for one campaign's journal file (fsync per record)."""
+    """Appender for one campaign's journal file (a flushed line per record)."""
 
     def __init__(self, path: Path, campaign: str):
         self.path = Path(path)
@@ -92,7 +94,7 @@ class CampaignJournal:
 
     def _append(self, event: str, **fields) -> None:
         record = {"event": event, "t": time.time(), **fields}
-        fsync_append_line(self.path, json.dumps(record, sort_keys=True))
+        append_line(self.path, json.dumps(record, sort_keys=True))
 
     # -- events ------------------------------------------------------------
     def begin(

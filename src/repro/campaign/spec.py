@@ -29,6 +29,8 @@ __all__ = ["RunSpec", "RESULT_VERSION", "MODEL_NAMES", "RM_KINDS"]
 #: campaign results can never be returned for a new code revision.
 #: v2: managers default to the incremental reduction kernel, whose
 #: smaller per-invocation ``dp_operations`` changes charged RM overheads.
+#: The digests in ``tests/test_database.py::TestContentPins`` fail,
+#: naming this constant, when a stored result moves without a bump.
 RESULT_VERSION = 2
 
 #: Canonical model and (non-idle) manager names — the single source the

@@ -2,11 +2,20 @@
 
 Database builds are deterministic, and a cold build of the full
 27-application suite takes under a second on the compiled stream kernels.
-Each seed's records are cached as one ``.npz`` under ``.cache/repro-db``
-(or ``REPRO_CACHE_DIR``), keyed on the *content* of the suite specs, the
-seed and every system field but ``n_cores``, which no record reads: every
-core count of a seed loads the same file, and any change to a phase
-parameter, a power constant or the seed produces a new key.
+Each seed's records are cached as one ``<key>.cols.npz`` under
+``.cache/repro-db`` (or ``REPRO_CACHE_DIR``), keyed on the *content* of
+the suite specs, the seed and every system field but ``n_cores``, which
+no record reads: every core count of a seed loads the same file, and any
+change to a phase parameter, a power constant or the seed produces a new
+key.
+
+The file holds one member per :class:`PhaseRecord` array field with one
+row per record (the setting grid fixes each field's shape), one
+``scalars`` member (a row of the scalar fields per record) and an
+``index`` member, the JSON list of ``[app, phase]`` in record order.  A
+load reads each column once and gives every record row views of it.
+Files of the earlier one-member-per-record layout (plain ``<key>.npz``)
+are never read again.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
+import zlib
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -35,7 +46,9 @@ __all__ = [
 ]
 
 #: Bump whenever trace-generation or model semantics change, so stale
-#: cached databases can never leak across code revisions.
+#: cached databases can never leak across code revisions.  The digests
+#: in ``tests/test_database.py::TestContentPins`` fail, naming this
+#: constant, when a record's content moves without a bump.
 CODE_VERSION = 4
 
 #: Array fields of PhaseRecord, in serialisation order.
@@ -113,6 +126,21 @@ def _stable_json(obj) -> str:
     return json.dumps(normalise(raw), sort_keys=True)
 
 
+def _spec_json(spec: AppSpec) -> str:
+    """:func:`_stable_json` of one app spec, kept on the (frozen) spec.
+
+    The canonical suite is built once per process, so its specs are
+    serialised once however many keys a command derives; a
+    ``dataclasses.replace``d spec is a new object with no text of its
+    own, so a changed suite never reuses a stale one.
+    """
+    text = spec.__dict__.get("_stable_json")
+    if text is None:
+        text = _stable_json(spec)
+        object.__setattr__(spec, "_stable_json", text)
+    return text
+
+
 def database_fingerprint(
     suite: Sequence[AppSpec], system: SystemConfig, seed: int
 ) -> str:
@@ -122,48 +150,47 @@ def database_fingerprint(
     h.update(_stable_json(system).encode())
     h.update(str(seed).encode())
     for spec in suite:
-        h.update(_stable_json(spec).encode())
+        h.update(_spec_json(spec).encode())
     return h.hexdigest()
 
 
 def _cache_file(
     suite: Sequence[AppSpec], system: SystemConfig, seed: int
 ) -> Path:
-    """The seed's ``.npz``: keyed like :func:`database_fingerprint` on the
-    system's field dict (which is how that serialises the system) less
-    ``n_cores``, so every core count of a seed shares one file."""
+    """The seed's ``<key>.cols.npz``: keyed like :func:`database_fingerprint`
+    on the system's field dict (which is how that serialises the system)
+    less ``n_cores``, so every core count of a seed shares one file."""
     fields = asdict(system)
     del fields["n_cores"]
-    return cache_dir() / f"{database_fingerprint(suite, fields, seed)}.npz"
+    return cache_dir() / f"{database_fingerprint(suite, fields, seed)}.cols.npz"
 
 
 def save_database_cache(db, suite: Sequence[AppSpec], seed: int) -> Optional[Path]:
-    """Persist all records of a database; returns the file path or None."""
+    """Persist all records of a database; returns the file path or None.
+
+    Writes a per-process tmp file (concurrent writers, e.g. campaign pool
+    workers racing a cold cache, must not interleave on one inode) and
+    renames it over the file; a failed write removes its tmp file.
+    """
     file = _cache_file(suite, db.system, seed)
+    records = [rec for app_records in db.records.values() for rec in app_records]
+    payload = {
+        name: np.stack([getattr(rec, name) for rec in records])
+        for name in _ARRAY_FIELDS
+    }
+    payload["scalars"] = np.array(
+        [[getattr(rec, s) for s in _SCALAR_FIELDS] for rec in records], dtype=float
+    )
+    payload["index"] = np.array(json.dumps([[rec.app, rec.phase] for rec in records]))
+    # Not ``*.npz``: an unfinished write is never counted as a database.
+    tmp = file.with_name(f"{file.name}.tmp{os.getpid()}")
     try:
         file.parent.mkdir(parents=True, exist_ok=True)
-    except OSError:
-        return None
-    payload = {}
-    meta = {}
-    for app, records in db.records.items():
-        meta[app] = len(records)
-        for idx, rec in enumerate(records):
-            prefix = f"{app}/{idx}/"
-            for fname in _ARRAY_FIELDS:
-                payload[prefix + fname] = getattr(rec, fname)
-            payload[prefix + "scalars"] = np.array(
-                [getattr(rec, s) for s in _SCALAR_FIELDS], dtype=float
-            )
-            payload[prefix + "phase"] = np.array(rec.phase)
-    payload["__meta__"] = np.array(json.dumps(meta))
-    # Per-process tmp name: concurrent writers (e.g. campaign pool
-    # workers racing a cold cache) must not interleave on one inode.
-    tmp = file.with_suffix(f".tmp{os.getpid()}.npz")
-    try:
-        np.savez_compressed(tmp, **payload)
+        with open(tmp, "wb") as fh:
+            np.savez_compressed(fh, **payload)
         os.replace(tmp, file)
     except OSError:
+        tmp.unlink(missing_ok=True)
         return None
     return file
 
@@ -172,7 +199,9 @@ def load_cached_database(
     suite: Sequence[AppSpec], system: SystemConfig, seed: int
 ):
     """Load the seed's cached records bound to ``system`` if present;
-    None on any miss or error."""
+    None on any miss or error.  A damaged file (empty, truncated, a
+    corrupt member, columns whose row counts disagree with the index)
+    is a miss: the caller rebuilds the records and replaces the file."""
     from repro.database.builder import SimDatabase
 
     file = _cache_file(suite, system, seed)
@@ -180,28 +209,26 @@ def load_cached_database(
         return None
     try:
         with np.load(file, allow_pickle=False) as data:
-            meta = json.loads(str(data["__meta__"]))
-            apps = {spec.name: spec for spec in suite}
-            if set(meta) != set(apps):
-                return None
-            db = SimDatabase(system=system, apps=apps)
-            for app, count in meta.items():
-                records = []
-                for idx in range(count):
-                    prefix = f"{app}/{idx}/"
-                    scalars = data[prefix + "scalars"]
-                    kwargs = {
-                        fname: data[prefix + fname] for fname in _ARRAY_FIELDS
-                    }
-                    kwargs.update(
-                        dict(zip(_SCALAR_FIELDS, (float(x) for x in scalars)))
-                    )
-                    records.append(
-                        PhaseRecord(
-                            app=app, phase=str(data[prefix + "phase"]), **kwargs
-                        )
-                    )
-                db.records[app] = records
-            return db
-    except (OSError, KeyError, ValueError, json.JSONDecodeError):
+            index = json.loads(str(data["index"]))
+            scalars = data["scalars"]
+            columns = {name: data[name] for name in _ARRAY_FIELDS}
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error):
         return None
+    n = len(index)
+    if scalars.shape != (n, len(_SCALAR_FIELDS)) or any(
+        col.shape[:1] != (n,) for col in columns.values()
+    ):
+        return None
+    apps = {spec.name: spec for spec in suite}
+    if {app for app, _phase in index} != set(apps):
+        return None
+    db = SimDatabase(system=system, apps=apps)
+    for row, ((app, phase), values) in enumerate(zip(index, scalars.tolist())):
+        record = PhaseRecord(
+            app=app,
+            phase=phase,
+            **{name: col[row] for name, col in columns.items()},
+            **dict(zip(_SCALAR_FIELDS, values)),
+        )
+        db.records.setdefault(app, []).append(record)
+    return db

@@ -16,10 +16,10 @@ from typing import Dict, Optional
 
 __all__ = [
     "PROTECTED_DIRS",
+    "append_line",
     "atomic_write_text",
     "bump_mtime",
     "dir_stats",
-    "fsync_append_line",
     "prune_lru",
     "quarantine_entry",
     "read_text_guarded",
@@ -53,20 +53,21 @@ def atomic_write_text(path: Path, text: str) -> bool:
     return True
 
 
-def fsync_append_line(path: Path, line: str) -> bool:
-    """Durably append one line (journal records survive a crash).
+def append_line(path: Path, line: str) -> bool:
+    """Append one line (journal records survive a ``kill -9``).
 
-    Opens, appends, flushes and fsyncs per call: the caller never holds a
-    file descriptor that forked pool workers could inherit, and a kill at
-    any point leaves at worst one partial *trailing* line, which readers
-    skip.  Returns False (without raising) when the filesystem refuses.
+    Opens, appends and closes (so flushes) per call: the caller never
+    holds a file descriptor that forked pool workers could inherit, and
+    a kill at any point leaves at worst one partial *trailing* line,
+    which readers skip.  No fsync: the page cache keeps a flushed line
+    through a process kill, and an OS crash may lose it just as it may
+    lose the result store's entries, which are not fsynced either.
+    Returns False (without raising) when the filesystem refuses.
     """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "a") as fh:
             fh.write(line if line.endswith("\n") else line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
     except OSError:
         return False
     return True

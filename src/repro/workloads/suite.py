@@ -29,6 +29,7 @@ RM simulator realistic phase churn and staggered horizons.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Mapping, Tuple
 
 from repro.config import CoreSize
@@ -249,7 +250,17 @@ def _ci_pi_quiet(
 # ---------------------------------------------------------------------------
 
 def spec_suite() -> List[AppSpec]:
-    """The 27 calibrated applications (deterministic order)."""
+    """The 27 calibrated applications (deterministic order).
+
+    Built once per process: every call returns a new list of the same
+    frozen specs, so keys derived from them serialise each spec once
+    (see :func:`repro.database.store.database_fingerprint`).
+    """
+    return list(_canonical_suite())
+
+
+@lru_cache(maxsize=None)
+def _canonical_suite() -> Tuple[AppSpec, ...]:
     apps: List[AppSpec] = [
         # ----- CS-PS ------------------------------------------------------
         # PS applications get IPC curves that keep rising through L: the
@@ -316,12 +327,12 @@ def spec_suite() -> List[AppSpec]:
     ]
     names = [a.name for a in apps]
     assert len(names) == len(set(names)) == 27, "suite must have 27 unique apps"
-    return apps
+    return tuple(apps)
 
 
 def app_by_name(name: str) -> AppSpec:
     """Look one application up by name."""
-    for app in spec_suite():
+    for app in _canonical_suite():
         if app.name == name:
             return app
     raise KeyError(f"unknown application {name!r}")

@@ -1,12 +1,18 @@
 """Database tests: record consistency, builder, disk cache."""
 
 import dataclasses
+import hashlib
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro import settings
+from repro.campaign import RunSpec
 from repro.campaign import database as campaign_database
+from repro.campaign.executor import _simulate
+from repro.campaign.results import result_to_json
 from repro.config import CoreSize, Setting, default_system
 from repro.database import builder
 from repro.database.builder import (
@@ -14,6 +20,7 @@ from repro.database.builder import (
     baseline_feasibility_check,
     build_database,
 )
+from repro.database.records import PhaseRecord
 from repro.database.store import (
     _stable_json,
     database_fingerprint,
@@ -24,6 +31,23 @@ from repro.database.store import (
 
 from repro.testing import mini_suite
 from repro.workloads.suite import spec_suite
+
+
+def _records_digest(db: SimDatabase) -> str:
+    """Digest of every record in order under its app: each field's name
+    and value, arrays by dtype, shape and bytes."""
+    h = hashlib.blake2b(digest_size=16)
+    for app, records in db.records.items():
+        h.update(f"app {app!r}".encode())
+        for rec in records:
+            for field in dataclasses.fields(PhaseRecord):
+                value = getattr(rec, field.name)
+                if isinstance(value, np.ndarray):
+                    h.update(f"{field.name} {value.dtype.str} {value.shape}".encode())
+                    h.update(np.ascontiguousarray(value).tobytes())
+                else:
+                    h.update(f"{field.name} {value!r}".encode())
+    return h.hexdigest()
 
 
 class TestPhaseRecord:
@@ -223,17 +247,67 @@ class TestStore:
                 _stable_json(holder)
 
     def test_roundtrip(self, mini_db, system2, tmp_path, monkeypatch):
+        """The cache is lossless: every field of every record comes back
+        with its dtype, shape and bytes, in record order."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         path = save_database_cache(mini_db, mini_suite(), 7)
-        assert path is not None and path.exists()
+        assert path is not None and path.name.endswith(".cols.npz")
         loaded = load_cached_database(mini_suite(), system2, 7)
-        assert loaded is not None
-        a = mini_db.record("mini_cips", 0)
-        b = loaded.record("mini_cips", 0)
-        assert np.allclose(a.time_grid, b.time_grid)
-        assert np.allclose(a.mem_energy_curve, b.mem_energy_curve)
-        assert a.phase == b.phase
-        assert b.n_instructions == a.n_instructions
+        assert loaded is not None and loaded.system == system2
+        assert _records_digest(loaded) == _records_digest(mini_db)
+
+    @pytest.mark.parametrize("damage", ["empty", "half", "deflate"])
+    def test_damaged_file_is_a_miss_and_rebuilds(
+        self, damage, mini_db, system2, tmp_path, monkeypatch
+    ):
+        """An empty file (``EOFError``), a half-length copy
+        (``BadZipFile``) and a member whose deflate stream starts with a
+        reserved block type (``zlib.error``) all load as a miss; the
+        next build rebuilds and replaces the file."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        path = save_database_cache(mini_db, mini_suite(), 7)
+        data = bytearray(path.read_bytes())
+        if damage == "empty":
+            data = b""
+        elif damage == "half":
+            data = data[: len(data) // 2]
+        else:
+            with zipfile.ZipFile(path) as zf:
+                at = zf.infolist()[0].header_offset
+            name_len, extra_len = struct.unpack_from("<HH", data, at + 26)
+            data[at + 30 + name_len + extra_len] = 0xFF
+        path.write_bytes(data)
+        assert load_cached_database(mini_suite(), system2, 7) is None
+        want = _records_digest(mini_db)
+        assert _records_digest(build_database(mini_suite(), system2, seed=7)) == want
+        assert [p.name for p in tmp_path.iterdir() if p.is_file()] == [path.name]
+        loaded = load_cached_database(mini_suite(), system2, 7)
+        assert loaded is not None and _records_digest(loaded) == want
+
+    def test_columns_disagreeing_with_the_index_are_a_miss(
+        self, mini_db, system2, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        path = save_database_cache(mini_db, mini_suite(), 7)
+        with np.load(path) as data:
+            members = {name: data[name] for name in data.files}
+        members["time_grid"] = members["time_grid"][:-1]
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **members)
+        assert load_cached_database(mini_suite(), system2, 7) is None
+
+    def test_failed_write_leaves_no_tmp_file(
+        self, mini_db, tmp_path, monkeypatch
+    ):
+        """A write that cannot publish returns None and removes its tmp
+        file, so ``repro cache`` counts no database."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        path = save_database_cache(mini_db, mini_suite(), 7)
+        path.unlink()
+        path.mkdir()  # the rename onto the cache file now fails
+        assert save_database_cache(mini_db, mini_suite(), 7) is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        assert list(tmp_path.glob("*.npz")) == [path] and path.is_dir()
 
     def test_miss_returns_none(self, system2, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -313,3 +387,89 @@ class TestStore:
         assert not any(path.exists() for path in stale)
         assert all(path.exists() for path in current + [foreign])
         assert len(list(tmp_path.glob("*.npz"))) == 1
+
+
+def _check_pin(pins, key: str, digest: str, what: str, constant: str) -> None:
+    if key not in pins:
+        pytest.fail(
+            f"{what}: key {key} is not pinned (a version bump or a changed "
+            f"input moved it); re-pin {key!r}: {digest!r}"
+        )
+    if pins[key] != digest:
+        pytest.fail(
+            f"{what} changed under the unchanged key {key}: bump {constant}, "
+            f"then re-pin the new key's digest {digest!r}"
+        )
+
+
+_CODE_VERSION = "CODE_VERSION (src/repro/database/store.py)"
+_RESULT_VERSION = "RESULT_VERSION (src/repro/campaign/spec.py)"
+
+#: ``database_fingerprint`` -> digest of the records built under it: the
+#: mini database of ``mini_db`` and the seed-2020 database every
+#: canonical run reads (keyed here at 2 cores).
+DATABASE_PINS = {
+    "0440f6474708cc1782e9909fd778d108": "2b7fb11737df57802f5405268f9c484b",
+    "94cd3ba1ec9cc3b694e30ceae401fe3b": "71d4f67f4540cef42b40d9bfdff3bdaa",
+}
+
+#: ``RunSpec.fingerprint`` -> digest of the JSON the result store keeps.
+RESULT_PINS = {
+    "c2a00a2c125152d34fe250e4e7a513af": "11637405268044295073bd7e694307f2",
+    "9d9fd2e5036da82ca5687efe70e15bbc": "ddf79ea3dc39f647cc96a5389d9fb0f1",
+    "9fecb17917c3f1f9d86cfb2a1ff54651": "b1be29157f7d51650e131d02d3a2bf3c",
+}
+
+PINNED_SPECS = [
+    RunSpec(
+        seed=2020, n_cores=2, rm_kind=rm_kind, model=model,
+        apps=("mcf", "libquantum"), horizon_intervals=4,
+        charge_overheads=overheads,
+    )
+    for rm_kind, model, overheads in (
+        ("idle", None, True),
+        ("rm3", "Model3", True),
+        ("rm3", "Model3", False),
+    )
+]
+
+
+class TestContentPins:
+    """What a cached database and a stored result hold, pinned to the
+    keys they are stored under.
+
+    Both caches are content-addressed on hand-bumped constants:
+    ``CODE_VERSION`` keys every database (and, through the database
+    key, every result), ``RESULT_VERSION`` keys results alone.  A change
+    that moves the bytes under an unchanged key would let either store
+    serve stale values, so a mismatch names the constant to bump.  A
+    bump, or any change to the suite, system or seed, moves the key and
+    asks for a re-pin.  The digests cover float64 bytes, as perfbench's
+    recorded CSV digests do: a NumPy whose ``exp`` rounds differently in
+    the last bit would move both.
+    """
+
+    def test_mini_database_records_are_pinned(self, mini_db, system2):
+        key = database_fingerprint(mini_suite(), system2, 7)
+        _check_pin(
+            DATABASE_PINS, key, _records_digest(mini_db),
+            "the mini database's records", _CODE_VERSION,
+        )
+
+    def test_stored_results_are_pinned(self):
+        """Idle and RM3/Model3 with overheads on and off.  The seed-2020
+        database is checked first, so a moved record names
+        ``CODE_VERSION`` here too."""
+        db = campaign_database.get_database(2, 2020)
+        _check_pin(
+            DATABASE_PINS, database_fingerprint(spec_suite(), db.system, 2020),
+            _records_digest(db), "the seed-2020 database's records",
+            _CODE_VERSION,
+        )
+        for spec in PINNED_SPECS:
+            text = result_to_json(_simulate(spec))
+            _check_pin(
+                RESULT_PINS, spec.fingerprint,
+                hashlib.blake2b(text.encode(), digest_size=16).hexdigest(),
+                f"the stored result of {spec.label()}", _RESULT_VERSION,
+            )

@@ -45,8 +45,8 @@ from repro.campaign.results import prune_result_cache
 from repro.testing import serial_oracle, write_entry_many
 from repro.util import faults
 from repro.util.diskcache import (
+    append_line,
     dir_stats,
-    fsync_append_line,
     prune_lru,
     quarantine_entry,
 )
@@ -603,8 +603,8 @@ class TestJournal:
 
     def test_partial_trailing_line_skipped(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        fsync_append_line(path, json.dumps({"event": "begin", "unique": 2}))
-        fsync_append_line(path, json.dumps({"event": "done", "fp": "aa"}))
+        append_line(path, json.dumps({"event": "begin", "unique": 2}))
+        append_line(path, json.dumps({"event": "done", "fp": "aa"}))
         with open(path, "a") as fh:  # kill -9 mid-append
             fh.write('{"event": "done", "fp": "bb"')
         events = read_journal(path)
@@ -677,7 +677,7 @@ class TestJournal:
             {"event": "done", "t": 1.6, "fp": "b", "attempt": 1, "s": 0.5,
              "worker": "w2-123"},
         ]:
-            fsync_append_line(journal.path, json.dumps(ev))
+            append_line(journal.path, json.dumps(ev))
         assert main(["campaign", "--status"]) == 0
         assert capsys.readouterr().out == out
 

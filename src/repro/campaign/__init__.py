@@ -20,15 +20,16 @@ that set explicit:
   cache, rebinding one build per seed to any requested core count,
 * :mod:`~repro.campaign.journal` — the crash-safe, append-only run
   journal written next to the result store, making campaigns resumable
-  (``repro campaign --status``) and their retry/failure history
-  inspectable.
+  (``repro campaign --status``) and their failures inspectable.
 
-Execution is fault-tolerant (per-spec timeouts, deterministic retries,
-``BrokenProcessPool`` recovery with a wedge watchdog, corrupt-entry
-quarantine) while staying bit-identical to the fault-free serial run for
-any failure pattern — see :mod:`repro.campaign.executor` and
-:mod:`repro.util.faults`.  Every ``REPRO_*`` knob named here is
-declared, parsed and validated once, in :mod:`repro.settings`.
+Each spec gets one attempt: a run is deterministic in its spec, so a
+spec whose simulation raises fails at once, and a re-run resumes from
+the store.  Execution recovers from what one host can suffer (a pool
+worker killed mid-spec, Ctrl-C, a corrupt store entry) while staying
+bit-identical to the fault-free serial run — see
+:mod:`repro.campaign.executor` and :mod:`repro.util.faults`.  Every
+``REPRO_*`` knob named here is declared, parsed and validated once, in
+:mod:`repro.settings`.
 
 The bit-identical contract itself is *checked*, not assumed
 (:mod:`repro.campaign.attest`): every published result carries a digest
@@ -52,7 +53,6 @@ from repro.campaign.executor import (
     Campaign,
     CampaignExecutionError,
     ResultSet,
-    SpecTimeout,
     execute_spec,
     resolve_campaign_workers,
     run_campaign,
@@ -81,7 +81,6 @@ __all__ = [
     "ResultDivergenceError",
     "ResultSet",
     "RunSpec",
-    "SpecTimeout",
     "attestation_stats",
     "cache_stats",
     "clear_database_cache",

@@ -1,4 +1,4 @@
-"""Campaign planning and fault-tolerant (parallel) execution.
+"""Campaign planning and (parallel) execution.
 
 A :class:`Campaign` collects :class:`~repro.campaign.spec.RunSpec`s from
 any number of experiments, dedupes them by fingerprint and executes only
@@ -14,28 +14,24 @@ resolves from the explicit ``n_workers`` argument, then
 rule that only engages the pool for campaigns big enough to amortise
 process startup and the per-worker database load.
 
-The same content-addressing is what makes the executor *fault-tolerant*
-without ever compromising the bit-identical-results contract: any spec
-may be attempted any number of times, in any process, in any order — the
-first successful attempt's result is the (unique, deterministic) answer.
-On top of that invariant sit
+Each spec gets one attempt.  A run is a pure function of its spec, so
+an exception its simulation raises would recur on any retry: the spec
+fails at once, the journal records it, the other specs still run, and
+:class:`CampaignExecutionError` names it.  Re-running the same plan
+resumes from the result store.  What the executor recovers from is what
+one host can suffer:
 
-* per-spec timeouts (``REPRO_SPEC_TIMEOUT``, enforced worker-side via a
-  SIGALRM deadline so even a hung simulation turns into a retryable
-  failure; a pool worker that sails far past it is abandoned by the
-  parent's wedge watchdog),
-* bounded retries (:data:`SPEC_RETRIES`) with a deterministic,
-  jitter-free exponential backoff (:data:`RETRY_BACKOFF`),
-* ``BrokenProcessPool`` recovery: the pool is rebuilt and only the
-  unfinished specs are re-dispatched; after :data:`POOL_FAILURES`
-  breakages execution degrades gracefully to serial,
-* a crash-safe run journal (:mod:`repro.campaign.journal`) whenever an
-  on-disk result store is configured, so an interrupted campaign resumes
-  exactly where it died, and
-* ``KeyboardInterrupt`` handling that cancels pending work, flushes
-  every finished result to the store/journal and prints a resume hint.
+* a pool worker killed mid-spec (say, by the out-of-memory killer): the
+  broken pool is rebuilt and only the unfinished specs re-dispatch;
+  after :data:`POOL_FAILURES` breakages the remainder runs serially,
+* ``KeyboardInterrupt``: pending work is cancelled, every finished
+  result is flushed to the store and journal, and a resume hint is
+  printed,
+* a campaign killed outright: with an on-disk result store every run is
+  journaled (:mod:`repro.campaign.journal`), and a re-run resumes where
+  it died.
 
-Deterministic fault injection for all of these paths lives in
+Deterministic fault injection for these paths lives in
 :mod:`repro.util.faults` (``REPRO_FAULT_PLAN``); with it unset the hooks
 cost one attribute read each.
 """
@@ -43,14 +39,10 @@ cost one attribute read each.
 from __future__ import annotations
 
 import os
-import signal
 import sys
-import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -76,20 +68,11 @@ __all__ = [
     "CampaignExecutionError",
     "CampaignStats",
     "ResultSet",
-    "SpecTimeout",
     "execute_spec",
     "make_model",
     "resolve_campaign_workers",
     "run_campaign",
 ]
-
-#: Retries per spec after its first failed attempt.
-SPEC_RETRIES = 2
-
-#: Base of the deterministic exponential backoff schedule in seconds
-#: (delay before attempt k+1 = base * 2**(k-1); no jitter — schedules
-#: must replay identically).
-RETRY_BACKOFF = 0.05
 
 #: Pool breakages tolerated before degrading to serial execution.
 POOL_FAILURES = 3
@@ -97,31 +80,13 @@ POOL_FAILURES = 3
 #: Auto mode engages the pool only for at least this many pending runs.
 _AUTO_POOL_MIN_RUNS = 16
 
-#: Parent scheduling tick: how often the wait loop checks retries and
-#: wedged pools.
-_TICK_S = 0.05
-
-#: Specs kept in flight per pool worker: one running, one queued behind
-#: it, so a spec's parent-side clock starts at most one spec early.
-_INFLIGHT_PER_WORKER = 2
-
-#: Wedge watchdog horizon: a pool spec in flight longer than
-#: ``max(_WEDGE_FACTOR * timeout, timeout + _WEDGE_SLACK_S)`` seconds
-#: ignored its own deadline, and the pool is abandoned.
-_WEDGE_FACTOR = 3.0
-_WEDGE_SLACK_S = 10.0
-
-
-class SpecTimeout(RuntimeError):
-    """A spec exceeded ``REPRO_SPEC_TIMEOUT`` (retryable)."""
-
 
 class CampaignExecutionError(RuntimeError):
-    """Specs failed permanently (retries exhausted)."""
+    """Specs whose one attempt raised; the rest of the campaign ran."""
 
     def __init__(self, failures: Dict[str, str], journal_path: Optional[str]):
         self.failures = dict(failures)
-        lines = [f"{len(failures)} spec(s) failed after all retries:"]
+        lines = [f"{len(failures)} spec(s) failed:"]
         for fp, error in sorted(failures.items()):
             lines.append(f"  {fp[:16]}: {error}")
         if journal_path:
@@ -177,47 +142,12 @@ def _worker_init() -> None:
     settings.install(build_workers=1)
 
 
-@contextmanager
-def _deadline(seconds: Optional[float]):
-    """Raise :class:`SpecTimeout` after ``seconds`` of wall clock.
-
-    SIGALRM-based, so it interrupts even a spec stuck in a sleeping
-    syscall.  Only armable from a main thread on platforms with
-    ``setitimer`` — elsewhere it degrades to no enforcement and the
-    parent's wedge watchdog takes over.
-    """
-    if (
-        not seconds
-        or not hasattr(signal, "setitimer")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    def _timed_out(signum, frame):
-        raise SpecTimeout(f"spec exceeded {seconds:g}s (REPRO_SPEC_TIMEOUT)")
-
-    previous = signal.signal(signal.SIGALRM, _timed_out)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _execute_attempt(spec: RunSpec) -> SimResult:
-    """One attempt at a spec: fault hooks + timeout around the store path."""
-    with _deadline(settings.current().spec_timeout):
-        faults.on_spec(spec.fingerprint)
-        return execute_spec(spec)
-
-
 def _execute_task(spec: RunSpec) -> Tuple[SimResult, float]:
-    """Pool task: the result and its execution time, clocked in the
-    worker so time spent queued never counts as run time."""
+    """One attempt at a spec: its result and execution time, clocked
+    where it runs, so time a pool task spends queued never counts."""
     t0 = time.monotonic()
-    result = _execute_attempt(spec)
+    faults.on_spec(spec.fingerprint)
+    result = execute_spec(spec)
     return result, time.monotonic() - t0
 
 
@@ -242,24 +172,24 @@ def resolve_campaign_workers(n_workers: Optional[int], n_pending: int) -> int:
 class CampaignStats:
     """Execution accounting of one :meth:`Campaign.run`."""
 
+    #: Always 0, since each spec gets one attempt; perfbench's campaign
+    #: probe reads it as ``campaign.retries``.
+    retries = 0
+
     def __init__(
         self,
         planned: int,
         unique: int,
         simulated: int,
         workers: int,
-        retries: int = 0,
         pool_failures: int = 0,
-        divergences: int = 0,
     ):
         self.planned = planned
         self.unique = unique
         self.simulated = simulated
         self.cached = unique - simulated
         self.workers = workers
-        self.retries = retries
         self.pool_failures = pool_failures
-        self.divergences = divergences
 
     def summary(self) -> str:
         text = (
@@ -267,206 +197,116 @@ class CampaignStats:
             f"({self.simulated} simulated, {self.cached} cached) "
             f"on {self.workers} worker{'s' if self.workers != 1 else ''}"
         )
-        if self.retries or self.pool_failures or self.divergences:
-            tallies = [
-                f"{self.retries} retries",
-                f"{self.pool_failures} pool failures",
-            ]
-            if self.divergences:
-                tallies.append(f"{self.divergences} divergences")
-            text += f" [{', '.join(tallies)}]"
+        if self.pool_failures:
+            text += f", {self.pool_failures} pool failures"
         return text
 
 
 class _ExecState:
-    """Mutable accounting shared by the serial and pool drivers."""
+    """Accounting shared by the serial and pool drivers."""
 
     def __init__(self, journal: Optional[CampaignJournal]):
         self.journal = journal
         self.results: Dict[str, SimResult] = {}
         self.failures: Dict[str, str] = {}
-        self.attempts: Dict[str, int] = {}  # failed attempts per fp
-        self.retries = 0
         self.pool_failures = 0
-        self.divergences = 0
 
-    def record_done(self, fp: str, seconds: float) -> None:
+    def record_done(self, fp: str, result: SimResult, seconds: float) -> None:
+        self.results[fp] = result
         if self.journal is not None:
-            self.journal.done(fp, self.attempts.get(fp, 0) + 1, seconds)
+            self.journal.done(fp, seconds)
 
-    def record_failure(self, fp: str, exc: Exception) -> bool:
-        """Count one failed attempt; True when a retry is still allowed."""
+    def record_failure(self, fp: str, exc: Exception) -> None:
+        """Fail ``fp`` for good: a spec gets one attempt."""
+        self.failures[fp] = repr(exc)
+        if self.journal is None:
+            return
         if isinstance(exc, ResultDivergenceError):
-            # The bit-identical contract was violated: both byte versions
-            # are already quarantined, and retrying would just republish
-            # one of the contested versions — fail the spec loudly now.
-            self.divergences += 1
-            if self.journal is not None:
-                self.journal.divergence(fp, [exc.digest_a, exc.digest_b])
-            self.failures[fp] = repr(exc)
-            return False
-        attempt = self.attempts.get(fp, 0) + 1
-        self.attempts[fp] = attempt
-        if self.journal is not None:
-            self.journal.failed(fp, attempt, repr(exc))
-        if attempt > SPEC_RETRIES:
-            self.failures[fp] = repr(exc)
-            return False
-        self.retries += 1
-        return True
-
-    def backoff_delay(self, fp: str, base: float) -> float:
-        """Deterministic, jitter-free exponential schedule."""
-        return base * (2.0 ** (self.attempts.get(fp, 1) - 1))
+            # The bit-identical contract was violated; both byte
+            # versions are already quarantined as evidence.
+            self.journal.divergence(fp, [exc.digest_a, exc.digest_b])
+        else:
+            self.journal.failed(fp, repr(exc))
 
 
 def _run_serial(specs: Sequence[RunSpec], state: _ExecState) -> None:
-    """Serial driver: per-spec timeout + bounded deterministic retries."""
+    """Serial driver: one attempt per spec, in order."""
     for spec in specs:
-        fp = spec.fingerprint
-        if fp in state.results:
+        try:
+            result, seconds = _execute_task(spec)
+        except Exception as exc:
+            state.record_failure(spec.fingerprint, exc)
             continue
-        while True:
-            t0 = time.monotonic()
-            try:
-                result = _execute_attempt(spec)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                if not state.record_failure(fp, exc):
-                    break
-                time.sleep(state.backoff_delay(fp, RETRY_BACKOFF))
-                continue
-            state.results[fp] = result
-            state.record_done(fp, time.monotonic() - t0)
-            faults.on_completion(len(state.results))
-            break
+        state.record_done(spec.fingerprint, result, seconds)
+        faults.on_completion(len(state.results))
 
 
 def _run_pool(
     ordered: Sequence[RunSpec], workers: int, state: _ExecState
 ) -> None:
-    """Process-pool dispatch: retries, rebuilds, wedge watchdog, fallback.
+    """Process-pool dispatch, with pool rebuilds and a serial fallback.
 
-    At most :data:`_INFLIGHT_PER_WORKER` specs per worker are submitted
-    at a time, topped up as they finish, so the watchdog's parent-side
-    clock never counts a long queue as run time.  Any schedule this loop
-    produces — retries landing on other workers, rebuilt pools — merges
-    to the same result set: specs are deterministic and results
-    content-addressed, so the first successful attempt *is* the answer.
+    Every spec is submitted at once.  A worker that dies mid-spec breaks
+    the pool: it is rebuilt and only the unfinished specs re-dispatch,
+    and after :data:`POOL_FAILURES` rebuilds the rest runs serially in
+    this process.  Specs are deterministic and results
+    content-addressed, so every such schedule merges to the same result
+    set.
     """
-    import heapq
-
-    timeout = settings.current().spec_timeout
-    capacity = _INFLIGHT_PER_WORKER * workers
-    remaining: Dict[str, RunSpec] = {
-        s.fingerprint: s for s in ordered if s.fingerprint not in state.results
-    }
-    queue = deque(remaining)  # ready to dispatch, in dispatch order
-    inflight: Dict[Future, str] = {}
-    started: Dict[Future, float] = {}
-    retry_at: List[Tuple[float, str]] = []
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
-
-    def fill() -> bool:
-        """Top the pool up to capacity; False when it refuses (broken)."""
-        while queue and len(inflight) < capacity:
-            try:
-                fut = pool.submit(_execute_task, remaining[queue[0]])
-            except (BrokenProcessPool, RuntimeError):
-                return False
-            inflight[fut] = queue.popleft()
-            started[fut] = time.monotonic()
-        return True
+    remaining: Dict[str, RunSpec] = {s.fingerprint: s for s in ordered}
 
     def finish(fp: str, result: SimResult, seconds: float) -> None:
-        remaining.pop(fp)
+        del remaining[fp]
         memoize_result(fp, result)
-        state.results[fp] = result
-        state.record_done(fp, seconds)
+        state.record_done(fp, result, seconds)
 
-    def harvest_finished() -> None:
-        """Flush results that finished before an interrupt (satellite:
-        completed-but-unstored futures must not be lost)."""
-        for fut, fp in list(inflight.items()):
-            if fut.done() and not fut.cancelled() and fut.exception() is None:
-                finish(fp, *fut.result())
-
-    try:
-        broken = not fill()
-        while remaining:
-            done_futs: List[Future] = []
-            if inflight and not broken:
-                done_set, _ = wait(
-                    list(inflight), timeout=_TICK_S,
-                    return_when=FIRST_COMPLETED,
-                )
-                done_futs = list(done_set)
-            elif not broken:
-                time.sleep(_TICK_S)
-            for fut in done_futs:
-                fp = inflight.pop(fut)
-                started.pop(fut)
+    while True:
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
+        inflight: Dict[Future, str] = {}
+        try:
+            try:
+                for fp, spec in remaining.items():
+                    inflight[pool.submit(_execute_task, spec)] = fp
+            except BrokenProcessPool:
+                pass  # a worker died during dispatch: drain what was sent
+            for fut in as_completed(inflight):
+                fp = inflight[fut]
                 try:
                     result, seconds = fut.result()
                 except BrokenProcessPool:
-                    broken = True
                     continue
-                except KeyboardInterrupt:
-                    raise
                 except Exception as exc:
-                    if state.record_failure(fp, exc):
-                        heapq.heappush(
-                            retry_at,
-                            (
-                                time.monotonic()
-                                + state.backoff_delay(fp, RETRY_BACKOFF),
-                                fp,
-                            ),
-                        )
-                    else:
-                        remaining.pop(fp)
+                    del remaining[fp]
+                    state.record_failure(fp, exc)
                     continue
                 finish(fp, result, seconds)
                 faults.on_completion(len(state.results))
-            now = time.monotonic()
-            if not broken and timeout is not None and inflight:
-                # Wedge watchdog: a worker that sailed far past the
-                # deadline cannot be interrupted (no SIGALRM, or stuck in
-                # native code) — the only recourse is abandoning the pool.
-                wedge_after = max(
-                    _WEDGE_FACTOR * timeout, timeout + _WEDGE_SLACK_S
-                )
-                broken = any(
-                    now - t0 > wedge_after for t0 in started.values()
-                )
-            if broken:
-                broken = False
-                state.pool_failures += 1
-                degrade = state.pool_failures > POOL_FAILURES
-                if state.journal is not None:
-                    state.journal.pool_failure(state.pool_failures, degrade)
-                pool.shutdown(wait=False, cancel_futures=True)
-                inflight.clear()
-                started.clear()
-                if degrade:
-                    # Graceful degradation: finish the remainder serially
-                    # in this process — slower, but immune to pool decay.
-                    _run_serial(list(remaining.values()), state)
-                    return
-                pool = ProcessPoolExecutor(
-                    max_workers=workers, initializer=_worker_init
-                )
-                scheduled = {fp for _, fp in retry_at}
-                queue = deque(fp for fp in remaining if fp not in scheduled)
-            while retry_at and retry_at[0][0] <= now:
-                queue.append(heapq.heappop(retry_at)[1])
-            broken = not fill()
-        pool.shutdown(wait=False, cancel_futures=True)
-    except KeyboardInterrupt:
-        harvest_finished()
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
+        except KeyboardInterrupt:
+            # Results that finished before the interrupt must not be
+            # lost: record them before handing the interrupt on.
+            for fut, fp in inflight.items():
+                if (
+                    fp in remaining
+                    and fut.done()
+                    and not fut.cancelled()
+                    and fut.exception() is None
+                ):
+                    finish(fp, *fut.result())
+            raise
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        if not remaining:
+            return
+        # Specs left unfinished mean the pool broke.
+        state.pool_failures += 1
+        degrade = state.pool_failures > POOL_FAILURES
+        if state.journal is not None:
+            state.journal.pool_failure(state.pool_failures, degrade)
+        if degrade:
+            # Graceful degradation: finish the remainder serially in
+            # this process, slower but immune to pool decay.
+            _run_serial(list(remaining.values()), state)
+            return
 
 
 class ResultSet:
@@ -520,14 +360,15 @@ class Campaign:
         return len(self._specs)
 
     def run(self, n_workers: Optional[int] = None) -> ResultSet:
-        """Execute every unique run exactly once; warm results are free.
+        """Execute every unique run once; warm results are free.
 
-        Bit-identical for any ``n_workers`` *and any failure pattern*
-        (each run is independent and deterministic in its spec; retries
-        and pool rebuilds only change scheduling).  With an on-disk result
-        store configured the run is journaled and resumable: re-running
-        the same plan after a crash or interrupt picks up exactly where it
-        died.
+        Bit-identical for any ``n_workers`` and any pool breakage (each
+        run is independent and deterministic in its spec; pool rebuilds
+        only change scheduling).  A spec whose attempt raises fails the
+        campaign with :class:`CampaignExecutionError` once the other
+        specs have run.  With an on-disk result store configured the run
+        is journaled and resumable: re-running the same plan after a
+        failure, crash or interrupt picks up exactly where it stopped.
         """
         # Every knob is parsed here: a malformed value must fail before
         # hours of simulation, not mid-campaign.
@@ -625,9 +466,7 @@ class Campaign:
             unique=len(specs),
             simulated=len(pending),
             workers=workers,
-            retries=state.retries,
             pool_failures=state.pool_failures,
-            divergences=state.divergences,
         )
         return ResultSet(results, stats)
 

@@ -13,7 +13,7 @@ failure tallies from it.
 The journal is observability and accounting, not the source of truth for
 results: a resumed campaign re-probes the result store per spec, so specs
 that finished before a crash are *cached*, not re-simulated — the journal
-records that a resume happened and how far each attempt got.
+records that a resume happened and how far each run got.
 
 Events (each line also carries a ``t`` wall-clock timestamp):
 
@@ -21,9 +21,9 @@ Events (each line also carries a ``t`` wall-clock timestamp):
     A run (first or resumed) started: planned/unique/cached/pending
     counts and the worker count.
 ``done``
-    One spec simulated and stored (fingerprint, attempt number, seconds).
+    One spec simulated and stored (fingerprint, seconds).
 ``failed``
-    One attempt failed (fingerprint, attempt number, error text).
+    A spec's one attempt raised (fingerprint, error text).
 ``divergence``
     Duplicate executions of one spec produced *different bytes*: the
     bit-identical contract was violated, both versions were quarantined
@@ -38,7 +38,9 @@ Events (each line also carries a ``t`` wall-clock timestamp):
     The run finished (done / permanently-failed counts).
 
 Readers skip event kinds they do not know and fields they do not use,
-so journals written by older versions still summarise.
+so journals written by older versions still summarise (their ``done``
+and ``failed`` lines carry an attempt number, and a spec could fail
+more than once).
 """
 
 from __future__ import annotations
@@ -109,15 +111,11 @@ class CampaignJournal:
             workers=workers,
         )
 
-    def done(self, fingerprint: str, attempt: int, seconds: float) -> None:
-        self._append(
-            "done", fp=fingerprint, attempt=attempt, s=round(seconds, 6)
-        )
+    def done(self, fingerprint: str, seconds: float) -> None:
+        self._append("done", fp=fingerprint, s=round(seconds, 6))
 
-    def failed(self, fingerprint: str, attempt: int, error: str) -> None:
-        self._append(
-            "failed", fp=fingerprint, attempt=attempt, error=error[:500]
-        )
+    def failed(self, fingerprint: str, error: str) -> None:
+        self._append("failed", fp=fingerprint, error=error[:500])
 
     def pool_failure(self, count: int, degraded_to_serial: bool) -> None:
         self._append(
@@ -161,7 +159,7 @@ def summarize_events(events: List[Dict]) -> Optional[Dict]:
     Totals come from the *last* ``begin`` (each resume re-counts what the
     store already holds as ``cached``); ``done`` events after it are the
     run's own simulations, so overall progress is ``cached + done``.
-    Failure tallies span the whole file — attempts before a resume still
+    Failure tallies span the whole file — failures before a resume still
     happened.
     """
     last_begin = None

@@ -12,7 +12,7 @@ Usage::
     python -m repro ext-scaling --scaling-cores 16 64   # kernel sweep
     python -m repro ext-scaling --wave scalar    # event-loop oracle mode
     python -m repro cache                  # database cache + result-store stats
-    python -m repro cache --prune --max-mb 256   # ... stale objects, LRU to 256 MiB
+    python -m repro cache --prune --max-mb 256   # ... dead files, LRU to 256 MiB
     python -m repro verify                 # attestation coverage + digests
     python -m repro verify --sample 8      # ... plus re-execution audit
     python -m repro campaign --status      # journaled campaign progress
@@ -26,18 +26,19 @@ Every ``REPRO_*`` knob is declared and validated in :mod:`repro.settings`;
 ``--wave`` overrides its knob for this process, and a malformed knob
 fails before anything runs.
 The ``cache`` subcommand reports the database cache (``REPRO_CACHE_DIR``:
-database files and compiled kernel objects; ``--prune`` deletes the stale
-objects) and manages the on-disk result store named by
-``REPRO_RESULT_CACHE`` (cap: ``REPRO_RESULT_CACHE_MAX_MB``); ``bench
---check`` runs one of the CI perf-collapse checks (:mod:`repro.bench`);
-``campaign --status`` reports progress, retries and failure tallies from
-the crash-safe run journals kept under the result store (interrupted
-campaigns resume by re-running the same command).  ``verify`` audits the
-result store's integrity layer (:mod:`repro.campaign.attest`):
-attestation coverage, a digest sweep of every entry, and — with
-``--sample N`` — deterministic re-execution of N stored fingerprints
-whose bytes must match the store (``--cross-mode`` re-executes each
-sampled spec in both event-loop modes).
+database files and compiled kernel objects; ``--prune`` deletes the dead
+database files and the stale objects) and manages the on-disk result
+store named by ``REPRO_RESULT_CACHE`` (cap: ``REPRO_RESULT_CACHE_MAX_MB``);
+``bench --check`` runs one of the CI perf-collapse checks
+(:mod:`repro.bench`); ``campaign --status`` reports progress, failure and
+pool-failure tallies from the crash-safe run journals kept under the
+result store (failed, crashed and interrupted campaigns resume by
+re-running the same command).  ``verify`` audits the result store's
+integrity layer (:mod:`repro.campaign.attest`): attestation coverage, a
+digest sweep of every entry, and — with ``--sample N`` — deterministic
+re-execution of N stored fingerprints whose bytes must match the store
+(``--cross-mode`` re-executes each sampled spec in both event-loop
+modes).
 """
 
 from __future__ import annotations
@@ -113,16 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--status",
         action="store_true",
         help=(
-            "with 'campaign': report journaled campaign progress, retry "
-            "and failure tallies from the result store's run journals"
+            "with 'campaign': report journaled campaign progress and "
+            "failure tallies from the result store's run journals"
         ),
     )
     parser.add_argument(
         "--prune",
         action="store_true",
         help=(
-            "with 'cache': delete stale kernel objects and LRU-evict "
-            "results down to the size cap"
+            "with 'cache': delete dead database files and stale kernel "
+            "objects, and LRU-evict results down to the size cap"
         ),
     )
     parser.add_argument(
@@ -196,28 +197,34 @@ def _emit(result, csv_dir: Path | None) -> None:
 def _cache_command(prune: bool, max_mb: float | None) -> int:
     """Report on, or prune, the database cache and the result store.
 
-    Pruning the database cache deletes stale kernel objects only: whether
-    a database file is stale cannot be read from the file.
+    Databases are the ``<key>.cols.npz`` files; a bare ``<key>.npz`` of
+    an earlier layout is dead, since no code reads it.  Pruning the
+    database cache deletes the dead database files and the stale kernel
+    objects and leaves every other file alone: whether a ``.cols.npz``
+    is stale cannot be read from the file.
     """
     from repro.campaign.results import (
         cache_stats,
         prune_result_cache,
         result_cache_dir,
     )
-    from repro.database.store import cache_dir, kernel_objects
+    from repro.database.store import cache_dir, database_files, kernel_objects
 
+    databases, dead = database_files()
     current, stale = kernel_objects()
     if prune:
-        for path in stale:
+        for path in dead + stale:
             path.unlink(missing_ok=True)
-        print(f"database cache: removed {len(stale)} stale kernel objects")
-        stale = []
-    databases = sorted(cache_dir().glob("*.npz"))
+        print(
+            f"database cache: removed {len(stale)} stale kernel objects "
+            f"and {len(dead)} dead database files"
+        )
+        dead, stale = [], []
     mib = sum(path.stat().st_size for path in databases) / 1048576
     print(
         f"database cache @ {cache_dir()}: databases {len(databases)} "
-        f"({mib:.1f} MiB); kernel objects {len(current) + len(stale)} "
-        f"({len(stale)} stale)"
+        f"({mib:.1f} MiB), {len(dead)} dead; kernel objects "
+        f"{len(current) + len(stale)} ({len(stale)} stale)"
     )
     root = result_cache_dir()
     if root is None:

@@ -14,8 +14,9 @@ row per record (the setting grid fixes each field's shape), one
 ``scalars`` member (a row of the scalar fields per record) and an
 ``index`` member, the JSON list of ``[app, phase]`` in record order.  A
 load reads each column once and gives every record row views of it.
-Files of the earlier one-member-per-record layout (plain ``<key>.npz``)
-are never read again.
+Files of the earlier layouts, each a plain ``<key>.npz`` (one member per
+record, and one file per core count before that), are never read again;
+``repro cache --prune`` deletes them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import zipfile
 import zlib
 from dataclasses import asdict, is_dataclass
@@ -39,6 +41,7 @@ from repro.util.nativebuild import object_name
 
 __all__ = [
     "cache_dir",
+    "database_files",
     "database_fingerprint",
     "kernel_objects",
     "load_cached_database",
@@ -76,6 +79,26 @@ def cache_dir() -> Path:
     if root is not None:
         return root
     return Path(__file__).resolve().parents[3] / ".cache" / "repro-db"
+
+
+#: The name both earlier layouts gave a database file: a bare key.
+_DEAD_DATABASE = re.compile(r"[0-9a-f]{32}\.npz")
+
+
+def database_files() -> Tuple[List[Path], List[Path]]:
+    """``(live, dead)`` database files in the cache root.
+
+    Live files are today's ``<key>.cols.npz``.  A ``<key>.npz`` file
+    (a bare 32-hex key) is dead: both earlier layouts used that name,
+    and no code reads it.  Any other file is neither.
+    """
+    root = cache_dir()
+    dead = [
+        path
+        for path in sorted(root.glob("*.npz"))
+        if _DEAD_DATABASE.fullmatch(path.name)
+    ]
+    return sorted(root.glob("*.cols.npz")), dead
 
 
 def kernel_objects() -> Tuple[List[Path], List[Path]]:

@@ -117,9 +117,6 @@ class Settings:
     build_workers: Optional[int] = _knob(
         "REPRO_BUILD_WORKERS", None, _number(int)
     )
-    spec_timeout: Optional[float] = _knob(
-        "REPRO_SPEC_TIMEOUT", None, _positive_or_none
-    )
     wave: str = _knob("REPRO_SIM_WAVE", "step", _choice(WAVE_MODES))
     no_native: bool = _knob("REPRO_NO_NATIVE", False, parse_bool)
     fault_plan: Optional[str] = _knob("REPRO_FAULT_PLAN", None, _fault_plan)

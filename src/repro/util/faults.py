@@ -1,42 +1,30 @@
 """Deterministic fault injection for the campaign execution stack.
 
 ``REPRO_FAULT_PLAN`` names a schedule of faults that the executor and the
-on-disk stores honour, making every recovery path *differentially*
+on-disk result store honour, making every recovery path *differentially*
 testable: the fault-free serial run is the oracle, and any injected-fault
-run must converge to bit-identical merged results.  The plan is a
-semicolon-separated list of directives::
+run must converge to bit-identical merged results.  Each kind stands for
+a failure one host can suffer.  The plan is a semicolon-separated list
+of directives::
 
     crash:spec=3                     # worker calls os._exit on the 3rd spec
-    fail:fp=ab12,times=2             # raise InjectedFault twice on prefix ab12
-    hang:fp=ab12,secs=30             # sleep 30 s (the spec timeout's prey)
     truncate:store=results,fp=       # truncate the next result-store write
     corrupt:store=results,fp=        # garbage the next result-store write
-    divergent:store=results,fp=      # perturb the published bytes: still
-                                     # valid JSON, different values (the
-                                     # skewed-worker poison the attestation
-                                     # layer exists to catch)
     interrupt:after=2                # KeyboardInterrupt after 2 completions
 
 ``spec=N`` addresses the N-th spec (1-based) of the campaign's
 deterministic dispatch order; :func:`prepare_for_campaign` resolves it to
 that spec's fingerprint before any worker starts, so every process agrees
-on the target.  ``fp=<prefix>`` matches a spec fingerprint (crash / fail /
-hang) or a store entry name (truncate / corrupt / divergent; the empty
-prefix matches every entry).  ``times`` bounds how often a directive
-fires (default 1 — fire once, then let the retry succeed).
-
-``divergent`` models a worker whose published bytes silently differ
-from what it computed (skewed toolchain, flipped bit between compute
-and publish): the just-written entry is rewritten with one float
-nudged — still perfectly parseable, caught only by the digest and
-byte-compare checks of :mod:`repro.campaign.attest`.
+on the target.  ``fp=<prefix>`` matches a spec fingerprint (crash) or a
+store entry name (truncate / corrupt; the empty prefix matches every
+entry).  ``times`` bounds how often a directive fires (default 1).
 
 Fires are counted in a *ledger* directory (``REPRO_FAULT_LEDGER``) as one
 marker file per fire, recorded durably **before** the fault executes —
-that is what keeps a ``crash`` directive from killing every retry and
-every rebuilt pool worker forever.  Each marker is claimed by exclusive
-create, so pool workers racing for a directive's last fire cannot both
-win it.  Without a ledger the counts are
+that is what keeps a ``crash`` directive from killing every rebuilt pool
+worker, and a resumed campaign, forever.  Each marker is claimed by
+exclusive create, so pool workers racing for a directive's last fire
+cannot both win it.  Without a ledger the counts are
 per-process (fine for serial in-process tests); :func:`prepare_for_campaign`
 creates a shared ledger automatically when a plan is active and installs
 the resolved plan in :mod:`repro.settings`, so forked pool workers always
@@ -48,11 +36,9 @@ the production fast path stays fault-free and overhead-free.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,7 +47,6 @@ from repro import settings
 __all__ = [
     "FaultDirective",
     "FaultPlan",
-    "InjectedFault",
     "active_plan",
     "on_completion",
     "on_spec",
@@ -74,14 +59,9 @@ __all__ = [
 #: Exit code of an injected worker crash (recognisable in tests/CI).
 CRASH_EXIT_CODE = 13
 
-_SPEC_KINDS = ("crash", "fail", "hang")
-_STORE_KINDS = ("truncate", "corrupt", "divergent")
-_KINDS = _SPEC_KINDS + _STORE_KINDS + ("interrupt",)
+_STORE_KINDS = ("truncate", "corrupt")
+_KINDS = ("crash",) + _STORE_KINDS + ("interrupt",)
 _STORES = ("results",)
-
-
-class InjectedFault(RuntimeError):
-    """A deterministic test-plan failure (retryable, never seen in prod)."""
 
 
 @dataclass
@@ -94,7 +74,6 @@ class FaultDirective:
     ordinal: Optional[int] = None
     store: Optional[str] = None
     times: int = 1
-    secs: float = 3600.0
     after: int = 1
 
     def matches(self, name: str) -> bool:
@@ -112,8 +91,6 @@ class FaultDirective:
         if self.kind == "interrupt":
             parts.append(f"after={self.after}")
         parts.append(f"times={self.times}")
-        if self.kind == "hang":
-            parts.append(f"secs={self.secs:g}")
         return f"{self.kind}:{','.join(parts)}"
 
 
@@ -146,8 +123,6 @@ def parse_plan(text: str) -> List[FaultDirective]:
                     d.store = value
                 elif key == "times":
                     d.times = int(value)
-                elif key == "secs":
-                    d.secs = float(value)
                 elif key == "after":
                     d.after = int(value)
                 else:
@@ -156,7 +131,7 @@ def parse_plan(text: str) -> List[FaultDirective]:
                 if exc.args and str(exc.args[0]).startswith(knob):
                     raise
                 raise bad(f"bad value for {key}: {value!r}") from None
-        if d.kind in _SPEC_KINDS and d.fp is None and d.ordinal is None:
+        if d.kind == "crash" and d.fp is None and d.ordinal is None:
             raise bad(f"{d.kind} needs fp= or spec=")
         if d.kind in _STORE_KINDS:
             if d.store is None:
@@ -204,22 +179,15 @@ class FaultPlan:
 
     # -- hooks -------------------------------------------------------------
     def on_spec(self, fingerprint: str) -> None:
-        """Executor hook: may crash the process, raise, or hang."""
+        """Executor hook: may crash the process."""
         for d in self.directives:
-            if d.kind not in _SPEC_KINDS or not d.matches(fingerprint):
+            if d.kind != "crash" or not d.matches(fingerprint):
                 continue
-            if not self._fire_if_due(d):
-                continue
-            if d.kind == "crash":
+            if self._fire_if_due(d):
                 os._exit(CRASH_EXIT_CODE)
-            if d.kind == "fail":
-                raise InjectedFault(
-                    f"injected failure on spec {fingerprint[:12]}"
-                )
-            time.sleep(d.secs)  # hang; the spec timeout's prey
 
     def on_store_write(self, store: str, name: str, path: Path) -> None:
-        """Store hook: may truncate, corrupt or diverge the published entry."""
+        """Store hook: may truncate or corrupt the published entry."""
         for d in self.directives:
             if d.kind not in _STORE_KINDS or d.store != store:
                 continue
@@ -230,8 +198,6 @@ class FaultPlan:
                     size = path.stat().st_size
                     with open(path, "r+b") as fh:
                         fh.truncate(size // 2)
-                elif d.kind == "divergent":
-                    _perturb_entry(path)
                 else:
                     path.write_text('{"corrupt": tru')
             except OSError:
@@ -249,40 +215,6 @@ class FaultPlan:
 
     def to_text(self) -> str:
         return ";".join(d.to_text() for d in self.directives)
-
-
-def _perturb_entry(path: Path) -> None:
-    """Nudge the first float of a JSON entry by +1.0 and rewrite it.
-
-    The result stays perfectly parseable — unlike ``truncate`` and
-    ``corrupt`` it models *silently wrong values* (a skewed worker), the
-    failure mode only the attestation digest / byte-compare layer sees.
-    """
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return
-
-    def nudge(node):  # first float wins, depth-first
-        if isinstance(node, dict):
-            for key, value in node.items():
-                hit, value = nudge(value)
-                if hit:
-                    node[key] = value
-                    return True, node
-        elif isinstance(node, list):
-            for i, value in enumerate(node):
-                hit, value = nudge(value)
-                if hit:
-                    node[i] = value
-                    return True, node
-        elif isinstance(node, float):
-            return True, node + 1.0
-        return False, node
-
-    hit, payload = nudge(payload)
-    if hit:
-        path.write_text(json.dumps(payload))
 
 
 #: Parse cache keyed on (plan text, ledger) — plans are tiny, but the

@@ -23,6 +23,7 @@ from repro.database.builder import (
 from repro.database.records import PhaseRecord
 from repro.database.store import (
     _stable_json,
+    database_files,
     database_fingerprint,
     kernel_objects,
     load_cached_database,
@@ -387,6 +388,32 @@ class TestStore:
         assert not any(path.exists() for path in stale)
         assert all(path.exists() for path in current + [foreign])
         assert len(list(tmp_path.glob("*.npz"))) == 1
+
+    def test_cli_counts_and_prunes_dead_database_files(
+        self, mini_db, tmp_path, monkeypatch, capsys
+    ):
+        """A bare ``<key>.npz``, the name both earlier layouts used, is
+        reported as dead and pruned; the live ``<key>.cols.npz`` and an
+        unrelated ``.npz`` stay."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        save_database_cache(mini_db, mini_suite(), 7)
+        (live,) = tmp_path.glob("*.cols.npz")
+        dead = tmp_path / live.name.replace(".cols.npz", ".npz")
+        notes = tmp_path / "notes.npz"
+        for path in (dead, notes):
+            path.write_bytes(b"PK")
+        assert database_files() == ([live], [dead])
+
+        assert main(["cache"]) == 0
+        out = capsys.readouterr().out
+        assert "databases 1 (" in out and "), 1 dead;" in out
+        assert main(["cache", "--prune"]) == 0
+        out = capsys.readouterr().out
+        assert "and 1 dead database files" in out and "), 0 dead;" in out
+        assert live.exists() and notes.exists() and not dead.exists()
 
 
 def _check_pin(pins, key: str, digest: str, what: str, constant: str) -> None:

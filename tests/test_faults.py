@@ -1,26 +1,33 @@
-"""Differential fault-injection tests: every recovery path vs. the oracle.
+"""Differential fault tests: every recovery path vs. the oracle.
 
-The contract under test (ISSUE 6): campaign execution is bit-identical to
-the fault-free serial reference for *any failure pattern* — injected
-failures, hangs, worker crashes, corrupted store entries, interrupts.
-:mod:`repro.util.faults` provides the deterministic fault plans
-(``REPRO_FAULT_PLAN``); :func:`repro.testing.serial_oracle` the
-store-free reference results.
+The contract under test: campaign execution is bit-identical to the
+fault-free serial reference for every failure one host can suffer — a
+pool worker killed mid-spec, a store that refuses or damages writes,
+Ctrl-C — and a spec whose attempt raises fails on that one attempt.
+Each recovery path is provoked once without a plan (``TestLocalFailures``)
+and under :mod:`repro.util.faults`' deterministic plans
+(``REPRO_FAULT_PLAN``), hand-picked and generated;
+:func:`repro.testing.serial_oracle` gives the store-free reference
+results.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
 from repro import settings
 from repro.campaign import (
@@ -30,8 +37,11 @@ from repro.campaign import (
     quarantine_stats,
     run_campaign,
 )
+from repro.campaign import attest as campaign_attest
 from repro.campaign import executor as campaign_executor
-from repro.campaign.executor import CampaignStats, _ExecState
+from repro.campaign import journal as campaign_journal
+from repro.campaign import results as campaign_results
+from repro.campaign.executor import CampaignStats
 from repro.campaign.journal import (
     CampaignJournal,
     campaign_id,
@@ -41,7 +51,7 @@ from repro.campaign.journal import (
     read_journal,
     summarize_events,
 )
-from repro.campaign.results import prune_result_cache
+from repro.campaign.results import prune_result_cache, result_to_json
 from repro.testing import serial_oracle, write_entry_many
 from repro.util import faults
 from repro.util.diskcache import (
@@ -49,6 +59,7 @@ from repro.util.diskcache import (
     dir_stats,
     prune_lru,
     quarantine_entry,
+    read_text_guarded,
 )
 
 SEED = 2020
@@ -65,8 +76,8 @@ def _spec(**kw) -> RunSpec:
     return RunSpec(**base)
 
 
-#: Three fast specs: enough to distinguish per-spec targeting, retries
-#: and partial progress without slowing the suite.
+#: Three fast specs: enough to distinguish per-spec targeting and
+#: partial progress without slowing the suite.
 FSPECS = [
     _spec(rm_kind="idle", model=None),
     _spec(rm_kind="rm1"),
@@ -84,7 +95,6 @@ MALFORMED = [
     ("REPRO_RESULT_CACHE_MAX_MB", "256MB"),
     ("REPRO_CAMPAIGN_WORKERS", "two"),
     ("REPRO_BUILD_WORKERS", "two"),
-    ("REPRO_SPEC_TIMEOUT", "forever"),
     ("REPRO_SIM_WAVE", "stepp"),
     ("REPRO_NO_NATIVE", "nope"),
     ("REPRO_FAULT_PLAN", "explode:fp=ab"),
@@ -92,14 +102,19 @@ MALFORMED = [
 
 
 def _race_for_fire(ledger, barrier):
-    """Ledger-contention racer: exit 1 when this process won a fire."""
-    plan = faults.FaultPlan(faults.parse_plan("fail:fp=ab,times=1"), ledger)
+    """Ledger-contention racer: the crash exit code when this process
+    won the fire, else 0."""
+    plan = faults.FaultPlan(faults.parse_plan("crash:fp=ab,times=1"), ledger)
     barrier.wait(timeout=10)
-    try:
-        plan.on_spec("abcd")
-    except faults.InjectedFault:
-        os._exit(1)
+    plan.on_spec("abcd")
     os._exit(0)
+
+
+def _journal_events(store):
+    return [
+        ev for path in journal_dir(store).glob("*.jsonl")
+        for ev in read_journal(path)
+    ]
 
 
 @pytest.fixture(autouse=True)
@@ -133,17 +148,17 @@ def oracle(full_db):
 
 class TestPlanParsing:
     def test_grammar_roundtrip(self):
-        text = "crash:spec=2;fail:fp=ab,times=3;hang:fp=cd,secs=7;" \
+        text = "crash:spec=2;crash:fp=ab,times=3;" \
                "truncate:store=results;corrupt:store=results,fp=ef;" \
                "interrupt:after=2"
         ds = faults.parse_plan(text)
         assert [d.kind for d in ds] == [
-            "crash", "fail", "hang", "truncate", "corrupt", "interrupt",
+            "crash", "crash", "truncate", "corrupt", "interrupt",
         ]
-        assert ds[0].ordinal == 2 and ds[1].times == 3 and ds[2].secs == 7
-        assert ds[3].fp == ""  # store kinds default to match-any
-        assert ds[4].store == "results" and ds[4].fp == "ef"
-        assert ds[5].after == 2
+        assert ds[0].ordinal == 2 and ds[1].times == 3 and ds[1].fp == "ab"
+        assert ds[2].fp == ""  # store kinds default to match-any
+        assert ds[3].store == "results" and ds[3].fp == "ef"
+        assert ds[4].after == 2
         # to_text round-trips through the parser (prepare_for_campaign
         # re-exports plans this way)
         again = faults.parse_plan(";".join(d.to_text() for d in ds))
@@ -151,45 +166,53 @@ class TestPlanParsing:
 
     @pytest.mark.parametrize("bad", [
         "explode:fp=ab",          # unknown kind
-        "fail",                   # spec kind without a target
+        "crash",                  # spec kind without a target
         "crash:times=2",          # ditto
         "truncate:fp=ab",         # store kind without store=
         "corrupt:store=nowhere",  # unknown store
-        "fail:fp",                # key without '='
-        "fail:fp=ab,zap=1",       # unknown key
-        "fail:fp=ab,times=lots",  # bad int
-        "hang:fp=ab,secs=long",   # bad float
+        "crash:fp",               # key without '='
+        "crash:fp=ab,zap=1",      # unknown key
+        "crash:fp=ab,times=lots",  # bad int
+        "crash:fp=ab,secs=30",    # removed key
         "dupdone:fp=ab",          # removed kind
         "corrupt:store=done",     # removed store
-        "divergent:store=results,worker=w1",  # removed key
+        # removed kinds: one host cannot produce these failures
+        "fail",
+        "fail:fp",
+        "fail:fp=ab,zap=1",
+        "fail:fp=ab,times=lots",
+        "hang:fp=ab,secs=long",
+        "divergent:store=results",
+        "divergent:store=results,worker=w1",
     ])
     def test_malformed_plans_fail_loudly(self, bad):
         with pytest.raises(ValueError, match="REPRO_FAULT_PLAN"):
             faults.parse_plan(bad)
 
     def test_empty_clauses_ignored(self):
-        assert faults.parse_plan("; ;fail:fp=ab;")[0].kind == "fail"
+        assert faults.parse_plan("; ;crash:fp=ab;")[0].kind == "crash"
 
 
 class TestPlanMechanics:
     def test_times_bounds_fires_in_memory(self):
-        plan = faults.FaultPlan(faults.parse_plan("fail:fp=ab,times=2"), None)
+        plan = faults.FaultPlan(
+            faults.parse_plan("interrupt:after=1,times=2"), None
+        )
         for _ in range(2):
-            with pytest.raises(faults.InjectedFault):
-                plan.on_spec("abcdef")
-        plan.on_spec("abcdef")  # third call: spent
-        plan.on_spec("zzz")  # never matched
+            with pytest.raises(KeyboardInterrupt):
+                plan.on_completion(1)
+        plan.on_completion(1)  # third call: spent
 
     def test_ledger_counts_shared_across_instances(self, tmp_path):
         """Two FaultPlan instances (stand-ins for two processes) sharing a
         ledger agree on fire counts — the crash-loop prevention."""
-        directives = faults.parse_plan("fail:fp=ab,times=1")
+        directives = faults.parse_plan("interrupt:after=1")
         a = faults.FaultPlan(directives, tmp_path / "ledger")
-        b = faults.FaultPlan(faults.parse_plan("fail:fp=ab,times=1"),
+        b = faults.FaultPlan(faults.parse_plan("interrupt:after=1"),
                              tmp_path / "ledger")
-        with pytest.raises(faults.InjectedFault):
-            a.on_spec("abcd")
-        b.on_spec("abcd")  # sees a's durable fire: does not re-raise
+        with pytest.raises(KeyboardInterrupt):
+            a.on_completion(1)
+        b.on_completion(1)  # sees a's durable fire: does not re-raise
 
     def test_ledger_fires_exactly_times_under_contention(self, tmp_path):
         """Processes racing for a directive's last fire cannot both win
@@ -208,7 +231,8 @@ class TestPlanMechanics:
             for proc in procs:
                 proc.join(timeout=30)
             assert not any(proc.is_alive() for proc in procs)
-            assert sum(proc.exitcode for proc in procs) == 1, round_
+            codes = sorted(proc.exitcode for proc in procs)
+            assert codes == [0] * 7 + [faults.CRASH_EXIT_CODE], round_
             assert len(list(ledger.glob("d0-*"))) == 1
 
     def test_store_write_hooks_damage_the_entry(self, tmp_path):
@@ -247,7 +271,7 @@ class TestPlanMechanics:
         faults.on_completion(10)
 
     def test_prepare_resolves_ordinals_and_mints_ledger(self):
-        os.environ["REPRO_FAULT_PLAN"] = "crash:spec=2;fail:fp=ff"
+        os.environ["REPRO_FAULT_PLAN"] = "crash:spec=2;crash:fp=ff"
         faults.prepare_for_campaign(["aaa", "bbb", "ccc"])
         knobs = settings.resolve()  # installed: survives re-resolution
         assert knobs.fault_ledger is not None
@@ -265,58 +289,7 @@ class TestPlanMechanics:
 
 
 class TestSerialFaultDifferential:
-    """Injected-fault campaigns must merge to the oracle, bit for bit."""
-
-    def test_injected_failure_is_retried(self, full_db, oracle):
-        target = _ordered(FSPECS)[0].fingerprint
-        os.environ["REPRO_FAULT_PLAN"] = f"fail:fp={target},times=1"
-        results = run_campaign(FSPECS, n_workers=1)
-        assert results.stats.retries == 1
-        for spec in FSPECS:
-            assert results[spec] == oracle[spec.fingerprint], spec.label()
-
-    def test_hang_is_timed_out_and_retried(self, full_db, monkeypatch, oracle):
-        target = _ordered(FSPECS)[0].fingerprint
-        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "1")
-        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
-        os.environ["REPRO_FAULT_PLAN"] = f"hang:fp={target},secs=30"
-        t0 = time.monotonic()
-        results = run_campaign(FSPECS, n_workers=1)
-        assert time.monotonic() - t0 < 20  # the 30 s hang was cut short
-        assert results.stats.retries == 1
-        for spec in FSPECS:
-            assert results[spec] == oracle[spec.fingerprint], spec.label()
-
-    def test_exhausted_retries_raise_with_journal(
-        self, full_db, monkeypatch, tmp_path, oracle
-    ):
-        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        monkeypatch.setattr(campaign_executor, "SPEC_RETRIES", 1)
-        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
-        ordered = _ordered(FSPECS)
-        target = ordered[1].fingerprint
-        os.environ["REPRO_FAULT_PLAN"] = f"fail:fp={target},times=99"
-        with pytest.raises(CampaignExecutionError) as err:
-            run_campaign(FSPECS, n_workers=1)
-        assert set(err.value.failures) == {target}
-        assert "InjectedFault" in err.value.failures[target]
-        # the healthy specs still simulated and persisted
-        for spec in (ordered[0], ordered[2]):
-            assert (tmp_path / f"{spec.fingerprint}.json").exists()
-        summary = journal_status(tmp_path)[0]
-        assert summary["complete"] and summary["permanent_failures"] == 1
-        assert summary["failed_attempts"] == 2  # first try + 1 retry
-
-    def test_malformed_timeout_fails_before_simulating(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "forever")
-        simulated = []
-        monkeypatch.setattr(
-            campaign_executor, "_simulate",
-            lambda spec: simulated.append(spec),
-        )
-        with pytest.raises(ValueError, match="REPRO_SPEC_TIMEOUT"):
-            run_campaign(FSPECS[:1])
-        assert simulated == []
+    """Malformed knobs fail before anything simulates."""
 
     @pytest.mark.parametrize("env, value", MALFORMED)
     def test_malformed_knob_fails_before_simulating(
@@ -343,9 +316,155 @@ class TestSerialFaultDifferential:
         assert {env for env, _ in MALFORMED} == parsed
 
 
+class TestLocalFailures:
+    """Each kept recovery path, provoked by the failure it handles and no
+    fault plan."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_spec_fails_on_its_only_attempt(
+        self, full_db, monkeypatch, tmp_path, workers
+    ):
+        """A simulation that raises would raise again on any retry (a
+        run is a pure function of its spec): the spec fails on its one
+        attempt, the journal says so, and the other specs are stored."""
+        store = tmp_path / "store"
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(store))
+        attempts = tmp_path / "attempts"
+        target = _ordered(FSPECS)[1].fingerprint
+        simulate = campaign_executor._simulate
+
+        def raising(spec, wave=None):
+            if spec.fingerprint != target:
+                return simulate(spec, wave)
+            with open(attempts, "a") as fh:
+                fh.write("attempt\n")
+            raise RuntimeError("simulator bug")
+
+        monkeypatch.setattr(campaign_executor, "_simulate", raising)
+        with pytest.raises(CampaignExecutionError) as err:
+            run_campaign(FSPECS, n_workers=workers)
+        assert attempts.read_text() == "attempt\n"
+        assert set(err.value.failures) == {target}
+        assert "simulator bug" in err.value.failures[target]
+        for spec in FSPECS:
+            stored = (store / f"{spec.fingerprint}.json").exists()
+            assert stored == (spec.fingerprint != target), spec.label()
+        summary = journal_status(store)[0]
+        assert summary["complete"] and summary["permanent_failures"] == 1
+        assert summary["failed_attempts"] == summary["failed_specs"] == 1
+
+    def test_worker_exit_costs_one_pool_failure(
+        self, full_db, monkeypatch, tmp_path, oracle
+    ):
+        """A pool worker that dies mid-spec (as under the out-of-memory
+        killer): the first worker to claim the marker exits, the pool is
+        rebuilt once, and the results equal the oracle's."""
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        marker = tmp_path / "exited"
+        simulate = campaign_executor._simulate
+
+        def exit_once(spec, wave=None):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                return simulate(spec, wave)
+            os._exit(1)
+
+        monkeypatch.setattr(campaign_executor, "_simulate", exit_once)
+        results = run_campaign(FSPECS, n_workers=2)
+        assert marker.exists()
+        assert results.stats.pool_failures == 1
+        for spec in FSPECS:
+            assert results[spec] == oracle[spec.fingerprint], spec.label()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refused_store_writes_lose_no_result(
+        self, full_db, monkeypatch, tmp_path, oracle, workers
+    ):
+        """A store that refuses every write (a full disk, a read-only
+        mount) costs the cache, not the campaign.  The refusal is patched
+        in: permission bits do not stop a process running as root."""
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+        refuse = lambda path, text: False  # noqa: E731
+        monkeypatch.setattr(campaign_results, "atomic_write_text", refuse)
+        monkeypatch.setattr(campaign_attest, "atomic_write_text", refuse)
+        monkeypatch.setattr(campaign_journal, "append_line", refuse)
+        results = run_campaign(FSPECS, n_workers=workers)
+        assert results.stats.workers == workers
+        for spec in FSPECS:
+            assert results[spec] == oracle[spec.fingerprint], spec.label()
+        assert not any(tmp_path.rglob("*"))  # nothing was written
+
+    def test_sigint_mid_campaign_then_rerun_resumes(
+        self, full_db, monkeypatch, tmp_path
+    ):
+        """A real Ctrl-C: SIGINT reaches a CLI campaign once its journal
+        has a ``done`` line.  The journal ends ``interrupted``, and a
+        re-run simulates only what the store lacks and writes the CSV an
+        uninterrupted run writes.  Paper-scale 32-core ``ext-scaling``
+        runs 16 specs of tens of milliseconds each, so the signal lands
+        mid-campaign."""
+        from repro.cli import main
+
+        store = tmp_path / "store"
+        argv = ["ext-scaling", "--scaling-cores", "32", "--workers", "1"]
+        cmd = [sys.executable, "-m", "repro", *argv,
+               "--csv-dir", str(tmp_path / "resumed")]
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
+                   REPRO_RESULT_CACHE=str(store))
+        # A shell that starts a job in the background leaves SIGINT
+        # ignored, which a child inherits; a handled signal is reset to
+        # the default across exec, and Python then raises
+        # KeyboardInterrupt on it.
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            proc = subprocess.Popen(
+                cmd, env=env, cwd=str(REPO), text=True,
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            )
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            deadline = time.monotonic() + 120
+            while not any(ev["event"] == "done" for ev in _journal_events(store)):
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == -signal.SIGINT, err
+        assert "re-run the same command to resume" in err
+        summary = journal_status(store)[0]
+        assert summary["interrupted"] and not summary["complete"]
+        stored = len(list(store.glob("*.json")))
+        assert 1 <= stored < summary["unique"]
+
+        rerun = subprocess.run(
+            cmd, env=env, cwd=str(REPO), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert rerun.returncode == 0, rerun.stderr
+        summary = journal_status(store)[0]
+        assert summary["complete"] and summary["runs"] == 2
+        # The re-run found the stored specs cached and simulated the rest.
+        assert summary["cached"] == stored
+        assert summary["done"] == summary["unique"]
+
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        clear_result_memo()
+        assert main([*argv, "--csv-dir", str(tmp_path / "clean")]) == 0
+        name = "ext-scaling.csv"
+        assert (tmp_path / "resumed" / name).read_bytes() == (
+            tmp_path / "clean" / name
+        ).read_bytes()
+
+
 class TestPoolFaultDifferential:
-    def test_worker_crash_rebuilds_pool(self, full_db, monkeypatch, oracle):
-        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
+    def test_worker_crash_rebuilds_pool(self, full_db, oracle):
         os.environ["REPRO_FAULT_PLAN"] = "crash:spec=1"
         results = run_campaign(FSPECS, n_workers=2)
         assert results.stats.pool_failures >= 1
@@ -354,64 +473,9 @@ class TestPoolFaultDifferential:
 
     def test_pool_decay_degrades_to_serial(self, full_db, monkeypatch, oracle):
         monkeypatch.setattr(campaign_executor, "POOL_FAILURES", 0)
-        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
         os.environ["REPRO_FAULT_PLAN"] = "crash:spec=1"
         results = run_campaign(FSPECS, n_workers=2)
         assert results.stats.pool_failures == 1
-        for spec in FSPECS:
-            assert results[spec] == oracle[spec.fingerprint], spec.label()
-
-    def test_queued_specs_do_not_trip_the_watchdog(
-        self, full_db, monkeypatch, oracle
-    ):
-        """A long queue is not a wedged worker: 60 healthy 30 ms specs on
-        2 workers take ~0.9 s to drain, almost twice the watchdog horizon
-        (0.5 s here), yet each one runs far inside its deadline."""
-        result = oracle[FSPECS[2].fingerprint]
-        specs = [_spec(alpha=1.0 + i / 100) for i in range(1, 61)]
-
-        def slow(spec, wave=None):
-            time.sleep(0.03)
-            return result
-
-        monkeypatch.setattr(campaign_executor, "_simulate", slow)
-        monkeypatch.setattr(campaign_executor, "_WEDGE_FACTOR", 1.0)
-        monkeypatch.setattr(campaign_executor, "_WEDGE_SLACK_S", 0.0)
-        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "0.5")
-        results = run_campaign(specs, n_workers=2)
-        assert results.stats.pool_failures == 0
-        assert results.stats.retries == 0
-        assert all(results[spec] == result for spec in specs)
-
-    def test_wedged_worker_is_abandoned(self, full_db, monkeypatch, oracle):
-        """A worker that hangs far past a deadline it cannot enforce (the
-        SIGALRM deadline is suppressed here) is abandoned with its pool;
-        the rebuilt pool finishes the campaign without waiting it out."""
-        target = _ordered(FSPECS)[0].fingerprint
-        monkeypatch.setattr(
-            campaign_executor, "_deadline",
-            lambda seconds: contextlib.nullcontext(),
-        )
-        monkeypatch.setattr(campaign_executor, "_WEDGE_FACTOR", 1.0)
-        monkeypatch.setattr(campaign_executor, "_WEDGE_SLACK_S", 0.0)
-        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "0.5")
-        os.environ["REPRO_FAULT_PLAN"] = f"hang:fp={target},secs=5"
-        t0 = time.monotonic()
-        results = run_campaign(FSPECS, n_workers=2)
-        assert time.monotonic() - t0 < 5  # the hang was not waited out
-        assert results.stats.pool_failures == 1
-        assert results.stats.retries == 0
-        for spec in FSPECS:
-            assert results[spec] == oracle[spec.fingerprint], spec.label()
-
-    def test_pool_hang_is_timed_out(self, full_db, monkeypatch, oracle):
-        target = _ordered(FSPECS)[0].fingerprint
-        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "1")
-        monkeypatch.setattr(campaign_executor, "RETRY_BACKOFF", 0.01)
-        os.environ["REPRO_FAULT_PLAN"] = f"hang:fp={target},secs=30"
-        t0 = time.monotonic()
-        results = run_campaign(FSPECS, n_workers=2)
-        assert time.monotonic() - t0 < 25
         for spec in FSPECS:
             assert results[spec] == oracle[spec.fingerprint], spec.label()
 
@@ -659,7 +723,7 @@ class TestJournal:
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
         journal = CampaignJournal.for_campaign(tmp_path, ["a", "b"])
         journal.begin(planned=2, unique=2, cached=0, pending=2, workers=1)
-        journal.done("a", 1, 0.5)
+        journal.done("a", 0.5)
         journal.interrupted(done=1, remaining=1)
         assert main(["campaign", "--status"]) == 0
         out = capsys.readouterr().out
@@ -667,7 +731,7 @@ class TestJournal:
         assert "interrupted (resumable)" in out
 
         journal.begin(planned=2, unique=2, cached=1, pending=1, workers=1)
-        journal.done("b", 1, 0.5)
+        journal.done("b", 0.5)
         journal.complete(done=1, failed=0)
         assert main(["campaign", "--status"]) == 0
         out = capsys.readouterr().out
@@ -783,7 +847,7 @@ class TestPruneProtection:
             journal_dir(store) / "cafe.jsonl", "cafe"
         )
         journal.begin(planned=3, unique=3, cached=0, pending=3, workers=1)
-        journal.done("aaaa", 1, 0.1)
+        journal.done("aaaa", 0.1)
         assert protected_fingerprints(store) == {"aaaa"}
         outcome = prune_result_cache(0.000001)
         assert (store / "aaaa.json").is_file()  # pinned by the journal
@@ -800,7 +864,7 @@ class TestPruneProtection:
             journal_dir(store) / "cafe.jsonl", "cafe"
         )
         journal.begin(planned=1, unique=1, cached=0, pending=1, workers=1)
-        journal.done("aaaa", 1, 0.1)
+        journal.done("aaaa", 0.1)
         journal.complete(done=1, failed=0)
         assert protected_fingerprints(store) == frozenset()
         prune_result_cache(0.000001)
@@ -808,40 +872,133 @@ class TestPruneProtection:
 
 
 class TestExecutorUnits:
-    def test_backoff_schedule_is_deterministic(self):
-        state = _ExecState(None)
-        state.attempts["fp"] = 1
-        assert state.backoff_delay("fp", 0.05) == 0.05
-        state.attempts["fp"] = 3
-        assert state.backoff_delay("fp", 0.05) == 0.2
-        assert state.backoff_delay("other", 0.05) == 0.05
-
     def test_stats_summary_format_preserved(self):
         clean = CampaignStats(planned=5, unique=3, simulated=0, workers=1)
         assert "(0 simulated" in clean.summary()  # the CI grep contract
-        assert "[" not in clean.summary()
+        assert "pool failures" not in clean.summary()
         noisy = CampaignStats(
-            planned=5, unique=3, simulated=3, workers=2,
-            retries=2, pool_failures=1,
+            planned=5, unique=3, simulated=3, workers=2, pool_failures=1,
         )
-        assert "[2 retries, 1 pool failures]" in noisy.summary()
+        assert noisy.summary().endswith(", 1 pool failures")  # CI greps it
+        assert noisy.retries == 0  # one attempt per spec; perfbench reads it
 
     def test_knob_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPEC_TIMEOUT", raising=False)
-        assert settings.resolve().spec_timeout is None
-        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "0")
-        assert settings.resolve().spec_timeout is None
-        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "2.5")
-        assert settings.resolve().spec_timeout == 2.5
-        # The retry schedule and pool tolerance are fixed constants.
-        assert campaign_executor.SPEC_RETRIES == 2
-        assert campaign_executor.RETRY_BACKOFF == 0.05
+        for name in ("REPRO_FAULT_PLAN", "REPRO_FAULT_LEDGER"):
+            monkeypatch.delenv(name, raising=False)
+        knobs = settings.resolve()
+        assert knobs.fault_plan is None and knobs.fault_ledger is None
+        # The pool's rebuild tolerance is a fixed constant.
         assert campaign_executor.POOL_FAILURES == 3
 
-    def test_deadline_raises_spec_timeout(self):
-        from repro.campaign.executor import SpecTimeout, _deadline
 
-        with pytest.raises(SpecTimeout):
-            with _deadline(0.05):
-                time.sleep(5)
-        time.sleep(0.06)  # a cancelled timer must not fire later
+def _fault_plans(pool: bool):
+    """Plans over the kept fault kinds for a campaign of :data:`FSPECS`.
+
+    ``crash`` is drawn only for pools, since in a serial campaign it
+    would exit the test process, and at most once per spec.  A pool's
+    call queue holds workers + 1 = 3 specs, so every pending spec of a
+    3-spec campaign reaches a worker unless another spec's crash breaks
+    the pool first, and that spec then stays pending too: a resumed run
+    with a crash left over has 2 pending specs and runs on a pool.  The
+    serial fallback needs 4 breakages; the plan has at most 3 crashes.
+    """
+    prefixes = st.sampled_from(["", *(s.fingerprint[:2] for s in FSPECS)])
+    damage = st.builds(
+        "{}:store=results,fp={},times={}".format,
+        st.sampled_from(["truncate", "corrupt"]), prefixes, st.integers(1, 3),
+    )
+    interrupt = st.builds(
+        "interrupt:after={},times={}".format,
+        st.integers(1, len(FSPECS)), st.integers(1, 2),
+    )
+    clauses = st.lists(st.one_of(damage, interrupt), min_size=1, max_size=3)
+    if pool:
+        crashes = st.lists(
+            st.integers(1, len(FSPECS)), unique=True,
+            max_size=min(len(FSPECS), campaign_executor.POOL_FAILURES),
+        ).map(lambda ordinals: [f"crash:spec={n}" for n in ordinals])
+        clauses = st.tuples(clauses, crashes).map(lambda pair: sum(pair, []))
+    return clauses.map(";".join)
+
+
+#: Bounded and derandomized in tier-1; ``--hypothesis-profile=wide``
+#: (tests/conftest.py) runs the profile's wider randomized sweep instead.
+GENERATED_PLANS = (
+    hsettings(deadline=None)
+    if hsettings.get_current_profile_name() == "wide"
+    else hsettings(max_examples=20, derandomize=True, deadline=None)
+)
+
+
+def _join_workers() -> None:
+    """Wait out the pool workers a campaign left running: an interrupted
+    pool's workers finish the specs already queued to them, and their
+    store writes must land before the store is read.  Each worker's
+    sentinel is waited on rather than the worker joined, because the
+    pool's own thread reaps it concurrently."""
+    for proc in multiprocessing.active_children():
+        assert multiprocessing.connection.wait([proc.sentinel], timeout=60)
+
+
+def _converge_under(plan: str, workers: int, oracle) -> None:
+    """Run :data:`FSPECS` under ``plan`` on a fresh store, re-running
+    after each injected interrupt; the results must equal the oracle's.
+    Then re-read the store without the plan: exactly the entries the
+    plan damaged resimulate."""
+    expected = {fp: result_to_json(result) for fp, result in oracle.items()}
+    real_exit, test_pid = os._exit, os.getpid()
+
+    def exit_workers_only(code):
+        if os.getpid() == test_pid:
+            raise AssertionError(f"{plan}: a crash reached the test process")
+        real_exit(code)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch("os._exit", exit_workers_only):
+        store = Path(tmp) / "store"
+        os.environ["REPRO_FAULT_PLAN"] = plan
+        os.environ["REPRO_FAULT_LEDGER"] = str(Path(tmp) / "ledger")
+        faults.reset()
+        with settings.override(result_cache=store):
+            for _ in range(8):  # the plan fires at most 6 interrupts
+                clear_result_memo()
+                try:
+                    results = run_campaign(FSPECS, n_workers=workers)
+                except KeyboardInterrupt:
+                    continue
+                finally:
+                    _join_workers()
+                break
+            else:
+                raise AssertionError(f"{plan}: never ran to completion")
+            for spec in FSPECS:
+                assert results[spec] == oracle[spec.fingerprint], plan
+
+            damaged = {
+                fp for fp, text in expected.items()
+                if read_text_guarded(store / f"{fp}.json") != text
+            }
+            del os.environ["REPRO_FAULT_PLAN"], os.environ["REPRO_FAULT_LEDGER"]
+            faults.reset()
+            clear_result_memo()
+            reread = run_campaign(FSPECS, n_workers=workers)
+            _join_workers()
+            assert reread.stats.simulated == len(damaged), plan
+            for spec in FSPECS:
+                fp = spec.fingerprint
+                assert reread[spec] == oracle[fp], plan
+                assert read_text_guarded(store / f"{fp}.json") == expected[fp]
+
+
+class TestGeneratedFaultPlans:
+    """Drawn fault plans, serial and on a 2-worker pool."""
+
+    @given(plan=_fault_plans(pool=False))
+    @GENERATED_PLANS
+    def test_serial_plans_converge(self, full_db, oracle, plan):
+        _converge_under(plan, 1, oracle)
+
+    @given(plan=_fault_plans(pool=True))
+    @GENERATED_PLANS
+    def test_pool_plans_converge(self, full_db, oracle, plan):
+        _converge_under(plan, 2, oracle)

@@ -6,8 +6,8 @@ provenance sidecar; a write to an occupied fingerprint byte-compares
 first (different bytes = loud divergence event with both versions
 quarantined); reads re-verify the digest so valid-JSON bit rot cannot
 slip through; and ``repro verify`` audits the store by digest sweep and
-deterministic-sample re-execution — all while faulted campaigns still
-converge bit-identical to the fault-free serial oracle.
+deterministic-sample re-execution.  Faulted campaigns converging to the
+fault-free serial oracle are ``tests/test_faults.py``'s subject.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import os
 
 import pytest
 
-from repro import settings
 from repro.campaign import RunSpec, clear_result_memo
 from repro.campaign.attest import (
     ATTEST_DIRNAME,
@@ -41,7 +40,6 @@ from repro.campaign.results import (
 )
 from repro.cli import main as cli_main
 from repro.simulator.rmsim import MulticoreRMSimulator
-from repro.testing import serial_oracle
 from repro.util import faults
 
 SEED = 2020
@@ -83,12 +81,6 @@ def _integrity_env(monkeypatch):
             os.environ[k] = v
     faults.reset()
     clear_result_memo()
-
-
-@pytest.fixture(scope="module")
-def oracle(full_db):
-    """Fault-free serial reference results, bypassing every store."""
-    return serial_oracle(ISPECS)
 
 
 class TestAttestation:
@@ -209,7 +201,7 @@ class TestLocalDivergence:
         assert divergences[0]["fp"] == fp
         summary = journal_status(tmp_path)[0]
         assert summary["divergences"] == 1
-        # Divergence is permanent: no retry burned attempts on it.
+        # The divergence failed its spec and left evidence behind.
         assert divergence_stats(tmp_path)["events"] == 1
         # The slot was emptied, so a fresh campaign converges cleanly.
         clear_result_memo()
@@ -434,39 +426,3 @@ class TestPruneSafety:
         assert outcome["removed_files"] == 2
         assert outcome["removed_sidecars"] == 2
         assert not list((tmp_path / "attest").glob("*.json"))
-
-
-class TestPoolDivergence:
-    def test_divergent_publishes_caught_by_verify_and_rerun_converges(
-        self, full_db, monkeypatch, tmp_path, oracle, capsys
-    ):
-        """The acceptance scenario: pool workers publish perturbed bytes
-        for two specs (the ``divergent:`` fault).  The campaign still
-        returns the oracle's results; ``repro verify`` retires both
-        entries, and a re-run resimulates exactly those two and
-        converges."""
-        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        os.environ["REPRO_FAULT_PLAN"] = "divergent:store=results,times=2"
-        results = run_campaign(ISPECS, n_workers=2)
-        assert results.stats.workers == 2
-        for spec in ISPECS:
-            assert results[spec] == oracle[spec.fingerprint], spec.label()
-        fired = len(list(settings.current().fault_ledger.glob("d0-*")))
-        assert fired == 2
-        os.environ.pop("REPRO_FAULT_PLAN")
-        faults.reset()
-
-        clear_result_memo()
-        capsys.readouterr()
-        assert cli_main(["verify"]) == 1
-        assert "divergences: 2" in capsys.readouterr().out
-        assert divergence_stats(tmp_path)["events"] == 2
-
-        clear_result_memo()
-        again = run_campaign(ISPECS, n_workers=2)
-        assert "(2 simulated, 1 cached)" in again.stats.summary()
-        for spec in ISPECS:
-            assert again[spec] == oracle[spec.fingerprint], spec.label()
-        clear_result_memo()
-        assert cli_main(["verify"]) == 0
-        assert "divergences: 0" in capsys.readouterr().out

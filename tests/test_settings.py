@@ -88,9 +88,9 @@ def test_empty_values_mean_unset(monkeypatch):
 
 def test_override_is_scoped_and_validated(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_WAVE", "scalar")
-    with settings.override(wave="step", spec_timeout=0) as knobs:
+    with settings.override(wave="step", result_cache_max_mb=0) as knobs:
         assert knobs.wave == "step"
-        assert knobs.spec_timeout is None  # parsed like the env value
+        assert knobs.result_cache_max_mb is None  # parsed like the env value
         assert settings.resolve().wave == "step"  # survives re-resolution
     assert settings.current().wave == "scalar"
     with pytest.raises(ValueError, match="REPRO_SIM_WAVE"):
